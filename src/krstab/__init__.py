@@ -3,6 +3,8 @@ fits, the minimal-norm interpolant, operator-spectral and stability bounds,
 and deterministic convergence experiments (growing sample / vanishing noise)
 with a CLI front end."""
 
+import types
+
 from .kernels import (
     GramMatrix,
     KernelSpec,
@@ -79,65 +81,9 @@ from .rng import SplitMix64, mix64
 
 __version__ = "0.1.0"
 
+# every public name imported above, not the submodules
 __all__ = [
-    "GramMatrix",
-    "KernelSpec",
-    "PointSet",
-    "eval_kernel",
-    "gram",
-    "kernel_diag",
-    "kernel_matrix",
-    "DiagnosticsError",
-    "EigenDecomposition",
-    "InconsistentSystemError",
-    "pinv_solve",
-    "regularized_solve",
-    "sym_eigen",
-    "RepresenterFunction",
-    "combine",
-    "evaluate",
-    "h_distance",
-    "inner_product",
-    "rkhs_norm",
-    "ClosenessCertificate",
-    "DataSet",
-    "FitResult",
-    "closeness_certificate",
-    "krr_fit",
-    "min_norm_interpolant",
-    "regularized_risk",
-    "EvaluationOperator",
-    "apply_p",
-    "apply_p_star",
-    "decomposition_residual",
-    "filter_gain_bound",
-    "filter_gains",
-    "filter_max",
-    "ker_p_sample",
-    "noise_operator_bound",
-    "operator_norm_bound_p",
-    "shrinkage_profile",
-    "shrinkage_term",
-    "Schedule",
-    "StabilityParams",
-    "beta_stability",
-    "eps_for_target",
-    "schedule_valid_thm1",
-    "schedule_valid_thm2",
-    "sigma_admissible_ls",
-    "stability_probability",
-    "stability_probability_combined",
-    "variance_radius",
-    "DataDistribution",
-    "ExperimentReport",
-    "NoiseProcess",
-    "RateEstimate",
-    "ReportRow",
-    "bias_estimate",
-    "estimate_rate",
-    "run_thm1",
-    "run_thm2",
-    "sample_dataset",
-    "SplitMix64",
-    "mix64",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

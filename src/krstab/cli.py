@@ -1,10 +1,11 @@
 """Command line front end.
 
-Each subcommand reads a JSON config file, validates it against an explicit
-schema (unknown keys are rejected), runs the requested computation, and
-writes its output files deterministically: rerunning with the same config
-reproduces every output byte for byte.  Nothing is written unless the whole
-command succeeds; on failure any partially written files are removed.
+Each subcommand reads a JSON config file, parses it once into the library
+objects its runner needs (unknown keys are rejected, numbers must be finite),
+runs the requested computation, and writes its output files deterministically:
+rerunning with the same config reproduces every output byte for byte.  Nothing
+is written unless the whole command succeeds; on failure any partially written
+files are removed.
 
 Exit codes: 0 success (all outputs written), 1 config error, 2 IO error,
 3 numerical diagnostics failure.
@@ -13,13 +14,14 @@ Exit codes: 0 success (all outputs written), 1 config error, 2 IO error,
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
 
-import jsonschema
 import numpy as np
 
 from .experiments import (
@@ -30,7 +32,7 @@ from .experiments import (
     run_thm1,
     run_thm2,
 )
-from .kernels import KernelSpec, PointSet, gram, kernel_diag
+from .kernels import KernelSpec, PointSet, kernel_diag
 from .linalg import DiagnosticsError
 from .operators import (
     EvaluationOperator,
@@ -59,406 +61,194 @@ EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_DIAGNOSTICS = 3
 
-_KERNEL_DESC = (
+_KERNEL_HELP = (
     "kernel spec: {kind:'gaussian', width>0} or {kind:'linear'} or "
     "{kind:'polynomial', degree: integer>=1, offset>=0}"
 )
-
-_KERNEL_SCHEMA = {
-    "description": _KERNEL_DESC,
-    "oneOf": [
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "gaussian"},
-                "width": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["kind", "width"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"kind": {"const": "linear"}},
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "polynomial"},
-                "degree": {"type": "integer", "minimum": 1},
-                "offset": {"type": "number", "minimum": 0},
-            },
-            "required": ["kind", "degree", "offset"],
-            "additionalProperties": False,
-        },
-    ],
+_DATASET_HELP = "inline data {points: [[...],...], %s: [...]}; exactly one of dataset / dataset_csv"
+_DATASET_CSV_HELP = "CSV file path, header x1,...,xd,y; exactly one of dataset / dataset_csv"
+_OUTPUT_HELP = "output path prefix; writes "
+_SCHEDULE_HELP = (
+    "regularization schedule {{family:'power', lambda0>0, exponent}}; "
+    "lambda({i}) = lambda0 * {i}^-exponent"
+)
+_HARNESS_KEYS = {
+    "trials": (True, "trials per grid point, integer >= 1"),
+    "seed": (True, "master seed, integer >= 0"),
+    "eta": (False, "target H-distance for the certified-closeness columns (default 0.1)"),
+    "c_bound": (False, "loss admissibility constant C; default 4 * M"),
+    "output": (True, _OUTPUT_HELP + "<prefix>.csv, <prefix>.summary.json, <prefix>.plot.dat"),
 }
 
-_POINTS_SCHEMA = {
-    "type": "array",
-    "minItems": 1,
-    "items": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-}
-
-_FUNCTION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kernel": _KERNEL_SCHEMA,
-        "anchors": _POINTS_SCHEMA,
-        "coeffs": {"type": "array", "minItems": 1, "items": {"type": "number"}},
+# Per command: config key -> (required, help line).  The table drives the
+# unknown/missing-key checks and the --help epilog.
+_CONFIG_KEYS: dict[str, dict[str, tuple[bool, str]]] = {
+    "fit": {
+        "kernel": (True, _KERNEL_HELP),
+        "dataset": (False, _DATASET_HELP % "labels"),
+        "dataset_csv": (False, _DATASET_CSV_HELP),
+        "lambda": (True, "regularization parameter, number > 0 (never rescaled by n)"),
+        "output": (True, _OUTPUT_HELP + "<prefix>.fit.json and <prefix>.residuals.csv"),
     },
-    "required": ["kernel", "anchors", "coeffs"],
-    "additionalProperties": False,
-}
-
-_NOISE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["uniform", "rademacher", "truncated_gaussian"]},
-        "b_max": {"type": "number", "minimum": 0},
-        "sd": {"type": "number", "exclusiveMinimum": 0},
+    "interpolate": {
+        "kernel": (True, _KERNEL_HELP),
+        "dataset": (False, _DATASET_HELP % "values"),
+        "dataset_csv": (False, _DATASET_CSV_HELP),
+        "output": (True, _OUTPUT_HELP + "<prefix>.interpolant.json and <prefix>.residuals.csv"),
     },
-    "required": ["kind", "b_max"],
-    "additionalProperties": False,
-}
-
-_SCHEDULE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "family": {"const": "power"},
-        "lambda0": {"type": "number", "exclusiveMinimum": 0},
-        "exponent": {"type": "number"},
+    "thm2": {
+        "points": (True, "fixed design points, one inner array per point"),
+        "f_tilde": (
+            True,
+            "noiseless target as a kernel expansion {kernel, anchors, coeffs}; "
+            "its kernel drives the whole run",
+        ),
+        "noise": (
+            True,
+            "noise spec {kind: uniform|rademacher|truncated_gaussian, b_max>=0, "
+            "sd>0 for truncated_gaussian only}",
+        ),
+        "schedule": (True, _SCHEDULE_HELP.format(i="t")),
+        "t_grid": (True, "noise-shrink factors, strictly increasing positive numbers"),
+        "m_bound": (False, "label-scale bound M; default ||f_tilde||_H * kappa + b_max"),
+        **_HARNESS_KEYS,
     },
-    "required": ["lambda0", "exponent"],
-    "additionalProperties": False,
-}
-
-_SEED_SCHEMA = {"type": "integer", "minimum": 0}
-
-
-def _obj(properties: dict, required: list[str]) -> dict:
-    return {
-        "type": "object",
-        "properties": properties,
-        "required": required,
-        "additionalProperties": False,
-    }
-
-
-def _desc(schema: dict, text: str) -> dict:
-    out = dict(schema)
-    out["description"] = text
-    return out
-
-
-CONFIG_SCHEMAS: dict[str, dict] = {
-    "fit": _obj(
-        {
-            "kernel": _KERNEL_SCHEMA,
-            "dataset": _desc(
-                _obj(
-                    {
-                        "points": _POINTS_SCHEMA,
-                        "labels": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-                    },
-                    ["points", "labels"],
-                ),
-                "inline dataset {points: [[...],...], labels: [...]}; "
-                "exactly one of dataset / dataset_csv",
-            ),
-            "dataset_csv": _desc(
-                {"type": "string"},
-                "path to a CSV file with header x1,...,xd,y; "
-                "exactly one of dataset / dataset_csv",
-            ),
-            "lambda": _desc(
-                {"type": "number", "exclusiveMinimum": 0},
-                "regularization parameter, number > 0 (never rescaled by n)",
-            ),
-            "output": _desc(
-                {"type": "string"},
-                "output path prefix; writes <prefix>.fit.json and <prefix>.residuals.csv",
-            ),
-        },
-        ["kernel", "lambda", "output"],
-    ),
-    "interpolate": _obj(
-        {
-            "kernel": _KERNEL_SCHEMA,
-            "dataset": _desc(
-                _obj(
-                    {
-                        "points": _POINTS_SCHEMA,
-                        "values": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-                    },
-                    ["points", "values"],
-                ),
-                "inline data {points: [[...],...], values: [...]}; "
-                "exactly one of dataset / dataset_csv",
-            ),
-            "dataset_csv": _desc(
-                {"type": "string"},
-                "path to a CSV file with header x1,...,xd,y; "
-                "exactly one of dataset / dataset_csv",
-            ),
-            "output": _desc(
-                {"type": "string"},
-                "output path prefix; writes <prefix>.interpolant.json and "
-                "<prefix>.residuals.csv",
-            ),
-        },
-        ["kernel", "output"],
-    ),
-    "thm2": _obj(
-        {
-            "points": _desc(_POINTS_SCHEMA, "fixed design points, one inner array per point"),
-            "f_tilde": _desc(
-                _FUNCTION_SCHEMA,
-                "noiseless target as a kernel expansion "
-                "{kernel, anchors, coeffs}; its kernel drives the whole run",
-            ),
-            "noise": _desc(
-                _NOISE_SCHEMA,
-                "noise spec {kind: uniform|rademacher|truncated_gaussian, b_max>=0, "
-                "sd>0 for truncated_gaussian only}",
-            ),
-            "schedule": _desc(
-                _SCHEDULE_SCHEMA,
-                "regularization schedule {family:'power', lambda0>0, exponent}; "
-                "lambda(t) = lambda0 * t^-exponent",
-            ),
-            "t_grid": _desc(
-                {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                },
-                "noise-shrink factors, strictly increasing positive numbers",
-            ),
-            "trials": _desc({"type": "integer", "minimum": 1}, "trials per grid point, integer >= 1"),
-            "seed": _desc(_SEED_SCHEMA, "master seed, integer >= 0"),
-            "eta": _desc(
-                {"type": "number", "exclusiveMinimum": 0},
-                "target H-distance for the certified-closeness columns (default 0.1)",
-            ),
-            "m_bound": _desc(
-                {"type": "number", "exclusiveMinimum": 0},
-                "label-scale bound M; default ||f_tilde||_H * kappa + b_max",
-            ),
-            "c_bound": _desc(
-                {"type": "number", "exclusiveMinimum": 0},
-                "loss admissibility constant C; default 4 * M",
-            ),
-            "output": _desc(
-                {"type": "string"},
-                "output path prefix; writes <prefix>.csv, <prefix>.summary.json, "
-                "<prefix>.plot.dat",
-            ),
-        },
-        ["points", "f_tilde", "noise", "schedule", "t_grid", "trials", "seed", "output"],
-    ),
-    "thm1": _obj(
-        {
-            "distribution": _desc(
-                _obj(
-                    {
-                        "box": _obj(
-                            {
-                                "lo": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-                                "hi": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-                            },
-                            ["lo", "hi"],
-                        ),
-                        "target": _FUNCTION_SCHEMA,
-                        "noise": _NOISE_SCHEMA,
-                    },
-                    ["box", "target", "noise"],
-                ),
-                "sampling distribution {box: {lo, hi}, target: function, noise}; "
-                "inputs are uniform on the box, labels are target(x) + noise",
-            ),
-            "schedule": _desc(
-                _SCHEDULE_SCHEMA,
-                "regularization schedule {family:'power', lambda0>0, exponent}; "
-                "lambda(n) = lambda0 * n^-exponent",
-            ),
-            "n_grid": _desc(
-                {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "integer", "minimum": 1},
-                },
-                "sample sizes, strictly increasing integers >= 1",
-            ),
-            "trials": _desc({"type": "integer", "minimum": 1}, "trials per grid point, integer >= 1"),
-            "seed": _desc(_SEED_SCHEMA, "master seed, integer >= 0"),
-            "eta": _desc(
-                {"type": "number", "exclusiveMinimum": 0},
-                "target H-distance for the certified-closeness columns (default 0.1)",
-            ),
-            "m_bound": _desc(
-                {"type": "number", "exclusiveMinimum": 0},
-                "label-scale bound M; default ||target||_H * kappa + b_max",
-            ),
-            "c_bound": _desc(
-                {"type": "number", "exclusiveMinimum": 0},
-                "loss admissibility constant C; default 4 * M",
-            ),
-            "output": _desc(
-                {"type": "string"},
-                "output path prefix; writes <prefix>.csv, <prefix>.summary.json, "
-                "<prefix>.plot.dat",
-            ),
-        },
-        ["distribution", "schedule", "n_grid", "trials", "seed", "output"],
-    ),
-    "bounds": _obj(
-        {
-            "lambda": _desc(
-                {"type": "number", "exclusiveMinimum": 0}, "regularization parameter, number > 0"
-            ),
-            "eps": _desc(
-                {"type": "number", "exclusiveMinimum": 0},
-                "closeness level for the probability and radius formulas, number > 0",
-            ),
-            "c": _desc(
-                {"type": "number", "exclusiveMinimum": 0}, "loss admissibility constant C > 0"
-            ),
-            "m": _desc({"type": "number", "exclusiveMinimum": 0}, "loss/label scale bound M > 0"),
-            "kappa": _desc(
-                {"type": "number", "exclusiveMinimum": 0},
-                "kernel diagonal bound kappa = sup sqrt(K(x,x)); give either kappa+n "
-                "or kernel+points",
-            ),
-            "n": _desc(
-                {"type": "integer", "minimum": 1},
-                "sample size; required with kappa, defaults to len(points) otherwise",
-            ),
-            "kernel": _KERNEL_SCHEMA,
-            "points": _desc(
-                _POINTS_SCHEMA,
-                "points whose Gram matrix supplies kappa and the operator bounds",
-            ),
-            "eta": _desc(
-                {"type": "number", "exclusiveMinimum": 0},
-                "optional target H-distance; adds the sufficient closeness level",
-            ),
-            "t": _desc(
-                {"type": "number", "exclusiveMinimum": 0},
-                "optional noise-shrink factor; with b_max adds the noise propagation bound",
-            ),
-            "b_max": _desc(
-                {"type": "number", "minimum": 0},
-                "optional noise amplitude; the noise bound uses ||b||_2 <= b_max * sqrt(n)",
-            ),
-            "x_max": _desc(
-                {"type": "number", "exclusiveMinimum": 0},
-                "optional bound on |f(x) - y|; adds the squared-loss admissibility constant",
-            ),
-            "output": _desc({"type": "string"}, "output path prefix; writes <prefix>.bounds.json"),
-        },
-        ["lambda", "eps", "c", "m", "output"],
-    ),
-    "spectrum": _obj(
-        {
-            "kernel": _KERNEL_SCHEMA,
-            "points": _desc(_POINTS_SCHEMA, "points whose Gram spectrum is reported"),
-            "lambdas": _desc(
-                {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                },
-                "regularization values to profile, each > 0",
-            ),
-            "scale": _desc(
-                {"type": "number", "exclusiveMinimum": 0},
-                "eigenvalue scale in the shrinkage factors lambda/(gamma/scale + lambda); "
-                "default n (sample operator convention)",
-            ),
-            "output": _desc({"type": "string"}, "output path prefix; writes <prefix>.spectrum.json"),
-        },
-        ["kernel", "points", "lambdas", "output"],
-    ),
-}
-
-_POST_RULES: dict[str, list[str]] = {
-    "fit": ["exactly one of dataset / dataset_csv must be present"],
-    "interpolate": ["exactly one of dataset / dataset_csv must be present"],
-    "thm2": ["t_grid must be strictly increasing"],
-    "thm1": ["n_grid must be strictly increasing"],
-    "bounds": [
-        "exactly one of kappa / (kernel and points) must be present",
-        "n is required when kappa is given inline",
-    ],
-    "spectrum": [],
+    "thm1": {
+        "distribution": (
+            True,
+            "sampling distribution {box: {lo, hi}, target: function, noise}; "
+            "inputs are uniform on the box, labels are target(x) + noise",
+        ),
+        "schedule": (True, _SCHEDULE_HELP.format(i="n")),
+        "n_grid": (True, "sample sizes, strictly increasing integers >= 1"),
+        "m_bound": (False, "label-scale bound M; default ||target||_H * kappa + b_max"),
+        **_HARNESS_KEYS,
+    },
+    "bounds": {
+        "lambda": (True, "regularization parameter, number > 0"),
+        "eps": (True, "closeness level for the probability and radius formulas, number > 0"),
+        "c": (True, "loss admissibility constant C > 0"),
+        "m": (True, "loss/label scale bound M > 0"),
+        "kappa": (False, "kernel diagonal bound sup sqrt(K(x,x)); give kappa+n or kernel+points"),
+        "n": (False, "sample size; required with kappa, defaults to len(points) otherwise"),
+        "kernel": (False, _KERNEL_HELP),
+        "points": (False, "points whose Gram matrix supplies kappa and the operator bounds"),
+        "eta": (False, "optional target H-distance; adds the sufficient closeness level"),
+        "t": (False, "optional noise-shrink factor; with b_max adds the noise propagation bound"),
+        "b_max": (False, "optional noise amplitude; noise bound uses ||b||_2 <= b_max * sqrt(n)"),
+        "x_max": (False, "optional bound on |f(x) - y|; adds squared-loss admissibility constant"),
+        "output": (True, _OUTPUT_HELP + "<prefix>.bounds.json"),
+    },
+    "spectrum": {
+        "kernel": (True, _KERNEL_HELP),
+        "points": (True, "points whose Gram spectrum is reported"),
+        "lambdas": (True, "regularization values to profile, each > 0"),
+        "scale": (False, "eigenvalue scale in shrinkage lambda/(gamma/scale + lambda); default n"),
+        "output": (True, _OUTPUT_HELP + "<prefix>.spectrum.json"),
+    },
 }
 
 
 def _config_help(command: str) -> str:
-    schema = CONFIG_SCHEMAS[command]
-    required = set(schema["required"])
     lines = ["config keys:"]
-    for key, sub in schema["properties"].items():
-        tag = "required" if key in required else "optional"
-        lines.append(f"  {key} [{tag}]: {sub.get('description', '')}")
-    rules = _POST_RULES.get(command, [])
-    if rules:
-        lines.append("additional rules:")
-        lines.extend(f"  {r}" for r in rules)
+    for key, (required, text) in _CONFIG_KEYS[command].items():
+        lines.append(f"  {key} [{'required' if required else 'optional'}]: {text}")
+    lines.append("numbers must be finite; integer keys take integral numbers.")
     lines.append("flags --seed / --out override the config's seed / output keys.")
     return "\n".join(lines)
 
 
-def _validate_config(command: str, cfg) -> None:
-    if not isinstance(cfg, dict):
-        raise ValueError("config root must be a JSON object")
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMAS[command])
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(map(str, e.absolute_path)))
-    if errors:
-        err = errors[0]
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ValueError(f"config key {where}: {err.message}")
-    if command in ("fit", "interpolate"):
-        if ("dataset" in cfg) == ("dataset_csv" in cfg):
-            raise ValueError("config must contain exactly one of dataset / dataset_csv")
-    if command == "thm2":
-        grid = cfg["t_grid"]
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("t_grid must be strictly increasing")
-    if command == "thm1":
-        grid = cfg["n_grid"]
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("n_grid must be strictly increasing")
-    if command == "bounds":
-        has_kappa = "kappa" in cfg
-        has_points = "kernel" in cfg and "points" in cfg
-        if has_kappa == has_points:
-            raise ValueError("give exactly one of kappa / (kernel and points)")
-        if has_kappa and "n" not in cfg:
-            raise ValueError("n is required when kappa is given inline")
-        if ("kernel" in cfg) != ("points" in cfg):
-            raise ValueError("kernel and points must be given together")
+def _keys(obj, path: str, required, allowed=None) -> dict:
+    """``obj`` as a JSON object with every ``required`` key and no key outside ``allowed``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"config key {path or '<root>'}: expected a JSON object")
+    prefix = f"{path}/" if path else ""
+    for key in obj:
+        if key not in (required if allowed is None else allowed):
+            raise ValueError(f"config key {prefix}{key}: unknown key")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"config key {prefix}{key}: required key is missing")
+    return obj
 
 
-def _config_hash(cfg: dict) -> str:
-    """sha1 of the effective config with the output key removed, so the hash
-    identifies the computation, not the destination."""
-    trimmed = {k: v for k, v in cfg.items() if k != "output"}
-    blob = json.dumps(trimmed, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha1(blob).hexdigest()
+def _number(value, path: str, integer: bool = False, bound: str = ""):
+    """A finite, non-bool JSON number, returned unchanged, or as an int when
+    ``integer`` (it must then be integral).  ``bound`` is "", "> 0" or ">= 0"."""
+    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if isinstance(value, bool) or not finite:
+        raise ValueError(f"config key {path}: expected a finite number, got {json.dumps(value)}")
+    if integer:
+        if value != int(value):
+            raise ValueError(f"config key {path}: expected an integer, got {value!r}")
+        value = int(value)
+    if (bound == "> 0" and not value > 0) or (bound == ">= 0" and not value >= 0):
+        raise ValueError(f"config key {path}: must be {bound}, got {value!r}")
+    return value
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+_positive = functools.partial(_number, bound="> 0")
+_integer = functools.partial(_number, integer=True)
+_count = functools.partial(_number, integer=True, bound="> 0")
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"config key {path}: expected a string, got {json.dumps(value)}")
+    return value
+
+
+def _array(value, path: str, item=_number) -> list:
+    """A nonempty JSON array whose entries pass ``item(entry, entry_path)``."""
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"config key {path}: expected a nonempty array")
+    return [item(v, f"{path}/{i}") for i, v in enumerate(value)]
+
+
+# an array of points, each a nonempty array of numbers
+_rows = functools.partial(_array, item=_array)
+
+
+def _grid(value, path: str, item) -> list:
+    grid = _array(value, path, item)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{path} must be strictly increasing")
+    return grid
+
+
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError it raises names the config key."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"config key {path}: {exc}") from None
+
+
+def _points(value, path: str) -> PointSet:
+    return _build(path, PointSet, _rows(value, path))
+
+
+def _fields(obj, path: str) -> dict:
+    """A kernel, noise, schedule or function object, each field checked by its
+    name: kind and family pass as given, kernel is such an object, anchors are
+    points, coeffs numbers, degree an integer, and any other field a number."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"config key {path}: expected a JSON object")
+    checks = {"kernel": _fields, "anchors": _rows, "coeffs": _array, "degree": _integer}
+    return {
+        k: v if k in ("kind", "family") else checks.get(k, _number)(v, f"{path}/{k}")
+        for k, v in obj.items()
+    }
+
+
+def _spec(from_json_dict, obj, path: str):
+    """Build a library object from a kernel, noise, schedule or function object."""
+    return _build(path, from_json_dict, _fields(obj, path))
 
 
 def _read_dataset_csv(path: str) -> tuple[PointSet, np.ndarray]:
-    import csv as _csv
-
     with open(path, newline="", encoding="utf-8") as fh:
-        raw = list(_csv.reader(fh))
+        raw = list(csv.reader(fh))
     if not raw:
         raise ValueError(f"{path}: dataset file is empty")
     header = [h.strip() for h in raw[0]]
@@ -485,17 +275,115 @@ def _read_dataset_csv(path: str) -> tuple[PointSet, np.ndarray]:
     return PointSet(np.asarray(pts)), np.asarray(ys)
 
 
-def _inline_dataset(cfg: dict, value_key: str) -> tuple[PointSet, np.ndarray]:
+def _parse_data(cfg: dict, value_key: str) -> dict:
+    """Kernel, points and values of the ``fit`` / ``interpolate`` commands."""
+    if ("dataset" in cfg) == ("dataset_csv" in cfg):
+        raise ValueError("config must contain exactly one of dataset / dataset_csv")
+    kernel = _spec(KernelSpec.from_json_dict, cfg["kernel"], "kernel")
     if "dataset_csv" in cfg:
-        return _read_dataset_csv(cfg["dataset_csv"])
-    ds = cfg["dataset"]
-    pts = PointSet(np.asarray(ds["points"], dtype=float))
-    vals = np.asarray(ds[value_key], dtype=float)
-    if vals.shape != (len(pts),):
-        raise ValueError(
-            f"dataset has {len(pts)} points but {vals.shape[0]} {value_key}"
-        )
-    return pts, vals
+        pts, vals = _read_dataset_csv(_string(cfg["dataset_csv"], "dataset_csv"))
+    else:
+        ds = _keys(cfg["dataset"], "dataset", ("points", value_key))
+        pts = _points(ds["points"], "dataset/points")
+        vals = np.asarray(_array(ds[value_key], f"dataset/{value_key}"), dtype=float)
+        if vals.shape != (len(pts),):
+            raise ValueError(f"dataset has {len(pts)} points but {vals.shape[0]} {value_key}")
+    return {"kernel": kernel, "pts": pts, "values": vals}
+
+
+def _parse_fit(cfg: dict) -> dict:
+    return {**_parse_data(cfg, "labels"), "lam": float(_positive(cfg["lambda"], "lambda"))}
+
+
+def _parse_harness(cfg: dict) -> dict:
+    """Keyword arguments shared by ``run_thm1`` and ``run_thm2``."""
+    args = {
+        "schedule": _spec(Schedule.from_json_dict, cfg["schedule"], "schedule"),
+        "trials": _count(cfg["trials"], "trials"),
+        "seed": _number(cfg["seed"], "seed", integer=True, bound=">= 0"),
+    }
+    for key in ("eta", "m_bound", "c_bound"):
+        if key in cfg:
+            args[key] = _positive(cfg[key], key)
+    return args
+
+
+def _parse_thm2(cfg: dict) -> dict:
+    return {
+        "pts": _points(cfg["points"], "points"),
+        "f_tilde": _spec(RepresenterFunction.from_json_dict, cfg["f_tilde"], "f_tilde"),
+        "noise": _spec(NoiseProcess.from_json_dict, cfg["noise"], "noise"),
+        "t_grid": _grid(cfg["t_grid"], "t_grid", _positive),
+        **_parse_harness(cfg),
+    }
+
+
+def _parse_thm1(cfg: dict) -> dict:
+    dist = _keys(cfg["distribution"], "distribution", ("box", "target", "noise"))
+    box = _keys(dist["box"], "distribution/box", ("lo", "hi"))
+    lo, hi = (_array(box[key], f"distribution/box/{key}") for key in ("lo", "hi"))
+    target = _spec(RepresenterFunction.from_json_dict, dist["target"], "distribution/target")
+    noise = _spec(NoiseProcess.from_json_dict, dist["noise"], "distribution/noise")
+    return {
+        "dist": _build("distribution", DataDistribution, lo, hi, target, noise),
+        "n_grid": _grid(cfg["n_grid"], "n_grid", _count),
+        **_parse_harness(cfg),
+    }
+
+
+def _parse_bounds(cfg: dict) -> dict:
+    has_kappa = "kappa" in cfg
+    if has_kappa == ("kernel" in cfg and "points" in cfg):
+        raise ValueError("give exactly one of kappa / (kernel and points)")
+    if has_kappa and "n" not in cfg:
+        raise ValueError("n is required when kappa is given inline")
+    if ("kernel" in cfg) != ("points" in cfg):
+        raise ValueError("kernel and points must be given together")
+    args = {
+        key: float(_positive(cfg[key], key))
+        for key in ("lambda", "eps", "c", "m", "kappa", "eta", "t", "x_max")
+        if key in cfg
+    }
+    if "b_max" in cfg:
+        args["b_max"] = float(_number(cfg["b_max"], "b_max", bound=">= 0"))
+    if "n" in cfg:
+        args["n"] = _count(cfg["n"], "n")
+    if not has_kappa:
+        args["kernel"] = _spec(KernelSpec.from_json_dict, cfg["kernel"], "kernel")
+        args["pts"] = _points(cfg["points"], "points")
+    return args
+
+
+def _parse_spectrum(cfg: dict) -> dict:
+    args = {
+        "kernel": _spec(KernelSpec.from_json_dict, cfg["kernel"], "kernel"),
+        "pts": _points(cfg["points"], "points"),
+        "lambdas": [float(v) for v in _array(cfg["lambdas"], "lambdas", _positive)],
+    }
+    if "scale" in cfg:
+        args["scale"] = float(_positive(cfg["scale"], "scale"))
+    return args
+
+
+def _validate_config(command: str, cfg) -> dict:
+    """The arguments of the command's runner, parsed from ``cfg``; errors name the key."""
+    table = _CONFIG_KEYS[command]
+    _keys(cfg, "", [key for key, (required, _) in table.items() if required], table)
+    _string(cfg["output"], "output")
+    parse, _ = _COMMANDS[command]
+    return parse(cfg)
+
+
+def _config_hash(cfg: dict) -> str:
+    """sha1 of the effective config with the output key removed, so the hash
+    identifies the computation, not the destination."""
+    trimmed = {k: v for k, v in cfg.items() if k != "output"}
+    blob = json.dumps(trimmed, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha1(blob).hexdigest()
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _residuals_csv(residuals: np.ndarray) -> str:
@@ -504,10 +392,8 @@ def _residuals_csv(residuals: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_fit(cfg: dict) -> dict[str, str]:
-    kernel = KernelSpec.from_json_dict(cfg["kernel"])
-    pts, labels = _inline_dataset(cfg, "labels")
-    fit = krr_fit(DataSet(pts, labels), float(cfg["lambda"]), kernel)
+def _cmd_fit(cfg: dict, args: dict) -> dict[str, str]:
+    fit = krr_fit(DataSet(args["pts"], args["values"]), args["lam"], args["kernel"])
     out = cfg["output"]
     return {
         out + ".fit.json": _json_text(fit.to_json_dict()),
@@ -515,10 +401,9 @@ def _cmd_fit(cfg: dict) -> dict[str, str]:
     }
 
 
-def _cmd_interpolate(cfg: dict) -> dict[str, str]:
-    kernel = KernelSpec.from_json_dict(cfg["kernel"])
-    pts, values = _inline_dataset(cfg, "values")
-    f = min_norm_interpolant(pts, values, kernel)
+def _cmd_interpolate(cfg: dict, args: dict) -> dict[str, str]:
+    pts, values = args["pts"], args["values"]
+    f = min_norm_interpolant(pts, values, args["kernel"])
     residuals = evaluate(f, pts) - values
     out = cfg["output"]
     return {
@@ -580,58 +465,24 @@ def _report_outputs(cfg: dict, report: ExperimentReport) -> dict[str, str]:
     }
 
 
-def _cmd_thm2(cfg: dict) -> dict[str, str]:
-    report = run_thm2(
-        pts=PointSet(np.asarray(cfg["points"], dtype=float)),
-        f_tilde=RepresenterFunction.from_json_dict(cfg["f_tilde"]),
-        noise=NoiseProcess.from_json_dict(cfg["noise"]),
-        schedule=Schedule.from_json_dict(cfg["schedule"]),
-        t_grid=cfg["t_grid"],
-        trials=cfg["trials"],
-        seed=cfg["seed"],
-        eta=cfg.get("eta", 0.1),
-        m_bound=cfg.get("m_bound"),
-        c_bound=cfg.get("c_bound"),
-    )
-    return _report_outputs(cfg, report)
+def _cmd_thm2(cfg: dict, args: dict) -> dict[str, str]:
+    return _report_outputs(cfg, run_thm2(**args))
 
 
-def _cmd_thm1(cfg: dict) -> dict[str, str]:
-    dist_cfg = cfg["distribution"]
-    dist = DataDistribution(
-        lo=np.asarray(dist_cfg["box"]["lo"], dtype=float),
-        hi=np.asarray(dist_cfg["box"]["hi"], dtype=float),
-        target=RepresenterFunction.from_json_dict(dist_cfg["target"]),
-        noise=NoiseProcess.from_json_dict(dist_cfg["noise"]),
-    )
-    report = run_thm1(
-        dist=dist,
-        schedule=Schedule.from_json_dict(cfg["schedule"]),
-        n_grid=cfg["n_grid"],
-        trials=cfg["trials"],
-        seed=cfg["seed"],
-        eta=cfg.get("eta", 0.1),
-        m_bound=cfg.get("m_bound"),
-        c_bound=cfg.get("c_bound"),
-    )
-    return _report_outputs(cfg, report)
+def _cmd_thm1(cfg: dict, args: dict) -> dict[str, str]:
+    return _report_outputs(cfg, run_thm1(**args))
 
 
-def _cmd_bounds(cfg: dict) -> dict[str, str]:
-    lam = float(cfg["lambda"])
-    if "kappa" in cfg:
-        kappa = float(cfg["kappa"])
-        n = int(cfg["n"])
-        op = None
+def _cmd_bounds(cfg: dict, args: dict) -> dict[str, str]:
+    lam = args["lambda"]
+    if "kappa" in args:
+        kappa, n, op = args["kappa"], args["n"], None
     else:
-        kernel = KernelSpec.from_json_dict(cfg["kernel"])
-        pts = PointSet(np.asarray(cfg["points"], dtype=float))
+        kernel, pts = args["kernel"], args["pts"]
         op = EvaluationOperator(kernel, pts)
         kappa = math.sqrt(max(float(np.max(kernel_diag(kernel, pts))), 0.0))
-        n = int(cfg.get("n", len(pts)))
-    params = StabilityParams(
-        c=float(cfg["c"]), kappa=kappa, m=float(cfg["m"]), n=n, lam=lam, eps=float(cfg["eps"])
-    )
+        n = args.get("n", len(pts))
+    params = StabilityParams(c=args["c"], kappa=kappa, m=args["m"], n=n, lam=lam, eps=args["eps"])
     beta = beta_stability(params)
     p_n = stability_probability(params, beta)
     argmax, max_value = filter_max(n, lam)
@@ -650,30 +501,26 @@ def _cmd_bounds(cfg: dict) -> dict[str, str]:
         "filter_max_value": max_value,
         "filter_gain_bound": filter_gain_bound(n, lam),
     }
-    if "eta" in cfg:
-        result["eps_for_target"] = eps_for_target(float(cfg["eta"]), lam)
-    if "x_max" in cfg:
-        result["sigma_admissible"] = sigma_admissible_ls(float(cfg["x_max"]))
-    if "t" in cfg and "b_max" in cfg:
-        result["noise_bound"] = noise_operator_bound(
-            n, float(cfg["t"]), lam, float(cfg["b_max"]) * math.sqrt(n)
-        )
+    if "eta" in args:
+        result["eps_for_target"] = eps_for_target(args["eta"], lam)
+    if "x_max" in args:
+        result["sigma_admissible"] = sigma_admissible_ls(args["x_max"])
+    if "t" in args and "b_max" in args:
+        b_norm = args["b_max"] * math.sqrt(n)
+        result["noise_bound"] = noise_operator_bound(n, args["t"], lam, b_norm)
     if op is not None:
         result["operator_norm_bound"] = operator_norm_bound_p(op)
         result["gram_min_eigenvalue"] = float(op.gram.eigen.eigenvalues[-1])
     return {cfg["output"] + ".bounds.json": _json_text(result)}
 
 
-def _cmd_spectrum(cfg: dict) -> dict[str, str]:
-    kernel = KernelSpec.from_json_dict(cfg["kernel"])
-    pts = PointSet(np.asarray(cfg["points"], dtype=float))
-    op = EvaluationOperator(kernel, pts)
+def _cmd_spectrum(cfg: dict, args: dict) -> dict[str, str]:
+    op = EvaluationOperator(args["kernel"], args["pts"])
     g = op.gram
     n = g.n
-    scale = float(cfg.get("scale", n))
+    scale = args.get("scale", float(n))
     profiles = []
-    for lam in cfg["lambdas"]:
-        lam = float(lam)
+    for lam in args["lambdas"]:
         argmax, max_value = filter_max(n, lam)
         profiles.append(
             {
@@ -697,13 +544,14 @@ def _cmd_spectrum(cfg: dict) -> dict[str, str]:
     return {cfg["output"] + ".spectrum.json": _json_text(result)}
 
 
-_RUNNERS = {
-    "fit": _cmd_fit,
-    "interpolate": _cmd_interpolate,
-    "thm1": _cmd_thm1,
-    "thm2": _cmd_thm2,
-    "bounds": _cmd_bounds,
-    "spectrum": _cmd_spectrum,
+# command -> (config parser, runner)
+_COMMANDS = {
+    "fit": (_parse_fit, _cmd_fit),
+    "interpolate": (functools.partial(_parse_data, value_key="values"), _cmd_interpolate),
+    "thm1": (_parse_thm1, _cmd_thm1),
+    "thm2": (_parse_thm2, _cmd_thm2),
+    "bounds": (_parse_bounds, _cmd_bounds),
+    "spectrum": (_parse_spectrum, _cmd_spectrum),
 }
 
 _COMMAND_HELP = {
@@ -722,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kernel ridge regression experiments with deterministic outputs.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in _RUNNERS:
+    for name in _COMMANDS:
         p = sub.add_parser(
             name,
             help=_COMMAND_HELP[name],
@@ -771,10 +619,11 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         if args.out is not None:
             cfg["output"] = args.out
-        _validate_config(args.command, cfg)
-        outputs = _RUNNERS[args.command](cfg)
+        parsed = _validate_config(args.command, cfg)
+        _, run = _COMMANDS[args.command]
+        outputs = run(cfg, parsed)
         written = _write_outputs(outputs)
-    except (ValueError, jsonschema.exceptions.ValidationError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -49,7 +49,11 @@ class RepresenterFunction:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "RepresenterFunction":
-        missing = {"kernel", "anchors", "coeffs"} - set(obj)
+        keys = {"kernel", "anchors", "coeffs"}
+        extra = set(obj) - keys
+        if extra:
+            raise ValueError(f"function object has unknown keys {sorted(extra)}")
+        missing = keys - set(obj)
         if missing:
             raise ValueError(f"function object is missing keys {sorted(missing)}")
         return RepresenterFunction(

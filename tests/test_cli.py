@@ -3,12 +3,14 @@ file contracts, byte-for-byte rerun determinism, and the override flags."""
 
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from krstab.cli import main
+from krstab.cli import _validate_config, main
 
 GAUSS = {"kind": "gaussian", "width": 1.0}
 
@@ -408,3 +410,158 @@ class TestTopLevel:
         assert proc.returncode == 0
         assert "wrote" in proc.stdout
         assert (tmp_path / "out.fit.json").exists()
+
+
+def bounds_config(tmp_path):
+    return {
+        "lambda": 0.5,
+        "eps": 0.5,
+        "c": 1.0,
+        "m": 1.0,
+        "kernel": GAUSS,
+        "points": [[0.0], [1.0]],
+        "output": str(tmp_path / "out"),
+    }
+
+
+def spectrum_config(tmp_path):
+    return {
+        "kernel": {"kind": "polynomial", "degree": 2, "offset": 1.0},
+        "points": [[0.0], [0.8], [1.6]],
+        "lambdas": [0.1, 1.0],
+        "output": str(tmp_path / "out"),
+    }
+
+
+CONFIGS = {
+    "fit": fit_config,
+    "thm1": thm1_config,
+    "thm2": thm2_config,
+    "bounds": bounds_config,
+    "spectrum": spectrum_config,
+}
+DELETE = object()
+
+
+def edited_config(tmp_path, command, path, value):
+    """The command's base config with the key at ``path`` ("a/b/0") set to
+    ``value``, or removed when ``value`` is DELETE."""
+    cfg = json.loads(json.dumps(CONFIGS[command](tmp_path)))
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split("/")]
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+class TestConfigParsing:
+    @pytest.mark.parametrize(
+        "command,path,integral",
+        [
+            ("thm2", "seed", 5.0),
+            ("thm2", "trials", 2.0),
+            ("thm1", "n_grid/0", 8.0),
+            ("bounds", "n", 2.0),
+            ("spectrum", "kernel/degree", 2.0),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["integral", "fractional", "bool"])
+    def test_integer_keys(self, tmp_path, capsys, command, path, integral, kind):
+        value = {"integral": integral, "fractional": integral + 0.5, "bool": True}[kind]
+        cfg = edited_config(tmp_path, command, path, value)
+        code = main([command, "--config", write_config(tmp_path, cfg)])
+        if kind == "integral":
+            assert code == 0
+        else:
+            assert code == 1
+            assert f"config error: config key {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,path,value",
+        [
+            ("fit", "lambda", math.inf),
+            ("fit", "dataset/labels/0", math.nan),
+            ("bounds", "eps", math.inf),
+            ("thm1", "distribution/noise/b_max", math.nan),
+            ("thm2", "schedule/exponent", math.nan),
+            ("spectrum", "points/0/0", -math.inf),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, command, path, value):
+        cfg = edited_config(tmp_path, command, path, value)
+        out = str(tmp_path / "written")
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", out]) == 1
+        assert f"config key {path}: expected a finite number" in capsys.readouterr().err
+        assert list(tmp_path.glob("written*")) == []
+
+    @pytest.mark.parametrize(
+        "command,path,value,named",
+        [
+            # an unknown key at every nesting level
+            ("fit", "bogus", 1, "bogus"),
+            ("fit", "kernel/bogus", 1, "bogus"),
+            ("fit", "dataset/bogus", 1, "bogus"),
+            ("thm2", "f_tilde/bogus", 1, "bogus"),
+            ("thm1", "distribution/target/bogus", 1, "bogus"),
+            ("thm2", "noise/bogus", 1, "bogus"),
+            ("thm2", "schedule/bogus", 1, "bogus"),
+            ("thm1", "distribution/bogus", 1, "bogus"),
+            ("thm1", "distribution/box/bogus", 1, "bogus"),
+            # a string or a bool where a number is expected
+            ("thm2", "noise/b_max", "0.5", "noise/b_max"),
+            ("fit", "lambda", "1", "lambda"),
+            ("thm2", "t_grid/0", "1", "t_grid/0"),
+            ("fit", "kernel/width", True, "kernel/width"),
+            ("bounds", "eps", True, "eps"),
+            ("thm1", "distribution/box/lo/0", False, "distribution/box/lo/0"),
+            # empty arrays
+            ("thm2", "points", [], "points"),
+            ("thm2", "f_tilde/coeffs", [], "f_tilde/coeffs"),
+            ("thm2", "t_grid", [], "t_grid"),
+            ("spectrum", "lambdas", [], "lambdas"),
+            # out-of-range values and wrong shapes
+            ("thm2", "seed", -1, "seed"),
+            ("thm2", "trials", 0, "trials"),
+            ("thm1", "n_grid/0", 0, "n_grid/0"),
+            ("spectrum", "lambdas/1", 0.0, "lambdas/1"),
+            ("bounds", "b_max", -0.5, "b_max"),
+            ("spectrum", "points/0", 0.0, "points/0"),
+            ("fit", "output", 3, "output"),
+            ("thm1", "trials", DELETE, "trials"),
+            # bounds needs points with its kernel
+            ("bounds", "points", DELETE, "points"),
+        ],
+    )
+    def test_rejections_name_the_key(self, tmp_path, capsys, command, path, value, named):
+        cfg = edited_config(tmp_path, command, path, value)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            _validate_config(command, cfg)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 1
+        assert named in capsys.readouterr().err
+
+
+DOCS_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "docs" / "configs").glob("*.json"))
+OUTPUT_SUFFIXES = {
+    "bounds": [".bounds.json"],
+    "fit": [".fit.json", ".residuals.csv"],
+    "interpolate": [".interpolant.json", ".residuals.csv"],
+    "spectrum": [".spectrum.json"],
+    "thm1": [".csv", ".summary.json", ".plot.dat"],
+    "thm2": [".csv", ".summary.json", ".plot.dat"],
+}
+
+
+def test_every_command_has_a_sample_config():
+    assert sorted(p.stem for p in DOCS_CONFIGS) == sorted(OUTPUT_SUFFIXES)
+
+
+@pytest.mark.parametrize("config", DOCS_CONFIGS, ids=lambda p: p.stem)
+def test_sample_config_runs(tmp_path, config):
+    out = tmp_path / "sample"
+    assert main([config.stem, "--config", str(config), "--out", str(out)]) == 0
+    for suffix in OUTPUT_SUFFIXES[config.stem]:
+        assert Path(str(out) + suffix).is_file()

@@ -190,6 +190,11 @@ class TestJson:
         with pytest.raises(ValueError, match="missing"):
             RepresenterFunction.from_json_dict({"kernel": {"kind": "linear"}})
 
+    def test_unknown_key_raises(self):
+        obj = {"kernel": {"kind": "linear"}, "anchors": [[0.0]], "coeffs": [1.0], "bogus": 1}
+        with pytest.raises(ValueError, match="bogus"):
+            RepresenterFunction.from_json_dict(obj)
+
 
 def test_coeff_length_mismatch():
     with pytest.raises(ValueError):
