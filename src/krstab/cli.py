@@ -158,10 +158,15 @@ def _config_help(command: str) -> str:
     return "\n".join(lines)
 
 
-def _keys(obj, path: str, required, allowed=None) -> dict:
-    """``obj`` as a JSON object with every ``required`` key and no key outside ``allowed``."""
+def _object(obj, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError(f"config key {path or '<root>'}: expected a JSON object")
+    return obj
+
+
+def _keys(obj, path: str, required, allowed=None) -> dict:
+    """``obj`` as a JSON object with every ``required`` key and no key outside ``allowed``."""
+    _object(obj, path)
     prefix = f"{path}/" if path else ""
     for key in obj:
         if key not in (required if allowed is None else allowed):
@@ -232,8 +237,7 @@ def _fields(obj, path: str) -> dict:
     """A kernel, noise, schedule or function object, each field checked by its
     name: kind and family pass as given, kernel is such an object, anchors are
     points, coeffs numbers, degree an integer, and any other field a number."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"config key {path}: expected a JSON object")
+    _object(obj, path)
     checks = {"kernel": _fields, "anchors": _rows, "coeffs": _array, "degree": _integer}
     return {
         k: v if k in ("kind", "family") else checks.get(k, _number)(v, f"{path}/{k}")
@@ -309,9 +313,16 @@ def _parse_harness(cfg: dict) -> dict:
 
 
 def _parse_thm2(cfg: dict) -> dict:
+    pts = _points(cfg["points"], "points")
+    f_tilde = _spec(RepresenterFunction.from_json_dict, cfg["f_tilde"], "f_tilde")
+    if pts.dim != f_tilde.anchors.dim:
+        raise ValueError(
+            f"config key points: dimension {pts.dim} does not match the "
+            f"f_tilde anchors' dimension {f_tilde.anchors.dim}"
+        )
     return {
-        "pts": _points(cfg["points"], "points"),
-        "f_tilde": _spec(RepresenterFunction.from_json_dict, cfg["f_tilde"], "f_tilde"),
+        "pts": pts,
+        "f_tilde": f_tilde,
         "noise": _spec(NoiseProcess.from_json_dict, cfg["noise"], "noise"),
         "t_grid": _grid(cfg["t_grid"], "t_grid", _positive),
         **_parse_harness(cfg),
@@ -613,6 +624,7 @@ def main(argv=None) -> int:
                 cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.config}: invalid JSON ({exc})") from exc
+        _object(cfg, "")
         if args.seed is not None:
             if args.command not in ("thm1", "thm2"):
                 raise ValueError(f"--seed does not apply to the {args.command} command")

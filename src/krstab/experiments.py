@@ -328,7 +328,7 @@ def run_thm2(
             )
             try:
                 fit = krr_fit(DataSet(pts, values + b / t), lam, kernel, gram_matrix=g)
-                row.h_distance = h_distance(fit.f, fbar)
+                row.h_distance = h_distance(fit.f, fbar, gram_matrix=g)
                 row.noise_bound = noise_operator_bound(
                     n, t, lam, float(np.linalg.norm(b))
                 )

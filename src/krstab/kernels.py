@@ -189,13 +189,18 @@ class GramMatrix:
             raise ValueError(f"Gram matrix must be square and nonempty, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("Gram matrix has non-finite entries")
-        scale = float(np.max(np.abs(m)))
-        asym = float(np.max(np.abs(m - m.T)))
-        if asym > 1e-12 * scale:
-            raise ValueError(
-                f"entries are not symmetric: max asymmetry {asym:.3e}"
-            )
-        m = np.triu(m) + np.triu(m, 1).T
+        # Compared bit for bit, so skipping the mirror is exactly a no-op;
+        # gaussian Gram matrices always take this branch.
+        if np.array_equal(m.view(np.int64), m.T.view(np.int64)):
+            m = m.copy()
+        else:
+            scale = float(np.max(np.abs(m)))
+            asym = float(np.max(np.abs(m - m.T)))
+            if asym > 1e-12 * scale:
+                raise ValueError(
+                    f"entries are not symmetric: max asymmetry {asym:.3e}"
+                )
+            m = np.triu(m) + np.triu(m, 1).T
         m.setflags(write=False)
         self.entries = m
         self.kappa = float(np.max(np.diag(m)))
@@ -208,7 +213,7 @@ class GramMatrix:
     def eigen(self) -> EigenDecomposition:
         """Cached decomposition; raises DiagnosticsError if the matrix fails
         the PSD check min eigenvalue >= -1e-10 * n * kappa."""
-        eig = sym_eigen(self.entries)
+        eig = sym_eigen(self)
         tol = 1e-10 * self.n * self.kappa
         low = float(eig.eigenvalues[-1])
         if low < -tol:

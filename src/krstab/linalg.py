@@ -43,20 +43,22 @@ def sym_eigen(matrix) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix.
 
     Rejects non-square, non-finite, or asymmetric input (asymmetry beyond
-    1e-12 relative to the largest entry).
+    1e-12 relative to the largest entry).  A matrix exposing ``.entries`` (a
+    GramMatrix) passed these checks when it was built and is not scanned again.
     """
     a = _as_matrix(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if asym > 1e-12 * scale:
-        raise ValueError(
-            f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
-            f"{1e-12 * scale:.3e}"
-        )
+    if not hasattr(matrix, "entries"):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix has non-finite entries")
+        scale = float(np.max(np.abs(a))) if a.size else 0.0
+        asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+        if asym > 1e-12 * scale:
+            raise ValueError(
+                f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
+                f"{1e-12 * scale:.3e}"
+            )
     w, q = np.linalg.eigh(a)
     return EigenDecomposition(w[::-1].copy(), q[:, ::-1].copy())
 

@@ -5,7 +5,8 @@ A function is f = sum_i coeffs[i] * K(anchors[i], .).  The reproducing
 property makes evaluation an inner product against the kernel section at the
 query point, and makes the squared norm a Gram quadratic form; both are used
 all over the solver and experiment code, so the implementations here stay in
-pure vectorized numpy.
+pure vectorized numpy.  An H-distance between two expansions over one point
+set reuses that set's Gram matrix when the caller supplies it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .kernels import KernelSpec, PointSet, kernel_matrix
+from .kernels import GramMatrix, KernelSpec, PointSet, kernel_matrix
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -105,45 +106,68 @@ def inner_product(f: RepresenterFunction, g: RepresenterFunction) -> float:
     return float(f.coeffs @ cross @ g.coeffs)
 
 
-def rkhs_norm(f: RepresenterFunction) -> float:
-    """||f||_H.  Tiny negative squared norms from rounding are clamped to 0;
-    anything below -1e-8 is flagged as a diagnostic."""
-    sq = inner_product(f, f)
+def _norm_from_square(sq: float) -> float:
+    """sqrt of a squared H-norm, with the clamp and flag of :func:`rkhs_norm`."""
     if sq < -1e-8:
         warnings.warn(
             f"squared norm {sq:.3e} is significantly negative; "
             "Gram matrix is numerically indefinite",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return math.sqrt(max(sq, 0.0))
+
+
+def rkhs_norm(f: RepresenterFunction) -> float:
+    """||f||_H.  Tiny negative squared norms from rounding are clamped to 0;
+    anything below -1e-8 is flagged as a diagnostic."""
+    return _norm_from_square(inner_product(f, f))
 
 
 def combine(
     f: RepresenterFunction, g: RepresenterFunction, a: float = 1.0, b: float = 1.0
 ) -> RepresenterFunction:
-    """a*f + b*g as one expansion; exactly duplicated anchor rows are merged
-    (first occurrence kept, coefficients summed)."""
+    """a*f + b*g as one expansion; byte-identical anchor rows are merged
+    (first occurrence kept, coefficients summed left to right)."""
     _require_same_kernel(f, g)
     if f.anchors.dim != g.anchors.dim:
         raise ValueError("anchor dimensions differ")
     pts = np.vstack([f.anchors.points, g.anchors.points])
     cs = np.concatenate([a * f.coeffs, b * g.coeffs])
-    seen: dict[bytes, int] = {}
-    rows: list[int] = []
-    merged: list[float] = []
-    for i in range(pts.shape[0]):
-        key = pts[i].tobytes()
-        at = seen.get(key)
-        if at is None:
-            seen[key] = len(rows)
-            rows.append(i)
-            merged.append(float(cs[i]))
-        else:
-            merged[at] += float(cs[i])
-    return RepresenterFunction(f.kernel, PointSet(pts[rows]), np.asarray(merged))
+    # Rows compared as raw bytes, so -0.0 and 0.0 stay apart.
+    keys = pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rows = first[order]
+    group = np.argsort(order)[inverse.ravel()]
+    merged = cs[rows]
+    later = np.ones(cs.shape[0], dtype=bool)
+    later[rows] = False
+    # np.add.at is unbuffered and visits indices in order, so each duplicate
+    # is added left to right, as a running sum would.
+    np.add.at(merged, group[later], cs[later])
+    return RepresenterFunction(f.kernel, PointSet(pts[rows]), merged)
 
 
-def h_distance(f: RepresenterFunction, g: RepresenterFunction) -> float:
-    """||f - g||_H via the merged expansion of f - g."""
-    return rkhs_norm(combine(f, g, 1.0, -1.0))
+def h_distance(
+    f: RepresenterFunction,
+    g: RepresenterFunction,
+    gram_matrix: GramMatrix | None = None,
+) -> float:
+    """||f - g||_H via the merged expansion of f - g.
+
+    ``gram_matrix`` may be supplied when the caller already holds the Gram
+    matrix of ``f.anchors``.  It is used when the merged anchors are exactly
+    ``f.anchors`` (same rows, byte for byte, as when f and g are expansions
+    over one duplicate-free point set); the norm is then its quadratic form
+    and no kernel matrix is built.  Otherwise the merged expansion's own
+    kernel matrix is formed, as without it.
+    """
+    d = combine(f, g, 1.0, -1.0)
+    if (
+        gram_matrix is not None
+        and gram_matrix.n == len(d.anchors)
+        and d.anchors.points.tobytes() == f.anchors.points.tobytes()
+    ):
+        return _norm_from_square(float(d.coeffs @ gram_matrix.entries @ d.coeffs))
+    return rkhs_norm(d)

@@ -383,6 +383,12 @@ class TestTopLevel:
         assert main(["fit", "--config", str(path)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--seed", "3"], ["--out", "elsewhere"]])
+    def test_non_object_root_is_config_error(self, tmp_path, capsys, flags):
+        path = write_config(tmp_path, [1])
+        assert main(["thm2", "--config", path, *flags]) == 1
+        assert "config key <root>: expected a JSON object" in capsys.readouterr().err
+
     def test_blocked_output_is_io_error_and_cleans_up(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("")
@@ -534,6 +540,13 @@ class TestConfigParsing:
             ("thm1", "trials", DELETE, "trials"),
             # bounds needs points with its kernel
             ("bounds", "points", DELETE, "points"),
+            # thm2 points must share the f_tilde anchors' dimension
+            (
+                "thm2",
+                "points",
+                [[0.0, 1.0]],
+                "points: dimension 2 does not match the f_tilde anchors' dimension 1",
+            ),
         ],
     )
     def test_rejections_name_the_key(self, tmp_path, capsys, command, path, value, named):

@@ -180,6 +180,16 @@ class TestGram:
         g = GramMatrix(m)
         assert g.entries[1, 0] == g.entries[0, 1] == 0.5
 
+    def test_mirror_copies_the_sign_of_zero(self):
+        g = GramMatrix(np.array([[1.0, 0.0], [-0.0, 1.0]]))
+        assert g.entries[1, 0].tobytes() == np.float64(0.0).tobytes()
+
+    def test_symmetric_entries_are_copied(self):
+        m = np.array([[1.0, 0.5], [0.5, 1.0]])
+        g = GramMatrix(m)
+        m[0, 1] = 9.0
+        assert g.entries[0, 1] == 0.5
+
     def test_rejects_asymmetric_entries(self):
         with pytest.raises(ValueError, match="symmetric"):
             GramMatrix(np.array([[1.0, 0.5], [0.1, 1.0]]))

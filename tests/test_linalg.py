@@ -5,6 +5,7 @@ the shifted solve."""
 import numpy as np
 import pytest
 
+from krstab.kernels import KernelSpec, PointSet, gram
 from krstab.linalg import (
     InconsistentSystemError,
     pinv_solve,
@@ -79,6 +80,12 @@ class TestSymEigen:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_gram_matrix_matches_its_entries(self):
+        g = gram(KernelSpec.gaussian(0.8), PointSet(np.random.default_rng(3).normal(size=(9, 2))))
+        via_gram, via_array = sym_eigen(g), sym_eigen(g.entries)
+        np.testing.assert_array_equal(via_gram.eigenvalues, via_array.eigenvalues)
+        np.testing.assert_array_equal(via_gram.eigenvectors, via_array.eigenvectors)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):

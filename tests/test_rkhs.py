@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from krstab.kernels import KernelSpec, PointSet, eval_kernel
+import krstab.rkhs
+from krstab.kernels import KernelSpec, PointSet, eval_kernel, gram
 from krstab.rkhs import (
     RepresenterFunction,
     combine,
@@ -15,6 +16,7 @@ from krstab.rkhs import (
     inner_product,
     rkhs_norm,
 )
+from krstab.solver import DataSet, krr_fit, min_norm_interpolant
 
 GAUSS = KernelSpec.gaussian(1.0)
 
@@ -131,6 +133,42 @@ class TestNormAndDistance:
             )
             assert abs(direct - expanded) < 1e-10
 
+    @pytest.mark.parametrize(
+        "case,gram_used",
+        [
+            ("same points", True),
+            ("anchors differ", False),
+            ("duplicate rows", False),
+            ("gram size differs", False),
+        ],
+    )
+    def test_supplied_gram_matrix(self, monkeypatch, case, gram_used):
+        # A fit and the interpolant over one point set, as in the thm2 harness.
+        rng = np.random.default_rng(33)
+        rows = rng.uniform(-2.0, 2.0, (12, 2))
+        if case == "duplicate rows":
+            rows[7] = rows[3]
+        pts = PointSet(rows)
+        g = gram(GAUSS, pts)
+        values = np.sin(rows[:, 0]) + rows[:, 1]
+        fit = krr_fit(DataSet(pts, values + 0.1), 1e-3, GAUSS, gram_matrix=g).f
+        other = min_norm_interpolant(pts, values, GAUSS, gram_matrix=g)
+        if case == "anchors differ":
+            other = random_function(rng, d=2)
+        if case == "gram size differs":
+            g = gram(GAUSS, PointSet(rows[:-1]))
+        expect = h_distance(fit, other)
+        built = []
+        kernel_matrix = krstab.rkhs.kernel_matrix
+
+        def counted(*args):
+            built.append(args)
+            return kernel_matrix(*args)
+
+        monkeypatch.setattr(krstab.rkhs, "kernel_matrix", counted)
+        assert h_distance(fit, other, gram_matrix=g) == expect > 0.0
+        assert (not built) == gram_used
+
     def test_cauchy_schwarz(self):
         rng = np.random.default_rng(28)
         for _ in range(50):
@@ -166,6 +204,20 @@ class TestCombine:
         f = RepresenterFunction(GAUSS, PointSet([[0.0]]), [1.0])
         g = RepresenterFunction(GAUSS, PointSet([[1e-300]]), [1.0])
         assert len(combine(f, g).anchors) == 2
+
+    def test_keeps_signed_zero_rows_apart(self):
+        f = RepresenterFunction(GAUSS, PointSet([[0.0], [-0.0]]), [1.0, 2.0])
+        s = combine(f, f)
+        assert s.anchors.points.tobytes() == np.array([0.0, -0.0]).tobytes()
+        assert s.coeffs.tolist() == [2.0, 4.0]
+
+    def test_row_seen_three_times_sums_left_to_right(self):
+        f = RepresenterFunction(GAUSS, PointSet([[1.0], [0.0], [1.0]]), [1e16, 5.0, 1.0])
+        g = RepresenterFunction(GAUSS, PointSet([[1.0]]), [1e16])
+        s = combine(f, g, 1.0, -1.0)
+        np.testing.assert_array_equal(s.anchors.points, [[1.0], [0.0]])
+        # (1e16 + 1) rounds to 1e16 before -1e16 is added; any other order gives 1.
+        assert s.coeffs.tolist() == [0.0, 5.0]
 
     def test_linear_in_evaluation(self):
         rng = np.random.default_rng(31)
