@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import krstab.rkhs
-from krstab.kernels import KernelSpec, PointSet, eval_kernel, gram
+from krstab.kernels import GramMatrix, KernelSpec, PointSet, eval_kernel, gram
 from krstab.rkhs import (
     RepresenterFunction,
     combine,
@@ -168,6 +168,14 @@ class TestNormAndDistance:
         monkeypatch.setattr(krstab.rkhs, "kernel_matrix", counted)
         assert h_distance(fit, other, gram_matrix=g) == expect > 0.0
         assert (not built) == gram_used
+
+    def test_supplied_gram_matrix_clamps_negative_squares(self):
+        pts = PointSet([[0.0], [1.0]])
+        f = RepresenterFunction(GAUSS, pts, [1.0, 0.0])
+        g = RepresenterFunction(GAUSS, pts, [0.0, 1.0])
+        indefinite = GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # d'Gd = -2
+        with pytest.warns(RuntimeWarning, match="significantly negative"):
+            assert h_distance(f, g, gram_matrix=indefinite) == 0.0
 
     def test_cauchy_schwarz(self):
         rng = np.random.default_rng(28)
