@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import PointSet, gram, kappa_upper_bound, kernel_diag
-from .linalg import DiagnosticsError
+from .linalg import DiagnosticsError, regularized_solve
 from .operators import decomposition_residual, noise_operator_bound, shrinkage_term
 from .rkhs import RepresenterFunction, evaluate, h_distance, rkhs_norm
 from .rng import SplitMix64, mix64
@@ -88,10 +88,13 @@ class NoiseProcess:
         if self.b_max == 0.0:
             return np.zeros(n)
         stream = SplitMix64(seed)
+        # Same bits as n scalar draws of stream.uniform(-b_max, b_max), or of
+        # b_max * stream.sign().
         if self.kind == "uniform":
-            return np.array([stream.uniform(-self.b_max, self.b_max) for _ in range(n)])
+            lo, hi = -self.b_max, self.b_max
+            return lo + (hi - lo) * stream.doubles(n)
         if self.kind == "rademacher":
-            return np.array([self.b_max * stream.sign() for _ in range(n)])
+            return self.b_max * np.where(stream.words(n) >> np.uint64(63), 1.0, -1.0)
         out = np.empty(n)
         for i in range(n):
             for _ in range(100_000):
@@ -156,10 +159,7 @@ class DataDistribution:
 
     def sample_x(self, n: int, stream: SplitMix64) -> PointSet:
         """n input points, coordinates drawn point-major from the stream."""
-        d = self.dim
-        u = np.array(
-            [[stream.next_double() for _ in range(d)] for _ in range(n)]
-        ).reshape(n, d)
+        u = stream.doubles(n * self.dim).reshape(n, self.dim)
         return PointSet(self.lo + u * (self.hi - self.lo))
 
 
@@ -311,7 +311,10 @@ def run_thm2(
     for gi, t in enumerate(t_grid):
         lam = schedule.value(t)
         beta, p_n = _stability_columns(n, lam, eta, m_bound, c_bound, kappa)
-        shrink = shrinkage_term(g, fbar.coeffs, lam)
+        # (G + n*lam I)^{-1} beta depends on t only; the shrinkage term and
+        # every row's residual share this one solve.
+        shrink_solve = regularized_solve(g, n * lam, fbar.coeffs)
+        shrink = shrinkage_term(g, fbar.coeffs, lam, shrink_solve=shrink_solve)
         for trial in range(trials):
             row_seed = mix64(seed, gi * 2**32 + trial)
             b = noise.sample(n, row_seed)
@@ -332,7 +335,16 @@ def run_thm2(
                 row.noise_bound = noise_operator_bound(
                     n, t, lam, float(np.linalg.norm(b))
                 )
-                row.decomp_residual = decomposition_residual(g, values, b, t, lam)
+                row.decomp_residual = decomposition_residual(
+                    g,
+                    values,
+                    b,
+                    t,
+                    lam,
+                    alpha=fit.f.coeffs,
+                    beta=fbar.coeffs,
+                    shrink_solve=shrink_solve,
+                )
             except DiagnosticsError as exc:
                 row.flag = str(exc)
             rows.append(row)

@@ -93,7 +93,9 @@ class KernelSpec:
 class PointSet:
     """Finite ordered collection of points in R^d, stored as an (n, d) array.
 
-    1-D input is read as n points on the real line.
+    1-D input is read as n points on the real line.  ``distinct_rows`` says
+    whether no two rows are byte-equal (so -0.0 and 0.0 count as different);
+    it is computed on first use and cached, since the points never change.
     """
 
     points: np.ndarray
@@ -117,6 +119,16 @@ class PointSet:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    @cached_property
+    def distinct_rows(self) -> bool:
+        return len(np.unique(row_keys(self.points))) == len(self)
+
+
+def row_keys(pts: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a C-contiguous (n, d) array, equal exactly
+    when the rows are byte-equal."""
+    return pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1]))).ravel()
+
 
 def _as_points(x) -> np.ndarray:
     pts = x.points if isinstance(x, PointSet) else np.asarray(x, dtype=float)
@@ -125,14 +137,50 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
+# Largest temporary, in bytes, that a gaussian kernel matrix allocates beside
+# its (n, m) result; rows are processed in blocks that fit it.
+_BLOCK_BYTES = 1 << 23
+
+
+def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
+    """exp(-||a_i - b_j||^2 / (2 width^2)) without an (n, m, d) temporary.
+
+    The squared distances carry the bits of
+    ``np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)``: numpy sums
+    fewer than 8 terms left to right, which the coordinate loop repeats, and
+    pairwise from 8 terms on, which only the broadcast reproduces, so d >= 8
+    keeps the broadcast over row blocks.
+    """
+    n, m, d = a.shape[0], b.shape[0], a.shape[1]
+    loop = 0 < d < 8
+    out = np.empty((n, m))
+    step = max(1, _BLOCK_BYTES // max(1, m * 8 * (1 if loop else d)))
+    for lo in range(0, n, step):
+        rows = a[lo : lo + step]
+        d2 = out[lo : lo + step]
+        if loop:
+            np.subtract.outer(rows[:, 0], b[:, 0], out=d2)
+            np.square(d2, out=d2)
+            for k in range(1, d):
+                diff = np.subtract.outer(rows[:, k], b[:, k])
+                np.square(diff, out=diff)
+                d2 += diff
+        else:
+            diff = rows[:, None, :] - b[None, :, :]
+            np.square(diff, out=diff)
+            np.sum(diff, axis=-1, out=d2)
+    np.negative(out, out=out)
+    out /= 2.0 * width**2
+    return np.exp(out, out=out)
+
+
 def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     """All pairwise kernel values, shape (len(xs), len(ys))."""
     a, b = _as_points(xs), _as_points(ys)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"point dimensions differ: {a.shape[1]} vs {b.shape[1]}")
     if spec.kind == "gaussian":
-        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-        return np.exp(-d2 / (2.0 * spec.width**2))
+        return _gaussian_matrix(a, b, spec.width)
     if spec.kind == "linear":
         return a @ b.T
     return (a @ b.T + spec.offset) ** spec.degree

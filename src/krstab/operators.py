@@ -157,17 +157,29 @@ def shrinkage_profile(g: GramMatrix, lam: float, scale: float) -> list[tuple[flo
     return [(float(gamma), float(fac)) for gamma, fac in zip(w, factors)]
 
 
-def shrinkage_term(g: GramMatrix, coeffs, lam: float) -> float:
+def shrinkage_term(g: GramMatrix, coeffs, lam: float, *, shrink_solve=None) -> float:
     """H-norm of the pure-regularization error n*lam*(G + n*lam I)^{-1}
-    applied to the expansion with the given coefficients."""
-    beta = np.asarray(coeffs, dtype=float)
+    applied to the expansion with the given coefficients.
+
+    ``shrink_solve`` may carry (G + n*lam I)^{-1} coeffs when the caller
+    already holds it."""
     n = g.n
-    s = n * lam * regularized_solve(g, n * lam, beta)
+    if shrink_solve is None:
+        shrink_solve = regularized_solve(g, n * lam, np.asarray(coeffs, dtype=float))
+    s = n * lam * shrink_solve
     return math.sqrt(max(float(s @ g.entries @ s), 0.0))
 
 
 def decomposition_residual(
-    g: GramMatrix, values, noise, t: float, lam: float
+    g: GramMatrix,
+    values,
+    noise,
+    t: float,
+    lam: float,
+    *,
+    alpha=None,
+    beta=None,
+    shrink_solve=None,
 ) -> float:
     """H-norm gap between the two sides of the fit-error identity.
 
@@ -177,8 +189,13 @@ def decomposition_residual(
         alpha - beta = -n*lam*(G + n*lam I)^{-1} beta
                        + (G + n*lam I)^{-1} (b/t)
 
-    holds exactly in arithmetic; both sides are computed independently here
-    and the H-norm of their difference is returned.
+    holds exactly in arithmetic; the H-norm of the difference of the two
+    sides is returned.  A caller that already holds some of the pieces may
+    pass them: ``alpha`` (the ridge fit's coefficients), ``beta`` (the
+    minimal-norm coefficients) and ``shrink_solve`` ((G + n*lam I)^{-1} beta,
+    which depends on lam only).  Each omitted piece is computed here.  The
+    noise solve (G + n*lam I)^{-1} (b/t) is always computed here, so the
+    right side never shares the solve that produced alpha.
     """
     if not t > 0 or not lam > 0:
         raise ValueError("need t > 0 and lam > 0")
@@ -187,11 +204,13 @@ def decomposition_residual(
     n = g.n
     if v.shape != (n,) or b.shape != (n,):
         raise ValueError("values and noise must be vectors over the operator points")
-    alpha = regularized_solve(g, n * lam, v + b / t)
-    beta = pinv_solve(g, v)
+    if alpha is None:
+        alpha = regularized_solve(g, n * lam, v + b / t)
+    if beta is None:
+        beta = pinv_solve(g, v)
+    if shrink_solve is None:
+        shrink_solve = regularized_solve(g, n * lam, beta)
     left = alpha - beta
-    right = -n * lam * regularized_solve(g, n * lam, beta) + regularized_solve(
-        g, n * lam, b / t
-    )
+    right = -n * lam * shrink_solve + regularized_solve(g, n * lam, b / t)
     delta = left - right
     return math.sqrt(max(float(delta @ g.entries @ delta), 0.0))

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelSpec, PointSet, kernel_matrix
+from .kernels import GramMatrix, KernelSpec, PointSet, kernel_matrix, row_keys
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -124,18 +124,30 @@ def rkhs_norm(f: RepresenterFunction) -> float:
     return _norm_from_square(inner_product(f, f))
 
 
+def _same_rows(p: PointSet, q: PointSet) -> bool:
+    return p is q or (
+        p.points.shape == q.points.shape and p.points.tobytes() == q.points.tobytes()
+    )
+
+
 def combine(
     f: RepresenterFunction, g: RepresenterFunction, a: float = 1.0, b: float = 1.0
 ) -> RepresenterFunction:
     """a*f + b*g as one expansion; byte-identical anchor rows are merged
-    (first occurrence kept, coefficients summed left to right)."""
+    (first occurrence kept, coefficients summed left to right).  When f and g
+    share one point set whose rows are distinct, that set is kept and the
+    coefficients are added row by row."""
     _require_same_kernel(f, g)
     if f.anchors.dim != g.anchors.dim:
         raise ValueError("anchor dimensions differ")
+    if _same_rows(f.anchors, g.anchors) and f.anchors.distinct_rows:
+        # Row i of f merges with row i of g and nothing else: the general
+        # merge below would compute exactly these sums.
+        return RepresenterFunction(f.kernel, f.anchors, a * f.coeffs + b * g.coeffs)
     pts = np.vstack([f.anchors.points, g.anchors.points])
     cs = np.concatenate([a * f.coeffs, b * g.coeffs])
     # Rows compared as raw bytes, so -0.0 and 0.0 stay apart.
-    keys = pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1]))).ravel()
+    keys = row_keys(pts)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rows = first[order]
@@ -167,7 +179,7 @@ def h_distance(
     if (
         gram_matrix is not None
         and gram_matrix.n == len(d.anchors)
-        and d.anchors.points.tobytes() == f.anchors.points.tobytes()
+        and _same_rows(d.anchors, f.anchors)
     ):
         return _norm_from_square(float(d.coeffs @ gram_matrix.entries @ d.coeffs))
     return rkhs_norm(d)

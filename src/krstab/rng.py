@@ -11,6 +11,10 @@ with the published constants 0xBF58476D1CE4E5B9 (shift 30) and
 0x94D049BB133111EB (shift 27), followed by a final shift of 31.  Because the
 state is an affine counter, the i-th output of a stream is available in O(1)
 via :func:`mix64`, which is what the harnesses use to derive per-row seeds.
+The same fact gives whole batches as one vectorized expression
+(:meth:`SplitMix64.words`): uint64 arithmetic wraps modulo 2**64 exactly as
+the masked integer arithmetic does, so a batch is bit-identical to the same
+number of scalar draws.
 
 Doubles take the top 53 bits of an output word, giving the uniform grid
 ``k * 2**-53`` on [0, 1).
@@ -19,6 +23,8 @@ Doubles take the top 53 bits of an output word, giving the uniform grid
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -45,6 +51,16 @@ def mix64(seed: int, index: int) -> int:
     return scramble((seed + (index + 1) * GAMMA) & _MASK)
 
 
+def _scramble_words(z: np.ndarray) -> np.ndarray:
+    """:func:`scramble` applied elementwise to uint64 state words, in place."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX_1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX_2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 class SplitMix64:
     """Sequential stream over the generator above."""
 
@@ -54,6 +70,20 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + GAMMA) & _MASK
         return scramble(self._state)
+
+    def words(self, k: int) -> np.ndarray:
+        """The next ``k`` output words as a uint64 array; the stream ends
+        where ``k`` calls of :meth:`next_u64` would leave it."""
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        steps = np.arange(1, k + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(GAMMA)
+        self._state = (self._state + k * GAMMA) & _MASK
+        return _scramble_words(z)
+
+    def doubles(self, k: int) -> np.ndarray:
+        """The next ``k`` values of :meth:`next_double`, as a float array."""
+        return (self.words(k) >> np.uint64(11)).astype(float) * 2.0**-53
 
     def next_double(self) -> float:
         """Uniform on [0, 1) with 53-bit resolution."""

@@ -81,6 +81,17 @@ class TestNoiseProcess:
         assert abs(np.mean(a)) < 0.02
         assert abs(np.var(a) - b * b / 3.0) < 0.01
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_batched_draws_match_scalar_stream(self, seed):
+        stream = SplitMix64(seed)
+        uniform = np.array([stream.uniform(-0.7, 0.7) for _ in range(300)])
+        got = NoiseProcess(kind="uniform", b_max=0.7).sample(300, seed)
+        assert got.tobytes() == uniform.tobytes()
+        stream = SplitMix64(seed)
+        signs = np.array([0.7 * stream.sign() for _ in range(300)])
+        got = NoiseProcess(kind="rademacher", b_max=0.7).sample(300, seed)
+        assert got.tobytes() == signs.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown noise kind"):
             NoiseProcess(kind="laplace", b_max=1.0)
@@ -135,6 +146,20 @@ class TestSampling:
         assert np.array_equal(data.pts.points, xs.points)
         b = dist.noise.sample(7, mix64(42, 1))
         assert np.allclose(data.labels, evaluate(dist.target, xs) + b, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_points_match_scalar_stream(self, seed):
+        dist = DataDistribution(
+            lo=np.array([0.0, -1.0, 2.0]),
+            hi=np.array([2.0, 1.0, 2.5]),
+            target=RepresenterFunction(KERNEL, PointSet([[0.5, 0.0, 2.1]]), [1.0]),
+            noise=NoiseProcess(kind="uniform", b_max=0.1),
+        )
+        stream = SplitMix64(seed)
+        u = np.array([[stream.next_double() for _ in range(3)] for _ in range(50)])
+        expect = dist.lo + u * (dist.hi - dist.lo)
+        got = dist.sample_x(50, SplitMix64(seed)).points
+        assert got.tobytes() == expect.tobytes()
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError, match="lo < hi"):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import krstab.kernels
 from krstab.kernels import (
     GramMatrix,
     KernelSpec,
@@ -233,3 +234,19 @@ def test_kernel_matrix_cross_shape():
     m = kernel_matrix(KernelSpec.gaussian(0.8), a, b)
     assert m.shape == (4, 6)
     assert m[2, 3] == eval_kernel(KernelSpec.gaussian(0.8), a[2], b[3])
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("block_bytes", [None, 4096])
+def test_gaussian_matrix_bits_match_the_broadcast(monkeypatch, d, block_bytes):
+    # Fewer than 8 coordinates are summed one at a time and 8 or more through
+    # the broadcast; both must keep the bits of numpy's own reduction.
+    if block_bytes is not None:
+        monkeypatch.setattr(krstab.kernels, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(40 + d)
+    a, b = rng.uniform(-3.0, 3.0, (70, d)), rng.uniform(-3.0, 3.0, (65, d))
+    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    expect = np.exp(-d2 / (2.0 * 0.7**2))
+    got = kernel_matrix(KernelSpec.gaussian(0.7), a, b)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    assert np.all(np.diag(kernel_matrix(KernelSpec.gaussian(0.7), a, a)) == 1.0)

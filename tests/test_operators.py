@@ -260,6 +260,36 @@ class TestDecomposition:
             lam = float(10 ** rng.uniform(-4, 0))
             assert decomposition_residual(g, vals, b, t, lam) <= 1e-8
 
+    def test_supplied_pieces_give_the_same_value(self, instance_factory):
+        # The pieces the thm2 harness already holds: the fit's coefficients,
+        # the interpolant's, and one (G + n lam I)^{-1} beta solve per t.
+        from krstab.solver import DataSet, krr_fit, min_norm_interpolant
+
+        rng = np.random.default_rng(72)
+        spec, pts, g = instance_factory(rng, 1e3)
+        n = g.n
+        vals = rng.uniform(-1, 1, n)
+        fbar = min_norm_interpolant(pts, vals, spec, gram_matrix=g)
+        for t in (1, 10, 100, 1000, 10000):
+            lam = 1.0 / t
+            shrink_solve = regularized_solve(g, n * lam, fbar.coeffs)
+            assert shrinkage_term(
+                g, fbar.coeffs, lam, shrink_solve=shrink_solve
+            ) == shrinkage_term(g, fbar.coeffs, lam)
+            b = rng.uniform(-1, 1, n)
+            fit = krr_fit(DataSet(pts, vals + b / t), lam, spec, gram_matrix=g)
+            supplied = decomposition_residual(
+                g,
+                vals,
+                b,
+                t,
+                lam,
+                alpha=fit.f.coeffs,
+                beta=fbar.coeffs,
+                shrink_solve=shrink_solve,
+            )
+            assert supplied == decomposition_residual(g, vals, b, t, lam)
+
     def test_identity_against_manual_algebra(self):
         # left and right sides recomputed here from scratch
         rng = np.random.default_rng(70)

@@ -199,7 +199,54 @@ class TestNormAndDistance:
             assert abs(evaluate(f, x[0])) <= bound + 1e-12
 
 
+def combine_oracle(f, g, a, b):
+    """a*f + b*g merged one row at a time: first occurrence kept, each
+    duplicate added to a running sum."""
+    rows, coeffs, slot = [], [], {}
+    for pts, cs in ((f.anchors.points, a * f.coeffs), (g.anchors.points, b * g.coeffs)):
+        for row, c in zip(pts, cs):
+            key = row.tobytes()
+            if key in slot:
+                coeffs[slot[key]] += c
+            else:
+                slot[key] = len(rows)
+                rows.append(row)
+                coeffs.append(c)
+    return RepresenterFunction(f.kernel, PointSet(np.array(rows)), np.array(coeffs))
+
+
 class TestCombine:
+    @pytest.mark.parametrize(
+        "rows,distinct",
+        [
+            ([[0.3, 1.0], [-0.0, 0.5], [0.0, 0.5], [2.0, -1.0]], True),
+            ([[0.3, 1.0], [1.5, 0.5], [0.3, 1.0], [2.0, -1.0]], False),
+        ],
+    )
+    def test_one_point_set_matches_the_general_merge(self, rows, distinct):
+        pts = PointSet(rows)
+        assert pts.distinct_rows == distinct
+        rng = np.random.default_rng(34)
+        f = RepresenterFunction(GAUSS, pts, rng.uniform(-1e8, 1e8, 4))
+        g = RepresenterFunction(GAUSS, PointSet(rows), rng.uniform(-1e-8, 1e-8, 4))
+        for other in (f, g):
+            s = combine(f, other, 0.3, -1.7)
+            expect = combine_oracle(f, other, 0.3, -1.7)
+            # Over distinct rows the merge reuses the point set as it is.
+            assert (s.anchors is pts) == distinct
+            assert s.anchors.points.tobytes() == expect.anchors.points.tobytes()
+            assert s.coeffs.tobytes() == expect.coeffs.tobytes()
+
+    def test_distance_over_duplicate_points_unchanged(self):
+        rows = np.array([[0.0], [0.5], [0.0], [1.0]])
+        pts = PointSet(rows)
+        g = gram(GAUSS, pts)
+        f = RepresenterFunction(GAUSS, pts, [1.0, -2.0, 0.5, 3.0])
+        h = RepresenterFunction(GAUSS, pts, [0.25, 1.0, -1.5, 2.0])
+        expect = rkhs_norm(combine_oracle(f, h, 1.0, -1.0))
+        assert h_distance(f, h) == expect
+        assert h_distance(f, h, gram_matrix=g) == expect
+
     def test_merges_exact_duplicates(self):
         pts = PointSet([[0.0], [1.0]])
         f = RepresenterFunction(GAUSS, pts, [1.0, 2.0])

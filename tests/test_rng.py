@@ -2,6 +2,8 @@
 outputs and stay reproducible forever."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from krstab.rng import GAMMA, SplitMix64, mix64, scramble
 
@@ -73,3 +75,32 @@ def test_streams_reproducible():
     a = SplitMix64(42)
     b = SplitMix64(42)
     assert [a.next_double() for _ in range(50)] == [b.next_double() for _ in range(50)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(0, 3000))
+def test_words_equal_scalar_draws(seed, k):
+    batch, scalar = SplitMix64(seed), SplitMix64(seed)
+    assert batch.words(k).tolist() == [scalar.next_u64() for _ in range(k)]
+    assert batch.next_u64() == scalar.next_u64()
+
+
+def test_words_wrap_at_largest_seed():
+    batch, scalar = SplitMix64(2**64 - 1), SplitMix64(2**64 - 1)
+    words = batch.words(5)
+    assert words.dtype == np.uint64
+    assert words.tolist() == [scalar.next_u64() for _ in range(5)]
+    assert batch.next_u64() == scalar.next_u64()
+
+
+def test_doubles_equal_scalar_draws():
+    for seed in (0, 1, 2**63, 2**64 - 1):
+        batch, scalar = SplitMix64(seed), SplitMix64(seed)
+        expect = np.array([scalar.next_double() for _ in range(257)])
+        assert batch.doubles(257).tobytes() == expect.tobytes()
+        assert batch.next_double() == scalar.next_double()
+
+
+def test_words_reject_negative_count():
+    with pytest.raises(ValueError):
+        SplitMix64(0).words(-1)
