@@ -32,7 +32,7 @@ from .experiments import (
     run_thm1,
     run_thm2,
 )
-from .kernels import KernelSpec, PointSet, kernel_diag
+from .kernels import KernelSpec, PointSet, sample_kappa
 from .linalg import DiagnosticsError
 from .operators import (
     EvaluationOperator,
@@ -491,7 +491,7 @@ def _cmd_bounds(cfg: dict, args: dict) -> dict[str, str]:
     else:
         kernel, pts = args["kernel"], args["pts"]
         op = EvaluationOperator(kernel, pts)
-        kappa = math.sqrt(max(float(np.max(kernel_diag(kernel, pts))), 0.0))
+        kappa = sample_kappa(kernel, pts)
         n = args.get("n", len(pts))
     params = StabilityParams(c=args["c"], kappa=kappa, m=args["m"], n=n, lam=lam, eps=args["eps"])
     beta = beta_stability(params)

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import PointSet, gram, kappa_upper_bound, kernel_diag
+from .kernels import PointSet, gram, kappa_upper_bound, sample_kappa
 from .linalg import DiagnosticsError, regularized_solve
 from .operators import decomposition_residual, noise_operator_bound, shrinkage_term
 from .rkhs import RepresenterFunction, evaluate, h_distance, rkhs_norm
@@ -240,11 +240,6 @@ class ExperimentReport:
         return [r for r in self.rows if r.flag]
 
 
-def _kappa_from_diag(diag_values: np.ndarray) -> float:
-    """kappa = sup sqrt(K(x, x)) over the relevant points."""
-    return math.sqrt(max(float(np.max(diag_values)), 0.0))
-
-
 def default_m_bound(target: RepresenterFunction, kappa: float, b_max: float) -> float:
     """Label-scale bound sup|target| + b_max <= ||target||_H * kappa + b_max."""
     return rkhs_norm(target) * kappa + b_max
@@ -300,7 +295,7 @@ def run_thm2(
     kernel = f_tilde.kernel
     n = len(pts)
     g = gram(kernel, pts)
-    kappa = _kappa_from_diag(kernel_diag(kernel, pts))
+    kappa = sample_kappa(kernel, pts)
     if m_bound is None:
         m_bound = default_m_bound(f_tilde, kappa, noise.b_max)
     if c_bound is None:
@@ -314,7 +309,7 @@ def run_thm2(
         # (G + n*lam I)^{-1} beta depends on t only; the shrinkage term and
         # every row's residual share this one solve.
         shrink_solve = regularized_solve(g, n * lam, fbar.coeffs)
-        shrink = shrinkage_term(g, fbar.coeffs, lam, shrink_solve=shrink_solve)
+        shrink = shrinkage_term(g, shrink_solve, lam)
         for trial in range(trials):
             row_seed = mix64(seed, gi * 2**32 + trial)
             b = noise.sample(n, row_seed)
@@ -336,14 +331,7 @@ def run_thm2(
                     n, t, lam, float(np.linalg.norm(b))
                 )
                 row.decomp_residual = decomposition_residual(
-                    g,
-                    values,
-                    b,
-                    t,
-                    lam,
-                    alpha=fit.f.coeffs,
-                    beta=fbar.coeffs,
-                    shrink_solve=shrink_solve,
+                    g, fit.f.coeffs, fbar.coeffs, shrink_solve, b, t, lam
                 )
             except DiagnosticsError as exc:
                 row.flag = str(exc)

@@ -17,6 +17,7 @@ kappa is the largest diagonal entry.
 from __future__ import annotations
 
 import dataclasses
+import math
 from functools import cached_property
 
 import numpy as np
@@ -206,6 +207,11 @@ def kernel_diag(spec: KernelSpec, xs) -> np.ndarray:
     if spec.kind == "linear":
         return sq
     return (sq + spec.offset) ** spec.degree
+
+
+def sample_kappa(spec: KernelSpec, xs) -> float:
+    """kappa = max sqrt(K(x_i, x_i)) over the given points."""
+    return math.sqrt(max(float(np.max(kernel_diag(spec, xs))), 0.0))
 
 
 def kappa_upper_bound(spec: KernelSpec, lo, hi) -> float:

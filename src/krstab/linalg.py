@@ -1,16 +1,25 @@
 """Symmetric eigendecompositions and the two solves routed through them.
 
-Every downstream solve (ridge fits, minimal-norm interpolants, operator
-bounds) reuses one cached decomposition per Gram matrix, so this module is
-the single numerical kernel of the package.  Problem sizes are desk scale
-(n up to a few thousand), hence direct dense methods throughout.
+Every solve takes a :class:`~krstab.kernels.GramMatrix`.  Its constructor
+validates the entries once, and its ``eigen`` property factorizes them once,
+on first use, through :func:`sym_eigen`; so every solve against one Gram
+matrix (ridge fits, minimal-norm interpolants, operator bounds) reuses one
+cached decomposition.  Problem sizes are desk scale (n up to a few
+thousand), hence direct dense methods throughout.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .kernels import GramMatrix
+
+# pinv_solve treats eigenvalues at or below this fraction of the largest as zero.
+_RANK_TOL = 1e-10
 
 
 class DiagnosticsError(RuntimeError):
@@ -34,81 +43,56 @@ class EigenDecomposition:
         self.eigenvectors.setflags(write=False)
 
 
-def _as_matrix(matrix) -> np.ndarray:
-    """Accept a raw 2-D array or anything exposing ``.entries``."""
-    return np.asarray(getattr(matrix, "entries", matrix), dtype=float)
+def sym_eigen(g: GramMatrix) -> EigenDecomposition:
+    """Full eigendecomposition of the entries of the GramMatrix ``g``.
 
-
-def sym_eigen(matrix) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
-
-    Rejects non-square, non-finite, or asymmetric input (asymmetry beyond
-    1e-12 relative to the largest entry).  A matrix exposing ``.entries`` (a
-    GramMatrix) passed these checks when it was built and is not scanned again.
+    ``g`` was checked square, finite and symmetric when it was built; no PSD
+    check is made here.  A raw symmetric PSD array goes through
+    ``GramMatrix(a)``, whose ``eigen`` calls this once, caches the result
+    and adds the PSD check.
     """
-    a = _as_matrix(matrix)
-    if not hasattr(matrix, "entries"):
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix has non-finite entries")
-        scale = float(np.max(np.abs(a))) if a.size else 0.0
-        asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-        if asym > 1e-12 * scale:
-            raise ValueError(
-                f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
-                f"{1e-12 * scale:.3e}"
-            )
-    w, q = np.linalg.eigh(a)
+    w, q = np.linalg.eigh(g.entries)
     return EigenDecomposition(w[::-1].copy(), q[:, ::-1].copy())
 
 
-def _decomposition(matrix) -> EigenDecomposition:
-    if isinstance(matrix, EigenDecomposition):
-        return matrix
-    eig = getattr(matrix, "eigen", None)
-    return eig if eig is not None else sym_eigen(matrix)
+def regularized_solve(g: GramMatrix, shift: float, rhs) -> np.ndarray:
+    """Solve ``(G + shift*I) x = rhs`` for the GramMatrix ``g``, shift > 0.
 
-
-def regularized_solve(matrix, shift: float, rhs) -> np.ndarray:
-    """Solve ``(A + shift*I) x = rhs`` for symmetric PSD ``A``, shift > 0.
-
-    Goes through the (cached) eigendecomposition, so repeated solves against
-    the same matrix cost one backtransform each.
+    Goes through ``g.eigen``, so repeated solves against one Gram matrix
+    cost one backtransform each.  A raw symmetric PSD array goes through
+    ``GramMatrix(a)``, which also gives it the PSD check.
     """
     if not shift > 0:
         raise ValueError(f"shift must be positive, got {shift}")
     y = np.asarray(rhs, dtype=float)
-    eig = _decomposition(matrix)
-    n = eig.eigenvalues.shape[0]
-    if y.shape != (n,):
-        raise ValueError(f"rhs has shape {y.shape}, expected ({n},)")
+    if y.shape != (g.n,):
+        raise ValueError(f"rhs has shape {y.shape}, expected ({g.n},)")
+    eig = g.eigen
     z = eig.eigenvectors.T @ y
     return eig.eigenvectors @ (z / (eig.eigenvalues + shift))
 
 
-def pinv_solve(matrix, rhs, rank_tol: float = 1e-10) -> np.ndarray:
-    """Minimal-norm solution of ``A x = rhs`` for symmetric PSD ``A``.
+def pinv_solve(g: GramMatrix, rhs) -> np.ndarray:
+    """Minimal-norm solution of ``G x = rhs`` for the GramMatrix ``g``.
 
-    Eigenvalues at or below ``rank_tol`` times the largest eigenvalue are
+    Eigenvalues of ``g.eigen`` at or below 1e-10 times the largest are
     treated as zero.  Raises :class:`InconsistentSystemError` when the
     residual exceeds ``1e-6 * (1 + max|rhs|)``, i.e. when ``rhs`` has a
-    component outside the numerical range of ``A``.
+    component outside the numerical range of G.  A raw symmetric PSD array
+    goes through ``GramMatrix(a)``, which also gives it the PSD check.
     """
-    a = _as_matrix(matrix)
     y = np.asarray(rhs, dtype=float)
-    eig = _decomposition(matrix)
+    if y.shape != (g.n,):
+        raise ValueError(f"rhs has shape {y.shape}, expected ({g.n},)")
+    eig = g.eigen
     w = eig.eigenvalues
-    if y.shape != (w.shape[0],):
-        raise ValueError(f"rhs has shape {y.shape}, expected ({w.shape[0]},)")
-    thresh = rank_tol * max(float(w[0]) if w.size else 0.0, 0.0)
-    keep = w > thresh
+    keep = w > _RANK_TOL * max(float(w[0]), 0.0)
     z = eig.eigenvectors.T @ y
     inv = np.zeros_like(w)
     np.divide(1.0, w, out=inv, where=keep)
     x = eig.eigenvectors @ (inv * z)
-    resid = float(np.max(np.abs(a @ x - y))) if y.size else 0.0
-    tol = 1e-6 * (1.0 + float(np.max(np.abs(y))) if y.size else 1.0)
+    resid = float(np.max(np.abs(g.entries @ x - y)))
+    tol = 1e-6 * (1.0 + float(np.max(np.abs(y))))
     if resid > tol:
         raise InconsistentSystemError(
             f"constraint system is inconsistent: residual {resid:.3e} "

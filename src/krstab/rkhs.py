@@ -124,6 +124,12 @@ def rkhs_norm(f: RepresenterFunction) -> float:
     return _norm_from_square(inner_product(f, f))
 
 
+def gram_norm(g: GramMatrix, coeffs: np.ndarray) -> float:
+    """H-norm of the expansion with ``coeffs`` over the points of ``g``:
+    sqrt(coeffs . G . coeffs), clamped and flagged as in :func:`rkhs_norm`."""
+    return _norm_from_square(float(coeffs @ g.entries @ coeffs))
+
+
 def _same_rows(p: PointSet, q: PointSet) -> bool:
     return p is q or (
         p.points.shape == q.points.shape and p.points.tobytes() == q.points.tobytes()
@@ -181,5 +187,5 @@ def h_distance(
         and gram_matrix.n == len(d.anchors)
         and _same_rows(d.anchors, f.anchors)
     ):
-        return _norm_from_square(float(d.coeffs @ gram_matrix.entries @ d.coeffs))
+        return gram_norm(gram_matrix, d.coeffs)
     return rkhs_norm(d)

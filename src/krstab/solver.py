@@ -15,6 +15,7 @@ solution of G alpha = y.
 from __future__ import annotations
 
 import dataclasses
+from functools import cached_property
 
 import numpy as np
 
@@ -50,16 +51,23 @@ class DataSet:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class FitResult:
-    """Fitted function plus the diagnostics recorded at solve time.
+    """Fitted function and the dataset it was fit to.
 
     ``residuals[i] = f(x_i) - y_i`` and ``objective`` is the attained
-    regularized risk.
+    regularized risk; each is computed on first read and cached.
     """
 
     f: RepresenterFunction
     lam: float
-    objective: float
-    residuals: np.ndarray
+    data: DataSet
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        return evaluate(self.f, self.data.pts) - self.data.labels
+
+    @cached_property
+    def objective(self) -> float:
+        return regularized_risk(self.f, self.data, self.lam)
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,12 +101,7 @@ def krr_fit(
     g = gram_matrix if gram_matrix is not None else gram(kernel, data.pts)
     n = len(data)
     alpha = regularized_solve(g, n * lam, data.labels)
-    f = RepresenterFunction(kernel, data.pts, alpha)
-    vals = g.entries @ alpha
-    residuals = vals - data.labels
-    sq_norm = float(alpha @ g.entries @ alpha)
-    objective = float(np.mean(residuals**2)) + lam * sq_norm
-    return FitResult(f=f, lam=lam, objective=objective, residuals=residuals)
+    return FitResult(f=RepresenterFunction(kernel, data.pts, alpha), lam=lam, data=data)
 
 
 def min_norm_interpolant(

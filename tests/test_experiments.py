@@ -3,6 +3,7 @@ drivers (row seeding, CSV schema, determinism, bound columns), rate
 estimation, and the Monte Carlo bias probe."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from krstab.experiments import (
     run_thm2,
     sample_dataset,
 )
-from krstab.kernels import KernelSpec, PointSet, gram
-from krstab.linalg import DiagnosticsError
+from krstab.kernels import GramMatrix, KernelSpec, PointSet, gram
+from krstab.linalg import DiagnosticsError, regularized_solve
 from krstab.operators import shrinkage_term
 from krstab.rkhs import RepresenterFunction, evaluate, rkhs_norm
 from krstab.rng import SplitMix64, mix64
@@ -222,7 +223,8 @@ class TestRunThm2:
         values = evaluate(make_target(), pts)
         fbar = min_norm_interpolant(pts, values, KERNEL, gram_matrix=g)
         for row in rep.rows:
-            expect = shrinkage_term(g, fbar.coeffs, row.lam)
+            shrink_solve = regularized_solve(g, g.n * row.lam, fbar.coeffs)
+            expect = shrinkage_term(g, shrink_solve, row.lam)
             assert abs(row.shrinkage_term - expect) <= 1e-12 * (1 + expect)
 
     def test_csv_schema_and_determinism(self):
@@ -303,6 +305,44 @@ class TestRunThm2:
             run_thm2(pts, make_target(), noise, sched, [1], trials=0, seed=0)
         with pytest.raises(ValueError, match="eta"):
             run_thm2(pts, make_target(), noise, sched, [1], trials=1, seed=0, eta=0.0)
+
+    @pytest.mark.parametrize("t_count", [2, 5])
+    def test_one_factorization_per_run(self, monkeypatch, t_count):
+        # Every row asks its questions of one Gram matrix: one kernel matrix
+        # for G, one for the target's norm and one for its values on the
+        # points, and one factorization, however many t values and trials.
+        calls = dict.fromkeys(["kernel_matrix", "sym_eigen", "GramMatrix"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("kernel_matrix", "sym_eigen"):
+            real = getattr(sys.modules["krstab.kernels"], name)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("krstab") and getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, counted(name, real))
+        monkeypatch.setattr(GramMatrix, "__init__", counted("GramMatrix", GramMatrix.__init__))
+        rng = np.random.default_rng(7)
+        target = RepresenterFunction(
+            kernel=KernelSpec.gaussian(0.5),
+            anchors=PointSet(rng.uniform(0.0, 5.0, (5, 4))),
+            coeffs=rng.uniform(-1.0, 1.0, 5),
+        )
+        rep = run_thm2(
+            pts=PointSet(rng.uniform(0.0, 5.0, (200, 4))),
+            f_tilde=target,
+            noise=NoiseProcess(kind="uniform", b_max=1.0),
+            schedule=Schedule(lambda0=1.0, exponent=1.0),
+            t_grid=[10.0**k for k in range(t_count)],
+            trials=7,
+            seed=5,
+        )
+        assert len(rep.rows) == 7 * t_count and not rep.flagged()
+        assert calls == {"kernel_matrix": 3, "sym_eigen": 1, "GramMatrix": 1}
 
 
 def small_thm1(trials=3, seed=23, n_grid=(8, 16, 32), exponent=0.3):

@@ -1,11 +1,12 @@
 """Decomposition and solve tests, cross-checked by independent oracles:
 characteristic-polynomial roots for the eigenvalues, conjugate gradient for
-the shifted solve."""
+the shifted solve.  The solves take a GramMatrix, so raw matrices are wrapped
+in one; its constructor is where malformed input is rejected."""
 
 import numpy as np
 import pytest
 
-from krstab.kernels import KernelSpec, PointSet, gram
+from krstab.kernels import GramMatrix
 from krstab.linalg import (
     InconsistentSystemError,
     pinv_solve,
@@ -50,11 +51,11 @@ def cg_solve(a: np.ndarray, y: np.ndarray, tol: float = 1e-13) -> np.ndarray:
 
 class TestSymEigen:
     def test_identity(self):
-        eig = sym_eigen(np.eye(2))
+        eig = sym_eigen(GramMatrix(np.eye(2)))
         np.testing.assert_allclose(eig.eigenvalues, [1.0, 1.0])
 
     def test_diagonal_descending(self):
-        eig = sym_eigen(np.diag([0.0, 2.0]))
+        eig = sym_eigen(GramMatrix(np.diag([0.0, 2.0])))
         np.testing.assert_allclose(eig.eigenvalues, [2.0, 0.0], atol=1e-15)
 
     def test_against_charpoly_oracle(self):
@@ -62,7 +63,7 @@ class TestSymEigen:
         for _ in range(25):
             b = rng.normal(size=(5, 5))
             a = (b + b.T) / 2.0
-            eig = sym_eigen(a)
+            eig = sym_eigen(GramMatrix(a))
             np.testing.assert_allclose(eig.eigenvalues, charpoly_roots(a), atol=1e-7)
 
     def test_reconstruction_and_orthonormality(self):
@@ -71,7 +72,7 @@ class TestSymEigen:
             n = int(rng.integers(1, 12))
             b = rng.normal(size=(n, n))
             a = (b + b.T) / 2.0
-            eig = sym_eigen(a)
+            eig = sym_eigen(GramMatrix(a))
             q, w = eig.eigenvectors, eig.eigenvalues
             np.testing.assert_allclose(q @ np.diag(w) @ q.T, a, atol=1e-12)
             np.testing.assert_allclose(q.T @ q, np.eye(n), atol=1e-12)
@@ -79,29 +80,23 @@ class TestSymEigen:
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_gram_matrix_matches_its_entries(self):
-        g = gram(KernelSpec.gaussian(0.8), PointSet(np.random.default_rng(3).normal(size=(9, 2))))
-        via_gram, via_array = sym_eigen(g), sym_eigen(g.entries)
-        np.testing.assert_array_equal(via_gram.eigenvalues, via_array.eigenvalues)
-        np.testing.assert_array_equal(via_gram.eigenvectors, via_array.eigenvectors)
+            GramMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            sym_eigen(np.ones((2, 3)))
+            GramMatrix(np.ones((2, 3)))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            sym_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            GramMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestRegularizedSolve:
     def test_scalar_case(self):
-        np.testing.assert_allclose(regularized_solve(np.array([[1.0]]), 1.0, [2.0]), [1.0])
+        np.testing.assert_allclose(regularized_solve(GramMatrix([[1.0]]), 1.0, [2.0]), [1.0])
 
     def test_zero_matrix(self):
-        x = regularized_solve(np.zeros((2, 2)), 2.0, [4.0, 6.0])
+        x = regularized_solve(GramMatrix(np.zeros((2, 2))), 2.0, [4.0, 6.0])
         np.testing.assert_allclose(x, [2.0, 3.0])
 
     def test_against_cg_oracle(self):
@@ -112,7 +107,7 @@ class TestRegularizedSolve:
             a = b @ b.T
             y = rng.normal(size=n)
             c = float(10.0 ** rng.uniform(-3, 1))
-            x = regularized_solve(a, c, y)
+            x = regularized_solve(GramMatrix(a), c, y)
             np.testing.assert_allclose(x, cg_solve(a + c * np.eye(n), y), atol=1e-9)
 
     def test_residual_postcondition(self):
@@ -123,7 +118,7 @@ class TestRegularizedSolve:
             a = b @ b.T
             y = rng.uniform(-2, 2, n)
             c = float(10.0 ** rng.uniform(-4, 1))
-            x = regularized_solve(a, c, y)
+            x = regularized_solve(GramMatrix(a), c, y)
             resid = np.max(np.abs((a + c * np.eye(n)) @ x - y))
             assert resid <= 1e-9 * (1.0 + np.max(np.abs(y)))
 
@@ -132,8 +127,8 @@ class TestRegularizedSolve:
         b = rng.normal(size=(6, 6))
         a = b @ b.T
         y = rng.normal(size=6)
-        x1 = regularized_solve(a, 0.5, y)
-        x2 = pinv_solve(a + 0.5 * np.eye(6), y)
+        x1 = regularized_solve(GramMatrix(a), 0.5, y)
+        x2 = pinv_solve(GramMatrix(a + 0.5 * np.eye(6)), y)
         np.testing.assert_allclose(x1, x2, atol=1e-9)
 
     def test_inverse_norm_bounded_by_shift(self):
@@ -144,29 +139,29 @@ class TestRegularizedSolve:
             a = b @ b.T
             y = rng.normal(size=5)
             c = float(10.0 ** rng.uniform(-3, 1))
-            x = regularized_solve(a, c, y)
+            x = regularized_solve(GramMatrix(a), c, y)
             assert np.linalg.norm(x) <= np.linalg.norm(y) / c * (1 + 1e-12)
 
     def test_rejects_nonpositive_shift(self):
         with pytest.raises(ValueError):
-            regularized_solve(np.eye(2), 0.0, [1.0, 1.0])
+            regularized_solve(GramMatrix(np.eye(2)), 0.0, [1.0, 1.0])
 
     def test_rejects_wrong_rhs_shape(self):
         with pytest.raises(ValueError):
-            regularized_solve(np.eye(2), 1.0, [1.0, 1.0, 1.0])
+            regularized_solve(GramMatrix(np.eye(2)), 1.0, [1.0, 1.0, 1.0])
 
 
 class TestPinvSolve:
     def test_scalar(self):
-        np.testing.assert_allclose(pinv_solve(np.array([[1.0]]), [3.0]), [3.0])
+        np.testing.assert_allclose(pinv_solve(GramMatrix([[1.0]]), [3.0]), [3.0])
 
     def test_rank_deficient_consistent(self):
         a = np.ones((2, 2))
-        np.testing.assert_allclose(pinv_solve(a, [2.0, 2.0]), [1.0, 1.0])
+        np.testing.assert_allclose(pinv_solve(GramMatrix(a), [2.0, 2.0]), [1.0, 1.0])
 
     def test_rank_deficient_inconsistent_raises(self):
         with pytest.raises(InconsistentSystemError, match="residual"):
-            pinv_solve(np.ones((2, 2)), [1.0, 2.0])
+            pinv_solve(GramMatrix(np.ones((2, 2))), [1.0, 2.0])
 
     def test_minimal_norm_among_solutions(self):
         # null-space translates of the pinv solution are never shorter
@@ -178,7 +173,7 @@ class TestPinvSolve:
             a = q @ np.diag(w) @ q.T
             a = (a + a.T) / 2.0
             y = a @ rng.normal(size=n)  # consistent by construction
-            x = pinv_solve(a, y)
+            x = pinv_solve(GramMatrix(a), y)
             for _ in range(10):
                 z = x + q[:, r:] @ rng.normal(size=n - r)
                 assert np.linalg.norm(x) <= np.linalg.norm(z) + 1e-10
@@ -188,7 +183,8 @@ class TestPinvSolve:
         b = rng.normal(size=(5, 5))
         a = b @ b.T + np.eye(5)
         y = rng.normal(size=5)
-        np.testing.assert_allclose(pinv_solve(a, y), np.linalg.solve(a, y), atol=1e-10)
+        np.testing.assert_allclose(pinv_solve(GramMatrix(a), y), np.linalg.solve(a, y), atol=1e-10)
 
     def test_zero_matrix_zero_rhs(self):
-        np.testing.assert_allclose(pinv_solve(np.zeros((3, 3)), np.zeros(3)), np.zeros(3))
+        x = pinv_solve(GramMatrix(np.zeros((3, 3))), np.zeros(3))
+        np.testing.assert_allclose(x, np.zeros(3))

@@ -28,6 +28,19 @@ from krstab.rkhs import RepresenterFunction, evaluate, h_distance, inner_product
 GAUSS = KernelSpec.gaussian(1.0)
 
 
+def shrink_solve(g, beta, lam):
+    """(G + n lam I)^{-1} beta, the piece the thm2 harness solves once per t."""
+    return regularized_solve(g, g.n * lam, beta)
+
+
+def residual(g, vals, b, t, lam):
+    """decomposition_residual with its pieces computed as the thm2 harness
+    computes them: the ridge fit, the minimal-norm solve and the per-t solve."""
+    alpha = regularized_solve(g, g.n * lam, vals + b / t)
+    beta = pinv_solve(g, vals)
+    return decomposition_residual(g, alpha, beta, shrink_solve(g, beta, lam), b, t, lam)
+
+
 def make_op(rng, n=6, width=0.6):
     pts = PointSet(np.sort(rng.uniform(0, n, n)).reshape(-1, 1))
     return EvaluationOperator(KernelSpec.gaussian(width), pts)
@@ -225,14 +238,17 @@ class TestShrinkage:
         for lam in (1e-3, 0.1, 1.0):
             fit = krr_fit(DataSet(pts, vals), lam, spec, gram_matrix=g)
             direct = h_distance(fit.f, fbar)
-            term = shrinkage_term(g, fbar.coeffs, lam)
+            term = shrinkage_term(g, shrink_solve(g, fbar.coeffs, lam), lam)
             assert abs(direct - term) <= 1e-8 * (1.0 + term)
 
     def test_shrinkage_term_monotone_in_lambda(self, instance_factory):
         rng = np.random.default_rng(66)
         spec, pts, g = instance_factory(rng, 1e3)
         beta = rng.uniform(-1, 1, len(pts))
-        terms = [shrinkage_term(g, beta, lam) for lam in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)]
+        terms = [
+            shrinkage_term(g, shrink_solve(g, beta, lam), lam)
+            for lam in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+        ]
         assert all(a <= b + 1e-12 for a, b in zip(terms, terms[1:]))
 
 
@@ -242,13 +258,13 @@ class TestDecomposition:
         for _ in range(10):
             spec, pts, g = instance_factory(rng, 1e3)
             vals = rng.uniform(-1, 1, len(pts))
-            assert decomposition_residual(g, vals, np.zeros(len(pts)), 1.0, 0.1) <= 1e-9
+            assert residual(g, vals, np.zeros(len(pts)), 1.0, 0.1) <= 1e-9
 
     def test_zero_values_exact_match(self):
         rng = np.random.default_rng(68)
         op = make_op(rng)
         b = rng.uniform(-1, 1, op.n)
-        assert decomposition_residual(op.gram, np.zeros(op.n), b, 10.0, 0.1) == 0.0
+        assert residual(op.gram, np.zeros(op.n), b, 10.0, 0.1) == 0.0
 
     def test_random_instances_certify(self, instance_factory):
         rng = np.random.default_rng(69)
@@ -258,37 +274,7 @@ class TestDecomposition:
             b = rng.uniform(-1, 1, len(pts))
             t = float(10 ** rng.uniform(0, 4))
             lam = float(10 ** rng.uniform(-4, 0))
-            assert decomposition_residual(g, vals, b, t, lam) <= 1e-8
-
-    def test_supplied_pieces_give_the_same_value(self, instance_factory):
-        # The pieces the thm2 harness already holds: the fit's coefficients,
-        # the interpolant's, and one (G + n lam I)^{-1} beta solve per t.
-        from krstab.solver import DataSet, krr_fit, min_norm_interpolant
-
-        rng = np.random.default_rng(72)
-        spec, pts, g = instance_factory(rng, 1e3)
-        n = g.n
-        vals = rng.uniform(-1, 1, n)
-        fbar = min_norm_interpolant(pts, vals, spec, gram_matrix=g)
-        for t in (1, 10, 100, 1000, 10000):
-            lam = 1.0 / t
-            shrink_solve = regularized_solve(g, n * lam, fbar.coeffs)
-            assert shrinkage_term(
-                g, fbar.coeffs, lam, shrink_solve=shrink_solve
-            ) == shrinkage_term(g, fbar.coeffs, lam)
-            b = rng.uniform(-1, 1, n)
-            fit = krr_fit(DataSet(pts, vals + b / t), lam, spec, gram_matrix=g)
-            supplied = decomposition_residual(
-                g,
-                vals,
-                b,
-                t,
-                lam,
-                alpha=fit.f.coeffs,
-                beta=fbar.coeffs,
-                shrink_solve=shrink_solve,
-            )
-            assert supplied == decomposition_residual(g, vals, b, t, lam)
+            assert residual(g, vals, b, t, lam) <= 1e-8
 
     def test_identity_against_manual_algebra(self):
         # left and right sides recomputed here from scratch
@@ -307,7 +293,7 @@ class TestDecomposition:
         )
         delta = left - right
         manual = math.sqrt(max(float(delta @ g.entries @ delta), 0.0))
-        assert abs(decomposition_residual(g, vals, b, t, lam) - manual) < 1e-15
+        assert abs(residual(g, vals, b, t, lam) - manual) < 1e-15
 
 
 class TestEigenConsistency:
