@@ -547,7 +547,7 @@ def _cmd_spectrum(cfg: dict, args: dict) -> dict[str, str]:
     result = {
         "config_sha1": _config_hash(cfg),
         "n": n,
-        "kappa": g.kappa,
+        "kappa": sample_kappa(args["kernel"], args["pts"]),
         "eigenvalues": [float(w) for w in g.eigen.eigenvalues],
         "operator_norm_bound": operator_norm_bound_p(op),
         "profiles": profiles,

@@ -52,7 +52,19 @@ from .stability import (
 )
 
 RNG_NAME = "splitmix64"
-CSV_HEADER = "index_var,lambda,trial,seed,h_distance,shrinkage_term,noise_bound,beta,p_n"
+# (CSV column, ReportRow attribute), in the fixed column order.
+CSV_COLUMNS = (
+    ("index_var", "index_var"),
+    ("lambda", "lam"),
+    ("trial", "trial"),
+    ("seed", "seed"),
+    ("h_distance", "h_distance"),
+    ("shrinkage_term", "shrinkage_term"),
+    ("noise_bound", "noise_bound"),
+    ("beta", "beta"),
+    ("p_n", "p_n"),
+)
+CSV_HEADER = ",".join(column for column, _ in CSV_COLUMNS)
 
 NOISE_KINDS = ("uniform", "rademacher", "truncated_gaussian")
 
@@ -184,11 +196,11 @@ class ReportRow:
     lam: float
     trial: int
     seed: int
-    h_distance: float
-    shrinkage_term: float
-    noise_bound: float
     beta: float
     p_n: float
+    h_distance: float = math.nan
+    shrinkage_term: float = math.nan
+    noise_bound: float = math.nan
     decomp_residual: float = math.nan
     flag: str = ""
 
@@ -209,21 +221,7 @@ class ExperimentReport:
     def to_csv_text(self) -> str:
         lines = [CSV_HEADER]
         for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt_cell(r.index_var),
-                        _fmt_cell(float(r.lam)),
-                        _fmt_cell(int(r.trial)),
-                        _fmt_cell(int(r.seed)),
-                        _fmt_cell(float(r.h_distance)),
-                        _fmt_cell(float(r.shrinkage_term)),
-                        _fmt_cell(float(r.noise_bound)),
-                        _fmt_cell(float(r.beta)),
-                        _fmt_cell(float(r.p_n)),
-                    ]
-                )
-            )
+            lines.append(",".join(_fmt_cell(getattr(r, attr)) for _, attr in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def medians(self) -> dict:
@@ -318,11 +316,9 @@ def run_thm2(
                 lam=lam,
                 trial=trial,
                 seed=row_seed,
-                h_distance=math.nan,
-                shrinkage_term=shrink,
-                noise_bound=math.nan,
                 beta=beta,
                 p_n=p_n,
+                shrinkage_term=shrink,
             )
             try:
                 fit = krr_fit(DataSet(pts, values + b / t), lam, kernel, gram_matrix=g)
@@ -393,19 +389,13 @@ def run_thm1(
         beta, p_n = _stability_columns(n, lam, eta, m_bound, c_bound, kappa)
         for trial in range(trials):
             row_seed = mix64(seed, gi * 2**32 + trial)
+            # A noise process that cannot be sampled fails the run, as in
+            # run_thm2; only the fit and its distance are flagged per row.
+            data = sample_dataset(dist, n, row_seed)
             row = ReportRow(
-                index_var=n,
-                lam=lam,
-                trial=trial,
-                seed=row_seed,
-                h_distance=math.nan,
-                shrinkage_term=math.nan,
-                noise_bound=math.nan,
-                beta=beta,
-                p_n=p_n,
+                index_var=n, lam=lam, trial=trial, seed=row_seed, beta=beta, p_n=p_n
             )
             try:
-                data = sample_dataset(dist, n, row_seed)
                 fit = krr_fit(data, lam, kernel)
                 row.h_distance = h_distance(fit.f, dist.target)
             except DiagnosticsError as exc:

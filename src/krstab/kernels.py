@@ -10,8 +10,9 @@ Gaussian values are computed from coordinate differences directly (never via
 the expanded ||x||^2 + ||y||^2 - 2 x.y form), so the diagonal is exactly 1.
 Gram matrices are symmetrized by mirroring the upper triangle and carry a
 lazily computed, cached eigendecomposition; building one checks positive
-semidefiniteness against the scale-aware tolerance 1e-10 * n * kappa, where
-kappa is the largest diagonal entry.
+semidefiniteness against the scale-aware tolerance 1e-10 * n * max_diag,
+where max_diag is the largest diagonal entry (the square of the paper's
+kappa on those points; ``sample_kappa`` gives kappa itself).
 """
 
 from __future__ import annotations
@@ -94,9 +95,7 @@ class KernelSpec:
 class PointSet:
     """Finite ordered collection of points in R^d, stored as an (n, d) array.
 
-    1-D input is read as n points on the real line.  ``distinct_rows`` says
-    whether no two rows are byte-equal (so -0.0 and 0.0 count as different);
-    it is computed on first use and cached, since the points never change.
+    1-D input is read as n points on the real line.  Rows may repeat.
     """
 
     points: np.ndarray
@@ -119,16 +118,6 @@ class PointSet:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    @cached_property
-    def distinct_rows(self) -> bool:
-        return len(np.unique(row_keys(self.points))) == len(self)
-
-
-def row_keys(pts: np.ndarray) -> np.ndarray:
-    """One opaque key per row of a C-contiguous (n, d) array, equal exactly
-    when the rows are byte-equal."""
-    return pts.view(np.dtype((np.void, pts.itemsize * pts.shape[1]))).ravel()
 
 
 def _as_points(x) -> np.ndarray:
@@ -233,8 +222,9 @@ class GramMatrix:
     """Symmetric PSD matrix of pairwise kernel values.
 
     ``entries[i, j] == entries[j, i]`` holds exactly (upper triangle is
-    mirrored), ``kappa`` is the largest diagonal entry, and ``eigen`` is
-    computed once on first use and reused by every solve.
+    mirrored), ``max_diag`` is the largest diagonal entry (the scale of the
+    PSD tolerance), and ``eigen`` is computed once on first use and reused by
+    every solve.
     """
 
     def __init__(self, entries):
@@ -257,7 +247,7 @@ class GramMatrix:
             m = np.triu(m) + np.triu(m, 1).T
         m.setflags(write=False)
         self.entries = m
-        self.kappa = float(np.max(np.diag(m)))
+        self.max_diag = float(np.max(np.diag(m)))
 
     @property
     def n(self) -> int:
@@ -266,9 +256,9 @@ class GramMatrix:
     @cached_property
     def eigen(self) -> EigenDecomposition:
         """Cached decomposition; raises DiagnosticsError if the matrix fails
-        the PSD check min eigenvalue >= -1e-10 * n * kappa."""
+        the PSD check min eigenvalue >= -1e-10 * n * max_diag."""
         eig = sym_eigen(self)
-        tol = 1e-10 * self.n * self.kappa
+        tol = 1e-10 * self.n * self.max_diag
         low = float(eig.eigenvalues[-1])
         if low < -tol:
             raise DiagnosticsError(

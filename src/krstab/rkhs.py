@@ -5,8 +5,11 @@ A function is f = sum_i coeffs[i] * K(anchors[i], .).  The reproducing
 property makes evaluation an inner product against the kernel section at the
 query point, and makes the squared norm a Gram quadratic form; both are used
 all over the solver and experiment code, so the implementations here stay in
-pure vectorized numpy.  An H-distance between two expansions over one point
-set reuses that set's Gram matrix when the caller supplies it.
+pure vectorized numpy.  Expansions are never deduplicated: two expansions
+over one point set combine by adding coefficients, any others by
+concatenation.  An H-distance between two expansions over one point set,
+repeated rows or not, reuses that set's Gram matrix when the caller supplies
+it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelSpec, PointSet, kernel_matrix, row_keys
+from .kernels import GramMatrix, KernelSpec, PointSet, kernel_matrix
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -139,32 +142,18 @@ def _same_rows(p: PointSet, q: PointSet) -> bool:
 def combine(
     f: RepresenterFunction, g: RepresenterFunction, a: float = 1.0, b: float = 1.0
 ) -> RepresenterFunction:
-    """a*f + b*g as one expansion; byte-identical anchor rows are merged
-    (first occurrence kept, coefficients summed left to right).  When f and g
-    share one point set whose rows are distinct, that set is kept and the
-    coefficients are added row by row."""
+    """a*f + b*g as one expansion.  When f and g share one point set (the same
+    object or byte-equal rows) that set is kept and the coefficients are added
+    row by row; otherwise the anchors of f are followed by those of g.  Anchors
+    are never deduplicated: a repeated row only splits a coefficient, and the
+    H-norm is the same either way."""
     _require_same_kernel(f, g)
     if f.anchors.dim != g.anchors.dim:
         raise ValueError("anchor dimensions differ")
-    if _same_rows(f.anchors, g.anchors) and f.anchors.distinct_rows:
-        # Row i of f merges with row i of g and nothing else: the general
-        # merge below would compute exactly these sums.
+    if _same_rows(f.anchors, g.anchors):
         return RepresenterFunction(f.kernel, f.anchors, a * f.coeffs + b * g.coeffs)
-    pts = np.vstack([f.anchors.points, g.anchors.points])
-    cs = np.concatenate([a * f.coeffs, b * g.coeffs])
-    # Rows compared as raw bytes, so -0.0 and 0.0 stay apart.
-    keys = row_keys(pts)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rows = first[order]
-    group = np.argsort(order)[inverse.ravel()]
-    merged = cs[rows]
-    later = np.ones(cs.shape[0], dtype=bool)
-    later[rows] = False
-    # np.add.at is unbuffered and visits indices in order, so each duplicate
-    # is added left to right, as a running sum would.
-    np.add.at(merged, group[later], cs[later])
-    return RepresenterFunction(f.kernel, PointSet(pts[rows]), merged)
+    pts = PointSet(np.vstack([f.anchors.points, g.anchors.points]))
+    return RepresenterFunction(f.kernel, pts, np.concatenate([a * f.coeffs, b * g.coeffs]))
 
 
 def h_distance(
@@ -172,20 +161,15 @@ def h_distance(
     g: RepresenterFunction,
     gram_matrix: GramMatrix | None = None,
 ) -> float:
-    """||f - g||_H via the merged expansion of f - g.
+    """||f - g||_H via the combined expansion of f - g.
 
     ``gram_matrix`` may be supplied when the caller already holds the Gram
-    matrix of ``f.anchors``.  It is used when the merged anchors are exactly
-    ``f.anchors`` (same rows, byte for byte, as when f and g are expansions
-    over one duplicate-free point set); the norm is then its quadratic form
-    and no kernel matrix is built.  Otherwise the merged expansion's own
+    matrix of ``f.anchors``.  It is used when f and g are expansions over that
+    one point set, repeated rows or not; the norm is then its quadratic form
+    and no kernel matrix is built.  Otherwise the combined expansion's own
     kernel matrix is formed, as without it.
     """
     d = combine(f, g, 1.0, -1.0)
-    if (
-        gram_matrix is not None
-        and gram_matrix.n == len(d.anchors)
-        and _same_rows(d.anchors, f.anchors)
-    ):
+    if gram_matrix is not None and d.anchors is f.anchors and gram_matrix.n == len(d.anchors):
         return gram_norm(gram_matrix, d.coeffs)
     return rkhs_norm(d)

@@ -1,8 +1,11 @@
 """End-to-end command line tests: config validation and exit codes, output
-file contracts, byte-for-byte rerun determinism, and the override flags."""
+file contracts, byte-for-byte rerun determinism, the override flags, and the
+spans the benchmark's tracer expects from each experiment command."""
 
+import importlib.util
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -271,6 +274,18 @@ class TestExperimentCommands:
         assert main(["thm1", "--config", write_config(tmp_path, cfg)]) == 1
         assert "strictly increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["thm1", "thm2"])
+    def test_hopeless_noise_exits_diagnostics(self, tmp_path, capsys, command):
+        noise = {"kind": "truncated_gaussian", "b_max": 1e-6, "sd": 100.0}
+        if command == "thm1":
+            cfg = thm1_config(tmp_path, n_grid=[8, 16, 32])
+            cfg["distribution"]["noise"] = noise
+        else:
+            cfg = thm2_config(tmp_path, noise=noise)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 3
+        assert "rejection sampling failed" in capsys.readouterr().err
+        assert list(tmp_path.glob("exp*")) == []
+
 
 class TestBounds:
     def test_inline_kappa_pinned_values(self, tmp_path):
@@ -370,6 +385,19 @@ class TestSpectrum:
         first = (tmp_path / "out.spectrum.json").read_bytes()
         assert main(["spectrum", "--config", path]) == 0
         assert (tmp_path / "out.spectrum.json").read_bytes() == first
+
+    def test_kappa_matches_bounds(self, tmp_path):
+        # kappa is sup sqrt(K(x, x)) in both outputs, not the largest K(x, x).
+        points = [[1.0, 2.0], [3.0, 0.5], [0.0, 1.0]]
+        common = {"kernel": {"kind": "linear"}, "points": points}
+        spectrum = {**common, "lambdas": [0.1], "output": str(tmp_path / "s")}
+        bounds = {**common, "lambda": 0.1, "eps": 0.5, "c": 1.0, "m": 1.0}
+        bounds["output"] = str(tmp_path / "b")
+        assert main(["spectrum", "--config", write_config(tmp_path, spectrum, "s.json")]) == 0
+        assert main(["bounds", "--config", write_config(tmp_path, bounds, "b.json")]) == 0
+        got = json.loads((tmp_path / "s.spectrum.json").read_text())["kappa"]
+        assert got == json.loads((tmp_path / "b.bounds.json").read_text())["kappa"]
+        assert got == math.sqrt(9.25)
 
 
 class TestTopLevel:
@@ -578,3 +606,44 @@ def test_sample_config_runs(tmp_path, config):
     assert main([config.stem, "--config", str(config), "--out", str(out)]) == 0
     for suffix in OUTPUT_SUFFIXES[config.stem]:
         assert Path(str(out) + suffix).is_file()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _expected_spans() -> dict:
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.EXPECTED_SPANS
+
+
+@pytest.mark.parametrize(
+    "command,workload,overrides",
+    [("thm1", "thm1_growing", {}), ("thm2", "thm2_design", {"t_grid": [1, 10]})],
+    ids=["thm1", "thm2"],
+)
+def test_traced_run_records_every_expected_span(tmp_path, command, workload, overrides):
+    # The benchmark traces each workload from outside and fails a run in which
+    # an expected span records no call, so a renamed or bypassed function
+    # fails here first.
+    cfg = CONFIGS[command](tmp_path, **overrides)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "perfbench" / "trace_child.py"),
+            str(tmp_path / "spans.jsonl"),
+            command,
+            "--config",
+            write_config(tmp_path, cfg),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(proc.stdout.splitlines()[-1])["spans"]
+    missing = [s for s in _expected_spans()[workload] if spans.get(s, {}).get("calls", 0) == 0]
+    assert missing == []

@@ -27,8 +27,9 @@ from krstab.linalg import DiagnosticsError, regularized_solve
 from krstab.operators import shrinkage_term
 from krstab.rkhs import RepresenterFunction, evaluate, rkhs_norm
 from krstab.rng import SplitMix64, mix64
-from krstab.solver import min_norm_interpolant
+from krstab.solver import DataSet, krr_fit, min_norm_interpolant
 from krstab.stability import Schedule
+from test_rkhs import combine_oracle
 
 KERNEL = KernelSpec.gaussian(0.7)
 
@@ -306,11 +307,14 @@ class TestRunThm2:
         with pytest.raises(ValueError, match="eta"):
             run_thm2(pts, make_target(), noise, sched, [1], trials=1, seed=0, eta=0.0)
 
-    @pytest.mark.parametrize("t_count", [2, 5])
-    def test_one_factorization_per_run(self, monkeypatch, t_count):
+    @pytest.mark.parametrize(
+        "t_count,repeated", [(2, False), (5, False), (5, True)], ids=["2", "5", "5-repeated"]
+    )
+    def test_one_factorization_per_run(self, monkeypatch, t_count, repeated):
         # Every row asks its questions of one Gram matrix: one kernel matrix
         # for G, one for the target's norm and one for its values on the
-        # points, and one factorization, however many t values and trials.
+        # points, and one factorization, however many t values and trials,
+        # and whether or not design points repeat (G is then singular).
         calls = dict.fromkeys(["kernel_matrix", "sym_eigen", "GramMatrix"], 0)
 
         def counted(name, fn):
@@ -332,10 +336,14 @@ class TestRunThm2:
             anchors=PointSet(rng.uniform(0.0, 5.0, (5, 4))),
             coeffs=rng.uniform(-1.0, 1.0, 5),
         )
+        rows = rng.uniform(0.0, 5.0, (200, 4))
+        if repeated:
+            rows[199], rows[150] = rows[0], rows[7]
+        pts, noise = PointSet(rows), NoiseProcess(kind="uniform", b_max=1.0)
         rep = run_thm2(
-            pts=PointSet(rng.uniform(0.0, 5.0, (200, 4))),
+            pts=pts,
             f_tilde=target,
-            noise=NoiseProcess(kind="uniform", b_max=1.0),
+            noise=noise,
             schedule=Schedule(lambda0=1.0, exponent=1.0),
             t_grid=[10.0**k for k in range(t_count)],
             trials=7,
@@ -343,6 +351,17 @@ class TestRunThm2:
         )
         assert len(rep.rows) == 7 * t_count and not rep.flagged()
         assert calls == {"kernel_matrix": 3, "sym_eigen": 1, "GramMatrix": 1}
+        if repeated:
+            # The distances over the repeated design match the expansion with
+            # byte-equal anchors merged, whose norm builds its own kernel matrix.
+            g = gram(target.kernel, pts)
+            values = evaluate(target, pts)
+            fbar = min_norm_interpolant(pts, values, target.kernel, gram_matrix=g)
+            for row in rep.rows:
+                labels = values + noise.sample(len(pts), row.seed) / row.index_var
+                fit = krr_fit(DataSet(pts, labels), row.lam, target.kernel, gram_matrix=g)
+                expect = rkhs_norm(combine_oracle(fit.f, fbar, 1.0, -1.0))
+                assert abs(row.h_distance - expect) <= 1e-12 * expect
 
 
 def small_thm1(trials=3, seed=23, n_grid=(8, 16, 32), exponent=0.3):

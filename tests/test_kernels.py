@@ -122,12 +122,12 @@ class TestGram:
     def test_single_point_gaussian(self):
         g = gram(KernelSpec.gaussian(1.0), PointSet([[0.0]]))
         np.testing.assert_array_equal(g.entries, [[1.0]])
-        assert g.kappa == 1.0
+        assert g.max_diag == 1.0
 
     def test_linear_two_points(self):
         g = gram(KernelSpec.linear(), PointSet([[0.0], [1.0]]))
         np.testing.assert_array_equal(g.entries, [[0.0, 0.0], [0.0, 1.0]])
-        assert g.kappa == 1.0
+        assert g.max_diag == 1.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -160,7 +160,7 @@ class TestGram:
             spec = all_kinds()[int(rng.integers(len(all_kinds())))]
             n, d = int(rng.integers(1, 21)), int(rng.integers(1, 5))
             g = gram(spec, PointSet(rng.normal(size=(n, d))))
-            assert g.eigen.eigenvalues[-1] >= -1e-10 * n * g.kappa
+            assert g.eigen.eigenvalues[-1] >= -1e-10 * n * g.max_diag
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(15)
@@ -174,7 +174,7 @@ class TestGram:
     def test_kappa_is_max_diagonal(self):
         rng = np.random.default_rng(16)
         g = gram(KernelSpec.linear(), PointSet(rng.normal(size=(7, 3))))
-        assert g.kappa == float(np.max(np.diag(g.entries)))
+        assert g.max_diag == float(np.max(np.diag(g.entries)))
 
     def test_from_raw_entries_mirrors_upper(self):
         m = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])
