@@ -277,7 +277,9 @@ def run_thm2(
     ``f_tilde(x_i) + b_i / t`` with b drawn afresh, the ridge fit uses
     ``lam = schedule.value(t)``, and the row records the H-distance of the
     fit to the minimal-norm interpolant of the noiseless values together
-    with the shrinkage and noise bound terms of the error identity.
+    with the shrinkage and noise bound terms of the error identity.  The
+    trials of one t share the operator (G + n*lam I)^{-1}, so they are fitted
+    as one block; a diagnostic raised by the block flags every row of that t.
     """
     if not isinstance(pts, PointSet):
         pts = PointSet(pts)
@@ -308,30 +310,38 @@ def run_thm2(
         # every row's residual share this one solve.
         shrink_solve = regularized_solve(g, n * lam, fbar.coeffs)
         shrink = shrinkage_term(g, shrink_solve, lam)
-        for trial in range(trials):
-            row_seed = mix64(seed, gi * 2**32 + trial)
-            b = noise.sample(n, row_seed)
-            row = ReportRow(
+        t_rows = [
+            ReportRow(
                 index_var=t,
                 lam=lam,
                 trial=trial,
-                seed=row_seed,
+                seed=mix64(seed, gi * 2**32 + trial),
                 beta=beta,
                 p_n=p_n,
                 shrinkage_term=shrink,
             )
-            try:
-                fit = krr_fit(DataSet(pts, values + b / t), lam, kernel, gram_matrix=g)
+            for trial in range(trials)
+        ]
+        # One noise vector per row, as rows of b; every trial of this t is
+        # fitted through the one operator (G + n*lam I)^{-1}, so the fits and
+        # the residuals' noise side are one block solve each.
+        b = np.array([noise.sample(n, row.seed) for row in t_rows])
+        try:
+            datasets = [DataSet(pts, values + b_row / t) for b_row in b]
+            fits = krr_fit(datasets, lam, kernel, gram_matrix=g)
+            alpha = np.column_stack([fit.f.coeffs for fit in fits])
+            resid = decomposition_residual(g, alpha, fbar.coeffs, shrink_solve, b.T, t, lam)
+        except DiagnosticsError as exc:
+            for row in t_rows:
+                row.flag = str(exc)
+        else:
+            for row, fit, b_row, r in zip(t_rows, fits, b, resid):
                 row.h_distance = h_distance(fit.f, fbar, gram_matrix=g)
                 row.noise_bound = noise_operator_bound(
-                    n, t, lam, float(np.linalg.norm(b))
+                    n, t, lam, float(np.linalg.norm(b_row))
                 )
-                row.decomp_residual = decomposition_residual(
-                    g, fit.f.coeffs, fbar.coeffs, shrink_solve, b, t, lam
-                )
-            except DiagnosticsError as exc:
-                row.flag = str(exc)
-            rows.append(row)
+                row.decomp_residual = float(r)
+        rows.extend(t_rows)
     metadata = {
         "command": "thm2",
         "index_name": "t",

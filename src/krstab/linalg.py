@@ -4,8 +4,12 @@ Every solve takes a :class:`~krstab.kernels.GramMatrix`.  Its constructor
 validates the entries once, and its ``eigen`` property factorizes them once,
 on first use, through :func:`sym_eigen`; so every solve against one Gram
 matrix (ridge fits, minimal-norm interpolants, operator bounds) reuses one
-cached decomposition.  Problem sizes are desk scale (n up to a few
-thousand), hence direct dense methods throughout.
+cached decomposition.  :func:`regularized_solve` also takes an (n, k) block
+of right-hand sides: each side of the backtransform, Q^T Y and Q Z, is then
+one matrix-matrix product (level-3 BLAS) instead of k matrix-vector
+products, and the thm2 harness fits all trials of one t as one such block.
+Problem sizes are desk scale (n up to a few thousand), hence direct dense
+methods throughout.
 """
 
 from __future__ import annotations
@@ -58,18 +62,24 @@ def sym_eigen(g: GramMatrix) -> EigenDecomposition:
 def regularized_solve(g: GramMatrix, shift: float, rhs) -> np.ndarray:
     """Solve ``(G + shift*I) x = rhs`` for the GramMatrix ``g``, shift > 0.
 
-    Goes through ``g.eigen``, so repeated solves against one Gram matrix
-    cost one backtransform each.  A raw symmetric PSD array goes through
-    ``GramMatrix(a)``, which also gives it the PSD check.
+    ``rhs`` is one vector (n,) or a block (n, k) of k right-hand sides; the
+    result has the shape of ``rhs``.  Goes through ``g.eigen``, so repeated
+    solves against one Gram matrix cost one backtransform each, and a block
+    is ``Q @ ((Q.T @ Y) / (w + shift)[:, None])``: two matrix-matrix
+    products.  A raw symmetric PSD array goes through ``GramMatrix(a)``,
+    which also gives it the PSD check.
     """
     if not shift > 0:
         raise ValueError(f"shift must be positive, got {shift}")
     y = np.asarray(rhs, dtype=float)
-    if y.shape != (g.n,):
-        raise ValueError(f"rhs has shape {y.shape}, expected ({g.n},)")
+    if y.ndim not in (1, 2) or y.shape[0] != g.n:
+        raise ValueError(f"rhs has shape {y.shape}, expected ({g.n},) or ({g.n}, k)")
     eig = g.eigen
     z = eig.eigenvectors.T @ y
-    return eig.eigenvectors @ (z / (eig.eigenvalues + shift))
+    denom = eig.eigenvalues + shift
+    if y.ndim == 2:
+        denom = denom[:, None]
+    return eig.eigenvectors @ (z / denom)
 
 
 def pinv_solve(g: GramMatrix, rhs) -> np.ndarray:

@@ -88,7 +88,9 @@ def ker_p_sample(
             raise ValueError("extra points must be disjoint from the operator's points")
     if extra_coeffs is None:
         stream = SplitMix64(seed)
-        c = np.array([stream.uniform(-1.0, 1.0) for _ in range(len(extra_pts))])
+        # Same bits as one stream.uniform(lo, hi) per extra point.
+        lo, hi = -1.0, 1.0
+        c = lo + (hi - lo) * stream.doubles(len(extra_pts))
     else:
         c = np.asarray(extra_coeffs, dtype=float)
         if c.shape != (len(extra_pts),):
@@ -172,7 +174,7 @@ def decomposition_residual(
     noise: np.ndarray,
     t: float,
     lam: float,
-) -> float:
+):
     """H-norm gap between the two sides of the fit-error identity.
 
     With ``alpha`` the ridge coefficients for labels v + b/t, ``beta`` the
@@ -183,12 +185,21 @@ def decomposition_residual(
                        + (G + n*lam I)^{-1} (b/t)
 
     holds exactly in arithmetic; the H-norm of the difference of the two
-    sides is returned.  The noise solve (G + n*lam I)^{-1} (b/t) is computed
-    here, so the right side never shares the solve that produced alpha.
+    sides is returned.  ``alpha`` and ``noise`` may also be (n, k) blocks
+    whose columns are k fits and their noise vectors; k gaps are then
+    returned.  The noise solve (G + n*lam I)^{-1} (b/t) is computed here, as
+    one (block) solve, so the right side never shares the solve that
+    produced alpha.
     """
     if not t > 0 or not lam > 0:
         raise ValueError("need t > 0 and lam > 0")
+    if np.shape(alpha) != np.shape(noise):
+        raise ValueError(
+            f"alpha has shape {np.shape(alpha)} but noise has shape {np.shape(noise)}"
+        )
     n = g.n
+    if np.ndim(alpha) == 2:
+        beta, shrink_solve = beta[:, None], shrink_solve[:, None]
     left = alpha - beta
     right = -n * lam * shrink_solve + regularized_solve(g, n * lam, noise / t)
     return gram_norm(g, left - right)

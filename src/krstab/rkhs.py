@@ -127,10 +127,22 @@ def rkhs_norm(f: RepresenterFunction) -> float:
     return _norm_from_square(inner_product(f, f))
 
 
-def gram_norm(g: GramMatrix, coeffs: np.ndarray) -> float:
+def gram_norm(g: GramMatrix, coeffs: np.ndarray):
     """H-norm of the expansion with ``coeffs`` over the points of ``g``:
-    sqrt(coeffs . G . coeffs), clamped and flagged as in :func:`rkhs_norm`."""
-    return _norm_from_square(float(coeffs @ g.entries @ coeffs))
+    sqrt(coeffs . G . coeffs), clamped and flagged as in :func:`rkhs_norm`.
+
+    ``coeffs`` of shape (n, k) holds k expansions as columns and gives an
+    array of their k norms, each clamped and flagged, from one
+    matrix-matrix product with G.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim not in (1, 2) or coeffs.shape[0] != g.n:
+        raise ValueError(f"coeffs have shape {coeffs.shape}, expected ({g.n},) or ({g.n}, k)")
+    if coeffs.ndim == 1:
+        return _norm_from_square(float(coeffs @ g.entries @ coeffs))
+    squares = np.sum(coeffs * (g.entries @ coeffs), axis=0)
+    # map calls from C, so the warning's stacklevel still names gram_norm's caller.
+    return np.array(list(map(_norm_from_square, squares.tolist())))
 
 
 def _same_rows(p: PointSet, q: PointSet) -> bool:

@@ -15,6 +15,7 @@ solution of G alpha = y.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from functools import cached_property
 
 import numpy as np
@@ -89,19 +90,39 @@ def regularized_risk(f: RepresenterFunction, data: DataSet, lam: float) -> float
 
 
 def krr_fit(
-    data: DataSet, lam: float, kernel: KernelSpec, gram_matrix: GramMatrix | None = None
-) -> FitResult:
+    data: DataSet | Sequence[DataSet],
+    lam: float,
+    kernel: KernelSpec,
+    gram_matrix: GramMatrix | None = None,
+) -> FitResult | list[FitResult]:
     """Minimize the regularized risk in closed form.
 
-    ``gram_matrix`` may be supplied when the caller already holds the Gram
-    matrix of ``data.pts`` (its cached decomposition is then reused).
+    ``data`` is one DataSet, or a sequence of DataSets on one PointSet
+    object; the latter gives one FitResult per dataset, in order, from one
+    block solve of (G + n*lam I) A = [y_1 ... y_k].  ``gram_matrix`` may be
+    supplied when the caller already holds the Gram matrix of the points
+    (its cached decomposition is then reused).
     """
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    g = gram_matrix if gram_matrix is not None else gram(kernel, data.pts)
-    n = len(data)
-    alpha = regularized_solve(g, n * lam, data.labels)
-    return FitResult(f=RepresenterFunction(kernel, data.pts, alpha), lam=lam, data=data)
+    if isinstance(data, DataSet):
+        g = gram_matrix if gram_matrix is not None else gram(kernel, data.pts)
+        n = len(data)
+        alpha = regularized_solve(g, n * lam, data.labels)
+        return FitResult(f=RepresenterFunction(kernel, data.pts, alpha), lam=lam, data=data)
+    datasets = list(data)
+    if not datasets:
+        raise ValueError("need at least one dataset")
+    pts = datasets[0].pts
+    if any(d.pts is not pts for d in datasets):
+        raise ValueError("datasets of one block fit must share one PointSet")
+    g = gram_matrix if gram_matrix is not None else gram(kernel, pts)
+    labels = np.column_stack([d.labels for d in datasets])
+    alphas = regularized_solve(g, len(pts) * lam, labels)
+    return [
+        FitResult(f=RepresenterFunction(kernel, pts, alpha), lam=lam, data=d)
+        for alpha, d in zip(alphas.T, datasets)
+    ]
 
 
 def min_norm_interpolant(
@@ -167,8 +188,10 @@ def closeness_certificate(
     probes: list[RepresenterFunction] = [f1, f2, combine(f1, f2, 0.5, 0.5)]
     for base in (f1, f2):
         scale = 0.1 * (1.0 + float(np.max(np.abs(base.coeffs))))
+        lo, hi = -scale, scale
         for _ in range(8):
-            bump = np.array([stream.uniform(-scale, scale) for _ in base.coeffs])
+            # Same bits as one stream.uniform(lo, hi) per coefficient.
+            bump = lo + (hi - lo) * stream.doubles(len(base.coeffs))
             probes.append(RepresenterFunction(base.kernel, base.anchors, base.coeffs + bump))
     gaps = [
         abs(

@@ -266,6 +266,8 @@ class TestRunThm2:
         assert md["kernel"] == KERNEL.to_json_dict()
 
     def test_diagnostics_become_flags(self, monkeypatch):
+        # The trials of one t are fitted as one block, so a diagnostic raised
+        # by the 2nd fit call flags both rows of t=10 and neither row of t=1.
         import krstab.experiments as exp
 
         real_fit = exp.krr_fit
@@ -280,14 +282,19 @@ class TestRunThm2:
         monkeypatch.setattr(exp, "krr_fit", flaky)
         rep = small_thm2(trials=2, t_grid=(1, 10))
         assert len(rep.rows) == 4
-        bad = rep.flagged()
-        assert len(bad) == 1 and bad[0].flag == "synthetic failure"
-        assert math.isnan(bad[0].h_distance)
+        assert [(r.index_var, r.flag) for r in rep.rows] == [
+            (1, ""),
+            (1, ""),
+            (10, "synthetic failure"),
+            (10, "synthetic failure"),
+        ]
+        for r in rep.rows:
+            assert math.isnan(r.h_distance) == bool(r.flag)
         # flagged rows keep their CSV slot with nan distance cells
-        line = rep.to_csv_text().splitlines()[2].split(",")
-        assert line[4] == "nan"
+        for line in rep.to_csv_text().splitlines()[3:5]:
+            assert line.split(",")[4] == "nan"
         # and are excluded from the medians
-        assert 1 in rep.medians()
+        assert list(rep.medians()) == [1]
 
     def test_input_validation(self):
         pts = PointSet([[0.0], [1.0]])
@@ -308,14 +315,23 @@ class TestRunThm2:
             run_thm2(pts, make_target(), noise, sched, [1], trials=1, seed=0, eta=0.0)
 
     @pytest.mark.parametrize(
-        "t_count,repeated", [(2, False), (5, False), (5, True)], ids=["2", "5", "5-repeated"]
+        "t_count,repeated,trials",
+        [(2, False, 7), (5, False, 7), (5, True, 7), (5, False, 1)],
+        ids=["2", "5", "5-repeated", "5-one-trial"],
     )
-    def test_one_factorization_per_run(self, monkeypatch, t_count, repeated):
+    def test_one_factorization_per_run(self, monkeypatch, t_count, repeated, trials):
         # Every row asks its questions of one Gram matrix: one kernel matrix
         # for G, one for the target's norm and one for its values on the
         # points, and one factorization, however many t values and trials,
-        # and whether or not design points repeat (G is then singular).
-        calls = dict.fromkeys(["kernel_matrix", "sym_eigen", "GramMatrix"], 0)
+        # and whether or not design points repeat (G is then singular).  Each
+        # t makes three solves whatever the number of trials: the shrinkage
+        # solve, the block of fits and the block of residual noise solves.
+        homes = {
+            "kernel_matrix": "krstab.kernels",
+            "sym_eigen": "krstab.linalg",
+            "regularized_solve": "krstab.linalg",
+        }
+        calls = dict.fromkeys([*homes, "GramMatrix"], 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -324,8 +340,8 @@ class TestRunThm2:
 
             return wrapper
 
-        for name in ("kernel_matrix", "sym_eigen"):
-            real = getattr(sys.modules["krstab.kernels"], name)
+        for name, home in homes.items():
+            real = getattr(sys.modules[home], name)
             for mod_name, mod in list(sys.modules.items()):
                 if mod_name.startswith("krstab") and getattr(mod, name, None) is real:
                     monkeypatch.setattr(mod, name, counted(name, real))
@@ -346,11 +362,16 @@ class TestRunThm2:
             noise=noise,
             schedule=Schedule(lambda0=1.0, exponent=1.0),
             t_grid=[10.0**k for k in range(t_count)],
-            trials=7,
+            trials=trials,
             seed=5,
         )
-        assert len(rep.rows) == 7 * t_count and not rep.flagged()
-        assert calls == {"kernel_matrix": 3, "sym_eigen": 1, "GramMatrix": 1}
+        assert len(rep.rows) == trials * t_count and not rep.flagged()
+        assert calls == {
+            "kernel_matrix": 3,
+            "sym_eigen": 1,
+            "regularized_solve": 3 * t_count,
+            "GramMatrix": 1,
+        }
         if repeated:
             # The distances over the repeated design match the expansion with
             # byte-equal anchors merged, whose norm builds its own kernel matrix.

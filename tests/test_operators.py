@@ -24,6 +24,7 @@ from krstab.operators import (
     shrinkage_term,
 )
 from krstab.rkhs import RepresenterFunction, evaluate, h_distance, inner_product
+from krstab.rng import SplitMix64
 
 GAUSS = KernelSpec.gaussian(1.0)
 
@@ -140,6 +141,15 @@ class TestKerPSample:
         from krstab.rkhs import rkhs_norm
 
         assert rkhs_norm(h) > 1e-3
+
+    def test_random_coeffs_are_scalar_uniform_draws(self):
+        op = make_op(np.random.default_rng(61))
+        extra = PointSet([[2.5], [3.1], [7.2]])
+        for seed in (0, 9, 2**64 - 1):
+            h = ker_p_sample(op, extra, seed=seed)
+            stream = SplitMix64(seed)
+            expect = np.array([stream.uniform(-1.0, 1.0) for _ in range(3)])
+            assert h.coeffs[op.n :].tobytes() == expect.tobytes()
 
     def test_rejects_overlapping_extra(self):
         op = make_op(np.random.default_rng(60))

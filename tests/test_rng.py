@@ -101,6 +101,18 @@ def test_doubles_equal_scalar_draws():
         assert batch.next_double() == scalar.next_double()
 
 
+def test_scaled_doubles_equal_scalar_uniform():
+    # lo + (hi - lo) * doubles(k) is how the library batches k draws of
+    # uniform(lo, hi); it must give the scalar loop's bits and end state.
+    for seed in (0, 1, 12345, 2**63, 2**64 - 1):
+        for scale in (1.0, 0.1, 0.47, 123.456):
+            lo, hi = -scale, scale
+            batch, scalar = SplitMix64(seed), SplitMix64(seed)
+            expect = np.array([scalar.uniform(lo, hi) for _ in range(257)])
+            assert (lo + (hi - lo) * batch.doubles(257)).tobytes() == expect.tobytes()
+            assert batch.next_u64() == scalar.next_u64()
+
+
 def test_words_reject_negative_count():
     with pytest.raises(ValueError):
         SplitMix64(0).words(-1)

@@ -9,6 +9,7 @@ from krstab.kernels import KernelSpec, PointSet, gram
 from krstab.linalg import DiagnosticsError
 from krstab.operators import EvaluationOperator, ker_p_sample
 from krstab.rkhs import RepresenterFunction, evaluate, h_distance, inner_product, rkhs_norm
+from krstab.rng import SplitMix64
 from krstab.solver import (
     DataSet,
     closeness_certificate,
@@ -213,6 +214,24 @@ class TestClosenessCertificate:
         a = closeness_certificate(l1, l2, f1, f2, eps=0.1, seed=7)
         b = closeness_certificate(l1, l2, f1, f2, eps=0.1, seed=7)
         assert a == b
+
+    def test_probe_bumps_are_scalar_uniform_draws(self):
+        l1, l2, f1, f2 = self._fit_pair()
+        seen = []
+
+        def recording(f):
+            seen.append(f.coeffs)
+            return l1(f)
+
+        closeness_certificate(recording, l2, f1, f2, eps=0.1, seed=11)
+        stream = SplitMix64(11)
+        expect = []
+        for base in (f1, f2):
+            scale = 0.1 * (1.0 + float(np.max(np.abs(base.coeffs))))
+            for _ in range(8):
+                bump = np.array([stream.uniform(-scale, scale) for _ in base.coeffs])
+                expect.append(base.coeffs + bump)
+        assert [c.tobytes() for c in seen[3:19]] == [c.tobytes() for c in expect]
 
     def test_broken_functional_is_diagnosed(self):
         l1, _, f1, _ = self._fit_pair()
