@@ -603,8 +603,9 @@ def _write_outputs(outputs: dict[str, str]) -> list[str]:
             if parent:
                 os.makedirs(parent, exist_ok=True)
             with open(path, "w", encoding="utf-8", newline="") as fh:
+                # Tracked once opened, so a failed write or close removes it too.
+                written.append(path)
                 fh.write(text)
-            written.append(path)
     except OSError:
         for p in written:
             try:

@@ -280,6 +280,9 @@ def run_thm2(
     with the shrinkage and noise bound terms of the error identity.  The
     trials of one t share the operator (G + n*lam I)^{-1}, so they are fitted
     as one block; a diagnostic raised by the block flags every row of that t.
+    Their H-distances to the interpolant are one :func:`h_distance` call on
+    the t's fits: one Gram quadratic form on the (n, trials) block of
+    differences.
     """
     if not isinstance(pts, PointSet):
         pts = PointSet(pts)
@@ -335,8 +338,9 @@ def run_thm2(
             for row in t_rows:
                 row.flag = str(exc)
         else:
-            for row, fit, b_row, r in zip(t_rows, fits, b, resid):
-                row.h_distance = h_distance(fit.f, fbar, gram_matrix=g)
+            dists = h_distance([fit.f for fit in fits], fbar, gram_matrix=g)
+            for row, dist, b_row, r in zip(t_rows, dists.tolist(), b, resid):
+                row.h_distance = dist
                 row.noise_bound = noise_operator_bound(
                     n, t, lam, float(np.linalg.norm(b_row))
                 )

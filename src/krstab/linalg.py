@@ -7,7 +7,8 @@ matrix (ridge fits, minimal-norm interpolants, operator bounds) reuses one
 cached decomposition.  :func:`regularized_solve` also takes an (n, k) block
 of right-hand sides: each side of the backtransform, Q^T Y and Q Z, is then
 one matrix-matrix product (level-3 BLAS) instead of k matrix-vector
-products, and the thm2 harness fits all trials of one t as one such block.
+products, and the thm2 harness fits all trials of one t as one such block
+and takes their H-distances as one block quadratic form (``rkhs.gram_norm``).
 Problem sizes are desk scale (n up to a few thousand), hence direct dense
 methods throughout.
 """

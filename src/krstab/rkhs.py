@@ -9,7 +9,10 @@ pure vectorized numpy.  Expansions are never deduplicated: two expansions
 over one point set combine by adding coefficients, any others by
 concatenation.  An H-distance between two expansions over one point set,
 repeated rows or not, reuses that set's Gram matrix when the caller supplies
-it.
+it.  :func:`h_distance` also takes a sequence of expansions against one
+reference; when every difference lies on that point set, their k distances
+are one Gram quadratic form on the (n, k) block of coefficients, as the
+thm2 harness uses for each t's trials.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -169,10 +173,10 @@ def combine(
 
 
 def h_distance(
-    f: RepresenterFunction,
+    f: RepresenterFunction | Sequence[RepresenterFunction],
     g: RepresenterFunction,
     gram_matrix: GramMatrix | None = None,
-) -> float:
+) -> float | np.ndarray:
     """||f - g||_H via the combined expansion of f - g.
 
     ``gram_matrix`` may be supplied when the caller already holds the Gram
@@ -180,8 +184,32 @@ def h_distance(
     one point set, repeated rows or not; the norm is then its quadratic form
     and no kernel matrix is built.  Otherwise the combined expansion's own
     kernel matrix is formed, as without it.
+
+    ``f`` may also be a nonempty sequence of expansions; the result is then
+    an array of their distances to g, in order.  Each difference is built by
+    :func:`combine` as for one expansion.  When every difference takes the
+    Gram route, the k norms come from one :func:`gram_norm` call on the
+    (n, k) block of difference coefficients (one matrix-matrix product with
+    G); otherwise each member takes the one-expansion path.
     """
-    d = combine(f, g, 1.0, -1.0)
-    if gram_matrix is not None and d.anchors is f.anchors and gram_matrix.n == len(d.anchors):
+    if isinstance(f, RepresenterFunction):
+        return _difference_norm(f, combine(f, g, 1.0, -1.0), gram_matrix)
+    fs = list(f)
+    if not fs:
+        raise ValueError("h_distance needs at least one expansion")
+    diffs = [combine(fi, g, 1.0, -1.0) for fi in fs]
+    if all(_on_gram(fi, d, gram_matrix) for fi, d in zip(fs, diffs)):
+        return gram_norm(gram_matrix, np.column_stack([d.coeffs for d in diffs]))
+    return np.array([_difference_norm(fi, d, gram_matrix) for fi, d in zip(fs, diffs)])
+
+
+def _on_gram(f: RepresenterFunction, d: RepresenterFunction, gram_matrix) -> bool:
+    """Whether the difference d = f - g lies on the point set of f, whose
+    Gram matrix the caller supplied."""
+    return gram_matrix is not None and d.anchors is f.anchors and gram_matrix.n == len(d.anchors)
+
+
+def _difference_norm(f: RepresenterFunction, d: RepresenterFunction, gram_matrix) -> float:
+    if _on_gram(f, d, gram_matrix):
         return gram_norm(gram_matrix, d.coeffs)
     return rkhs_norm(d)

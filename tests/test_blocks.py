@@ -1,8 +1,9 @@
 """Block right-hand sides: an (n, k) block through ``regularized_solve``,
-``gram_norm``, ``decomposition_residual`` or a sequence of datasets through
-``krr_fit`` gives, column by column, what k separate 1-D calls give, on a
-design with distinct points and on one with repeated points (singular G).
-The 1-D calls are pinned with ``==`` to their explicit formulas."""
+``gram_norm``, ``decomposition_residual``, a sequence of datasets through
+``krr_fit`` or a sequence of expansions through ``h_distance`` gives, column
+by column, what k separate 1-D calls give, on a design with distinct points
+and on one with repeated points (singular G).  The 1-D calls are pinned
+with ``==`` to their explicit formulas."""
 
 import math
 
@@ -12,7 +13,8 @@ import pytest
 from krstab.kernels import GramMatrix, KernelSpec, PointSet, gram
 from krstab.linalg import regularized_solve
 from krstab.operators import decomposition_residual
-from krstab.rkhs import gram_norm
+import krstab.rkhs as rkhs
+from krstab.rkhs import RepresenterFunction, gram_norm, h_distance
 from krstab.solver import DataSet, FitResult, krr_fit
 
 KERNEL = KernelSpec.gaussian(0.8)
@@ -83,6 +85,25 @@ class TestBlockMatchesColumns:
         # Without a supplied Gram matrix the block builds its own.
         own = krr_fit(datasets, LAM, KERNEL)
         assert_columns_close(np.column_stack([fit.f.coeffs for fit in own]), want)
+
+    def test_h_distance_sequence(self, repeated, monkeypatch):
+        pts, g = design(repeated)
+        c = block(13)
+        fs = [RepresenterFunction(KERNEL, pts, c[:, j]) for j in range(K)]
+        ref = RepresenterFunction(KERNEL, pts, block(14)[:, 0])
+        want = [h_distance(f, ref, gram_matrix=g) for f in fs]
+        shapes = []
+
+        def recorded(gm, coeffs):
+            shapes.append(np.shape(coeffs))
+            return gram_norm(gm, coeffs)
+
+        monkeypatch.setattr(rkhs, "gram_norm", recorded)
+        got = h_distance(fs, ref, gram_matrix=g)
+        assert shapes == [(N, K)]  # one quadratic form on the whole block
+        assert isinstance(got, np.ndarray) and got.shape == (K,)
+        for j in range(K):
+            assert abs(got[j] - want[j]) <= 1e-12 * want[j]
 
 
 @designs
@@ -160,6 +181,37 @@ class TestKrrFitSequence:
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValueError, match="at least one"):
             krr_fit([], LAM, KERNEL)
+
+
+class TestHDistanceSequence:
+    def test_members_off_the_gram_point_set_take_the_single_path(self):
+        pts, g = design(False)
+        other = PointSet(pts.points + 1.0)
+        c = block(15)
+        ref = RepresenterFunction(KERNEL, pts, c[:, 0])
+        on = RepresenterFunction(KERNEL, pts, c[:, 1])
+        off = RepresenterFunction(KERNEL, other, c[:, 2])
+        for fs, gm in (([on, off], g), ([off, off], g), ([on, on], None)):
+            got = h_distance(fs, ref, gram_matrix=gm)
+            assert got.tolist() == [h_distance(f, ref, gram_matrix=gm) for f in fs]
+
+    def test_rejects_empty_sequence(self):
+        pts, g = design(False)
+        ref = RepresenterFunction(KERNEL, pts, block(16)[:, 0])
+        with pytest.raises(ValueError, match="at least one"):
+            h_distance([], ref, gram_matrix=g)
+
+    def test_negative_squares_warn_for_each_column(self):
+        # The caller's Gram matrix is indefinite: two differences have square
+        # -2 and warn, one has square 1.
+        pts = PointSet(np.array([[0.0], [1.0]]))
+        g = GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        ref = RepresenterFunction(KERNEL, pts, np.zeros(2))
+        coeffs = ([1.0, -1.0], [1.0, 0.0], [-1.0, 1.0])
+        fs = [RepresenterFunction(KERNEL, pts, np.array(c)) for c in coeffs]
+        with pytest.warns(RuntimeWarning, match="significantly negative") as record:
+            assert h_distance(fs, ref, gram_matrix=g).tolist() == [0.0, 1.0, 0.0]
+        assert len(record) == 2
 
 
 def test_block_norms_are_clamped_and_flagged():

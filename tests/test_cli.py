@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import krstab.cli as cli_module
 from krstab.cli import _validate_config, main
 
 GAUSS = {"kind": "gaussian", "width": 1.0}
@@ -424,6 +425,40 @@ class TestTopLevel:
         assert main(["fit", "--config", write_config(tmp_path, cfg)]) == 2
         assert "io error" in capsys.readouterr().err
         assert list(tmp_path.glob("out*")) == []
+
+    def test_failed_write_removes_every_output(self, tmp_path, capsys, monkeypatch):
+        # The second of thm2's three outputs fails mid-write: the first file
+        # and the partly written second are both removed.
+        real_open = open
+        opened = []
+
+        class FailingWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:5])
+                raise OSError("no space left on device")
+
+        def fake_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            if "w" not in mode:
+                return fh
+            opened.append(path)
+            return FailingWrite(fh) if len(opened) == 2 else fh
+
+        monkeypatch.setattr(cli_module, "open", fake_open, raising=False)
+        path = write_config(tmp_path, thm2_config(tmp_path))
+        assert main(["thm2", "--config", path]) == 2
+        assert "io error" in capsys.readouterr().err
+        assert len(opened) == 2
+        assert list(tmp_path.glob("exp*")) == []
 
     def test_help_documents_config_keys(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -325,11 +325,13 @@ class TestRunThm2:
         # points, and one factorization, however many t values and trials,
         # and whether or not design points repeat (G is then singular).  Each
         # t makes three solves whatever the number of trials: the shrinkage
-        # solve, the block of fits and the block of residual noise solves.
+        # solve, the block of fits and the block of residual noise solves,
+        # and one h_distance call takes the distances of all its trials.
         homes = {
             "kernel_matrix": "krstab.kernels",
             "sym_eigen": "krstab.linalg",
             "regularized_solve": "krstab.linalg",
+            "h_distance": "krstab.rkhs",
         }
         calls = dict.fromkeys([*homes, "GramMatrix"], 0)
 
@@ -370,6 +372,7 @@ class TestRunThm2:
             "kernel_matrix": 3,
             "sym_eigen": 1,
             "regularized_solve": 3 * t_count,
+            "h_distance": t_count,
             "GramMatrix": 1,
         }
         if repeated:
