@@ -16,11 +16,9 @@ from .kernels import (
 )
 from .linalg import (
     DiagnosticsError,
-    EigenDecomposition,
     InconsistentSystemError,
     pinv_solve,
     regularized_solve,
-    sym_eigen,
 )
 from .rkhs import (
     RepresenterFunction,
@@ -71,7 +69,6 @@ from .experiments import (
     NoiseProcess,
     RateEstimate,
     ReportRow,
-    bias_estimate,
     estimate_rate,
     run_thm1,
     run_thm2,

@@ -436,30 +436,6 @@ def run_thm1(
     return ExperimentReport(rows=rows, metadata=metadata)
 
 
-def bias_estimate(
-    f_e: RepresenterFunction,
-    dist: DataDistribution,
-    lam: float,
-    n_mc: int,
-    seed: int,
-) -> float:
-    """Monte Carlo estimate of the pure regularization bias at level lam.
-
-    Fits noiseless target labels on ``n_mc`` points drawn from ``dist`` and
-    returns the H-distance of the fit to ``f_e``; with f_e the distribution's
-    target this isolates the shrinkage error, which vanishes as lam -> 0 and
-    grows with lam.
-    """
-    if f_e.kernel != dist.target.kernel:
-        raise ValueError("f_e kernel differs from the distribution target kernel")
-    if n_mc < 1:
-        raise ValueError("n_mc must be positive")
-    xs = dist.sample_x(n_mc, SplitMix64(mix64(seed, 0)))
-    labels = evaluate(dist.target, xs)
-    fit = krr_fit(DataSet(xs, labels), lam, dist.target.kernel)
-    return h_distance(fit.f, f_e)
-
-
 class RateEstimate(NamedTuple):
     slope: float
     intercept: float

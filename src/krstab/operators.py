@@ -14,6 +14,9 @@ spectral statements reduce to the Gram eigenvalues gamma_k:
   which caps the noise propagation (1/(n t)) ||(P*P/n + lam)^{-1} P* b||_H by
                   ||b||_2 / (2 t sqrt(lam) sqrt(n)) * ... see
                   :func:`noise_operator_bound` for the assembled constant.
+
+The error-identity check :func:`decomposition_residual` has one path, on
+(n, k) blocks of fits: a single fit is a one-column block.
 """
 
 from __future__ import annotations
@@ -175,31 +178,31 @@ def decomposition_residual(
     t: float,
     lam: float,
 ):
-    """H-norm gap between the two sides of the fit-error identity.
+    """H-norm gaps between the two sides of the fit-error identity, one per
+    fit of a block.
 
-    With ``alpha`` the ridge coefficients for labels v + b/t, ``beta`` the
-    minimal-norm interpolation coefficients for v, ``shrink_solve`` =
-    (G + n*lam I)^{-1} beta and ``noise`` = b,
+    ``alpha`` and ``noise`` are (n, k) blocks whose columns are k ridge fits
+    for labels v + b/t and their noise vectors b; ``beta`` (n,) holds the
+    minimal-norm interpolation coefficients for v and ``shrink_solve`` (n,)
+    is (G + n*lam I)^{-1} beta.  For each column,
 
         alpha - beta = -n*lam*(G + n*lam I)^{-1} beta
                        + (G + n*lam I)^{-1} (b/t)
 
-    holds exactly in arithmetic; the H-norm of the difference of the two
-    sides is returned.  ``alpha`` and ``noise`` may also be (n, k) blocks
-    whose columns are k fits and their noise vectors; k gaps are then
-    returned.  The noise solve (G + n*lam I)^{-1} (b/t) is computed here, as
-    one (block) solve, so the right side never shares the solve that
-    produced alpha.
+    holds exactly in arithmetic; the k H-norms of the difference of the two
+    sides are returned.  There is one path: a single fit is a one-column
+    block.  The noise solve (G + n*lam I)^{-1} (b/t) is computed here, as
+    one block solve, so the right side never shares the solve that produced
+    alpha.
     """
     if not t > 0 or not lam > 0:
         raise ValueError("need t > 0 and lam > 0")
-    if np.shape(alpha) != np.shape(noise):
-        raise ValueError(
-            f"alpha has shape {np.shape(alpha)} but noise has shape {np.shape(noise)}"
-        )
     n = g.n
-    if np.ndim(alpha) == 2:
-        beta, shrink_solve = beta[:, None], shrink_solve[:, None]
-    left = alpha - beta
-    right = -n * lam * shrink_solve + regularized_solve(g, n * lam, noise / t)
+    if np.ndim(alpha) != 2 or len(alpha) != n or np.shape(alpha) != np.shape(noise):
+        raise ValueError(
+            f"alpha has shape {np.shape(alpha)} and noise has shape {np.shape(noise)}, "
+            f"expected two ({n}, k) blocks"
+        )
+    left = alpha - beta[:, None]
+    right = -n * lam * shrink_solve[:, None] + regularized_solve(g, n * lam, noise / t)
     return gram_norm(g, left - right)

@@ -7,12 +7,14 @@ query point, and makes the squared norm a Gram quadratic form; both are used
 all over the solver and experiment code, so the implementations here stay in
 pure vectorized numpy.  Expansions are never deduplicated: two expansions
 over one point set combine by adding coefficients, any others by
-concatenation.  An H-distance between two expansions over one point set,
-repeated rows or not, reuses that set's Gram matrix when the caller supplies
-it.  :func:`h_distance` also takes a sequence of expansions against one
-reference; when every difference lies on that point set, their k distances
-are one Gram quadratic form on the (n, k) block of coefficients, as the
-thm2 harness uses for each t's trials.
+concatenation.  :func:`h_distance` has one path: it takes a sequence of
+expansions against one reference, and a single expansion is a sequence of
+one.  When every difference lies on one point set, repeated rows or not,
+whose Gram matrix the caller supplies, their k distances are one Gram
+quadratic form on the (n, k) block of coefficients, as the thm2 harness uses
+for each t's trials.  :func:`gram_norm` alone keeps a separate 1-D form,
+because a vector's quadratic form rounds differently from a one-column
+block's.
 """
 
 from __future__ import annotations
@@ -137,7 +139,9 @@ def gram_norm(g: GramMatrix, coeffs: np.ndarray):
 
     ``coeffs`` of shape (n, k) holds k expansions as columns and gives an
     array of their k norms, each clamped and flagged, from one
-    matrix-matrix product with G.
+    matrix-matrix product with G.  A vector keeps its own form, because
+    routing it through a one-column block changes the last bits of the
+    norm (and of thm2's ``shrinkage_term`` column).
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim not in (1, 2) or coeffs.shape[0] != g.n:
@@ -177,39 +181,25 @@ def h_distance(
     g: RepresenterFunction,
     gram_matrix: GramMatrix | None = None,
 ) -> float | np.ndarray:
-    """||f - g||_H via the combined expansion of f - g.
+    """||f - g||_H via the combined expansion of f - g, built by :func:`combine`.
 
-    ``gram_matrix`` may be supplied when the caller already holds the Gram
-    matrix of ``f.anchors``.  It is used when f and g are expansions over that
-    one point set, repeated rows or not; the norm is then its quadratic form
-    and no kernel matrix is built.  Otherwise the combined expansion's own
-    kernel matrix is formed, as without it.
-
-    ``f`` may also be a nonempty sequence of expansions; the result is then
-    an array of their distances to g, in order.  Each difference is built by
-    :func:`combine` as for one expansion.  When every difference takes the
-    Gram route, the k norms come from one :func:`gram_norm` call on the
-    (n, k) block of difference coefficients (one matrix-matrix product with
-    G); otherwise each member takes the one-expansion path.
+    ``f`` is a nonempty sequence of expansions, giving an array of their
+    distances to g in order; one expansion is a sequence of one and gives a
+    float.  When ``gram_matrix`` is supplied and every difference lies on the
+    point set of its expansion, whose Gram matrix it is (repeated rows or
+    not), the norms are one :func:`gram_norm` call on the (n, k) block of
+    difference coefficients, or on the vector of a single expansion, and no
+    kernel matrix is built.  Otherwise every member takes :func:`rkhs_norm`.
     """
-    if isinstance(f, RepresenterFunction):
-        return _difference_norm(f, combine(f, g, 1.0, -1.0), gram_matrix)
-    fs = list(f)
+    single = isinstance(f, RepresenterFunction)
+    fs = [f] if single else list(f)
     if not fs:
         raise ValueError("h_distance needs at least one expansion")
     diffs = [combine(fi, g, 1.0, -1.0) for fi in fs]
-    if all(_on_gram(fi, d, gram_matrix) for fi, d in zip(fs, diffs)):
-        return gram_norm(gram_matrix, np.column_stack([d.coeffs for d in diffs]))
-    return np.array([_difference_norm(fi, d, gram_matrix) for fi, d in zip(fs, diffs)])
-
-
-def _on_gram(f: RepresenterFunction, d: RepresenterFunction, gram_matrix) -> bool:
-    """Whether the difference d = f - g lies on the point set of f, whose
-    Gram matrix the caller supplied."""
-    return gram_matrix is not None and d.anchors is f.anchors and gram_matrix.n == len(d.anchors)
-
-
-def _difference_norm(f: RepresenterFunction, d: RepresenterFunction, gram_matrix) -> float:
-    if _on_gram(f, d, gram_matrix):
-        return gram_norm(gram_matrix, d.coeffs)
-    return rkhs_norm(d)
+    if gram_matrix is not None and all(
+        d.anchors is fi.anchors and gram_matrix.n == len(d.anchors) for fi, d in zip(fs, diffs)
+    ):
+        coeffs = diffs[0].coeffs if single else np.column_stack([d.coeffs for d in diffs])
+        return gram_norm(gram_matrix, coeffs)
+    norms = [rkhs_norm(d) for d in diffs]
+    return norms[0] if single else np.array(norms)

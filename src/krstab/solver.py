@@ -9,7 +9,9 @@ with the 1/n weight applied to the data term only; ``lam`` is never rescaled.
 Its unique minimizer is a kernel expansion over the data points whose
 coefficients solve (G + n*lam*I) alpha = y.  With lam -> 0 the fit approaches
 the minimal-norm interpolant, whose coefficients are the pseudoinverse
-solution of G alpha = y.
+solution of G alpha = y.  :func:`krr_fit` has one path: datasets on one
+point set are fitted as one block solve, and a single dataset is a block of
+one.
 """
 
 from __future__ import annotations
@@ -71,13 +73,7 @@ class FitResult:
         return regularized_risk(self.f, self.data, self.lam)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kernel": self.f.kernel.to_json_dict(),
-            "anchors": self.f.anchors.points.tolist(),
-            "coeffs": self.f.coeffs.tolist(),
-            "lambda": self.lam,
-            "objective": self.objective,
-        }
+        return {**self.f.to_json_dict(), "lambda": self.lam, "objective": self.objective}
 
 
 def regularized_risk(f: RepresenterFunction, data: DataSet, lam: float) -> float:
@@ -97,20 +93,17 @@ def krr_fit(
 ) -> FitResult | list[FitResult]:
     """Minimize the regularized risk in closed form.
 
-    ``data`` is one DataSet, or a sequence of DataSets on one PointSet
-    object; the latter gives one FitResult per dataset, in order, from one
-    block solve of (G + n*lam I) A = [y_1 ... y_k].  ``gram_matrix`` may be
-    supplied when the caller already holds the Gram matrix of the points
-    (its cached decomposition is then reused).
+    ``data`` is a sequence of DataSets on one PointSet object, or one
+    DataSet, which is fitted as a sequence of one.  There is one path: one
+    block solve of (G + n*lam I) A = [y_1 ... y_k] gives one FitResult per
+    dataset, in order; a single DataSet gets its FitResult back alone.
+    ``gram_matrix`` may be supplied when the caller already holds the Gram
+    matrix of the points (its cached decomposition is then reused).
     """
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    if isinstance(data, DataSet):
-        g = gram_matrix if gram_matrix is not None else gram(kernel, data.pts)
-        n = len(data)
-        alpha = regularized_solve(g, n * lam, data.labels)
-        return FitResult(f=RepresenterFunction(kernel, data.pts, alpha), lam=lam, data=data)
-    datasets = list(data)
+    single = isinstance(data, DataSet)
+    datasets = [data] if single else list(data)
     if not datasets:
         raise ValueError("need at least one dataset")
     pts = datasets[0].pts
@@ -119,10 +112,11 @@ def krr_fit(
     g = gram_matrix if gram_matrix is not None else gram(kernel, pts)
     labels = np.column_stack([d.labels for d in datasets])
     alphas = regularized_solve(g, len(pts) * lam, labels)
-    return [
+    fits = [
         FitResult(f=RepresenterFunction(kernel, pts, alpha), lam=lam, data=d)
         for alpha, d in zip(alphas.T, datasets)
     ]
+    return fits[0] if single else fits
 
 
 def min_norm_interpolant(

@@ -1,9 +1,11 @@
-"""Block right-hand sides: an (n, k) block through ``regularized_solve``,
-``gram_norm``, ``decomposition_residual``, a sequence of datasets through
-``krr_fit`` or a sequence of expansions through ``h_distance`` gives, column
-by column, what k separate 1-D calls give, on a design with distinct points
-and on one with repeated points (singular G).  The 1-D calls are pinned
-with ``==`` to their explicit formulas."""
+"""Block right-hand sides: an (n, k) block through ``regularized_solve`` or
+``gram_norm``, a sequence of datasets through ``krr_fit`` or a sequence of
+expansions through ``h_distance`` gives, column by column, what k separate
+single calls give, on a design with distinct points and on one with repeated
+points (singular G).  ``decomposition_residual`` takes blocks only, so each of
+its columns is compared with the explicit numpy formula instead.  The single
+calls, and a one-column ``decomposition_residual`` block, are pinned with
+``==`` to their explicit formulas."""
 
 import math
 
@@ -66,8 +68,11 @@ class TestBlockMatchesColumns:
         beta, shrink = block(5)[:, 0], block(6)[:, 0]
         got = decomposition_residual(g, alpha, beta, shrink, noise, T, LAM)
         assert got.shape == (K,)
+        q, w = g.eigen.eigenvectors, g.eigen.eigenvalues
         for j in range(K):
-            want = decomposition_residual(g, alpha[:, j], beta, shrink, noise[:, j], T, LAM)
+            right = -N * LAM * shrink + q @ ((q.T @ (noise[:, j] / T)) / (w + N * LAM))
+            d = (alpha[:, j] - beta) - right
+            want = math.sqrt(max(float(d @ g.entries @ d), 0.0))
             assert abs(got[j] - want) <= 1e-12 * want
 
     def test_krr_fit_sequence(self, repeated):
@@ -122,9 +127,10 @@ class TestVectorsKeepTheirFormula:
     def test_decomposition_residual(self, repeated):
         _, g = design(repeated)
         alpha, noise, beta, shrink = block(10).T
+        alpha, noise = alpha[:, None], noise[:, None]
         got = decomposition_residual(g, alpha, beta, shrink, noise, T, LAM)
-        right = -N * LAM * shrink + regularized_solve(g, N * LAM, noise / T)
-        assert got == gram_norm(g, (alpha - beta) - right)
+        right = -N * LAM * shrink[:, None] + regularized_solve(g, N * LAM, noise / T)
+        assert got.tolist() == gram_norm(g, (alpha - beta[:, None]) - right).tolist()
 
     def test_krr_fit(self, repeated):
         pts, g = design(repeated)
@@ -158,6 +164,12 @@ class TestBadShapes:
         with pytest.raises(ValueError, match="shape"):
             decomposition_residual(g, np.ones(shape), v, v, np.ones(shape), T, LAM)
 
+    def test_decomposition_residual_takes_blocks_only(self):
+        _, g = design(False)
+        v = np.ones(N)
+        with pytest.raises(ValueError, match="shape"):
+            decomposition_residual(g, v, v, v, v, T, LAM)
+
     def test_decomposition_residual_needs_matching_blocks(self):
         _, g = design(False)
         v = np.ones(N)
@@ -185,6 +197,9 @@ class TestKrrFitSequence:
 
 class TestHDistanceSequence:
     def test_members_off_the_gram_point_set_take_the_single_path(self):
+        # A sequence with a member off the Gram point set takes rkhs_norm for
+        # every member; G is the kernel matrix rkhs_norm forms, so a member
+        # on the point set gets the bits of its single Gram-route call.
         pts, g = design(False)
         other = PointSet(pts.points + 1.0)
         c = block(15)

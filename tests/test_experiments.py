@@ -1,6 +1,6 @@
 """Harness-level tests: noise processes, dataset sampling, the two sweep
-drivers (row seeding, CSV schema, determinism, bound columns), rate
-estimation, and the Monte Carlo bias probe."""
+drivers (row seeding, CSV schema, determinism, bound columns) and rate
+estimation."""
 
 import math
 import sys
@@ -14,7 +14,6 @@ from krstab.experiments import (
     ExperimentReport,
     NoiseProcess,
     ReportRow,
-    bias_estimate,
     default_c_bound,
     default_m_bound,
     estimate_rate,
@@ -517,27 +516,3 @@ class TestRateEstimate:
         )
         assert rep.medians() == {10: 0.1, 100: 0.01, 1000: 0.001}
         assert abs(estimate_rate(rep).slope + 1.0) < 1e-12
-
-
-class TestBiasEstimate:
-    def test_monotone_in_lambda_and_vanishing(self):
-        dist = make_dist(b_max=0.0)
-        lams = [1e-6, 1e-3, 1e-1, 1.0]
-        biases = [
-            bias_estimate(dist.target, dist, lam, n_mc=60, seed=31) for lam in lams
-        ]
-        for small, large in zip(biases, biases[1:]):
-            assert small <= large * (1 + 1e-9)
-        assert biases[0] < 0.1 * biases[-1]
-
-    def test_validation(self):
-        dist = make_dist()
-        other = RepresenterFunction(
-            kernel=KernelSpec.gaussian(0.3),
-            anchors=PointSet([[0.5]]),
-            coeffs=np.array([1.0]),
-        )
-        with pytest.raises(ValueError, match="kernel"):
-            bias_estimate(other, dist, 0.1, n_mc=10, seed=0)
-        with pytest.raises(ValueError):
-            bias_estimate(dist.target, dist, 0.1, n_mc=0, seed=0)

@@ -36,10 +36,12 @@ def shrink_solve(g, beta, lam):
 
 def residual(g, vals, b, t, lam):
     """decomposition_residual with its pieces computed as the thm2 harness
-    computes them: the ridge fit, the minimal-norm solve and the per-t solve."""
+    computes them: the ridge fit, the minimal-norm solve and the per-t solve;
+    the fit and its noise go in as one-column blocks."""
     alpha = regularized_solve(g, g.n * lam, vals + b / t)
     beta = pinv_solve(g, vals)
-    return decomposition_residual(g, alpha, beta, shrink_solve(g, beta, lam), b, t, lam)
+    shrink = shrink_solve(g, beta, lam)
+    return decomposition_residual(g, alpha[:, None], beta, shrink, b[:, None], t, lam)[0]
 
 
 def make_op(rng, n=6, width=0.6):
