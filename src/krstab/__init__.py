@@ -56,8 +56,6 @@ from .stability import (
     StabilityParams,
     beta_stability,
     eps_for_target,
-    schedule_valid_thm1,
-    schedule_valid_thm2,
     sigma_admissible_ls,
     stability_probability,
     stability_probability_combined,

@@ -180,7 +180,10 @@ def _keys(obj, path: str, required, allowed=None) -> dict:
 def _number(value, path: str, integer: bool = False, bound: str = ""):
     """A finite, non-bool JSON number, returned unchanged, or as an int when
     ``integer`` (it must then be integral).  ``bound`` is "", "> 0" or ">= 0"."""
-    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    try:
+        finite = isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
     if isinstance(value, bool) or not finite:
         raise ValueError(f"config key {path}: expected a finite number, got {json.dumps(value)}")
     if integer:
@@ -217,7 +220,7 @@ _rows = functools.partial(_array, item=_array)
 def _grid(value, path: str, item) -> list:
     grid = _array(value, path, item)
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"{path} must be strictly increasing")
+        raise ValueError(f"config key {path}: must be strictly increasing")
     return grid
 
 
@@ -432,24 +435,13 @@ def _plot_text(report: ExperimentReport) -> str:
 
 
 def _report_outputs(cfg: dict, report: ExperimentReport) -> dict[str, str]:
-    meta = report.metadata
     try:
         rate = estimate_rate(report)._asdict()
     except DiagnosticsError:
         rate = None
     summary = {
-        "command": meta["command"],
-        "index_name": meta["index_name"],
+        **report.metadata,
         "config_sha1": _config_hash(cfg),
-        "rng": meta["rng"],
-        "schedule": meta["schedule"],
-        "schedule_valid": meta["schedule_valid"],
-        "kappa": meta["kappa"],
-        "eta": meta["eta"],
-        "m_bound": meta["m_bound"],
-        "c_bound": meta["c_bound"],
-        "trials": meta["trials"],
-        "seed": meta["seed"],
         "row_count": len(report.rows),
         "flagged_rows": [
             {"index_var": r.index_var, "trial": r.trial, "seed": r.seed, "flag": r.flag}
@@ -461,7 +453,7 @@ def _report_outputs(cfg: dict, report: ExperimentReport) -> dict[str, str]:
         ],
         "rate": rate,
     }
-    if meta["command"] == "thm2":
+    if summary["command"] == "thm2":
         finite = [
             r.decomp_residual
             for r in report.rows

@@ -1,7 +1,9 @@
 """Empirical harnesses for the two convergence regimes.
 
-Both harnesses sweep a grid, refit with a scheduled regularization
-parameter, and record one CSV row per (grid point, trial):
+Both harnesses run one sweep: it checks the shared inputs, fills in the
+default M and C bounds, and makes one row per (grid point, trial) with its
+seed, its scheduled regularization parameter and the stability columns.
+Each harness then refits per grid point and fills in the distance columns:
 
 * vanishing noise (``run_thm2``): points are fixed; labels are target values
   plus noise shrunk by t; the fitted function is compared in H-norm to the
@@ -213,7 +215,8 @@ def _fmt_cell(x) -> str:
 
 @dataclasses.dataclass
 class ExperimentReport:
-    """All rows of one harness run plus the run's configuration echo."""
+    """All rows of one harness run plus the run's configuration echo, which
+    ``summary.json`` writes key for key."""
 
     rows: list[ReportRow]
     metadata: dict
@@ -249,14 +252,53 @@ def default_c_bound(m_bound: float) -> float:
     return 4.0 * m_bound
 
 
-def _stability_columns(
-    n: int, lam: float, eta: float, m_bound: float, c_bound: float, kappa: float
-) -> tuple[float, float]:
-    params = StabilityParams(
-        c=c_bound, kappa=kappa, m=m_bound, n=n, lam=lam, eps=eps_for_target(eta, lam)
-    )
-    beta = beta_stability(params)
-    return beta, stability_probability(params, beta)
+def _sweep(schedule, grid, trials, seed, eta, m_bound, c_bound, kappa, target, b_max, n=None):
+    """The rows of a harness run, one list per grid point, and the run's echo.
+
+    ``n`` is the fixed sample size of the vanishing-noise sweep; without it
+    the sample grows and each index is its own sample size.  A row gets its
+    index, lam = schedule.value(index), trial, seed, and beta and p_n on that
+    sample size; the harness fills in the rest.  The echo is the report's
+    metadata.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if not eta > 0:
+        raise ValueError("eta must be positive")
+    if m_bound is None:
+        m_bound = default_m_bound(target, kappa, b_max)
+    if c_bound is None:
+        c_bound = default_c_bound(m_bound)
+    groups: list[list[ReportRow]] = []
+    for gi, index in enumerate(grid):
+        lam = schedule.value(index)
+        size = index if n is None else n
+        params = StabilityParams(
+            c=c_bound, kappa=kappa, m=m_bound, n=size, lam=lam, eps=eps_for_target(eta, lam)
+        )
+        beta = beta_stability(params)
+        p_n = stability_probability(params, beta)
+        rows = [
+            ReportRow(index, lam, trial, mix64(seed, gi * 2**32 + trial), beta, p_n)
+            for trial in range(trials)
+        ]
+        groups.append(rows)
+    growing = n is None
+    valid = schedule.valid_for_growing_sample if growing else schedule.valid_for_vanishing_noise
+    metadata = {
+        "command": "thm1" if growing else "thm2",
+        "index_name": "n" if growing else "t",
+        "rng": RNG_NAME,
+        "schedule": schedule.to_json_dict(),
+        "schedule_valid": valid,
+        "kappa": kappa,
+        "eta": eta,
+        "m_bound": m_bound,
+        "c_bound": c_bound,
+        "trials": trials,
+        "seed": seed,
+    }
+    return groups, metadata
 
 
 def run_thm2(
@@ -282,7 +324,8 @@ def run_thm2(
     as one block; a diagnostic raised by the block flags every row of that t.
     Their H-distances to the interpolant are one :func:`h_distance` call on
     the t's fits: one Gram quadratic form on the (n, trials) block of
-    differences.
+    differences.  The rows, their stability columns on the n fixed points and
+    the metadata come from the sweep shared with :func:`run_thm1`.
     """
     if not isinstance(pts, PointSet):
         pts = PointSet(pts)
@@ -291,40 +334,23 @@ def run_thm2(
     t_grid = [float(t) if not isinstance(t, int) else t for t in t_grid]
     if len(t_grid) < 1 or any(not t > 0 for t in t_grid):
         raise ValueError("t_grid must be nonempty with positive entries")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if not eta > 0:
-        raise ValueError("eta must be positive")
     kernel = f_tilde.kernel
     n = len(pts)
-    g = gram(kernel, pts)
     kappa = sample_kappa(kernel, pts)
-    if m_bound is None:
-        m_bound = default_m_bound(f_tilde, kappa, noise.b_max)
-    if c_bound is None:
-        c_bound = default_c_bound(m_bound)
+    groups, metadata = _sweep(
+        schedule, t_grid, trials, seed, eta, m_bound, c_bound, kappa, f_tilde, noise.b_max, n
+    )
+    g = gram(kernel, pts)
     values = evaluate(f_tilde, pts)
     fbar = min_norm_interpolant(pts, values, kernel, gram_matrix=g)
-    rows: list[ReportRow] = []
-    for gi, t in enumerate(t_grid):
-        lam = schedule.value(t)
-        beta, p_n = _stability_columns(n, lam, eta, m_bound, c_bound, kappa)
+    for t_rows in groups:
+        t, lam = t_rows[0].index_var, t_rows[0].lam
         # (G + n*lam I)^{-1} beta depends on t only; the shrinkage term and
         # every row's residual share this one solve.
         shrink_solve = regularized_solve(g, n * lam, fbar.coeffs)
         shrink = shrinkage_term(g, shrink_solve, lam)
-        t_rows = [
-            ReportRow(
-                index_var=t,
-                lam=lam,
-                trial=trial,
-                seed=mix64(seed, gi * 2**32 + trial),
-                beta=beta,
-                p_n=p_n,
-                shrinkage_term=shrink,
-            )
-            for trial in range(trials)
-        ]
+        for row in t_rows:
+            row.shrinkage_term = shrink
         # One noise vector per row, as rows of b; every trial of this t is
         # fitted through the one operator (G + n*lam I)^{-1}, so the fits and
         # the residuals' noise side are one block solve each.
@@ -345,26 +371,7 @@ def run_thm2(
                     n, t, lam, float(np.linalg.norm(b_row))
                 )
                 row.decomp_residual = float(r)
-        rows.extend(t_rows)
-    metadata = {
-        "command": "thm2",
-        "index_name": "t",
-        "n": n,
-        "kernel": kernel.to_json_dict(),
-        "f_tilde": f_tilde.to_json_dict(),
-        "noise": noise.to_json_dict(),
-        "schedule": schedule.to_json_dict(),
-        "schedule_valid": schedule.valid_for_vanishing_noise,
-        "t_grid": list(t_grid),
-        "trials": trials,
-        "seed": seed,
-        "eta": eta,
-        "m_bound": m_bound,
-        "c_bound": c_bound,
-        "kappa": kappa,
-        "rng": RNG_NAME,
-    }
-    return ExperimentReport(rows=rows, metadata=metadata)
+    return ExperimentReport(rows=[row for t_rows in groups for row in t_rows], metadata=metadata)
 
 
 def run_thm1(
@@ -382,57 +389,28 @@ def run_thm1(
     For each n in the grid and each trial, a dataset of size n is drawn from
     ``dist``, fit with ``lam = schedule.value(n)``, and the row records the
     H-distance of the fit to the target.  The shrinkage/noise columns of the
-    fixed-design decomposition do not exist here and are nan.
+    fixed-design decomposition do not exist here and are nan.  The rows,
+    their stability columns on n points and the metadata come from the sweep
+    shared with :func:`run_thm2`.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 1 or any(n < 1 for n in n_grid):
         raise ValueError("n_grid must be nonempty with positive integer entries")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if not eta > 0:
-        raise ValueError("eta must be positive")
     kernel = dist.target.kernel
     kappa = math.sqrt(kappa_upper_bound(kernel, dist.lo, dist.hi))
-    if m_bound is None:
-        m_bound = default_m_bound(dist.target, kappa, dist.noise.b_max)
-    if c_bound is None:
-        c_bound = default_c_bound(m_bound)
-    rows: list[ReportRow] = []
-    for gi, n in enumerate(n_grid):
-        lam = schedule.value(n)
-        beta, p_n = _stability_columns(n, lam, eta, m_bound, c_bound, kappa)
-        for trial in range(trials):
-            row_seed = mix64(seed, gi * 2**32 + trial)
-            # A noise process that cannot be sampled fails the run, as in
-            # run_thm2; only the fit and its distance are flagged per row.
-            data = sample_dataset(dist, n, row_seed)
-            row = ReportRow(
-                index_var=n, lam=lam, trial=trial, seed=row_seed, beta=beta, p_n=p_n
-            )
-            try:
-                fit = krr_fit(data, lam, kernel)
-                row.h_distance = h_distance(fit.f, dist.target)
-            except DiagnosticsError as exc:
-                row.flag = str(exc)
-            rows.append(row)
-    metadata = {
-        "command": "thm1",
-        "index_name": "n",
-        "kernel": kernel.to_json_dict(),
-        "target": dist.target.to_json_dict(),
-        "box": {"lo": dist.lo.tolist(), "hi": dist.hi.tolist()},
-        "noise": dist.noise.to_json_dict(),
-        "schedule": schedule.to_json_dict(),
-        "schedule_valid": schedule.valid_for_growing_sample,
-        "n_grid": list(n_grid),
-        "trials": trials,
-        "seed": seed,
-        "eta": eta,
-        "m_bound": m_bound,
-        "c_bound": c_bound,
-        "kappa": kappa,
-        "rng": RNG_NAME,
-    }
+    groups, metadata = _sweep(
+        schedule, n_grid, trials, seed, eta, m_bound, c_bound, kappa, dist.target, dist.noise.b_max
+    )
+    rows = [row for n_rows in groups for row in n_rows]
+    for row in rows:
+        # A noise process that cannot be sampled fails the run, as in
+        # run_thm2; only the fit and its distance are flagged per row.
+        data = sample_dataset(dist, row.index_var, row.seed)
+        try:
+            fit = krr_fit(data, row.lam, kernel)
+            row.h_distance = h_distance(fit.f, dist.target)
+        except DiagnosticsError as exc:
+            row.flag = str(exc)
     return ExperimentReport(rows=rows, metadata=metadata)
 
 

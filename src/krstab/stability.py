@@ -94,16 +94,6 @@ def eps_for_target(eta: float, lam: float) -> float:
     return eta**2 * lam / 8.0
 
 
-def schedule_valid_thm1(exponent: float) -> bool:
-    """Growing-sample validity: strictly 0 < exponent < 1/3."""
-    return 0.0 < exponent < 1.0 / 3.0
-
-
-def schedule_valid_thm2(exponent: float) -> bool:
-    """Vanishing-noise validity: strictly 0 < exponent < 2."""
-    return 0.0 < exponent < 2.0
-
-
 @dataclasses.dataclass(frozen=True)
 class Schedule:
     """Power-law regularization schedule lam(i) = lam0 * i^(-exponent)."""
@@ -126,11 +116,13 @@ class Schedule:
 
     @property
     def valid_for_growing_sample(self) -> bool:
-        return schedule_valid_thm1(self.exponent)
+        """Growing-sample validity: strictly 0 < exponent < 1/3."""
+        return 0.0 < self.exponent < 1.0 / 3.0
 
     @property
     def valid_for_vanishing_noise(self) -> bool:
-        return schedule_valid_thm2(self.exponent)
+        """Vanishing-noise validity: strictly 0 < exponent < 2."""
+        return 0.0 < self.exponent < 2.0
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "lambda0": self.lambda0, "exponent": self.exponent}

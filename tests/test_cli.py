@@ -276,6 +276,33 @@ class TestExperimentCommands:
         assert "strictly increasing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["thm1", "thm2"])
+    def test_summary_schema(self, tmp_path, command):
+        # The summary is the report's metadata plus the computed keys.
+        cfg = CONFIGS[command](tmp_path)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 0
+        summary = json.loads((tmp_path / "exp.summary.json").read_text())
+        echoed = {
+            "command",
+            "index_name",
+            "rng",
+            "schedule",
+            "schedule_valid",
+            "kappa",
+            "eta",
+            "m_bound",
+            "c_bound",
+            "trials",
+            "seed",
+        }
+        computed = {"config_sha1", "row_count", "flagged_rows", "medians", "rate"}
+        if command == "thm2":
+            computed.add("max_decomposition_residual")
+        assert set(summary) == echoed | computed
+        run = cli_module.run_thm2 if command == "thm2" else cli_module.run_thm1
+        report = run(**_validate_config(command, cfg))
+        assert report.metadata == {k: v for k, v in summary.items() if k not in computed}
+
+    @pytest.mark.parametrize("command", ["thm1", "thm2"])
     def test_hopeless_noise_exits_diagnostics(self, tmp_path, capsys, command):
         noise = {"kind": "truncated_gaussian", "b_max": 1e-6, "sd": 100.0}
         if command == "thm1":
@@ -610,6 +637,12 @@ class TestConfigParsing:
                 [[0.0, 1.0]],
                 "points: dimension 2 does not match the f_tilde anchors' dimension 1",
             ),
+            # integers beyond the float range are not finite numbers
+            pytest.param("fit", "lambda", 10**400, "lambda", id="fit-lambda-1e400-lambda"),
+            pytest.param("thm2", "t_grid/2", 10**400, "t_grid/2", id="thm2-t_grid/2-1e400-t_grid/2"),
+            # a grid that does not increase is named like every other key
+            ("thm2", "t_grid", [10, 1], "config key t_grid: must be strictly increasing"),
+            ("thm1", "n_grid", [16, 8], "config key n_grid: must be strictly increasing"),
         ],
     )
     def test_rejections_name_the_key(self, tmp_path, capsys, command, path, value, named):

@@ -261,8 +261,7 @@ class TestRunThm2:
         assert md["command"] == "thm2" and md["index_name"] == "t"
         assert md["rng"] == "splitmix64"
         assert md["schedule_valid"] is True
-        assert md["n"] == 8 and md["trials"] == 3 and md["seed"] == 17
-        assert md["kernel"] == KERNEL.to_json_dict()
+        assert md["trials"] == 3 and md["seed"] == 17
 
     def test_diagnostics_become_flags(self, monkeypatch):
         # The trials of one t are fitted as one block, so a diagnostic raised
@@ -428,7 +427,6 @@ class TestRunThm1:
         md = small_thm1(exponent=0.5).metadata
         assert md["command"] == "thm1" and md["index_name"] == "n"
         assert md["schedule_valid"] is False
-        assert md["box"] == {"lo": [0.0], "hi": [2.0]}
         assert md["m_bound"] > 0 and md["c_bound"] == 4.0 * md["m_bound"]
 
     def test_input_validation(self):

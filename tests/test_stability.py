@@ -13,8 +13,6 @@ from krstab.stability import (
     StabilityParams,
     beta_stability,
     eps_for_target,
-    schedule_valid_thm1,
-    schedule_valid_thm2,
     sigma_admissible_ls,
     stability_probability,
     stability_probability_combined,
@@ -100,20 +98,28 @@ class TestParams:
         assert not params(m=1.0, n=7, eps=1.0).sample_size_ok
 
 
+def growing(exponent):
+    return Schedule(lambda0=1.0, exponent=exponent).valid_for_growing_sample
+
+
+def vanishing(exponent):
+    return Schedule(lambda0=1.0, exponent=exponent).valid_for_vanishing_noise
+
+
 class TestScheduleValidity:
     def test_thm1_window(self):
-        assert schedule_valid_thm1(0.2)
-        assert schedule_valid_thm1(0.3)
-        assert not schedule_valid_thm1(1.0 / 3.0)  # boundary excluded
-        assert not schedule_valid_thm1(0.4)
-        assert not schedule_valid_thm1(0.0)
-        assert not schedule_valid_thm1(-0.1)
+        assert growing(0.2)
+        assert growing(0.3)
+        assert not growing(1.0 / 3.0)  # boundary excluded
+        assert not growing(0.4)
+        assert not growing(0.0)
+        assert not growing(-0.1)
 
     def test_thm2_window(self):
-        assert schedule_valid_thm2(1.0)
-        assert schedule_valid_thm2(1.999)
-        assert not schedule_valid_thm2(2.0)  # boundary excluded
-        assert not schedule_valid_thm2(0.0)
+        assert vanishing(1.0)
+        assert vanishing(1.999)
+        assert not vanishing(2.0)  # boundary excluded
+        assert not vanishing(0.0)
 
     def test_valid_exponent_sends_probability_to_zero(self):
         # under lam(n) = n^-p with p < 1/3, p_n decays like n^-(1-3p)
