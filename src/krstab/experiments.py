@@ -15,6 +15,35 @@ Each harness then refits per grid point and fills in the distance columns:
   generated the labels.  The shrinkage/noise columns do not apply in this
   regime and are recorded as nan.
 
+A thm1 row takes one of two routes.  The low-rank route factors the row's
+Gram matrix G ~ L L^T by greedy pivoted Cholesky (stopped when the
+residual trace is at most 1e-13 * N * max diag), solves for the fit by
+Woodbury through an r x r system, checks the factor in one blocked pass over
+G that also gives G @ alpha, and takes the distance by the cross-term form
+:func:`~krstab.rkhs.cross_term_distance`; G is never held whole and never
+eigendecomposed.  The dense route is :func:`~krstab.solver.krr_fit` and
+:func:`~krstab.rkhs.h_distance` through the eigendecomposition of G, whose
+PSD check flags the row (exit 3 at the command line).  A row goes dense
+when any of three limits fails, each a property of its input:
+
+* rank cap: the factor gives up at N/4 pivots.  On a full-rank design a
+  low-rank row of rank N/4 measured 0.7-1.7 times the dense row at N = 32
+  and 64, and 0.15-0.75 times it from N = 128 on; a factor that gives up
+  adds 0.4-0.7 of a dense row below N = 256 (under 2 ms) and at most 0.32
+  of it from N = 256 on;
+* certificate: ||G - L L^T||_F plus its rounding bound must be at most
+  tau = 1e-10 * N * max diag, the PSD check's own tolerance, so that a
+  low-rank row is one the dense route's check would have passed;
+* condition limit: trace(G) / (N lam) <= 1e4.  One plus that ratio bounds
+  cond(L^T L + N lam I) and the cancellation in Woodbury's subtraction; at
+  the limit the two routes' distances measured 5e-11 apart.
+
+On the criterion-4 design (a gaussian of width 0.8 on [0, 4], numerical rank
+about 19 at every N) rows with N >= 128 take the low-rank route and rows
+with N = 32 and 64 hit the rank cap; a high-rank design, such as a gaussian
+of width 0.5 on [0, 5]^4, stays dense.  ``run_thm2`` and the other commands
+take the dense route only.
+
 Rows are reproducible in isolation: the seed of row (grid_index, trial) is
 ``mix64(master_seed, grid_index * 2**32 + trial)``, so enlarging the grid or
 adding trials never changes the seeds of existing rows.
@@ -39,10 +68,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import PointSet, gram, kappa_upper_bound, sample_kappa
-from .linalg import DiagnosticsError, regularized_solve
+from .kernels import (
+    PSD_TOL,
+    PointSet,
+    gram,
+    kappa_upper_bound,
+    kernel_diag,
+    kernel_matrix,
+    low_rank_certificate,
+    sample_kappa,
+)
+from .linalg import DiagnosticsError, low_rank_solve, pivoted_cholesky, regularized_solve
 from .operators import decomposition_residual, noise_operator_bound, shrinkage_term
-from .rkhs import RepresenterFunction, evaluate, h_distance, rkhs_norm
+from .rkhs import RepresenterFunction, cross_term_distance, evaluate, h_distance, rkhs_norm
 from .rng import SplitMix64, mix64
 from .solver import DataSet, krr_fit, min_norm_interpolant
 from .stability import (
@@ -69,6 +107,16 @@ CSV_COLUMNS = (
 CSV_HEADER = ",".join(column for column, _ in CSV_COLUMNS)
 
 NOISE_KINDS = ("uniform", "rademacher", "truncated_gaussian")
+
+# Limits of a thm1 row's low-rank route, each explained in the module
+# docstring: the factor stops at residual trace <= _TRACE_STOP * N * max diag
+# and gives up at _RANK_CAP * N pivots, and trace(G) / (N lam) may be at most
+# _CONDITION_LIMIT.  The certificate's tolerance is the PSD check's, PSD_TOL.
+# The trace stop sits 1000x below that tolerance, so the tail the factor
+# drops takes at most 1/1000 of what the certificate allows.
+_TRACE_STOP = 1e-13
+_RANK_CAP = 0.25
+_CONDITION_LIMIT = 1e4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -374,6 +422,30 @@ def run_thm2(
     return ExperimentReport(rows=[row for t_rows in groups for row in t_rows], metadata=metadata)
 
 
+def _low_rank_distance(data: DataSet, lam: float, target: RepresenterFunction) -> float | None:
+    """H-distance of the ridge fit of ``data`` to ``target`` by the low-rank
+    route, or None when one of its limits sends the row to the dense route."""
+    kernel, pts = target.kernel, data.pts
+    n, x = len(pts), pts.points
+    diag = kernel_diag(kernel, pts)
+    max_diag, shift = float(np.max(diag)), n * lam
+    if not float(np.sum(diag)) <= _CONDITION_LIMIT * shift:
+        return None
+    factor = pivoted_cholesky(
+        diag,
+        lambda p: kernel_matrix(kernel, x, x[p : p + 1])[:, 0],
+        int(_RANK_CAP * n),
+        _TRACE_STOP * n * max_diag,
+    )
+    if factor is None:
+        return None
+    alpha = low_rank_solve(factor, shift, data.labels)
+    certificate, g_alpha = low_rank_certificate(kernel, pts, factor, alpha)
+    if not certificate <= PSD_TOL * n * max_diag:
+        return None
+    return cross_term_distance(RepresenterFunction(kernel, pts, alpha), g_alpha, target)
+
+
 def run_thm1(
     dist: DataDistribution,
     schedule: Schedule,
@@ -388,7 +460,9 @@ def run_thm1(
 
     For each n in the grid and each trial, a dataset of size n is drawn from
     ``dist``, fit with ``lam = schedule.value(n)``, and the row records the
-    H-distance of the fit to the target.  The shrinkage/noise columns of the
+    H-distance of the fit to the target, by the low-rank route where the
+    row's input allows it and by the dense route otherwise (see the module
+    docstring).  The shrinkage/noise columns of the
     fixed-design decomposition do not exist here and are nan.  The rows,
     their stability columns on n points and the metadata come from the sweep
     shared with :func:`run_thm2`.
@@ -407,8 +481,10 @@ def run_thm1(
         # run_thm2; only the fit and its distance are flagged per row.
         data = sample_dataset(dist, row.index_var, row.seed)
         try:
-            fit = krr_fit(data, row.lam, kernel)
-            row.h_distance = h_distance(fit.f, dist.target)
+            distance = _low_rank_distance(data, row.lam, dist.target)
+            if distance is None:
+                distance = h_distance(krr_fit(data, row.lam, kernel).f, dist.target)
+            row.h_distance = distance
         except DiagnosticsError as exc:
             row.flag = str(exc)
     return ExperimentReport(rows=rows, metadata=metadata)

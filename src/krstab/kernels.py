@@ -13,6 +13,8 @@ lazily computed, cached eigendecomposition; building one checks positive
 semidefiniteness against the scale-aware tolerance 1e-10 * n * max_diag,
 where max_diag is the largest diagonal entry (the square of the paper's
 kappa on those points; ``sample_kappa`` gives kappa itself).
+:func:`low_rank_certificate` proves the same check passes for a Gram matrix
+that is never held whole, from a low-rank factor of it.
 """
 
 from __future__ import annotations
@@ -218,6 +220,38 @@ def kappa_upper_bound(spec: KernelSpec, lo, hi) -> float:
     return float((corner_sq + spec.offset) ** spec.degree)
 
 
+# The PSD check's tolerance, as a multiple of n * max_diag.
+PSD_TOL = 1e-10
+
+
+def low_rank_certificate(
+    spec: KernelSpec, pts, factor: np.ndarray, coeffs
+) -> tuple[float, np.ndarray]:
+    """Certificate of the factor L ~ G and the exact product G @ coeffs, for
+    the Gram matrix G of ``pts``.
+
+    One pass over G in row blocks of at most 8 MiB, never an n x n array.
+    The certificate is ||G - L L^T||_F + n * r * eps * max_diag: the computed
+    Frobenius norm plus a bound on the rounding in forming the difference.
+    L L^T is PSD, so min eig(G) >= -||G - L L^T||_F, and a certificate at or
+    below PSD_TOL * n * max_diag proves that ``GramMatrix`` of these points
+    would pass its PSD check.
+    """
+    x = _as_points(pts)
+    n, r = factor.shape
+    coeffs = np.asarray(coeffs, dtype=float)
+    product = np.empty(n)
+    square = 0.0
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    for lo in range(0, n, step):
+        block = kernel_matrix(spec, x[lo : lo + step], x)
+        product[lo : lo + step] = block @ coeffs
+        block -= factor[lo : lo + step] @ factor.T
+        square += float(np.vdot(block, block))
+    max_diag = float(np.max(kernel_diag(spec, x)))
+    return math.sqrt(square) + n * r * np.finfo(float).eps * max_diag, product
+
+
 class GramMatrix:
     """Symmetric PSD matrix of pairwise kernel values.
 
@@ -258,7 +292,7 @@ class GramMatrix:
         """Cached decomposition; raises DiagnosticsError if the matrix fails
         the PSD check min eigenvalue >= -1e-10 * n * max_diag."""
         eig = sym_eigen(self)
-        tol = 1e-10 * self.n * self.max_diag
+        tol = PSD_TOL * self.n * self.max_diag
         low = float(eig.eigenvalues[-1])
         if low < -tol:
             raise DiagnosticsError(

@@ -1,21 +1,38 @@
-"""Symmetric eigendecompositions and the two solves routed through them.
+"""Symmetric eigendecompositions and the two solves routed through them, and
+the low-rank factor and solve of the thm1 harness.
 
-Every solve takes a :class:`~krstab.kernels.GramMatrix`.  Its constructor
-validates the entries once, and its ``eigen`` property factorizes them once,
-on first use, through :func:`sym_eigen`; so every solve against one Gram
-matrix (ridge fits, minimal-norm interpolants, operator bounds) reuses one
-cached decomposition.  :func:`regularized_solve` has one path, on an (n, k)
-block of right-hand sides: each side of the backtransform, Q^T Y and Q Z, is
-one matrix-matrix product (level-3 BLAS), and a single vector is solved as a
-one-column block with the same bits as the matrix-vector form.  The thm2
-harness fits all trials of one t as one such block.
-Problem sizes are desk scale (n up to a few thousand), hence direct dense
-methods throughout.
+Dense route: every solve takes a :class:`~krstab.kernels.GramMatrix`.  Its
+constructor validates the entries once, and its ``eigen`` property
+factorizes them once, on first use, through :func:`sym_eigen`; so every
+solve against one Gram matrix (ridge fits, minimal-norm interpolants,
+operator bounds) reuses one cached decomposition.  :func:`regularized_solve`
+has one path, on an (n, k) block of right-hand sides: each side of the
+backtransform, Q^T Y and Q Z, is one matrix-matrix product (level-3 BLAS),
+and a single vector is solved as a one-column block with the same bits as
+the matrix-vector form.  The thm2 harness fits all trials of one t as one
+such block.  Problem sizes are desk scale (n up to a few thousand), hence
+direct dense methods.
+
+Low-rank route: :func:`pivoted_cholesky` builds G ~ L L^T from n * r kernel
+values and :func:`low_rank_solve` solves (L L^T + shift I) x = y through an
+r x r system.  Only ``run_thm1`` takes it, per row; thm2, ``fit``,
+``interpolate``, ``spectrum`` and ``bounds`` take the dense route.  A thm1
+row goes dense when one of three limits fails (:mod:`krstab.experiments`
+gives the measurements behind them):
+
+* rank cap N/4 pivots: past it the low-rank row costs as much as the dense
+  one at N = 32 and 64;
+* certificate ||G - L L^T||_F <= tau = 1e-10 * N * max diag: the PSD check's
+  own tolerance, so the dense check would have passed;
+* condition limit trace(G) / (N lam) <= 1e4: it bounds the cancellation in
+  the Woodbury subtraction.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -107,3 +124,49 @@ def pinv_solve(g: GramMatrix, rhs) -> np.ndarray:
             f"exceeds {tol:.3e} (numerical rank {int(np.sum(keep))} of {w.shape[0]})"
         )
     return x
+
+
+def pivoted_cholesky(
+    diag, column: Callable[[int], np.ndarray], max_rank: int, tol: float
+) -> np.ndarray | None:
+    """Greedy pivoted Cholesky factor L, shape (n, r), with G ~ L L^T.
+
+    ``diag`` is the diagonal of the n x n PSD matrix G and ``column(p)`` its
+    column p; each step pivots on the largest diagonal entry of the residual
+    G - L L^T, so r steps read r columns and n * r entries of G.  The
+    factor is returned once the residual's trace is at most ``tol``
+    (Harbrecht, Peters and Schneider, Appl. Numer. Math. 2012), and ``None``
+    once ``max_rank`` pivots have not brought it there.  The factor's storage
+    grows by doubling, so it holds at most 2 * n * r values, never n x n.
+    """
+    resid = np.array(diag, dtype=float)
+    rows = np.empty((min(max_rank, 32), resid.shape[0]))  # L^T, one row per pivot
+    k = 0
+    while float(np.sum(resid)) > tol:
+        if k == max_rank:
+            return None
+        if k == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty_like(rows)])[:max_rank]
+        p = int(np.argmax(resid))
+        col = column(p) - rows[:k].T @ rows[:k, p]
+        col /= math.sqrt(resid[p])
+        rows[k] = col
+        resid -= col * col
+        k += 1
+    return rows[:k].T
+
+
+def low_rank_solve(factor: np.ndarray, shift: float, rhs) -> np.ndarray:
+    """Solve ``(L L^T + shift*I) x = rhs`` for the (n, r) ``factor`` L, shift > 0.
+
+    Sherman-Morrison-Woodbury: x = (y - L (L^T L + shift I)^{-1} L^T y) / shift,
+    one r x r system (Fine and Scheinberg, JMLR 2001).  The subtraction loses
+    up to a factor 1 + lambda_max(L^T L) / shift <= 1 + trace / shift of
+    relative accuracy, so callers bound that ratio.
+    """
+    if not shift > 0:
+        raise ValueError(f"shift must be positive, got {shift}")
+    y = np.asarray(rhs, dtype=float)
+    small = factor.T @ factor
+    small[np.diag_indices_from(small)] += shift
+    return (y - factor @ np.linalg.solve(small, factor.T @ y)) / shift

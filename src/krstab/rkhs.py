@@ -14,7 +14,9 @@ whose Gram matrix the caller supplies, their k distances are one Gram
 quadratic form on the (n, k) block of coefficients, as the thm2 harness uses
 for each t's trials.  :func:`gram_norm` alone keeps a separate 1-D form,
 because a vector's quadratic form rounds differently from a one-column
-block's.
+block's.  :func:`cross_term_distance` takes a distance without a combined
+expansion, from the product of a Gram matrix never held whole with the
+coefficients, as the thm1 harness's low-rank route gets it.
 """
 
 from __future__ import annotations
@@ -203,3 +205,21 @@ def h_distance(
         return gram_norm(gram_matrix, coeffs)
     norms = [rkhs_norm(d) for d in diffs]
     return norms[0] if single else np.array(norms)
+
+
+def cross_term_distance(f: RepresenterFunction, gram_product, g: RepresenterFunction) -> float:
+    """||f - g||_H as ||f||^2 - 2 (f, g)_H + ||g||^2, clamped and flagged as
+    in :func:`rkhs_norm`.
+
+    ``gram_product`` is G @ f.coeffs for the Gram matrix G of f's anchors, so
+    ||f||^2 = f.coeffs . gram_product; (f, g)_H = f.coeffs . g(anchors of f)
+    and ||g||^2 need kernel values against g's anchors only, and no kernel
+    matrix on f's anchors is built.
+    """
+    _require_same_kernel(f, g)
+    sq = (
+        float(f.coeffs @ gram_product)
+        - 2.0 * float(f.coeffs @ evaluate(g, f.anchors))
+        + inner_product(g, g)
+    )
+    return _norm_from_square(sq)
