@@ -18,19 +18,21 @@ Each harness then refits per grid point and fills in the distance columns:
 A thm1 row takes one of two routes.  The low-rank route factors the row's
 Gram matrix G ~ L L^T by greedy pivoted Cholesky (stopped when the
 residual trace is at most 1e-13 * N * max diag), solves for the fit by
-Woodbury through an r x r system, checks the factor in one blocked pass over
-G that also gives G @ alpha, and takes the distance by the cross-term form
+Woodbury through an r x r system, checks the factor in one pass over the
+square tiles of G's upper triangle (each kernel value evaluated once) that
+also gives G @ alpha, and takes the distance by the cross-term form
 :func:`~krstab.rkhs.cross_term_distance`; G is never held whole and never
 eigendecomposed.  The dense route is :func:`~krstab.solver.krr_fit` and
 :func:`~krstab.rkhs.h_distance` through the eigendecomposition of G, whose
 PSD check flags the row (exit 3 at the command line).  A row goes dense
 when any of three limits fails, each a property of its input:
 
-* rank cap: the factor gives up at N/4 pivots.  On a full-rank design a
-  low-rank row of rank N/4 measured 0.7-1.7 times the dense row at N = 32
-  and 64, and 0.15-0.75 times it from N = 128 on; a factor that gives up
-  adds 0.4-0.7 of a dense row below N = 256 (under 2 ms) and at most 0.32
-  of it from N = 256 on;
+* rank cap: the factor gives up at N/4 pivots.  On a full-rank design
+  (a gaussian of width 0.5 on [0, 5]^4, 1 BLAS thread) a low-rank row of
+  rank N/4, its certificate included, measured 1.0-2.0 times the dense row
+  at N = 32 and 64, and 0.12-0.8 times it from N = 128 on; a factor that
+  gives up adds 0.4-1.2 of a dense row below N = 256 (under 2 ms) and at
+  most 0.37 of it from N = 256 on;
 * certificate: ||G - L L^T||_F plus its rounding bound must be at most
   tau = 1e-10 * N * max diag, the PSD check's own tolerance, so that a
   low-rank row is one the dense route's check would have passed;

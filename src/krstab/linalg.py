@@ -20,10 +20,12 @@ r x r system.  Only ``run_thm1`` takes it, per row; thm2, ``fit``,
 row goes dense when one of three limits fails (:mod:`krstab.experiments`
 gives the measurements behind them):
 
-* rank cap N/4 pivots: past it the low-rank row costs as much as the dense
-  one at N = 32 and 64;
-* certificate ||G - L L^T||_F <= tau = 1e-10 * N * max diag: the PSD check's
-  own tolerance, so the dense check would have passed;
+* rank cap N/4 pivots: at that rank the low-rank row costs as much as the
+  dense one, or up to twice it, at N = 32 and 64;
+* certificate ||G - L L^T||_F <= tau = 1e-10 * N * max diag, taken by
+  :func:`~krstab.kernels.low_rank_certificate` in one pass over the square
+  tiles of G's upper triangle: the PSD check's own tolerance, so the dense
+  check would have passed;
 * condition limit trace(G) / (N lam) <= 1e4: it bounds the cancellation in
   the Woodbury subtraction.
 """

@@ -1,5 +1,5 @@
 """The thm1 harness's low-rank route: the pivoted-Cholesky factor, the
-Woodbury solve, the blocked certificate, the cross-term distance, and which
+Woodbury solve, the tiled certificate, the cross-term distance, and which
 rows take it rather than the dense eigendecomposition."""
 
 import numpy as np
@@ -175,6 +175,65 @@ class TestCertificate:
         tau = PSD_TOL * 64 * float(np.max(kernel_diag(spec, x)))
         assert low_rank_certificate(spec, x, factor, np.zeros(64))[0] <= tau
         assert low_rank_certificate(spec, x, factor[:, :-1], np.zeros(64))[0] > tau
+
+
+def side_budget(side):
+    """A block budget whose certificate tiles have the given side."""
+    return 64 * side * side
+
+
+class TestTiles:
+    """The certificate walks the tiles (I, J), J >= I, of the upper triangle of
+    G, each tile evaluated once."""
+
+    # n = 90: side 5 divides it, side 7 does not, side 128 exceeds it.
+    @pytest.mark.parametrize("side", [5, 7, 128])
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec.gaussian(0.8), KernelSpec.polynomial(2, 1.0)], ids=["gaussian", "poly"]
+    )
+    def test_each_upper_tile_once(self, monkeypatch, spec, side):
+        n = 90
+        budget = side_budget(side)
+        monkeypatch.setattr(krstab.kernels, "_BLOCK_BYTES", budget)
+        real = krstab.kernels.kernel_matrix
+        entries = []
+
+        def counted(spec, xs, ys):
+            out = real(spec, xs, ys)
+            assert out.nbytes <= budget
+            entries.append(out.size)
+            return out
+
+        rng = np.random.default_rng(10)
+        x = rng.uniform(0.0, 4.0, (n, 1))
+        factor = factor_of(spec, x)[:, :-1]
+        coeffs = rng.normal(size=n)
+        monkeypatch.setattr(krstab.kernels, "kernel_matrix", counted)
+        cert, product = low_rank_certificate(spec, PointSet(x), factor, coeffs)
+        assert sum(entries) <= n * (n + side) / 2
+        # The matrix GramMatrix would hold: the upper triangle mirrored.
+        g = real(spec, x, x)
+        g = np.triu(g) + np.triu(g, 1).T
+        rounding = n * factor.shape[1] * np.finfo(float).eps * float(np.max(np.diag(g)))
+        assert abs(cert - rounding - np.linalg.norm(g - factor @ factor.T)) <= rounding
+        np.testing.assert_allclose(product, g @ coeffs, rtol=1e-13)
+
+    @pytest.mark.parametrize("side", [1, 5, 7, 128])
+    def test_off_diagonal_tiles_count_twice(self, monkeypatch, side):
+        # G - L' L'^T for L' = L without its last column l is l l^T plus the
+        # tiny G - L L^T, so the certificate is |l|^2, most of it from
+        # off-diagonal tiles (all of it at side 1 but the diagonal).
+        monkeypatch.setattr(krstab.kernels, "_BLOCK_BYTES", side_budget(side))
+        rng = np.random.default_rng(8)
+        spec = KernelSpec.polynomial(2, 1.0)
+        x = rng.uniform(0.0, 4.0, (90, 1))
+        factor = factor_of(spec, x)
+        tau = PSD_TOL * 90 * float(np.max(kernel_diag(spec, x)))
+        assert low_rank_certificate(spec, x, factor, np.zeros(90))[0] <= tau
+        cert = low_rank_certificate(spec, x, factor[:, :-1], np.zeros(90))[0]
+        assert cert > tau
+        last = factor[:, -1]
+        assert cert == pytest.approx(float(last @ last), rel=1e-9)
 
 
 def test_cross_term_distance_matches_h_distance():
