@@ -8,6 +8,9 @@ Three positive semidefinite families are provided:
 
 Gaussian values are computed from coordinate differences directly (never via
 the expanded ||x||^2 + ||y||^2 - 2 x.y form), so the diagonal is exactly 1.
+Below 8 coordinates each coordinate's differences are one matrix product
+[a_k, -1] @ [1, b_k]^T; its entries are sums of two exact products, rounded
+once, so they are the bits of a_ik - b_jk whatever BLAS does.
 Gram matrices are symmetrized by mirroring the upper triangle and carry a
 lazily computed, cached eigendecomposition; building one checks positive
 semidefiniteness against the scale-aware tolerance 1e-10 * n * max_diag,
@@ -131,13 +134,15 @@ def _as_points(x) -> np.ndarray:
 
 
 # Largest temporary, in bytes, that a gaussian kernel matrix allocates beside
-# its (n, m) result; rows are processed in blocks that fit it.  The tiles of
-# low_rank_certificate have side isqrt(_BLOCK_BYTES / 64), a tile of one
-# eighth of it.  1 MiB, half the 2 MiB per-core L2, measured fastest on a
-# 2-vCPU Xeon with 1 BLAS thread: a 1000 x 1000, d = 4 gaussian Gram took
-# 17.4 ms at 8 MiB and 13.2 ms at 1 MiB, with the same bits, and of tile
-# sides 64 to 512 the certificate of an N = 512 to 2048 row was fastest at
-# 128 or within the host's noise of it.
+# its (n, m) result and a (2, m) operand; rows are processed in blocks that
+# fit it (at least one row).  The tiles of low_rank_certificate have side
+# isqrt(_BLOCK_BYTES / 64), a tile of one eighth of it.  Measured on a 2-vCPU
+# Xeon (2 MiB L2 per core) with 1 BLAS thread, tile sides 64, 128 and 256
+# certified an N = 512 / 1024 / 2048 row in 1.12 / 4.27 / 16.9,
+# 0.82 / 2.79 / 10.5 and 1.38 / 3.28 / 10.5 ms (best of 11), so 1 MiB keeps
+# side 128.  A 1000 x 1000, d = 4 gaussian Gram alone took 5.9 ms at 512 KiB,
+# 8.3 ms at 1 MiB and 13.8 ms at 8 MiB, with the same bits, but 512 KiB gives
+# tiles of side 90, slower than 128 in the median at each of those N.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -148,28 +153,39 @@ def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
     ``np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)``: numpy sums
     fewer than 8 terms left to right, which the coordinate loop repeats, and
     pairwise from 8 terms on, which only the broadcast reproduces, so d >= 8
-    keeps the broadcast over row blocks.
+    keeps the broadcast over row blocks.  The loop forms coordinate k's
+    differences as one matrix product [a_k, -1] @ [1, b_k]^T, never the
+    expanded ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j: entry (i, j) is the sum of
+    the exact products a_ik * 1 and -1 * b_jk, rounded once, so it is
+    a_ik - b_jk bit for bit under any BLAS summation order, with or without
+    FMA (only the sign of a zero may differ, and squaring drops it).
+    Dividing by -2 width^2 gives the bits of negating and dividing by
+    2 width^2, since IEEE division is sign-symmetric.
     """
     n, m, d = a.shape[0], b.shape[0], a.shape[1]
     loop = 0 < d < 8
     out = np.empty((n, m))
-    step = max(1, _BLOCK_BYTES // max(1, m * 8 * (1 if loop else d)))
+    # Per block row: its differences and, in the loop, 2 left-operand entries.
+    step = max(1, _BLOCK_BYTES // max(1, 8 * (m + 2 if loop else m * d)))
+    if loop:
+        left, right = np.empty((2, min(n, step))), np.empty((2, m))
+        left[1], right[0] = -1.0, 1.0
     for lo in range(0, n, step):
         rows = a[lo : lo + step]
         d2 = out[lo : lo + step]
         if loop:
-            np.subtract.outer(rows[:, 0], b[:, 0], out=d2)
-            np.square(d2, out=d2)
-            for k in range(1, d):
-                diff = np.subtract.outer(rows[:, k], b[:, k])
+            ops = left[:, : rows.shape[0]]
+            for k in range(d):
+                ops[0], right[1] = rows[:, k], b[:, k]
+                diff = np.matmul(ops.T, right, out=None if k else d2)
                 np.square(diff, out=diff)
-                d2 += diff
+                if k:
+                    d2 += diff
         else:
             diff = rows[:, None, :] - b[None, :, :]
             np.square(diff, out=diff)
             np.sum(diff, axis=-1, out=d2)
-    np.negative(out, out=out)
-    out /= 2.0 * width**2
+    np.divide(out, -2.0 * width**2, out=out)
     return np.exp(out, out=out)
 
 

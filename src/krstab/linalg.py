@@ -144,15 +144,14 @@ def pivoted_cholesky(
     resid = np.array(diag, dtype=float)
     rows = np.empty((min(max_rank, 32), resid.shape[0]))  # L^T, one row per pivot
     k = 0
-    while float(np.sum(resid)) > tol:
+    while float(resid.sum()) > tol:
         if k == max_rank:
             return None
         if k == rows.shape[0]:
             rows = np.concatenate([rows, np.empty_like(rows)])[:max_rank]
-        p = int(np.argmax(resid))
-        col = column(p) - rows[:k].T @ rows[:k, p]
+        p = int(resid.argmax())
+        col = np.subtract(column(p), rows[:k].T @ rows[:k, p], out=rows[k])
         col /= math.sqrt(resid[p])
-        rows[k] = col
         resid -= col * col
         k += 1
     return rows[:k].T

@@ -240,13 +240,24 @@ def test_kernel_matrix_cross_shape():
 @pytest.mark.parametrize("block_bytes", [None, 4096])
 def test_gaussian_matrix_bits_match_the_broadcast(monkeypatch, d, block_bytes):
     # Fewer than 8 coordinates are summed one at a time and 8 or more through
-    # the broadcast; both must keep the bits of numpy's own reduction.
+    # the broadcast; both must keep the bits of numpy's own reduction, at
+    # coordinates from 1e-8 to 1e8 in magnitude, signed zeros and points
+    # that coincide.
     if block_bytes is not None:
         monkeypatch.setattr(krstab.kernels, "_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(40 + d)
-    a, b = rng.uniform(-3.0, 3.0, (70, d)), rng.uniform(-3.0, 3.0, (65, d))
-    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-    expect = np.exp(-d2 / (2.0 * 0.7**2))
-    got = kernel_matrix(KernelSpec.gaussian(0.7), a, b)
-    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
-    assert np.all(np.diag(kernel_matrix(KernelSpec.gaussian(0.7), a, a)) == 1.0)
+    # A cross block, a certificate tile, and a pivot column either way round.
+    for n, m in [(70, 65), (128, 128), (90, 1), (1, 90)]:
+        a = rng.uniform(-3.0, 3.0, (n, d)) * 10.0 ** rng.integers(-8, 9, (n, 1))
+        b = rng.uniform(-3.0, 3.0, (m, d)) * 10.0 ** rng.integers(-8, 9, (m, 1))
+        a[::3, 0], b[::4, -1] = 0.0, -0.0
+        b[::5] = a[rng.integers(0, n, b[::5].shape[0])]
+        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+        for width in (0.7, 1e-6, 1e6):
+            spec = KernelSpec.gaussian(width)
+            expect = np.exp(-d2 / (2.0 * width**2))
+            got = kernel_matrix(spec, a, b)
+            assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+            assert np.array_equal(kernel_matrix(spec, b, a).view(np.int64), got.T.view(np.int64))
+            assert np.all(np.diag(kernel_matrix(spec, a, a)) == 1.0)
+            assert np.all(got[np.all(a[:, None, :] == b[None, :, :], axis=-1)] == 1.0)

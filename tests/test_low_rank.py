@@ -210,7 +210,7 @@ class TestTiles:
         coeffs = rng.normal(size=n)
         monkeypatch.setattr(krstab.kernels, "kernel_matrix", counted)
         cert, product = low_rank_certificate(spec, PointSet(x), factor, coeffs)
-        assert sum(entries) <= n * (n + side) / 2
+        assert n * (n + 1) / 2 <= sum(entries) <= n * (n + side) / 2
         # The matrix GramMatrix would hold: the upper triangle mirrored.
         g = real(spec, x, x)
         g = np.triu(g) + np.triu(g, 1).T
