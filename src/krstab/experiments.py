@@ -18,24 +18,27 @@ Each harness then refits per grid point and fills in the distance columns:
 A thm1 row takes one of two routes.  The low-rank route factors the row's
 Gram matrix G ~ L L^T by greedy pivoted Cholesky (stopped when the
 residual trace is at most 1e-13 * N * max diag), solves for the fit by
-Woodbury through an r x r system, checks the factor in one pass over the
-square tiles of G's upper triangle (each kernel value evaluated once) that
-also gives G @ alpha, and takes the distance by the cross-term form
-:func:`~krstab.rkhs.cross_term_distance`; G is never held whole and never
-eigendecomposed.  The dense route is :func:`~krstab.solver.krr_fit` and
-:func:`~krstab.rkhs.h_distance` through the eigendecomposition of G, whose
-PSD check flags the row (exit 3 at the command line).  A row goes dense
-when any of three limits fails, each a property of its input:
+Woodbury through an r x r system, and takes the distance by the cross-term
+form :func:`~krstab.rkhs.cross_term_distance` with G @ alpha as
+L (L^T alpha); G is never built and never eigendecomposed.  That moves
+||f||^2 by alpha . (G - L L^T) alpha, and G - L L^T is PSD with trace about
+the stop, so by at most about 1e-13 * N * max diag * ||alpha||^2.  The dense
+route is :func:`~krstab.solver.krr_fit` and :func:`~krstab.rkhs.h_distance`
+through the eigendecomposition of G, whose PSD check flags the row (exit 3
+at the command line).  A row goes dense when any of three limits fails,
+each a property of its input:
 
 * rank cap: the factor gives up at N/4 pivots.  On a full-rank design
   (a gaussian of width 0.5 on [0, 5]^4, 1 BLAS thread) a low-rank row of
-  rank N/4, its certificate included, measured 1.0-2.0 times the dense row
-  at N = 32 and 64, and 0.12-0.8 times it from N = 128 on; a factor that
-  gives up adds 0.4-1.2 of a dense row below N = 256 (under 2 ms) and at
-  most 0.37 of it from N = 256 on;
-* certificate: ||G - L L^T||_F plus its rounding bound must be at most
-  tau = 1e-10 * N * max diag, the PSD check's own tolerance, so that a
-  low-rank row is one the dense route's check would have passed;
+  rank N/4 measured 1.3 and 1.0 times the dense row at N = 32 and 64, and
+  0.65 down to 0.10 times it from N = 128 to 2048 (one dataset per N,
+  medians); a factor that gives up adds 0.4-1.2 of a dense row below
+  N = 256 (under 2 ms) and at most 0.37 of it from N = 256 on;
+* PSD bound: c * u <= PSD_TOL, with c the entrywise rounding constant
+  :func:`~krstab.kernels.rounding_constant` of the kernel in this
+  dimension and u = 2^-53.  It proves, without a kernel value, that the
+  dense route's PSD check at tau = 1e-10 * N * max diag would pass, so a
+  low-rank row is one the dense route would not have flagged;
 * condition limit: trace(G) / (N lam) <= 1e4.  One plus that ratio bounds
   cond(L^T L + N lam I) and the cancellation in Woodbury's subtraction; at
   the limit the two routes' distances measured 5e-11 apart.
@@ -77,7 +80,7 @@ from .kernels import (
     kappa_upper_bound,
     kernel_diag,
     kernel_matrix,
-    low_rank_certificate,
+    rounding_constant,
     sample_kappa,
 )
 from .linalg import DiagnosticsError, low_rank_solve, pivoted_cholesky, regularized_solve
@@ -113,9 +116,9 @@ NOISE_KINDS = ("uniform", "rademacher", "truncated_gaussian")
 # Limits of a thm1 row's low-rank route, each explained in the module
 # docstring: the factor stops at residual trace <= _TRACE_STOP * N * max diag
 # and gives up at _RANK_CAP * N pivots, and trace(G) / (N lam) may be at most
-# _CONDITION_LIMIT.  The certificate's tolerance is the PSD check's, PSD_TOL.
+# _CONDITION_LIMIT.  The PSD bound's tolerance is the PSD check's, PSD_TOL.
 # The trace stop sits 1000x below that tolerance, so the tail the factor
-# drops takes at most 1/1000 of what the certificate allows.
+# drops is at most 1/1000 of what the dense check allows.
 _TRACE_STOP = 1e-13
 _RANK_CAP = 0.25
 _CONDITION_LIMIT = 1e4
@@ -152,8 +155,8 @@ class NoiseProcess:
         if self.b_max == 0.0:
             return np.zeros(n)
         stream = SplitMix64(seed)
-        # Same bits as n scalar draws of stream.uniform(-b_max, b_max), or of
-        # b_max * stream.sign().
+        # Same bits as n scalar draws of lo + (hi - lo) * stream.next_double(),
+        # or of b_max signed by the top bit of stream.next_u64().
         if self.kind == "uniform":
             lo, hi = -self.b_max, self.b_max
             return lo + (hi - lo) * stream.doubles(n)
@@ -431,7 +434,11 @@ def _low_rank_distance(data: DataSet, lam: float, target: RepresenterFunction) -
     n, x = len(pts), pts.points
     diag = kernel_diag(kernel, pts)
     max_diag, shift = float(np.max(diag)), n * lam
-    if not float(np.sum(diag)) <= _CONDITION_LIMIT * shift:
+    # 2.0**-53 is the unit roundoff u.
+    if not (
+        float(np.sum(diag)) <= _CONDITION_LIMIT * shift
+        and rounding_constant(kernel, pts.dim) * 2.0**-53 <= PSD_TOL
+    ):
         return None
     factor = pivoted_cholesky(
         diag,
@@ -442,9 +449,7 @@ def _low_rank_distance(data: DataSet, lam: float, target: RepresenterFunction) -
     if factor is None:
         return None
     alpha = low_rank_solve(factor, shift, data.labels)
-    certificate, g_alpha = low_rank_certificate(kernel, pts, factor, alpha)
-    if not certificate <= PSD_TOL * n * max_diag:
-        return None
+    g_alpha = factor @ (factor.T @ alpha)
     return cross_term_distance(RepresenterFunction(kernel, pts, alpha), g_alpha, target)
 
 

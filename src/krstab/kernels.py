@@ -16,9 +16,9 @@ lazily computed, cached eigendecomposition; building one checks positive
 semidefiniteness against the scale-aware tolerance 1e-10 * n * max_diag,
 where max_diag is the largest diagonal entry (the square of the paper's
 kappa on those points; ``sample_kappa`` gives kappa itself).
-:func:`low_rank_certificate` proves the same check passes for a Gram matrix
-that is never held whole, from a low-rank factor of it, in one pass over the
-cache-sized square tiles of its upper triangle.
+:func:`rounding_constant` bounds each computed entry's distance from the
+exact, PSD kernel value, which proves the same check passes for a Gram
+matrix that is never built, without a kernel value.
 """
 
 from __future__ import annotations
@@ -135,15 +135,12 @@ def _as_points(x) -> np.ndarray:
 
 # Largest temporary, in bytes, that a gaussian kernel matrix allocates beside
 # its (n, m) result and a (2, m) operand; rows are processed in blocks that
-# fit it (at least one row).  The tiles of low_rank_certificate have side
-# isqrt(_BLOCK_BYTES / 64), a tile of one eighth of it.  Measured on a 2-vCPU
-# Xeon (2 MiB L2 per core) with 1 BLAS thread, tile sides 64, 128 and 256
-# certified an N = 512 / 1024 / 2048 row in 1.12 / 4.27 / 16.9,
-# 0.82 / 2.79 / 10.5 and 1.38 / 3.28 / 10.5 ms (best of 11), so 1 MiB keeps
-# side 128.  A 1000 x 1000, d = 4 gaussian Gram alone took 5.9 ms at 512 KiB,
-# 8.3 ms at 1 MiB and 13.8 ms at 8 MiB, with the same bits, but 512 KiB gives
-# tiles of side 90, slower than 128 in the median at each of those N.
-_BLOCK_BYTES = 1 << 20
+# fit it (at least one row).  Blocking changes no bit.  Measured on a 2-vCPU
+# Xeon (2 MiB L2 per core) with 1 BLAS thread, medians of 41 alternating
+# rounds: a 1000 x 1000, d = 4 Gram took 7.4 ms at 512 KiB and 10.8 ms at
+# 1 MiB; an (N, 1) pivot column, one block at either budget, took 16 us at
+# N = 2048, d = 1 and 29-30 us at N = 1000, d = 4 under both.
+_BLOCK_BYTES = 1 << 19
 
 
 def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
@@ -202,7 +199,8 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """K(x, y) for two single points."""
+    """K(x, y) for two single points: the paper's kernel as a function, kept
+    public for that reason although the library itself builds matrices."""
     a = np.atleast_1d(np.asarray(x, dtype=float))
     b = np.atleast_1d(np.asarray(y, dtype=float))
     if a.ndim != 1 or b.ndim != 1:
@@ -245,49 +243,41 @@ def kappa_upper_bound(spec: KernelSpec, lo, hi) -> float:
 
 # The PSD check's tolerance, as a multiple of n * max_diag.
 PSD_TOL = 1e-10
+# Assumed error of numpy's exp, in units of u = 2^-53 relative to its result:
+# 2 ulp.  Its SIMD exp is not correctly rounded; it measured at most 1.17 u
+# on [-745, 0] (AVX-512, numpy 2.4).
+_EXP_ERROR = 4.0
 
 
-def low_rank_certificate(
-    spec: KernelSpec, pts, factor: np.ndarray, coeffs
-) -> tuple[float, np.ndarray]:
-    """Certificate of the factor L ~ G and the exact product G @ coeffs, for
-    the Gram matrix G of ``pts``.
+def rounding_constant(spec: KernelSpec, dim: int) -> float:
+    """c such that each entry of ``kernel_matrix`` on points in R^dim is
+    within c * u * sqrt(K(x, x) K(y, y)) <= c * u * max_diag of the exact
+    K(x, y), u = 2^-53, whatever order BLAS sums in.
 
-    One pass over the square tiles (I, J), J >= I, of the upper triangle of
-    G, holding one tile at a time (side isqrt(_BLOCK_BYTES / 64), 128), so
-    about n^2 / 2 kernel values are evaluated, each once.  A tile K adds
-    K c_J to the product's rows I and, off the diagonal, K^T c_I to its rows
-    J; K - L_I L_J^T adds its squared norm once on the diagonal and twice off
-    it.  The certificate is ||G - L L^T||_F + n * r * eps * max_diag: the
-    computed Frobenius norm plus a bound on the rounding in forming the
-    difference.  L L^T is PSD, so min eig(G) >= -||G - L L^T||_F, and a
-    certificate at or below PSD_TOL * n * max_diag proves that
-    ``GramMatrix`` of these points would pass its PSD check.
+    Every family is PSD by theorem (Bochner for the gaussian, a finite
+    feature map for the linear and polynomial kernels), so by Weyl's
+    inequality a computed n x n Gram matrix, mirrored from its upper
+    triangle as ``GramMatrix`` does, has min eigenvalue >= -n * c * u *
+    max_diag: c * u <= PSD_TOL proves that its PSD check passes, for any n
+    and points, in O(1).  The counts are first order in u (Higham,
+    *Accuracy and Stability*, ch. 3); wherever c * u <= PSD_TOL the higher
+    orders add under 1e-10 of c:
 
-    A gaussian tile (J, I) is bitwise the transpose of tile (I, J), so the
-    pass sees G itself.  The linear and polynomial kernels form
-    ``a @ b.T``, which may round the two sides of the diagonal differently;
-    the pass then certifies, and multiplies by, G mirrored from its upper
-    tiles, as ``GramMatrix`` checks G mirrored from its upper triangle.
+    * gaussian: the exponent t = -||x - y||^2 / (2 width^2) <= 0 carries a
+      relative error of at most (dim + 3) u (each difference and its square
+      rounded once, dim - 1 additions in any order, width^2 and the
+      division), which moves e^t by at most |t| e^t (dim + 3) u <=
+      (dim + 3) u / e; exp itself adds _EXP_ERROR * u;
+    * polynomial of degree p, the linear kernel being p = 1 with offset 0:
+      x . y + offset is within (dim + 1) u R, R = sqrt((|x|^2 + offset)
+      (|y|^2 + offset)), by Cauchy-Schwarz; the power multiplies that by
+      p R^(p - 1) and is itself exact at p = 1, correctly rounded at p = 2
+      and within 2 u (1.15 u measured) from p = 3 on, so p (dim + 2) covers
+      it, with R^p = sqrt(K(x, x) K(y, y)).
     """
-    x = _as_points(pts)
-    n, r = factor.shape
-    coeffs = np.asarray(coeffs, dtype=float)
-    product = np.zeros(n)
-    square = 0.0
-    side = max(1, math.isqrt(_BLOCK_BYTES // 64))
-    for lo in range(0, n, side):
-        rows = slice(lo, lo + side)
-        for lo_col in range(lo, n, side):
-            cols = slice(lo_col, lo_col + side)
-            block = kernel_matrix(spec, x[rows], x[cols])
-            product[rows] += block @ coeffs[cols]
-            if lo_col > lo:
-                product[cols] += coeffs[rows] @ block
-            block -= factor[rows] @ factor[cols].T
-            square += (1.0 if lo_col == lo else 2.0) * float(np.vdot(block, block))
-    max_diag = float(np.max(kernel_diag(spec, x)))
-    return math.sqrt(square) + n * r * np.finfo(float).eps * max_diag, product
+    if spec.kind == "gaussian":
+        return (dim + 3) / math.e + _EXP_ERROR
+    return (spec.degree or 1) * (dim + 2)
 
 
 class GramMatrix:

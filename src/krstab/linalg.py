@@ -20,14 +20,17 @@ r x r system.  Only ``run_thm1`` takes it, per row; thm2, ``fit``,
 row goes dense when one of three limits fails (:mod:`krstab.experiments`
 gives the measurements behind them):
 
-* rank cap N/4 pivots: at that rank the low-rank row costs as much as the
-  dense one, or up to twice it, at N = 32 and 64;
-* certificate ||G - L L^T||_F <= tau = 1e-10 * N * max diag, taken by
-  :func:`~krstab.kernels.low_rank_certificate` in one pass over the square
-  tiles of G's upper triangle: the PSD check's own tolerance, so the dense
-  check would have passed;
+* rank cap N/4 pivots: at that rank the low-rank row costs 1.0-1.3 times
+  the dense one at N = 32 and 64;
+* PSD bound c * u <= 1e-10, c from
+  :func:`~krstab.kernels.rounding_constant`: an O(1) proof that the dense
+  route's PSD check, tau = 1e-10 * N * max diag, would pass;
 * condition limit trace(G) / (N lam) <= 1e4: it bounds the cancellation in
   the Woodbury subtraction.
+
+The route's distance takes G @ alpha as L (L^T alpha), so a low-rank row
+evaluates kernel values only in its r pivot columns and against the
+target's anchors.
 """
 
 from __future__ import annotations

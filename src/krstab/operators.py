@@ -91,7 +91,7 @@ def ker_p_sample(
             raise ValueError("extra points must be disjoint from the operator's points")
     if extra_coeffs is None:
         stream = SplitMix64(seed)
-        # Same bits as one stream.uniform(lo, hi) per extra point.
+        # Same bits as lo + (hi - lo) * stream.next_double() per extra point.
         lo, hi = -1.0, 1.0
         c = lo + (hi - lo) * stream.doubles(len(extra_pts))
     else:

@@ -211,10 +211,11 @@ def cross_term_distance(f: RepresenterFunction, gram_product, g: RepresenterFunc
     """||f - g||_H as ||f||^2 - 2 (f, g)_H + ||g||^2, clamped and flagged as
     in :func:`rkhs_norm`.
 
-    ``gram_product`` is G @ f.coeffs for the Gram matrix G of f's anchors, so
-    ||f||^2 = f.coeffs . gram_product; (f, g)_H = f.coeffs . g(anchors of f)
-    and ||g||^2 need kernel values against g's anchors only, and no kernel
-    matrix on f's anchors is built.
+    ``gram_product`` is G @ f.coeffs for the Gram matrix G of f's anchors,
+    or L (L^T f.coeffs) for a factor G ~ L L^T, so ||f||^2 = f.coeffs .
+    gram_product, off by f.coeffs . (G - L L^T) f.coeffs for a factor;
+    (f, g)_H = f.coeffs . g(anchors of f) and ||g||^2 need kernel values
+    against g's anchors only, and no kernel matrix on f's anchors is built.
     """
     _require_same_kernel(f, g)
     sq = (

@@ -93,13 +93,6 @@ class SplitMix64:
         """Uniform on (0, 1]; safe as a log argument."""
         return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.next_double()
-
-    def sign(self) -> float:
-        """+1.0 or -1.0, from the top bit of one output word."""
-        return 1.0 if (self.next_u64() >> 63) else -1.0
-
     def normal(self, sd: float = 1.0) -> float:
         """One Box-Muller draw; consumes exactly two output words."""
         u1 = self.next_double_open()

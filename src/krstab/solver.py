@@ -184,7 +184,7 @@ def closeness_certificate(
         scale = 0.1 * (1.0 + float(np.max(np.abs(base.coeffs))))
         lo, hi = -scale, scale
         for _ in range(8):
-            # Same bits as one stream.uniform(lo, hi) per coefficient.
+            # Same bits as lo + (hi - lo) * stream.next_double() per coefficient.
             bump = lo + (hi - lo) * stream.doubles(len(base.coeffs))
             probes.append(RepresenterFunction(base.kernel, base.anchors, base.coeffs + bump))
     gaps = [

@@ -85,11 +85,11 @@ class TestNoiseProcess:
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
     def test_batched_draws_match_scalar_stream(self, seed):
         stream = SplitMix64(seed)
-        uniform = np.array([stream.uniform(-0.7, 0.7) for _ in range(300)])
+        uniform = np.array([-0.7 + 1.4 * stream.next_double() for _ in range(300)])
         got = NoiseProcess(kind="uniform", b_max=0.7).sample(300, seed)
         assert got.tobytes() == uniform.tobytes()
         stream = SplitMix64(seed)
-        signs = np.array([0.7 * stream.sign() for _ in range(300)])
+        signs = np.array([0.7 if stream.next_u64() >> 63 else -0.7 for _ in range(300)])
         got = NoiseProcess(kind="rademacher", b_max=0.7).sample(300, seed)
         assert got.tobytes() == signs.tobytes()
 

@@ -16,6 +16,7 @@ from krstab.kernels import (
     kappa_upper_bound,
     kernel_diag,
     kernel_matrix,
+    rounding_constant,
 )
 from krstab.linalg import DiagnosticsError
 
@@ -246,7 +247,7 @@ def test_gaussian_matrix_bits_match_the_broadcast(monkeypatch, d, block_bytes):
     if block_bytes is not None:
         monkeypatch.setattr(krstab.kernels, "_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(40 + d)
-    # A cross block, a certificate tile, and a pivot column either way round.
+    # A cross block, a square block, and a pivot column either way round.
     for n, m in [(70, 65), (128, 128), (90, 1), (1, 90)]:
         a = rng.uniform(-3.0, 3.0, (n, d)) * 10.0 ** rng.integers(-8, 9, (n, 1))
         b = rng.uniform(-3.0, 3.0, (m, d)) * 10.0 ** rng.integers(-8, 9, (m, 1))
@@ -261,3 +262,64 @@ def test_gaussian_matrix_bits_match_the_broadcast(monkeypatch, d, block_bytes):
             assert np.array_equal(kernel_matrix(spec, b, a).view(np.int64), got.T.view(np.int64))
             assert np.all(np.diag(kernel_matrix(spec, a, a)) == 1.0)
             assert np.all(got[np.all(a[:, None, :] == b[None, :, :], axis=-1)] == 1.0)
+
+
+UNIT_ROUNDOFF = 2.0**-53
+# The oracles below round each operation at 2^-64, so they need an x87
+# extended long double; where long double is plain double they prove nothing.
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63, reason="long double is not extended precision"
+)
+
+
+def long_double_kernel(spec, a, b):
+    """K(a_i, b_j) in long double, from the same double inputs."""
+    a, b = a.astype(np.longdouble), b.astype(np.longdouble)
+    if spec.kind == "gaussian":
+        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+        return np.exp(-d2 / (2 * np.longdouble(spec.width) ** 2))
+    dot = np.sum(a[:, None, :] * b[None, :, :], axis=-1)
+    if spec.kind == "linear":
+        return dot
+    return (dot + np.longdouble(spec.offset)) ** spec.degree
+
+
+@needs_long_double
+@pytest.mark.parametrize("d", [1, 2, 4, 7, 8, 12])
+def test_entries_within_the_rounding_bound(d):
+    # Every computed entry is within c u sqrt(K(x, x) K(y, y)) of the exact
+    # kernel value, at coordinates of magnitude 1e-8 to 1e8, at coincident
+    # points and at polynomial degrees up to 10; d = 8 and 12 take the
+    # gaussian's broadcast path.  The oracle's own rounding, under 2^-10 of
+    # the bound, is allowed for.
+    rng = np.random.default_rng(70 + d)
+    moderate = rng.uniform(0.0, 4.0, (40, d))
+    mixed = rng.uniform(-3.0, 3.0, (40, d)) * 10.0 ** rng.integers(-8, 9, (40, 1))
+    mixed[::3, 0] = 0.0
+    specs = [KernelSpec.gaussian(w) for w in (0.8, 1e-6, 1e6)] + [KernelSpec.linear()]
+    specs += [KernelSpec.polynomial(p, c) for p in (1, 2, 3, 5, 10) for c in (0.0, 1.0)]
+    for a in (moderate, mixed):
+        b = np.vstack([a[::4], rng.permutation(a)[:20] * rng.uniform(0.5, 2.0, (20, 1))])
+        for spec in specs:
+            exact = long_double_kernel(spec, a, b)
+            diag_a = np.diag(long_double_kernel(spec, a, a))
+            diag_b = np.diag(long_double_kernel(spec, b, b))
+            scale = np.sqrt(diag_a[:, None] * diag_b[None, :])
+            err = np.abs(kernel_matrix(spec, a, b) - exact)
+            bound = (1 + 2.0**-10) * rounding_constant(spec, d) * UNIT_ROUNDOFF * scale
+            assert np.all(err <= bound), (spec, float(np.max(err / bound)))
+
+
+@needs_long_double
+def test_exp_and_power_errors_within_the_assumed_bounds():
+    # numpy's SIMD exp and power are not correctly rounded; the rounding bound
+    # assumes exp within _EXP_ERROR u and power within 2 u, relative.
+    rng = np.random.default_rng(80)
+    t = np.concatenate([rng.uniform(lo, 0.0, 100_000) for lo in (-708.0, -40.0, -1.0, -1e-8)])
+    exact = np.exp(t.astype(np.longdouble))
+    err = np.abs(np.exp(t) - exact) / exact
+    assert np.max(err) <= krstab.kernels._EXP_ERROR * UNIT_ROUNDOFF
+    x = rng.uniform(-3.0, 3.0, 100_000) * 10.0 ** rng.integers(-8, 9, 100_000)
+    for p in range(3, 11):
+        exact = x.astype(np.longdouble) ** p
+        assert np.max(np.abs(x**p - exact) / np.abs(exact)) <= 2 * UNIT_ROUNDOFF

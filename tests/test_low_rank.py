@@ -1,6 +1,6 @@
 """The thm1 harness's low-rank route: the pivoted-Cholesky factor, the
-Woodbury solve, the tiled certificate, the cross-term distance, and which
-rows take it rather than the dense eigendecomposition."""
+Woodbury solve, the cross-term distance through the factor, and which rows
+take it rather than the dense eigendecomposition."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,7 @@ import pytest
 import krstab.experiments as exp
 import krstab.kernels
 from krstab.experiments import DataDistribution, NoiseProcess, run_thm1
-from krstab.kernels import (
-    PSD_TOL,
-    KernelSpec,
-    PointSet,
-    kernel_diag,
-    kernel_matrix,
-    low_rank_certificate,
-)
+from krstab.kernels import PSD_TOL, KernelSpec, PointSet, kernel_diag, kernel_matrix
 from krstab.linalg import low_rank_solve, pivoted_cholesky
 from krstab.rkhs import RepresenterFunction, cross_term_distance, h_distance
 from krstab.stability import Schedule
@@ -137,113 +130,18 @@ class TestLowRankSolve:
             low_rank_solve(np.ones((3, 1)), 0.0, np.ones(3))
 
 
-class TestCertificate:
-    @pytest.mark.parametrize("block_bytes", [None, 3 * 8 * 90])
-    def test_norm_and_product_in_row_blocks(self, monkeypatch, block_bytes):
-        if block_bytes is not None:
-            monkeypatch.setattr(krstab.kernels, "_BLOCK_BYTES", block_bytes)
-        budget = krstab.kernels._BLOCK_BYTES
-        real = krstab.kernels.kernel_matrix
-
-        def bounded(spec, xs, ys):
-            out = real(spec, xs, ys)
-            assert out.nbytes <= budget
-            return out
-
-        rng = np.random.default_rng(7)
-        spec = KernelSpec.gaussian(0.8)
-        x = rng.uniform(0.0, 4.0, (90, 1))
-        factor = factor_of(spec, x)[:, :-1]
-        coeffs = rng.normal(size=90)
-        monkeypatch.setattr(krstab.kernels, "kernel_matrix", bounded)
-        cert, product = low_rank_certificate(spec, PointSet(x), factor, coeffs)
-        g = real(spec, x, x)
-        # Blocks round the difference differently; the certificate's rounding
-        # term covers that.
-        rounding = 90 * factor.shape[1] * np.finfo(float).eps
-        assert abs(cert - rounding - np.linalg.norm(g - factor @ factor.T)) <= rounding
-        # The certificate bounds indefiniteness, not accuracy: this factor's
-        # dropped column is small, and it still certifies.
-        assert cert <= PSD_TOL * 90
-        np.testing.assert_allclose(product, g @ coeffs, rtol=1e-13, atol=1e-13)
-
-    def test_rejects_a_factor_missing_its_last_column(self):
-        rng = np.random.default_rng(8)
-        spec = KernelSpec.polynomial(2, 1.0)
-        x = rng.uniform(0.0, 4.0, (64, 1))
-        factor = factor_of(spec, x)
-        tau = PSD_TOL * 64 * float(np.max(kernel_diag(spec, x)))
-        assert low_rank_certificate(spec, x, factor, np.zeros(64))[0] <= tau
-        assert low_rank_certificate(spec, x, factor[:, :-1], np.zeros(64))[0] > tau
-
-
-def side_budget(side):
-    """A block budget whose certificate tiles have the given side."""
-    return 64 * side * side
-
-
-class TestTiles:
-    """The certificate walks the tiles (I, J), J >= I, of the upper triangle of
-    G, each tile evaluated once."""
-
-    # n = 90: side 5 divides it, side 7 does not, side 128 exceeds it.
-    @pytest.mark.parametrize("side", [5, 7, 128])
-    @pytest.mark.parametrize(
-        "spec", [KernelSpec.gaussian(0.8), KernelSpec.polynomial(2, 1.0)], ids=["gaussian", "poly"]
-    )
-    def test_each_upper_tile_once(self, monkeypatch, spec, side):
-        n = 90
-        budget = side_budget(side)
-        monkeypatch.setattr(krstab.kernels, "_BLOCK_BYTES", budget)
-        real = krstab.kernels.kernel_matrix
-        entries = []
-
-        def counted(spec, xs, ys):
-            out = real(spec, xs, ys)
-            assert out.nbytes <= budget
-            entries.append(out.size)
-            return out
-
-        rng = np.random.default_rng(10)
-        x = rng.uniform(0.0, 4.0, (n, 1))
-        factor = factor_of(spec, x)[:, :-1]
-        coeffs = rng.normal(size=n)
-        monkeypatch.setattr(krstab.kernels, "kernel_matrix", counted)
-        cert, product = low_rank_certificate(spec, PointSet(x), factor, coeffs)
-        assert n * (n + 1) / 2 <= sum(entries) <= n * (n + side) / 2
-        # The matrix GramMatrix would hold: the upper triangle mirrored.
-        g = real(spec, x, x)
-        g = np.triu(g) + np.triu(g, 1).T
-        rounding = n * factor.shape[1] * np.finfo(float).eps * float(np.max(np.diag(g)))
-        assert abs(cert - rounding - np.linalg.norm(g - factor @ factor.T)) <= rounding
-        np.testing.assert_allclose(product, g @ coeffs, rtol=1e-13)
-
-    @pytest.mark.parametrize("side", [1, 5, 7, 128])
-    def test_off_diagonal_tiles_count_twice(self, monkeypatch, side):
-        # G - L' L'^T for L' = L without its last column l is l l^T plus the
-        # tiny G - L L^T, so the certificate is |l|^2, most of it from
-        # off-diagonal tiles (all of it at side 1 but the diagonal).
-        monkeypatch.setattr(krstab.kernels, "_BLOCK_BYTES", side_budget(side))
-        rng = np.random.default_rng(8)
-        spec = KernelSpec.polynomial(2, 1.0)
-        x = rng.uniform(0.0, 4.0, (90, 1))
-        factor = factor_of(spec, x)
-        tau = PSD_TOL * 90 * float(np.max(kernel_diag(spec, x)))
-        assert low_rank_certificate(spec, x, factor, np.zeros(90))[0] <= tau
-        cert = low_rank_certificate(spec, x, factor[:, :-1], np.zeros(90))[0]
-        assert cert > tau
-        last = factor[:, -1]
-        assert cert == pytest.approx(float(last @ last), rel=1e-9)
-
-
 def test_cross_term_distance_matches_h_distance():
     rng = np.random.default_rng(9)
     spec = CRIT4_TARGET.kernel
     x = PointSet(rng.uniform(0.0, 4.0, (60, 1)))
     f = RepresenterFunction(spec, x, rng.normal(size=60))
+    expect = h_distance(f, CRIT4_TARGET)
     product = kernel_matrix(spec, x, x) @ f.coeffs
-    got = cross_term_distance(f, product, CRIT4_TARGET)
-    assert got == pytest.approx(h_distance(f, CRIT4_TARGET), rel=1e-12)
+    assert cross_term_distance(f, product, CRIT4_TARGET) == pytest.approx(expect, rel=1e-12)
+    # The low-rank route's product L (L^T alpha), at the route tests' tolerance.
+    factor = factor_of(spec, x.points)
+    product = factor @ (factor.T @ f.coeffs)
+    assert cross_term_distance(f, product, CRIT4_TARGET) == pytest.approx(expect, rel=1e-10)
 
 
 class TestRoutes:
@@ -309,10 +207,10 @@ class TestRoutes:
         )
 
     def test_failed_certificate_takes_the_dense_route(self, monkeypatch, eigen_calls):
-        # A factor missing its last column fails the certificate; the row is
-        # then the dense route's, bit for bit.
-        real = exp.pivoted_cholesky
-        monkeypatch.setattr(exp, "pivoted_cholesky", lambda *args: real(*args)[:, :-1])
+        # The row's PSD certificate is the a-priori rounding bound; a bound
+        # above PSD_TOL sends the row to the dense route, bit for bit.
+        unit_roundoff = 2.0**-53
+        monkeypatch.setattr(exp, "rounding_constant", lambda *args: 2 * PSD_TOL / unit_roundoff)
         spec = KernelSpec.polynomial(2, 1.0)
         target = RepresenterFunction(spec, PointSet([[1.0]]), np.array([1.0]))
         kwargs = dict(

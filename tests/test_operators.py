@@ -150,7 +150,7 @@ class TestKerPSample:
         for seed in (0, 9, 2**64 - 1):
             h = ker_p_sample(op, extra, seed=seed)
             stream = SplitMix64(seed)
-            expect = np.array([stream.uniform(-1.0, 1.0) for _ in range(3)])
+            expect = np.array([-1.0 + 2.0 * stream.next_double() for _ in range(3)])
             assert h.coeffs[op.n :].tobytes() == expect.tobytes()
 
     def test_rejects_overlapping_extra(self):

@@ -54,13 +54,13 @@ def test_open_doubles_positive():
 
 def test_uniform_bounds():
     s = SplitMix64(5)
-    vals = [s.uniform(-2.0, 3.0) for _ in range(2000)]
+    vals = [-2.0 + 5.0 * s.next_double() for _ in range(2000)]
     assert all(-2.0 <= v < 3.0 for v in vals)
 
 
 def test_sign_is_pm_one():
     s = SplitMix64(11)
-    vals = {s.sign() for _ in range(200)}
+    vals = {1.0 if s.next_u64() >> 63 else -1.0 for _ in range(200)}
     assert vals == {-1.0, 1.0}
 
 
@@ -102,13 +102,13 @@ def test_doubles_equal_scalar_draws():
 
 
 def test_scaled_doubles_equal_scalar_uniform():
-    # lo + (hi - lo) * doubles(k) is how the library batches k draws of
-    # uniform(lo, hi); it must give the scalar loop's bits and end state.
+    # lo + (hi - lo) * doubles(k) is how the library batches k scalar draws
+    # lo + (hi - lo) * next_double(); it must give their bits and end state.
     for seed in (0, 1, 12345, 2**63, 2**64 - 1):
         for scale in (1.0, 0.1, 0.47, 123.456):
             lo, hi = -scale, scale
             batch, scalar = SplitMix64(seed), SplitMix64(seed)
-            expect = np.array([scalar.uniform(lo, hi) for _ in range(257)])
+            expect = np.array([lo + (hi - lo) * scalar.next_double() for _ in range(257)])
             assert (lo + (hi - lo) * batch.doubles(257)).tobytes() == expect.tobytes()
             assert batch.next_u64() == scalar.next_u64()
 

@@ -229,7 +229,9 @@ class TestClosenessCertificate:
         for base in (f1, f2):
             scale = 0.1 * (1.0 + float(np.max(np.abs(base.coeffs))))
             for _ in range(8):
-                bump = np.array([stream.uniform(-scale, scale) for _ in base.coeffs])
+                bump = np.array(
+                    [-scale + 2 * scale * stream.next_double() for _ in base.coeffs]
+                )
                 expect.append(base.coeffs + bump)
         assert [c.tobytes() for c in seen[3:19]] == [c.tobytes() for c in expect]
 
