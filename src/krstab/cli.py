@@ -14,7 +14,6 @@ Exit codes: 0 success (all outputs written), 1 config error, 2 IO error,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -254,6 +253,9 @@ def _spec(from_json_dict, obj, path: str):
 
 
 def _read_dataset_csv(path: str) -> tuple[PointSet, np.ndarray]:
+    # Imported here: a thm command, which reads no CSV, skips its import.
+    import csv
+
     with open(path, newline="", encoding="utf-8") as fh:
         raw = list(csv.reader(fh))
     if not raw:

@@ -25,15 +25,18 @@ L (L^T alpha); G is never built and never eigendecomposed.  That moves
 the stop, so by at most about 1e-13 * N * max diag * ||alpha||^2.  The dense
 route is :func:`~krstab.solver.krr_fit` and :func:`~krstab.rkhs.h_distance`
 through the eigendecomposition of G, whose PSD check flags the row (exit 3
-at the command line).  A row goes dense when any of three limits fails,
+at the command line).  A row goes dense when any of four limits fails,
 each a property of its input:
 
+* size floor: N >= 128, or no factor is tried;
 * rank cap: the factor gives up at N/4 pivots.  On a full-rank design
   (a gaussian of width 0.5 on [0, 5]^4, 1 BLAS thread) a low-rank row of
   rank N/4 measured 1.3 and 1.0 times the dense row at N = 32 and 64, and
   0.65 down to 0.10 times it from N = 128 to 2048 (one dataset per N,
   medians); a factor that gives up adds 0.4-1.2 of a dense row below
-  N = 256 (under 2 ms) and at most 0.37 of it from N = 256 on;
+  N = 256 (under 2 ms) and at most 0.37 of it from N = 256 on.  So below
+  N = 128 a factor saves nothing when it succeeds and costs up to a
+  dense row when it fails, which is what the size floor avoids;
 * PSD bound: c * u <= PSD_TOL, with c the entrywise rounding constant
   :func:`~krstab.kernels.rounding_constant` of the kernel in this
   dimension and u = 2^-53.  It proves, without a kernel value, that the
@@ -45,9 +48,10 @@ each a property of its input:
 
 On the criterion-4 design (a gaussian of width 0.8 on [0, 4], numerical rank
 about 19 at every N) rows with N >= 128 take the low-rank route and rows
-with N = 32 and 64 hit the rank cap; a high-rank design, such as a gaussian
-of width 0.5 on [0, 5]^4, stays dense.  ``run_thm2`` and the other commands
-take the dense route only.
+with N = 32 and 64 go dense by the size floor (their rank caps, 8 and 16,
+are below 19 anyway); a high-rank design, such as a gaussian of width 0.5
+on [0, 5]^4, stays dense.  ``run_thm2`` and the other commands take the
+dense route only.
 
 Rows are reproducible in isolation: the seed of row (grid_index, trial) is
 ``mix64(master_seed, grid_index * 2**32 + trial)``, so enlarging the grid or
@@ -68,7 +72,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import statistics
 from typing import NamedTuple
 
 import numpy as np
@@ -114,12 +117,14 @@ CSV_HEADER = ",".join(column for column, _ in CSV_COLUMNS)
 NOISE_KINDS = ("uniform", "rademacher", "truncated_gaussian")
 
 # Limits of a thm1 row's low-rank route, each explained in the module
-# docstring: the factor stops at residual trace <= _TRACE_STOP * N * max diag
-# and gives up at _RANK_CAP * N pivots, and trace(G) / (N lam) may be at most
+# docstring: rows with N < _MIN_LOW_RANK_N are not factored, the factor stops
+# at residual trace <= _TRACE_STOP * N * max diag and gives up at
+# _RANK_CAP * N pivots, and trace(G) / (N lam) may be at most
 # _CONDITION_LIMIT.  The PSD bound's tolerance is the PSD check's, PSD_TOL.
 # The trace stop sits 1000x below that tolerance, so the tail the factor
 # drops is at most 1/1000 of what the dense check allows.
 _TRACE_STOP = 1e-13
+_MIN_LOW_RANK_N = 128
 _RANK_CAP = 0.25
 _CONDITION_LIMIT = 1e4
 
@@ -288,10 +293,19 @@ class ExperimentReport:
             if r.flag or not math.isfinite(r.h_distance):
                 continue
             groups.setdefault(r.index_var, []).append(r.h_distance)
-        return {idx: statistics.median(vals) for idx, vals in groups.items()}
+        return {idx: _median(vals) for idx, vals in groups.items()}
 
     def flagged(self) -> list[ReportRow]:
         return [r for r in self.rows if r.flag]
+
+
+def _median(vals: list[float]) -> float:
+    """The middle value, or the mean (a + b) / 2 of the middle pair: the bits
+    of ``statistics.median``, without importing it (it loads fractions and
+    decimal) or numpy.ma (which ``np.median`` loads)."""
+    vals = sorted(vals)
+    mid = len(vals) // 2
+    return vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2
 
 
 def default_m_bound(target: RepresenterFunction, kappa: float, b_max: float) -> float:
@@ -432,6 +446,8 @@ def _low_rank_distance(data: DataSet, lam: float, target: RepresenterFunction) -
     route, or None when one of its limits sends the row to the dense route."""
     kernel, pts = target.kernel, data.pts
     n, x = len(pts), pts.points
+    if n < _MIN_LOW_RANK_N:
+        return None
     diag = kernel_diag(kernel, pts)
     max_diag, shift = float(np.max(diag)), n * lam
     # 2.0**-53 is the unit roundoff u.

@@ -8,9 +8,11 @@ Three positive semidefinite families are provided:
 
 Gaussian values are computed from coordinate differences directly (never via
 the expanded ||x||^2 + ||y||^2 - 2 x.y form), so the diagonal is exactly 1.
-Below 8 coordinates each coordinate's differences are one matrix product
-[a_k, -1] @ [1, b_k]^T; its entries are sums of two exact products, rounded
-once, so they are the bits of a_ik - b_jk whatever BLAS does.
+Below 8 coordinates each coordinate's differences are one subtraction in a
+single column, such as a pivot column of the thm1 low-rank route, and one
+matrix product [a_k, -1] @ [1, b_k]^T in a wider matrix; the product's
+entries are sums of two exact products, rounded once, so they are the bits
+of a_ik - b_jk whatever BLAS does.
 Gram matrices are symmetrized by mirroring the upper triangle and carry a
 lazily computed, cached eigendecomposition; building one checks positive
 semidefiniteness against the scale-aware tolerance 1e-10 * n * max_diag,
@@ -133,13 +135,13 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-# Largest temporary, in bytes, that a gaussian kernel matrix allocates beside
-# its (n, m) result and a (2, m) operand; rows are processed in blocks that
-# fit it (at least one row).  Blocking changes no bit.  Measured on a 2-vCPU
-# Xeon (2 MiB L2 per core) with 1 BLAS thread, medians of 41 alternating
-# rounds: a 1000 x 1000, d = 4 Gram took 7.4 ms at 512 KiB and 10.8 ms at
-# 1 MiB; an (N, 1) pivot column, one block at either budget, took 16 us at
-# N = 2048, d = 1 and 29-30 us at N = 1000, d = 4 under both.
+# Largest temporary, in bytes, that a gaussian kernel matrix of more than one
+# column allocates beside its (n, m) result and a (2, m) operand; rows are
+# processed in blocks that fit it (at least one row).  Blocking changes no
+# bit.  Measured on a 2-vCPU Xeon (2 MiB L2 per core) with 1 BLAS thread,
+# medians of 41 alternating rounds: a 1000 x 1000, d = 4 Gram took 7.4 ms at
+# 512 KiB and 10.8 ms at 1 MiB.  An (N, 1) pivot column is not blocked: it
+# allocates one N-vector.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -150,18 +152,32 @@ def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
     ``np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)``: numpy sums
     fewer than 8 terms left to right, which the coordinate loop repeats, and
     pairwise from 8 terms on, which only the broadcast reproduces, so d >= 8
-    keeps the broadcast over row blocks.  The loop forms coordinate k's
-    differences as one matrix product [a_k, -1] @ [1, b_k]^T, never the
-    expanded ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j: entry (i, j) is the sum of
-    the exact products a_ik * 1 and -1 * b_jk, rounded once, so it is
+    keeps the broadcast over row blocks.  The loop never forms the expanded
+    ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j.  A single column (m == 1, as a
+    pivot column is) takes coordinate k's differences as one subtraction
+    a_k - b_1k.  A wider matrix takes them as one matrix product
+    [a_k, -1] @ [1, b_k]^T, which is faster there: entry (i, j) is the sum
+    of the exact products a_ik * 1 and -1 * b_jk, rounded once, so it is
     a_ik - b_jk bit for bit under any BLAS summation order, with or without
-    FMA (only the sign of a zero may differ, and squaring drops it).
+    FMA (only the sign of a zero may differ, and squaring drops it).  Either
+    way each difference is rounded once, so both forms give the same bits.
     Dividing by -2 width^2 gives the bits of negating and dividing by
     2 width^2, since IEEE division is sign-symmetric.
     """
     n, m, d = a.shape[0], b.shape[0], a.shape[1]
     loop = 0 < d < 8
     out = np.empty((n, m))
+    if loop and m == 1:
+        # A pivot column: one subtraction per coordinate and no operands to
+        # build, 0.6 times the product form's time at N = 128, d = 1.
+        col, diff = out[:, 0], np.empty(n)
+        for k in range(d):
+            dk = np.subtract(a[:, k], b[0, k], out=diff if k else col)
+            np.square(dk, out=dk)
+            if k:
+                col += dk
+        np.divide(out, -2.0 * width**2, out=out)
+        return np.exp(out, out=out)
     # Per block row: its differences and, in the loop, 2 left-operand entries.
     step = max(1, _BLOCK_BYTES // max(1, 8 * (m + 2 if loop else m * d)))
     if loop:

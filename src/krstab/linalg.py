@@ -17,11 +17,12 @@ Low-rank route: :func:`pivoted_cholesky` builds G ~ L L^T from n * r kernel
 values and :func:`low_rank_solve` solves (L L^T + shift I) x = y through an
 r x r system.  Only ``run_thm1`` takes it, per row; thm2, ``fit``,
 ``interpolate``, ``spectrum`` and ``bounds`` take the dense route.  A thm1
-row goes dense when one of three limits fails (:mod:`krstab.experiments`
+row goes dense when one of four limits fails (:mod:`krstab.experiments`
 gives the measurements behind them):
 
+* size floor N >= 128: below it no factor is tried;
 * rank cap N/4 pivots: at that rank the low-rank row costs 1.0-1.3 times
-  the dense one at N = 32 and 64;
+  the dense one at N = 32 and 64, and 0.65 of it or less from N = 128 on;
 * PSD bound c * u <= 1e-10, c from
   :func:`~krstab.kernels.rounding_constant`: an O(1) proof that the dense
   route's PSD check, tau = 1e-10 * N * max diag, would pass;

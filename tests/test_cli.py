@@ -507,6 +507,29 @@ class TestTopLevel:
         assert "wrote" in proc.stdout
         assert (tmp_path / "out.fit.json").exists()
 
+    def test_start_up_skips_statistics_csv_and_numpy_ma(self):
+        # A thm command pays for every module that importing the CLI loads;
+        # csv is imported by the CSV reader, and statistics (which loads
+        # fractions and decimal) not at all.  Nor does a run's median load
+        # numpy.ma, as np.median would.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        probe = "\n".join(
+            [
+                "import sys, krstab.cli",
+                "from krstab.experiments import ExperimentReport, ReportRow",
+                "rows = [ReportRow(1, 1.0, t, 0, 1.0, 1.0, 0.5) for t in range(2)]",
+                "ExperimentReport(rows, {}).medians()",
+                "names = ('statistics', 'fractions', 'decimal', 'csv', 'numpy.ma')",
+                "print([m for m in names if m in sys.modules])",
+            ]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 def bounds_config(tmp_path):
     return {

@@ -3,6 +3,7 @@ drivers (row seeding, CSV schema, determinism, bound columns) and rate
 estimation."""
 
 import math
+import statistics
 import sys
 
 import numpy as np
@@ -514,3 +515,22 @@ class TestRateEstimate:
         )
         assert rep.medians() == {10: 0.1, 100: 0.01, 1000: 0.001}
         assert abs(estimate_rate(rep).slope + 1.0) < 1e-12
+
+
+def test_medians_match_the_statistics_module():
+    # Odd, even and tied groups; an even group's median (a + b) / 2 is
+    # rounded, and its middle pair may differ in magnitude by 1e18.
+    rng = np.random.default_rng(21)
+    groups = {
+        1: [0.3, 0.1, 0.2],
+        2: [0.1, 1e-17, 3.0, 0.7],
+        3: [0.25, 0.25, 0.25, 0.5],
+        4: [2.0, 2.0],
+        5: list(rng.uniform(0.0, 1.0, 7)),
+        6: list(10.0 ** rng.uniform(-16, 2, 10)),
+    }
+    rep = synthetic_report([(idx, v) for idx, vals in groups.items() for v in vals], trials=1)
+    got = rep.medians()
+    assert list(got) == list(groups)
+    for idx, vals in groups.items():
+        assert float(got[idx]).hex() == float(statistics.median(vals)).hex()

@@ -243,12 +243,15 @@ def test_gaussian_matrix_bits_match_the_broadcast(monkeypatch, d, block_bytes):
     # Fewer than 8 coordinates are summed one at a time and 8 or more through
     # the broadcast; both must keep the bits of numpy's own reduction, at
     # coordinates from 1e-8 to 1e8 in magnitude, signed zeros and points
-    # that coincide.
+    # that coincide.  Below 8 coordinates a single column takes its
+    # differences by subtraction and a wider matrix by matrix product; from 8
+    # on a column too takes the broadcast, whose pairwise sums a coordinate
+    # loop would not reproduce.
     if block_bytes is not None:
         monkeypatch.setattr(krstab.kernels, "_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(40 + d)
-    # A cross block, a square block, and a pivot column either way round.
-    for n, m in [(70, 65), (128, 128), (90, 1), (1, 90)]:
+    # A cross block, a square block, pivot columns at two sizes, and a row.
+    for n, m in [(70, 65), (128, 128), (90, 1), (128, 1), (1, 90)]:
         a = rng.uniform(-3.0, 3.0, (n, d)) * 10.0 ** rng.integers(-8, 9, (n, 1))
         b = rng.uniform(-3.0, 3.0, (m, d)) * 10.0 ** rng.integers(-8, 9, (m, 1))
         a[::3, 0], b[::4, -1] = 0.0, -0.0

@@ -11,6 +11,7 @@ from krstab.experiments import DataDistribution, NoiseProcess, run_thm1
 from krstab.kernels import PSD_TOL, KernelSpec, PointSet, kernel_diag, kernel_matrix
 from krstab.linalg import low_rank_solve, pivoted_cholesky
 from krstab.rkhs import RepresenterFunction, cross_term_distance, h_distance
+from krstab.solver import krr_fit
 from krstab.stability import Schedule
 
 # The criterion-4 design: gaussian width 0.8 on [0, 4], numerical rank ~19.
@@ -165,6 +166,31 @@ class TestRoutes:
         run_thm1(box_dist(CRIT4_TARGET, 0.0, 4.0), Schedule(0.5, 0.3), [32, 64, 128], 2, 1)
         assert eigen_calls == [32, 32, 64, 64]
 
+    def test_size_floor_factors_no_row_below_128(self, monkeypatch, eigen_calls):
+        # An exact rank-3 design passes every other limit, so only the size
+        # floor keeps the N = 32 and 127 rows from evaluating a pivot column.
+        columns = []
+        real = exp.pivoted_cholesky
+
+        def counted(diag, column, max_rank, tol):
+            def counted_column(p):
+                columns.append(diag.shape[0])
+                return column(p)
+
+            return real(diag, counted_column, max_rank, tol)
+
+        monkeypatch.setattr(exp, "pivoted_cholesky", counted)
+        spec = KernelSpec.polynomial(2, 1.0)
+        target = RepresenterFunction(spec, PointSet([[1.0]]), np.array([1.0]))
+        dist = box_dist(target, 0.0, 4.0)
+        report = run_thm1(dist, Schedule(0.5, 0.3), [32, 127, 128], 2, 8)
+        assert eigen_calls == [32, 32, 127, 127]
+        assert columns == [128] * 6
+        for row in report.rows[:4]:
+            data = exp.sample_dataset(dist, row.index_var, row.seed)
+            expect = h_distance(krr_fit(data, row.lam, spec).f, target)
+            assert row.h_distance.hex() == expect.hex()
+
     def test_high_rank_design_stays_dense(self, monkeypatch, eigen_calls):
         kwargs = dict(
             dist=box_dist(HIGH_RANK_TARGET, 0.0, 5.0),
@@ -196,7 +222,7 @@ class TestRoutes:
         kwargs = dict(
             dist=box_dist(target, 0.0, 2.0),
             schedule=Schedule(lambda0=0.5, exponent=0.3),
-            n_grid=[64, 128, 256],
+            n_grid=[128, 256, 512],
             trials=3,
             seed=4,
         )
