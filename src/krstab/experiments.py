@@ -3,13 +3,16 @@
 Both harnesses run one sweep: it checks the shared inputs, fills in the
 default M and C bounds, and makes one row per (grid point, trial) with its
 seed, its scheduled regularization parameter and the stability columns.
-Each harness then refits per grid point and fills in the distance columns:
+Each harness then fits its rows and fills in the distance columns:
 
 * vanishing noise (``run_thm2``): points are fixed; labels are target values
   plus noise shrunk by t; the fitted function is compared in H-norm to the
   minimal-norm interpolant of the noiseless values, alongside the two bound
   terms (pure-shrinkage norm and noise-propagation bound) and the
-  decomposition residual that certifies the error identity.
+  decomposition residual that certifies the error identity.  Every row
+  shares G's one eigendecomposition, so the run is one block per run, not
+  one per t: each solve takes every (t, trial) row as a column with its own
+  shift n * lam(t).
 * growing sample (``run_thm1``): datasets of size n are drawn from a
   distribution; the fit is compared in H-norm to the known target that
   generated the labels.  The shrinkage/noise columns do not apply in this
@@ -386,13 +389,16 @@ def run_thm2(
     ``f_tilde(x_i) + b_i / t`` with b drawn afresh, the ridge fit uses
     ``lam = schedule.value(t)``, and the row records the H-distance of the
     fit to the minimal-norm interpolant of the noiseless values together
-    with the shrinkage and noise bound terms of the error identity.  The
-    trials of one t share the operator (G + n*lam I)^{-1}, so they are fitted
-    as one block; a diagnostic raised by the block flags every row of that t.
-    Their H-distances to the interpolant are one :func:`h_distance` call on
-    the t's fits: one Gram quadratic form on the (n, trials) block of
-    differences.  The rows, their stability columns on the n fixed points and
-    the metadata come from the sweep shared with :func:`run_thm1`.
+    with the shrinkage and noise bound terms of the error identity.  Every
+    row's operator (G + n*lam I)^{-1} goes through the one cached
+    eigendecomposition of G, so the run makes one block per run of each
+    question, with one shift n*lam per column: the shrinkage solves (one
+    column per t), the fits and the residuals' noise solves (one column per
+    row each), and one :func:`h_distance` call, a Gram quadratic form on the
+    (n, rows) block of differences to the interpolant.  A diagnostic raised
+    by the block flags every row.  The rows, their stability columns on the
+    n fixed points and the metadata come from the sweep shared with
+    :func:`run_thm1`.
     """
     if not isinstance(pts, PointSet):
         pts = PointSet(pts)
@@ -410,35 +416,40 @@ def run_thm2(
     g = gram(kernel, pts)
     values = evaluate(f_tilde, pts)
     fbar = min_norm_interpolant(pts, values, kernel, gram_matrix=g)
-    for t_rows in groups:
-        t, lam = t_rows[0].index_var, t_rows[0].lam
-        # (G + n*lam I)^{-1} beta depends on t only; the shrinkage term and
-        # every row's residual share this one solve.
-        shrink_solve = regularized_solve(g, n * lam, fbar.coeffs)
-        shrink = shrinkage_term(g, shrink_solve, lam)
+    rows = [row for t_rows in groups for row in t_rows]
+    # (G + n*lam I)^{-1} beta depends on t only: one column per t, solved as
+    # one block with one shift per column.  The shrinkage terms and every
+    # row's residual share these solves.
+    t_lams = np.array([t_rows[0].lam for t_rows in groups])
+    shrink_solves = regularized_solve(g, n * t_lams, np.tile(fbar.coeffs[:, None], len(t_lams)))
+    for t_rows, shrink in zip(groups, shrinkage_term(g, shrink_solves, t_lams).tolist()):
         for row in t_rows:
             row.shrinkage_term = shrink
-        # One noise vector per row, as rows of b; every trial of this t is
-        # fitted through the one operator (G + n*lam I)^{-1}, so the fits and
-        # the residuals' noise side are one block solve each.
-        b = np.array([noise.sample(n, row.seed) for row in t_rows])
-        try:
-            datasets = [DataSet(pts, values + b_row / t) for b_row in b]
-            fits = krr_fit(datasets, lam, kernel, gram_matrix=g)
-            alpha = np.column_stack([fit.f.coeffs for fit in fits])
-            resid = decomposition_residual(g, alpha, fbar.coeffs, shrink_solve, b.T, t, lam)
-        except DiagnosticsError as exc:
-            for row in t_rows:
-                row.flag = str(exc)
-        else:
-            dists = h_distance([fit.f for fit in fits], fbar, gram_matrix=g)
-            for row, dist, b_row, r in zip(t_rows, dists.tolist(), b, resid):
-                row.h_distance = dist
-                row.noise_bound = noise_operator_bound(
-                    n, t, lam, float(np.linalg.norm(b_row))
-                )
-                row.decomp_residual = float(r)
-    return ExperimentReport(rows=[row for t_rows in groups for row in t_rows], metadata=metadata)
+    # One noise vector per row, as rows of b.  Every row of the run, over all
+    # t, is fitted in one block solve with its own shift, so the fits and the
+    # residuals' noise side are one block solve each.
+    b = np.array([noise.sample(n, row.seed) for row in rows])
+    ts = np.array([row.index_var for row in rows], dtype=float)
+    lams = np.array([row.lam for row in rows])
+    try:
+        datasets = [DataSet(pts, values + b_row / row.index_var) for row, b_row in zip(rows, b)]
+        fits = krr_fit(datasets, lams, kernel, gram_matrix=g)
+        alpha = np.column_stack([fit.f.coeffs for fit in fits])
+        resid = decomposition_residual(
+            g, alpha, fbar.coeffs, np.repeat(shrink_solves, trials, axis=1), b.T, ts, lams
+        )
+    except DiagnosticsError as exc:
+        for row in rows:
+            row.flag = str(exc)
+    else:
+        dists = h_distance([fit.f for fit in fits], fbar, gram_matrix=g)
+        for row, dist, b_row, r in zip(rows, dists.tolist(), b, resid):
+            row.h_distance = dist
+            row.noise_bound = noise_operator_bound(
+                n, row.index_var, row.lam, float(np.linalg.norm(b_row))
+            )
+            row.decomp_residual = float(r)
+    return ExperimentReport(rows=rows, metadata=metadata)
 
 
 def _low_rank_distance(data: DataSet, lam: float, target: RepresenterFunction) -> float | None:

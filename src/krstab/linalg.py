@@ -9,8 +9,10 @@ operator bounds) reuses one cached decomposition.  :func:`regularized_solve`
 has one path, on an (n, k) block of right-hand sides: each side of the
 backtransform, Q^T Y and Q Z, is one matrix-matrix product (level-3 BLAS),
 and a single vector is solved as a one-column block with the same bits as
-the matrix-vector form.  The thm2 harness fits all trials of one t as one
-such block.  Problem sizes are desk scale (n up to a few thousand), hence
+the matrix-vector form.  A block may carry one shift per column, so the
+thm2 harness makes one block per run of each of its three solves (the
+shrinkage solves, the fits and the noise solves), over every t and trial
+at once.  Problem sizes are desk scale (n up to a few thousand), hence
 direct dense methods.
 
 Low-rank route: :func:`pivoted_cholesky` builds G ~ L L^T from n * r kernel
@@ -83,24 +85,32 @@ def sym_eigen(g: GramMatrix) -> EigenDecomposition:
     return EigenDecomposition(w[::-1].copy(), q[:, ::-1].copy())
 
 
-def regularized_solve(g: GramMatrix, shift: float, rhs) -> np.ndarray:
+def regularized_solve(g: GramMatrix, shift, rhs) -> np.ndarray:
     """Solve ``(G + shift*I) x = rhs`` for the GramMatrix ``g``, shift > 0.
 
     ``rhs`` is one vector (n,) or a block (n, k) of k right-hand sides; the
-    result has the shape of ``rhs``.  There is one path: a vector is solved
-    as a one-column block, ``Q @ ((Q.T @ Y) / (w + shift)[:, None])`` through
-    ``g.eigen``, so repeated solves against one Gram matrix cost one
-    backtransform (two matrix products) each.  A raw symmetric PSD array
-    goes through ``GramMatrix(a)``, which also gives it the PSD check.
+    result has the shape of ``rhs``.  ``shift`` is one positive scalar for
+    every column, or a vector of k positive shifts, one per column, so that
+    one block holds right-hand sides of several ridge parameters.  There is
+    one path: a vector is solved as a one-column block,
+    ``Q @ ((Q.T @ Y) / (w[:, None] + shift))`` through ``g.eigen``, so
+    repeated solves against one Gram matrix cost one backtransform (two
+    matrix products) each, and each column's divisor is what a solve of that
+    column alone would use.  A raw symmetric PSD array goes through
+    ``GramMatrix(a)``, which also gives it the PSD check.
     """
-    if not shift > 0:
-        raise ValueError(f"shift must be positive, got {shift}")
+    shifts = np.asarray(shift, dtype=float)
+    if shifts.ndim > 1 or not np.all(shifts > 0):
+        raise ValueError(f"shift must be positive, one value or one per column, got {shift}")
     y = np.asarray(rhs, dtype=float)
     if y.ndim not in (1, 2) or y.shape[0] != g.n:
         raise ValueError(f"rhs has shape {y.shape}, expected ({g.n},) or ({g.n}, k)")
+    block = y.reshape(g.n, -1)
+    if shifts.ndim == 1 and shifts.shape != (block.shape[1],):
+        raise ValueError(f"got {shifts.shape[0]} shifts for {block.shape[1]} right-hand sides")
     eig = g.eigen
-    z = eig.eigenvectors.T @ y.reshape(g.n, -1)
-    return (eig.eigenvectors @ (z / (eig.eigenvalues + shift)[:, None])).reshape(y.shape)
+    z = eig.eigenvectors.T @ block
+    return (eig.eigenvectors @ (z / (eig.eigenvalues[:, None] + shifts))).reshape(y.shape)
 
 
 def pinv_solve(g: GramMatrix, rhs) -> np.ndarray:

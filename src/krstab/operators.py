@@ -16,7 +16,9 @@ spectral statements reduce to the Gram eigenvalues gamma_k:
                   :func:`noise_operator_bound` for the assembled constant.
 
 The error-identity check :func:`decomposition_residual` has one path, on
-(n, k) blocks of fits: a single fit is a one-column block.
+(n, k) blocks of fits: a single fit is a one-column block.  Its t, lam and
+shrinkage solve may differ per column, as may :func:`shrinkage_term`'s, so
+the thm2 harness checks its whole t-grid as one block per run.
 """
 
 from __future__ import annotations
@@ -162,10 +164,15 @@ def shrinkage_profile(g: GramMatrix, lam: float, scale: float) -> list[tuple[flo
     return [(float(gamma), float(fac)) for gamma, fac in zip(w, factors)]
 
 
-def shrinkage_term(g: GramMatrix, shrink_solve: np.ndarray, lam: float) -> float:
+def shrinkage_term(g: GramMatrix, shrink_solve: np.ndarray, lam):
     """H-norm of the pure-regularization error n*lam*(G + n*lam I)^{-1} beta,
     given ``shrink_solve`` = (G + n*lam I)^{-1} beta for the minimal-norm
-    coefficients beta."""
+    coefficients beta.
+
+    A vector ``shrink_solve`` with a scalar ``lam`` gives one norm; an
+    (n, k) block whose column j was solved with shift n*lam[j], with an
+    array of k values of ``lam``, gives the k norms from one Gram product.
+    """
     return gram_norm(g, g.n * lam * shrink_solve)
 
 
@@ -175,27 +182,30 @@ def decomposition_residual(
     beta: np.ndarray,
     shrink_solve: np.ndarray,
     noise: np.ndarray,
-    t: float,
-    lam: float,
+    t,
+    lam,
 ):
     """H-norm gaps between the two sides of the fit-error identity, one per
     fit of a block.
 
     ``alpha`` and ``noise`` are (n, k) blocks whose columns are k ridge fits
     for labels v + b/t and their noise vectors b; ``beta`` (n,) holds the
-    minimal-norm interpolation coefficients for v and ``shrink_solve`` (n,)
-    is (G + n*lam I)^{-1} beta.  For each column,
+    minimal-norm interpolation coefficients for v.  ``t`` and ``lam`` are
+    scalars shared by every column or vectors of k values, one per column,
+    and ``shrink_solve`` is (G + n*lam I)^{-1} beta, one vector (n,) shared
+    by every column or an (n, k) block of one per column.  For each column,
 
         alpha - beta = -n*lam*(G + n*lam I)^{-1} beta
                        + (G + n*lam I)^{-1} (b/t)
 
     holds exactly in arithmetic; the k H-norms of the difference of the two
     sides are returned.  There is one path: a single fit is a one-column
-    block.  The noise solve (G + n*lam I)^{-1} (b/t) is computed here, as
-    one block solve, so the right side never shares the solve that produced
-    alpha.
+    block, and scalar t and lam are one value broadcast over the columns.
+    The noise solve (G + n*lam I)^{-1} (b/t) is computed here, as one block
+    solve, so the right side never shares the solve that produced alpha.
     """
-    if not t > 0 or not lam > 0:
+    t, lam = np.asarray(t, dtype=float), np.asarray(lam, dtype=float)
+    if not (np.all(t > 0) and np.all(lam > 0)):
         raise ValueError("need t > 0 and lam > 0")
     n = g.n
     if np.ndim(alpha) != 2 or len(alpha) != n or np.shape(alpha) != np.shape(noise):
@@ -203,6 +213,14 @@ def decomposition_residual(
             f"alpha has shape {np.shape(alpha)} and noise has shape {np.shape(noise)}, "
             f"expected two ({n}, k) blocks"
         )
+    k = np.shape(alpha)[1]
+    shrink = np.asarray(shrink_solve, dtype=float)
+    if any(v.shape not in ((), (k,)) for v in (t, lam)) or shrink.shape not in ((n,), (n, k)):
+        raise ValueError(
+            f"t has shape {t.shape}, lam {lam.shape} and shrink_solve {shrink.shape}; "
+            f"expected (), () and ({n},), or one value per column of the ({n}, {k}) block"
+        )
+    shrink = shrink.reshape(n, -1)
     left = alpha - beta[:, None]
-    right = -n * lam * shrink_solve[:, None] + regularized_solve(g, n * lam, noise / t)
+    right = -n * lam * shrink + regularized_solve(g, n * lam, noise / t)
     return gram_norm(g, left - right)

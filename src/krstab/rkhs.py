@@ -12,7 +12,7 @@ expansions against one reference, and a single expansion is a sequence of
 one.  When every difference lies on one point set, repeated rows or not,
 whose Gram matrix the caller supplies, their k distances are one Gram
 quadratic form on the (n, k) block of coefficients, as the thm2 harness uses
-for each t's trials.  :func:`gram_norm` alone keeps a separate 1-D form,
+for every row of a run at once.  :func:`gram_norm` alone keeps a separate 1-D form,
 because a vector's quadratic form rounds differently from a one-column
 block's.  :func:`cross_term_distance` takes a distance without a combined
 expansion, from the product of a Gram matrix never held whole with the
@@ -143,7 +143,7 @@ def gram_norm(g: GramMatrix, coeffs: np.ndarray):
     array of their k norms, each clamped and flagged, from one
     matrix-matrix product with G.  A vector keeps its own form, because
     routing it through a one-column block changes the last bits of the
-    norm (and of thm2's ``shrinkage_term`` column).
+    norm.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim not in (1, 2) or coeffs.shape[0] != g.n:

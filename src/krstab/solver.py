@@ -10,8 +10,8 @@ Its unique minimizer is a kernel expansion over the data points whose
 coefficients solve (G + n*lam*I) alpha = y.  With lam -> 0 the fit approaches
 the minimal-norm interpolant, whose coefficients are the pseudoinverse
 solution of G alpha = y.  :func:`krr_fit` has one path: datasets on one
-point set are fitted as one block solve, and a single dataset is a block of
-one.
+point set are fitted as one block solve, each with its own lam if the
+caller gives one per dataset, and a single dataset is a block of one.
 """
 
 from __future__ import annotations
@@ -87,34 +87,39 @@ def regularized_risk(f: RepresenterFunction, data: DataSet, lam: float) -> float
 
 def krr_fit(
     data: DataSet | Sequence[DataSet],
-    lam: float,
+    lam: float | Sequence[float],
     kernel: KernelSpec,
     gram_matrix: GramMatrix | None = None,
 ) -> FitResult | list[FitResult]:
     """Minimize the regularized risk in closed form.
 
     ``data`` is a sequence of DataSets on one PointSet object, or one
-    DataSet, which is fitted as a sequence of one.  There is one path: one
-    block solve of (G + n*lam I) A = [y_1 ... y_k] gives one FitResult per
-    dataset, in order; a single DataSet gets its FitResult back alone.
-    ``gram_matrix`` may be supplied when the caller already holds the Gram
-    matrix of the points (its cached decomposition is then reused).
+    DataSet, which is fitted as a sequence of one.  ``lam`` is one positive
+    value for every dataset, or a sequence of one per dataset.  There is one
+    path: one block solve of (G + n*lam_j I) a_j = y_j, one shift per
+    column, gives one FitResult per dataset, in order; a single DataSet gets
+    its FitResult back alone.  ``gram_matrix`` may be supplied when the
+    caller already holds the Gram matrix of the points (its cached
+    decomposition is then reused).
     """
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
     single = isinstance(data, DataSet)
     datasets = [data] if single else list(data)
     if not datasets:
         raise ValueError("need at least one dataset")
+    lams = [lam] * len(datasets) if np.ndim(lam) == 0 else [float(v) for v in lam]
+    if len(lams) != len(datasets):
+        raise ValueError(f"got {len(lams)} lam values for {len(datasets)} datasets")
+    if not all(v > 0 for v in lams):
+        raise ValueError(f"lam must be positive, got {lam}")
     pts = datasets[0].pts
     if any(d.pts is not pts for d in datasets):
         raise ValueError("datasets of one block fit must share one PointSet")
     g = gram_matrix if gram_matrix is not None else gram(kernel, pts)
     labels = np.column_stack([d.labels for d in datasets])
-    alphas = regularized_solve(g, len(pts) * lam, labels)
+    alphas = regularized_solve(g, len(pts) * np.array(lams, dtype=float), labels)
     fits = [
-        FitResult(f=RepresenterFunction(kernel, pts, alpha), lam=lam, data=d)
-        for alpha, d in zip(alphas.T, datasets)
+        FitResult(f=RepresenterFunction(kernel, pts, alpha), lam=v, data=d)
+        for alpha, v, d in zip(alphas.T, lams, datasets)
     ]
     return fits[0] if single else fits
 

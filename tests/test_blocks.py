@@ -5,7 +5,8 @@ single calls give, on a design with distinct points and on one with repeated
 points (singular G).  ``decomposition_residual`` takes blocks only, so each of
 its columns is compared with the explicit numpy formula instead.  The single
 calls, and a one-column ``decomposition_residual`` block, are pinned with
-``==`` to their explicit formulas."""
+``==`` to their explicit formulas.  A block may carry one shift (one lam,
+one t) per column; each column then matches its own scalar call."""
 
 import math
 
@@ -139,6 +140,96 @@ class TestVectorsKeepTheirFormula:
         # can round differently in the matrix-vector product.
         y = fit.data.labels
         assert np.array_equal(fit.f.coeffs, regularized_solve(g, N * LAM, y))
+
+
+# One shift per column: two columns share a shift, as the trials of one t do.
+SHIFTS = N * np.array([1e-3, 0.5, 2.0, 1e-3])
+
+
+@designs
+class TestPerColumnShifts:
+    def test_regularized_solve(self, repeated):
+        _, g = design(repeated)
+        y = block(17)
+        got = regularized_solve(g, SHIFTS, y)
+        q, w = g.eigen.eigenvectors, g.eigen.eigenvalues
+        assert np.array_equal(got, q @ ((q.T @ y) / (w[:, None] + SHIFTS)))
+        for j in range(K):
+            want = regularized_solve(g, SHIFTS[j], y[:, j])
+            assert np.linalg.norm(got[:, j] - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_scalar_shift_keeps_its_bits(self, repeated):
+        _, g = design(repeated)
+        y = block(18)
+        q, w = g.eigen.eigenvectors, g.eigen.eigenvalues
+        got = regularized_solve(g, N * LAM, y)
+        assert np.array_equal(got, q @ ((q.T @ y) / (w + N * LAM)[:, None]))
+        assert np.array_equal(got, regularized_solve(g, np.full(K, N * LAM), y))
+
+    def test_krr_fit_takes_one_lam_per_dataset(self, repeated):
+        pts, g = design(repeated)
+        y = block(19)
+        lams = SHIFTS / N
+        datasets = [DataSet(pts, y[:, j]) for j in range(K)]
+        fits = krr_fit(datasets, lams, KERNEL, gram_matrix=g)
+        assert [fit.lam for fit in fits] == lams.tolist()
+        got = np.column_stack([fit.f.coeffs for fit in fits])
+        assert np.array_equal(got, regularized_solve(g, N * lams, y))
+        want = [krr_fit(d, lam, KERNEL, gram_matrix=g).f.coeffs for d, lam in zip(datasets, lams)]
+        assert_columns_close(got, want)
+
+    def test_decomposition_residual(self, repeated):
+        # Each column, with its own t, lam and shrinkage solve, gives what a
+        # one-column block with those scalars gives.
+        _, g = design(repeated)
+        alpha, noise, shrink = block(20), block(21), block(22)
+        beta = block(23)[:, 0]
+        ts, lams = np.array([1.0, 10.0, 100.0, 10.0]), SHIFTS / N
+        got = decomposition_residual(g, alpha, beta, shrink, noise, ts, lams)
+        assert got.shape == (K,)
+        for j in range(K):
+            cols = (alpha[:, j : j + 1], beta, shrink[:, j], noise[:, j : j + 1])
+            want = decomposition_residual(g, *cols, ts[j], lams[j])[0]
+            assert abs(got[j] - want) <= 1e-12 * want
+
+
+class TestBadShifts:
+    @pytest.mark.parametrize(
+        "shift",
+        [
+            [1.0, 0.0, 1.0, 1.0],
+            [1.0, -1.0, 1.0, 1.0],
+            [1.0, np.nan, 1.0, 1.0],
+            [1.0] * (K - 1),
+            [1.0] * (K + 1),
+            [[1.0] * K],
+        ],
+        ids=["zero", "negative", "nan", "short", "long", "2-d"],
+    )
+    def test_regularized_solve(self, shift):
+        _, g = design(False)
+        with pytest.raises(ValueError, match="shift"):
+            regularized_solve(g, np.array(shift), block(24))
+
+    def test_krr_fit_needs_one_lam_per_dataset(self):
+        pts, g = design(False)
+        datasets = [DataSet(pts, col) for col in block(25).T]
+        for lams in ([LAM] * (K - 1), [LAM, LAM, 0.0, LAM]):
+            with pytest.raises(ValueError, match="lam"):
+                krr_fit(datasets, lams, KERNEL, gram_matrix=g)
+
+    def test_decomposition_residual_needs_one_value_per_column(self):
+        _, g = design(False)
+        a, v = np.ones((N, K)), np.ones(N)
+        for t, lam, shrink in (
+            (np.ones(K - 1), LAM, v),
+            (T, np.full(K + 1, LAM), v),
+            (T, LAM, np.ones((N, K + 1))),
+        ):
+            with pytest.raises(ValueError, match="shape"):
+                decomposition_residual(g, a, v, shrink, a, t, lam)
+        with pytest.raises(ValueError, match="t > 0"):
+            decomposition_residual(g, a, v, v, a, np.array([T, T, 0.0, T]), LAM)
 
 
 bad_shapes = pytest.mark.parametrize("shape", [(N + 1,), (N + 1, K), (N, K, 1)])

@@ -2,6 +2,7 @@
 file contracts, byte-for-byte rerun determinism, the override flags, and the
 spans the benchmark's tracer expects from each experiment command."""
 
+import gc
 import importlib.util
 import json
 import math
@@ -506,6 +507,21 @@ class TestTopLevel:
         assert proc.returncode == 0
         assert "wrote" in proc.stdout
         assert (tmp_path / "out.fit.json").exists()
+
+    def test_main_entry_freezes_the_start_up_heap_before_main(self, monkeypatch):
+        # gc.freeze is replaced, so the test process's own heap stays unfrozen.
+        events = []
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+
+        def fake_main(argv=None):
+            events.append("main")
+            return cli_module.EXIT_DIAGNOSTICS
+
+        monkeypatch.setattr(cli_module, "main", fake_main)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_module.main_entry()
+        assert events == ["freeze", "main"]
+        assert exit_info.value.code == cli_module.EXIT_DIAGNOSTICS
 
     def test_start_up_skips_statistics_csv_and_numpy_ma(self):
         # A thm command pays for every module that importing the CLI loads;

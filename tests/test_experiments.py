@@ -265,35 +265,35 @@ class TestRunThm2:
         assert md["trials"] == 3 and md["seed"] == 17
 
     def test_diagnostics_become_flags(self, monkeypatch):
-        # The trials of one t are fitted as one block, so a diagnostic raised
-        # by the 2nd fit call flags both rows of t=10 and neither row of t=1.
+        # Every row of the run, over all t, is fitted as one block, so a
+        # diagnostic raised by the run's one fit call flags every row.  The
+        # failure is synthetic: min_norm_interpolant computes and PSD-checks
+        # G's eigendecomposition before the block, so no real diagnostic of
+        # G can reach it.
         import krstab.experiments as exp
 
-        real_fit = exp.krr_fit
-        calls = {"i": 0}
+        calls = []
 
-        def flaky(*args, **kwargs):
-            calls["i"] += 1
-            if calls["i"] == 2:
-                raise DiagnosticsError("synthetic failure")
-            return real_fit(*args, **kwargs)
+        def failing(*args, **kwargs):
+            calls.append(len(args[0]))
+            raise DiagnosticsError("synthetic failure")
 
-        monkeypatch.setattr(exp, "krr_fit", flaky)
+        monkeypatch.setattr(exp, "krr_fit", failing)
         rep = small_thm2(trials=2, t_grid=(1, 10))
-        assert len(rep.rows) == 4
+        assert calls == [4]
         assert [(r.index_var, r.flag) for r in rep.rows] == [
-            (1, ""),
-            (1, ""),
+            (1, "synthetic failure"),
+            (1, "synthetic failure"),
             (10, "synthetic failure"),
             (10, "synthetic failure"),
         ]
         for r in rep.rows:
-            assert math.isnan(r.h_distance) == bool(r.flag)
+            assert math.isnan(r.h_distance) and math.isnan(r.decomp_residual)
         # flagged rows keep their CSV slot with nan distance cells
-        for line in rep.to_csv_text().splitlines()[3:5]:
+        for line in rep.to_csv_text().splitlines()[1:]:
             assert line.split(",")[4] == "nan"
         # and are excluded from the medians
-        assert list(rep.medians()) == [1]
+        assert rep.medians() == {}
 
     def test_input_validation(self):
         pts = PointSet([[0.0], [1.0]])
@@ -322,10 +322,11 @@ class TestRunThm2:
         # Every row asks its questions of one Gram matrix: one kernel matrix
         # for G, one for the target's norm and one for its values on the
         # points, and one factorization, however many t values and trials,
-        # and whether or not design points repeat (G is then singular).  Each
-        # t makes three solves whatever the number of trials: the shrinkage
-        # solve, the block of fits and the block of residual noise solves,
-        # and one h_distance call takes the distances of all its trials.
+        # and whether or not design points repeat (G is then singular).  The
+        # run makes three solves whatever the number of t values and trials:
+        # the block of shrinkage solves, the block of fits and the block of
+        # residual noise solves, each with one shift per column, and one
+        # h_distance call takes the distances of every row.
         homes = {
             "kernel_matrix": "krstab.kernels",
             "sym_eigen": "krstab.linalg",
@@ -370,8 +371,8 @@ class TestRunThm2:
         assert calls == {
             "kernel_matrix": 3,
             "sym_eigen": 1,
-            "regularized_solve": 3 * t_count,
-            "h_distance": t_count,
+            "regularized_solve": 3,
+            "h_distance": 1,
             "GramMatrix": 1,
         }
         if repeated:

@@ -60,6 +60,23 @@ def eigen_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def pivot_columns(monkeypatch):
+    """The size N of each pivot column the low-rank route evaluates."""
+    columns = []
+    real = exp.pivoted_cholesky
+
+    def counted(diag, column, max_rank, tol):
+        def counted_column(p):
+            columns.append(diag.shape[0])
+            return column(p)
+
+        return real(diag, counted_column, max_rank, tol)
+
+    monkeypatch.setattr(exp, "pivoted_cholesky", counted)
+    return columns
+
+
 def dense_report(monkeypatch, **kwargs):
     """The same run with every row sent to the dense route."""
     with monkeypatch.context() as m:
@@ -161,31 +178,37 @@ class TestRoutes:
         np.testing.assert_allclose(distances(report), distances(dense), rtol=1e-10)
         assert not report.flagged()
 
-    def test_rank_cap_keeps_small_rows_dense(self, eigen_calls):
-        # Rank ~19 exceeds the caps 8 and 16 of N = 32 and 64.
-        run_thm1(box_dist(CRIT4_TARGET, 0.0, 4.0), Schedule(0.5, 0.3), [32, 64, 128], 2, 1)
-        assert eigen_calls == [32, 32, 64, 64]
+    def test_rank_cap_sends_rows_above_n_over_4_dense(
+        self, monkeypatch, eigen_calls, pivot_columns
+    ):
+        # On [0, 16] the criterion-4 kernel has numerical rank ~51-55: above
+        # the cap of 32 pivots at N = 128, below the cap of 64 at N = 256.
+        # Every other limit passes, so each N = 128 row gives up after exactly
+        # 32 pivot columns and goes dense, and the N = 256 rows stay low-rank.
+        kwargs = dict(
+            dist=box_dist(CRIT4_TARGET, 0.0, 16.0),
+            schedule=Schedule(lambda0=0.5, exponent=0.3),
+            n_grid=[128, 256],
+            trials=2,
+            seed=1,
+        )
+        report = run_thm1(**kwargs)
+        assert eigen_calls == [128, 128]
+        assert pivot_columns.count(128) == 2 * 32
+        assert 2 * 32 < pivot_columns.count(256) <= 2 * 64
+        dense = dense_report(monkeypatch, **kwargs)
+        np.testing.assert_array_equal(distances(report)[:2], distances(dense)[:2])
+        np.testing.assert_allclose(distances(report)[2:], distances(dense)[2:], rtol=1e-10)
 
-    def test_size_floor_factors_no_row_below_128(self, monkeypatch, eigen_calls):
+    def test_size_floor_factors_no_row_below_128(self, eigen_calls, pivot_columns):
         # An exact rank-3 design passes every other limit, so only the size
         # floor keeps the N = 32 and 127 rows from evaluating a pivot column.
-        columns = []
-        real = exp.pivoted_cholesky
-
-        def counted(diag, column, max_rank, tol):
-            def counted_column(p):
-                columns.append(diag.shape[0])
-                return column(p)
-
-            return real(diag, counted_column, max_rank, tol)
-
-        monkeypatch.setattr(exp, "pivoted_cholesky", counted)
         spec = KernelSpec.polynomial(2, 1.0)
         target = RepresenterFunction(spec, PointSet([[1.0]]), np.array([1.0]))
         dist = box_dist(target, 0.0, 4.0)
         report = run_thm1(dist, Schedule(0.5, 0.3), [32, 127, 128], 2, 8)
         assert eigen_calls == [32, 32, 127, 127]
-        assert columns == [128] * 6
+        assert pivot_columns == [128] * 6
         for row in report.rows[:4]:
             data = exp.sample_dataset(dist, row.index_var, row.seed)
             expect = h_distance(krr_fit(data, row.lam, spec).f, target)
@@ -242,11 +265,11 @@ class TestRoutes:
         kwargs = dict(
             dist=box_dist(target, 0.0, 4.0),
             schedule=Schedule(lambda0=0.5, exponent=0.3),
-            n_grid=[64, 128],
+            n_grid=[128, 256],
             trials=2,
             seed=6,
         )
         report = run_thm1(**kwargs)
-        assert eigen_calls == [64, 64, 128, 128]
+        assert eigen_calls == [128, 128, 256, 256]
         dense = dense_report(monkeypatch, **kwargs)
         np.testing.assert_array_equal(distances(report), distances(dense))
