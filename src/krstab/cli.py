@@ -67,7 +67,6 @@ _KERNEL_HELP = (
 )
 _DATASET_HELP = "inline data {points: [[...],...], %s: [...]}; exactly one of dataset / dataset_csv"
 _DATASET_CSV_HELP = "CSV file path, header x1,...,xd,y; exactly one of dataset / dataset_csv"
-_OUTPUT_HELP = "output path prefix; writes "
 _SCHEDULE_HELP = (
     "regularization schedule {{family:'power', lambda0>0, exponent}}; "
     "lambda({i}) = lambda0 * {i}^-exponent"
@@ -77,24 +76,22 @@ _HARNESS_KEYS = {
     "seed": (True, "master seed, integer >= 0"),
     "eta": (False, "target H-distance for the certified-closeness columns (default 0.1)"),
     "c_bound": (False, "loss admissibility constant C; default 4 * M"),
-    "output": (True, _OUTPUT_HELP + "<prefix>.csv, <prefix>.summary.json, <prefix>.plot.dat"),
 }
 
-# Per command: config key -> (required, help line).  The table drives the
-# unknown/missing-key checks and the --help epilog.
+# Per command: config key -> (required, help line), besides the required
+# output key that every command takes.  The table drives the unknown/missing-key
+# checks, the --help epilog and which commands take --seed.
 _CONFIG_KEYS: dict[str, dict[str, tuple[bool, str]]] = {
     "fit": {
         "kernel": (True, _KERNEL_HELP),
         "dataset": (False, _DATASET_HELP % "labels"),
         "dataset_csv": (False, _DATASET_CSV_HELP),
         "lambda": (True, "regularization parameter, number > 0 (never rescaled by n)"),
-        "output": (True, _OUTPUT_HELP + "<prefix>.fit.json and <prefix>.residuals.csv"),
     },
     "interpolate": {
         "kernel": (True, _KERNEL_HELP),
         "dataset": (False, _DATASET_HELP % "values"),
         "dataset_csv": (False, _DATASET_CSV_HELP),
-        "output": (True, _OUTPUT_HELP + "<prefix>.interpolant.json and <prefix>.residuals.csv"),
     },
     "thm2": {
         "points": (True, "fixed design points, one inner array per point"),
@@ -137,14 +134,12 @@ _CONFIG_KEYS: dict[str, dict[str, tuple[bool, str]]] = {
         "t": (False, "optional noise-shrink factor; with b_max adds the noise propagation bound"),
         "b_max": (False, "optional noise amplitude; noise bound uses ||b||_2 <= b_max * sqrt(n)"),
         "x_max": (False, "optional bound on |f(x) - y|; adds squared-loss admissibility constant"),
-        "output": (True, _OUTPUT_HELP + "<prefix>.bounds.json"),
     },
     "spectrum": {
         "kernel": (True, _KERNEL_HELP),
         "points": (True, "points whose Gram spectrum is reported"),
         "lambdas": (True, "regularization values to profile, each > 0"),
         "scale": (False, "eigenvalue scale in shrinkage lambda/(gamma/scale + lambda); default n"),
-        "output": (True, _OUTPUT_HELP + "<prefix>.spectrum.json"),
     },
 }
 
@@ -153,6 +148,9 @@ def _config_help(command: str) -> str:
     lines = ["config keys:"]
     for key, (required, text) in _CONFIG_KEYS[command].items():
         lines.append(f"  {key} [{'required' if required else 'optional'}]: {text}")
+    _, suffixes, _, _ = _COMMANDS[command]
+    outputs = ", ".join("<prefix>" + suffix for suffix in suffixes)
+    lines.append(f"  output [required]: output path prefix; writes {outputs}")
     lines.append("numbers must be finite; integer keys take integral numbers.")
     lines.append("flags --seed / --out override the config's seed / output keys.")
     return "\n".join(lines)
@@ -385,9 +383,10 @@ def _parse_spectrum(cfg: dict) -> dict:
 def _validate_config(command: str, cfg) -> dict:
     """The arguments of the command's runner, parsed from ``cfg``; errors name the key."""
     table = _CONFIG_KEYS[command]
-    _keys(cfg, "", [key for key, (required, _) in table.items() if required], table)
+    required = [key for key, (needed, _) in table.items() if needed]
+    _keys(cfg, "", required + ["output"], [*table, "output"])
     _string(cfg["output"], "output")
-    parse, _ = _COMMANDS[command]
+    _, _, parse, _ = _COMMANDS[command]
     return parse(cfg)
 
 
@@ -409,24 +408,15 @@ def _residuals_csv(residuals: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_fit(cfg: dict, args: dict) -> dict[str, str]:
+def _cmd_fit(cfg: dict, args: dict) -> tuple[str, ...]:
     fit = krr_fit(DataSet(args["pts"], args["values"]), args["lam"], args["kernel"])
-    out = cfg["output"]
-    return {
-        out + ".fit.json": _json_text(fit.to_json_dict()),
-        out + ".residuals.csv": _residuals_csv(fit.residuals),
-    }
+    return _json_text(fit.to_json_dict()), _residuals_csv(fit.residuals)
 
 
-def _cmd_interpolate(cfg: dict, args: dict) -> dict[str, str]:
+def _cmd_interpolate(cfg: dict, args: dict) -> tuple[str, ...]:
     pts, values = args["pts"], args["values"]
     f = min_norm_interpolant(pts, values, args["kernel"])
-    residuals = evaluate(f, pts) - values
-    out = cfg["output"]
-    return {
-        out + ".interpolant.json": _json_text(f.to_json_dict()),
-        out + ".residuals.csv": _residuals_csv(residuals),
-    }
+    return _json_text(f.to_json_dict()), _residuals_csv(evaluate(f, pts) - values)
 
 
 def _plot_text(report: ExperimentReport) -> str:
@@ -437,7 +427,7 @@ def _plot_text(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_outputs(cfg: dict, report: ExperimentReport) -> dict[str, str]:
+def _report_outputs(cfg: dict, report: ExperimentReport) -> tuple[str, ...]:
     try:
         rate = estimate_rate(report)._asdict()
     except DiagnosticsError:
@@ -457,29 +447,12 @@ def _report_outputs(cfg: dict, report: ExperimentReport) -> dict[str, str]:
         "rate": rate,
     }
     if summary["command"] == "thm2":
-        finite = [
-            r.decomp_residual
-            for r in report.rows
-            if not r.flag and math.isfinite(r.decomp_residual)
-        ]
+        finite = [r.decomp_residual for r in report.rows if math.isfinite(r.decomp_residual)]
         summary["max_decomposition_residual"] = max(finite) if finite else None
-    out = cfg["output"]
-    return {
-        out + ".csv": report.to_csv_text(),
-        out + ".summary.json": _json_text(summary),
-        out + ".plot.dat": _plot_text(report),
-    }
+    return report.to_csv_text(), _json_text(summary), _plot_text(report)
 
 
-def _cmd_thm2(cfg: dict, args: dict) -> dict[str, str]:
-    return _report_outputs(cfg, run_thm2(**args))
-
-
-def _cmd_thm1(cfg: dict, args: dict) -> dict[str, str]:
-    return _report_outputs(cfg, run_thm1(**args))
-
-
-def _cmd_bounds(cfg: dict, args: dict) -> dict[str, str]:
+def _cmd_bounds(cfg: dict, args: dict) -> tuple[str, ...]:
     lam = args["lambda"]
     if "kappa" in args:
         kappa, n, op = args["kappa"], args["n"], None
@@ -517,10 +490,10 @@ def _cmd_bounds(cfg: dict, args: dict) -> dict[str, str]:
     if op is not None:
         result["operator_norm_bound"] = operator_norm_bound_p(op)
         result["gram_min_eigenvalue"] = float(op.gram.eigen.eigenvalues[-1])
-    return {cfg["output"] + ".bounds.json": _json_text(result)}
+    return (_json_text(result),)
 
 
-def _cmd_spectrum(cfg: dict, args: dict) -> dict[str, str]:
+def _cmd_spectrum(cfg: dict, args: dict) -> tuple[str, ...]:
     op = EvaluationOperator(args["kernel"], args["pts"])
     g = op.gram
     n = g.n
@@ -547,26 +520,52 @@ def _cmd_spectrum(cfg: dict, args: dict) -> dict[str, str]:
         "operator_norm_bound": operator_norm_bound_p(op),
         "profiles": profiles,
     }
-    return {cfg["output"] + ".spectrum.json": _json_text(result)}
+    return (_json_text(result),)
 
 
-# command -> (config parser, runner)
+_RESIDUALS = ".residuals.csv"
+_REPORT = (".csv", ".summary.json", ".plot.dat")
+# command -> (help line, output suffixes, config parser, runner).  The runner
+# takes the config and the parsed arguments and returns one text per suffix.
+# The harness runners look run_thm1 / run_thm2 up in this module when they
+# run, so a wrapper installed here (perfbench's tracer installs one) is called.
 _COMMANDS = {
-    "fit": (_parse_fit, _cmd_fit),
-    "interpolate": (functools.partial(_parse_data, value_key="values"), _cmd_interpolate),
-    "thm1": (_parse_thm1, _cmd_thm1),
-    "thm2": (_parse_thm2, _cmd_thm2),
-    "bounds": (_parse_bounds, _cmd_bounds),
-    "spectrum": (_parse_spectrum, _cmd_spectrum),
-}
-
-_COMMAND_HELP = {
-    "fit": "regularized least squares fit on a dataset",
-    "interpolate": "minimal-norm interpolant through given values",
-    "thm1": "growing-sample convergence experiment",
-    "thm2": "vanishing-noise convergence experiment",
-    "bounds": "stability and operator bounds for given constants",
-    "spectrum": "Gram spectrum with shrinkage and filter profiles",
+    "fit": (
+        "regularized least squares fit on a dataset",
+        (".fit.json", _RESIDUALS),
+        _parse_fit,
+        _cmd_fit,
+    ),
+    "interpolate": (
+        "minimal-norm interpolant through given values",
+        (".interpolant.json", _RESIDUALS),
+        functools.partial(_parse_data, value_key="values"),
+        _cmd_interpolate,
+    ),
+    "thm1": (
+        "growing-sample convergence experiment",
+        _REPORT,
+        _parse_thm1,
+        lambda cfg, args: _report_outputs(cfg, run_thm1(**args)),
+    ),
+    "thm2": (
+        "vanishing-noise convergence experiment",
+        _REPORT,
+        _parse_thm2,
+        lambda cfg, args: _report_outputs(cfg, run_thm2(**args)),
+    ),
+    "bounds": (
+        "stability and operator bounds for given constants",
+        (".bounds.json",),
+        _parse_bounds,
+        _cmd_bounds,
+    ),
+    "spectrum": (
+        "Gram spectrum with shrinkage and filter profiles",
+        (".spectrum.json",),
+        _parse_spectrum,
+        _cmd_spectrum,
+    ),
 }
 
 
@@ -576,11 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kernel ridge regression experiments with deterministic outputs.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in _COMMANDS:
+    for name, (text, *_) in _COMMANDS.items():
         p = sub.add_parser(
             name,
-            help=_COMMAND_HELP[name],
-            description=_COMMAND_HELP[name],
+            help=text,
+            description=text,
             epilog=_config_help(name),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
@@ -622,15 +621,15 @@ def main(argv=None) -> int:
             raise ValueError(f"{args.config}: invalid JSON ({exc})") from exc
         _object(cfg, "")
         if args.seed is not None:
-            if args.command not in ("thm1", "thm2"):
+            if "seed" not in _CONFIG_KEYS[args.command]:
                 raise ValueError(f"--seed does not apply to the {args.command} command")
             cfg["seed"] = args.seed
         if args.out is not None:
             cfg["output"] = args.out
         parsed = _validate_config(args.command, cfg)
-        _, run = _COMMANDS[args.command]
-        outputs = run(cfg, parsed)
-        written = _write_outputs(outputs)
+        _, suffixes, _, run = _COMMANDS[args.command]
+        texts = run(cfg, parsed)
+        written = _write_outputs({cfg["output"] + s: t for s, t in zip(suffixes, texts)})
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,35 +19,37 @@ Each harness then fits its rows and fills in the distance columns:
   regime and are recorded as nan.
 
 A thm1 row takes one of two routes.  The low-rank route factors the row's
-Gram matrix G ~ L L^T by greedy pivoted Cholesky (stopped when the
-residual trace is at most 1e-13 * N * max diag), solves for the fit by
-Woodbury through an r x r system, and takes the distance by the cross-term
-form :func:`~krstab.rkhs.cross_term_distance` with G @ alpha as
-L (L^T alpha); G is never built and never eigendecomposed.  That moves
-||f||^2 by alpha . (G - L L^T) alpha, and G - L L^T is PSD with trace about
-the stop, so by at most about 1e-13 * N * max diag * ||alpha||^2.  The dense
-route is :func:`~krstab.solver.krr_fit` and :func:`~krstab.rkhs.h_distance`
-through the eigendecomposition of G, whose PSD check flags the row (exit 3
-at the command line).  A row goes dense when any of four limits fails,
-each a property of its input:
+Gram matrix G ~ L L^T by greedy pivoted Cholesky, stopped when the residual
+trace is at most ``_TRACE_STOP`` * N * max diag (1e-13, 1000 times below the
+PSD check's tolerance).  It solves for the fit by Woodbury through an r x r
+system and takes the distance by the cross-term form
+:func:`~krstab.rkhs.cross_term_distance` with G @ alpha as L (L^T alpha); G
+is never built and never eigendecomposed.  That moves ||f||^2 by
+alpha . (G - L L^T) alpha, and G - L L^T is PSD with trace about the stop,
+so by at most about 1e-13 * N * max diag * ||alpha||^2.  The dense route is
+:func:`~krstab.solver.krr_fit` and :func:`~krstab.rkhs.h_distance` through
+the eigendecomposition of G, whose PSD check flags the row (the summary
+lists it under ``flagged_rows``).  A row goes dense when any of four limits
+fails, each a property of its input and each a constant of this module:
 
-* size floor: N >= 128, or no factor is tried;
-* rank cap: the factor gives up at N/4 pivots.  On a full-rank design
-  (a gaussian of width 0.5 on [0, 5]^4, 1 BLAS thread) a low-rank row of
-  rank N/4 measured 1.3 and 1.0 times the dense row at N = 32 and 64, and
-  0.65 down to 0.10 times it from N = 128 to 2048 (one dataset per N,
-  medians); a factor that gives up adds 0.4-1.2 of a dense row below
-  N = 256 (under 2 ms) and at most 0.37 of it from N = 256 on.  So below
-  N = 128 a factor saves nothing when it succeeds and costs up to a
-  dense row when it fails, which is what the size floor avoids;
-* PSD bound: c * u <= PSD_TOL, with c the entrywise rounding constant
-  :func:`~krstab.kernels.rounding_constant` of the kernel in this
+* size floor ``_MIN_LOW_RANK_N`` = 128: smaller rows try no factor;
+* rank cap ``_RANK_CAP`` = 0.25: the factor gives up at N/4 pivots.  On a
+  full-rank design (a gaussian of width 0.5 on [0, 5]^4, 1 BLAS thread) a
+  low-rank row of rank N/4 measured 1.3 and 1.0 times the dense row at
+  N = 32 and 64, and 0.65 down to 0.10 times it from N = 128 to 2048 (one
+  dataset per N, medians); a factor that gives up adds 0.4-1.2 of a dense
+  row below N = 256 (under 2 ms) and at most 0.37 of it from N = 256 on.
+  So below N = 128 a factor saves nothing when it succeeds and costs up to
+  a dense row when it fails, which is what the size floor avoids;
+* PSD bound c * u <= ``PSD_TOL`` = 1e-10, with c the entrywise rounding
+  constant :func:`~krstab.kernels.rounding_constant` of the kernel in this
   dimension and u = 2^-53.  It proves, without a kernel value, that the
   dense route's PSD check at tau = 1e-10 * N * max diag would pass, so a
   low-rank row is one the dense route would not have flagged;
-* condition limit: trace(G) / (N lam) <= 1e4.  One plus that ratio bounds
-  cond(L^T L + N lam I) and the cancellation in Woodbury's subtraction; at
-  the limit the two routes' distances measured 5e-11 apart.
+* condition limit ``_CONDITION_LIMIT`` = 1e4 on trace(G) / (N lam).  One
+  plus that ratio bounds cond(L^T L + N lam I) and the cancellation in
+  Woodbury's subtraction; at the limit the two routes' distances measured
+  5e-11 apart.
 
 On the criterion-4 design (a gaussian of width 0.8 on [0, 4], numerical rank
 about 19 at every N) rows with N >= 128 take the low-rank route and rows
@@ -65,10 +67,11 @@ The CSV schema is fixed:
     index_var,lambda,trial,seed,h_distance,shrinkage_term,noise_bound,beta,p_n
 
 Reals are written in shortest round-trip form; integer-valued indexes, trial
-numbers, and seeds are written as plain integers.  Rows that hit a numerical
-diagnostic keep their slot with nan in the distance columns and carry the
-diagnostic message on the in-memory row (and in the summary emitted by the
-command line layer), never in the CSV body.
+numbers, and seeds are written as plain integers.  A thm1 row whose fit hits
+a numerical diagnostic keeps its slot with nan in the distance column and
+carries the diagnostic message on the in-memory row (and in the summary
+emitted by the command line layer), never in the CSV body.  In thm2 a
+diagnostic fails the run.
 """
 
 from __future__ import annotations
@@ -119,13 +122,8 @@ CSV_HEADER = ",".join(column for column, _ in CSV_COLUMNS)
 
 NOISE_KINDS = ("uniform", "rademacher", "truncated_gaussian")
 
-# Limits of a thm1 row's low-rank route, each explained in the module
-# docstring: rows with N < _MIN_LOW_RANK_N are not factored, the factor stops
-# at residual trace <= _TRACE_STOP * N * max diag and gives up at
-# _RANK_CAP * N pivots, and trace(G) / (N lam) may be at most
-# _CONDITION_LIMIT.  The PSD bound's tolerance is the PSD check's, PSD_TOL.
-# The trace stop sits 1000x below that tolerance, so the tail the factor
-# drops is at most 1/1000 of what the dense check allows.
+# The stop and the limits of a thm1 row's low-rank route, stated with the
+# measurements behind them in the module docstring.
 _TRACE_STOP = 1e-13
 _MIN_LOW_RANK_N = 128
 _RANK_CAP = 0.25
@@ -251,9 +249,9 @@ def sample_dataset(dist: DataDistribution, n: int, seed: int) -> DataSet:
 
 @dataclasses.dataclass
 class ReportRow:
-    """One (grid point, trial) outcome; ``flag`` is empty unless the trial
-    hit a numerical diagnostic, and ``decomp_residual`` only applies to the
-    vanishing-noise harness."""
+    """One (grid point, trial) outcome; ``flag`` is empty unless a thm1 row's
+    fit hit a numerical diagnostic (a thm2 diagnostic fails the run), and
+    ``decomp_residual`` only applies to the vanishing-noise harness."""
 
     index_var: float
     lam: float
@@ -395,10 +393,11 @@ def run_thm2(
     question, with one shift n*lam per column: the shrinkage solves (one
     column per t), the fits and the residuals' noise solves (one column per
     row each), and one :func:`h_distance` call, a Gram quadratic form on the
-    (n, rows) block of differences to the interpolant.  A diagnostic raised
-    by the block flags every row.  The rows, their stability columns on the
-    n fixed points and the metadata come from the sweep shared with
-    :func:`run_thm1`.
+    (n, rows) block of differences to the interpolant.  A numerical
+    diagnostic fails the run: every row shares G, whose eigendecomposition
+    :func:`min_norm_interpolant` PSD-checks before the block, so no row is
+    flagged.  The rows, their stability columns on the n fixed points and
+    the metadata come from the sweep shared with :func:`run_thm1`.
     """
     if not isinstance(pts, PointSet):
         pts = PointSet(pts)
@@ -431,24 +430,19 @@ def run_thm2(
     b = np.array([noise.sample(n, row.seed) for row in rows])
     ts = np.array([row.index_var for row in rows], dtype=float)
     lams = np.array([row.lam for row in rows])
-    try:
-        datasets = [DataSet(pts, values + b_row / row.index_var) for row, b_row in zip(rows, b)]
-        fits = krr_fit(datasets, lams, kernel, gram_matrix=g)
-        alpha = np.column_stack([fit.f.coeffs for fit in fits])
-        resid = decomposition_residual(
-            g, alpha, fbar.coeffs, np.repeat(shrink_solves, trials, axis=1), b.T, ts, lams
+    datasets = [DataSet(pts, values + b_row / row.index_var) for row, b_row in zip(rows, b)]
+    fits = krr_fit(datasets, lams, kernel, gram_matrix=g)
+    alpha = np.column_stack([fit.f.coeffs for fit in fits])
+    resid = decomposition_residual(
+        g, alpha, fbar.coeffs, np.repeat(shrink_solves, trials, axis=1), b.T, ts, lams
+    )
+    dists = h_distance([fit.f for fit in fits], fbar, gram_matrix=g)
+    for row, dist, b_row, r in zip(rows, dists.tolist(), b, resid):
+        row.h_distance = dist
+        row.noise_bound = noise_operator_bound(
+            n, row.index_var, row.lam, float(np.linalg.norm(b_row))
         )
-    except DiagnosticsError as exc:
-        for row in rows:
-            row.flag = str(exc)
-    else:
-        dists = h_distance([fit.f for fit in fits], fbar, gram_matrix=g)
-        for row, dist, b_row, r in zip(rows, dists.tolist(), b, resid):
-            row.h_distance = dist
-            row.noise_bound = noise_operator_bound(
-                n, row.index_var, row.lam, float(np.linalg.norm(b_row))
-            )
-            row.decomp_residual = float(r)
+        row.decomp_residual = float(r)
     return ExperimentReport(rows=rows, metadata=metadata)
 
 

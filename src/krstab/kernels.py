@@ -8,11 +8,12 @@ Three positive semidefinite families are provided:
 
 Gaussian values are computed from coordinate differences directly (never via
 the expanded ||x||^2 + ||y||^2 - 2 x.y form), so the diagonal is exactly 1.
-Below 8 coordinates each coordinate's differences are one subtraction in a
+In any dimension each coordinate's differences are one subtraction in a
 single column, such as a pivot column of the thm1 low-rank route, and one
 matrix product [a_k, -1] @ [1, b_k]^T in a wider matrix; the product's
 entries are sums of two exact products, rounded once, so they are the bits
-of a_ik - b_jk whatever BLAS does.
+of a_ik - b_jk whatever BLAS does.  The squared differences are summed
+left to right.
 Gram matrices are symmetrized by mirroring the upper triangle and carry a
 lazily computed, cached eigendecomposition; building one checks positive
 semidefiniteness against the scale-aware tolerance 1e-10 * n * max_diag,
@@ -32,8 +33,6 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import DiagnosticsError, EigenDecomposition, sym_eigen
-
-VALID_KINDS = ("gaussian", "linear", "polynomial")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,14 +147,11 @@ _BLOCK_BYTES = 1 << 19
 def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
     """exp(-||a_i - b_j||^2 / (2 width^2)) without an (n, m, d) temporary.
 
-    The squared distances carry the bits of
-    ``np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)``: numpy sums
-    fewer than 8 terms left to right, which the coordinate loop repeats, and
-    pairwise from 8 terms on, which only the broadcast reproduces, so d >= 8
-    keeps the broadcast over row blocks.  The loop never forms the expanded
-    ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j.  A single column (m == 1, as a
-    pivot column is) takes coordinate k's differences as one subtraction
-    a_k - b_1k.  A wider matrix takes them as one matrix product
+    Each squared distance is the left-to-right sum of the squared coordinate
+    differences, the order numpy's own reduction uses below 8 terms, and
+    never the expanded ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j.  A single column
+    (m == 1, as a pivot column is) takes coordinate k's differences as one
+    subtraction a_k - b_1k.  A wider matrix takes them as one matrix product
     [a_k, -1] @ [1, b_k]^T, which is faster there: entry (i, j) is the sum
     of the exact products a_ik * 1 and -1 * b_jk, rounded once, so it is
     a_ik - b_jk bit for bit under any BLAS summation order, with or without
@@ -165,9 +161,9 @@ def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
     2 width^2, since IEEE division is sign-symmetric.
     """
     n, m, d = a.shape[0], b.shape[0], a.shape[1]
-    loop = 0 < d < 8
-    out = np.empty((n, m))
-    if loop and m == 1:
+    # Points without coordinates are at distance 0; the loops write nothing.
+    out = np.empty((n, m)) if d else np.zeros((n, m))
+    if m == 1:
         # A pivot column: one subtraction per coordinate and no operands to
         # build, 0.6 times the product form's time at N = 128, d = 1.
         col, diff = out[:, 0], np.empty(n)
@@ -176,17 +172,14 @@ def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
             np.square(dk, out=dk)
             if k:
                 col += dk
-        np.divide(out, -2.0 * width**2, out=out)
-        return np.exp(out, out=out)
-    # Per block row: its differences and, in the loop, 2 left-operand entries.
-    step = max(1, _BLOCK_BYTES // max(1, 8 * (m + 2 if loop else m * d)))
-    if loop:
+    else:
+        # Per block row: its differences and 2 left-operand entries.
+        step = max(1, _BLOCK_BYTES // (8 * (m + 2)))
         left, right = np.empty((2, min(n, step))), np.empty((2, m))
         left[1], right[0] = -1.0, 1.0
-    for lo in range(0, n, step):
-        rows = a[lo : lo + step]
-        d2 = out[lo : lo + step]
-        if loop:
+        for lo in range(0, n, step):
+            rows = a[lo : lo + step]
+            d2 = out[lo : lo + step]
             ops = left[:, : rows.shape[0]]
             for k in range(d):
                 ops[0], right[1] = rows[:, k], b[:, k]
@@ -194,10 +187,6 @@ def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
                 np.square(diff, out=diff)
                 if k:
                     d2 += diff
-        else:
-            diff = rows[:, None, :] - b[None, :, :]
-            np.square(diff, out=diff)
-            np.sum(diff, axis=-1, out=d2)
     np.divide(out, -2.0 * width**2, out=out)
     return np.exp(out, out=out)
 

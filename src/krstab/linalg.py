@@ -19,17 +19,8 @@ Low-rank route: :func:`pivoted_cholesky` builds G ~ L L^T from n * r kernel
 values and :func:`low_rank_solve` solves (L L^T + shift I) x = y through an
 r x r system.  Only ``run_thm1`` takes it, per row; thm2, ``fit``,
 ``interpolate``, ``spectrum`` and ``bounds`` take the dense route.  A thm1
-row goes dense when one of four limits fails (:mod:`krstab.experiments`
-gives the measurements behind them):
-
-* size floor N >= 128: below it no factor is tried;
-* rank cap N/4 pivots: at that rank the low-rank row costs 1.0-1.3 times
-  the dense one at N = 32 and 64, and 0.65 of it or less from N = 128 on;
-* PSD bound c * u <= 1e-10, c from
-  :func:`~krstab.kernels.rounding_constant`: an O(1) proof that the dense
-  route's PSD check, tau = 1e-10 * N * max diag, would pass;
-* condition limit trace(G) / (N lam) <= 1e4: it bounds the cancellation in
-  the Woodbury subtraction.
+row goes dense when one of four limits fails; :mod:`krstab.experiments`
+states them, with their constants and the measurements behind them.
 
 The route's distance takes G @ alpha as L (L^T alpha), so a low-rank row
 evaluates kernel values only in its r pivot columns and against the

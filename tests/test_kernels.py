@@ -240,13 +240,13 @@ def test_kernel_matrix_cross_shape():
 @pytest.mark.parametrize("d", range(1, 10))
 @pytest.mark.parametrize("block_bytes", [None, 4096])
 def test_gaussian_matrix_bits_match_the_broadcast(monkeypatch, d, block_bytes):
-    # Fewer than 8 coordinates are summed one at a time and 8 or more through
-    # the broadcast; both must keep the bits of numpy's own reduction, at
-    # coordinates from 1e-8 to 1e8 in magnitude, signed zeros and points
-    # that coincide.  Below 8 coordinates a single column takes its
-    # differences by subtraction and a wider matrix by matrix product; from 8
-    # on a column too takes the broadcast, whose pairwise sums a coordinate
-    # loop would not reproduce.
+    # Every squared distance has the bits of the broadcast differences'
+    # squares summed left to right, at coordinates from 1e-8 to 1e8 in
+    # magnitude, signed zeros and points that coincide.  A single column
+    # takes its differences by subtraction and a wider matrix by matrix
+    # product.  Below 8 coordinates the oracle has the bits of numpy's own
+    # reduction; from 8 on numpy sums pairwise, and the kernel still sums
+    # left to right.
     if block_bytes is not None:
         monkeypatch.setattr(krstab.kernels, "_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(40 + d)
@@ -256,7 +256,8 @@ def test_gaussian_matrix_bits_match_the_broadcast(monkeypatch, d, block_bytes):
         b = rng.uniform(-3.0, 3.0, (m, d)) * 10.0 ** rng.integers(-8, 9, (m, 1))
         a[::3, 0], b[::4, -1] = 0.0, -0.0
         b[::5] = a[rng.integers(0, n, b[::5].shape[0])]
-        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+        sq = (a[:, None, :] - b[None, :, :]) ** 2
+        d2 = sum(sq[..., k] for k in range(d))
         for width in (0.7, 1e-6, 1e6):
             spec = KernelSpec.gaussian(width)
             expect = np.exp(-d2 / (2.0 * width**2))
@@ -292,9 +293,9 @@ def long_double_kernel(spec, a, b):
 def test_entries_within_the_rounding_bound(d):
     # Every computed entry is within c u sqrt(K(x, x) K(y, y)) of the exact
     # kernel value, at coordinates of magnitude 1e-8 to 1e8, at coincident
-    # points and at polynomial degrees up to 10; d = 8 and 12 take the
-    # gaussian's broadcast path.  The oracle's own rounding, under 2^-10 of
-    # the bound, is allowed for.
+    # points and at polynomial degrees up to 10; at d = 8 and 12 the gaussian
+    # sums more terms left to right than numpy's reduction does.  The
+    # oracle's own rounding, under 2^-10 of the bound, is allowed for.
     rng = np.random.default_rng(70 + d)
     moderate = rng.uniform(0.0, 4.0, (40, d))
     mixed = rng.uniform(-3.0, 3.0, (40, d)) * 10.0 ** rng.integers(-8, 9, (40, 1))
