@@ -16,11 +16,17 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import hashlib
 import json
 import math
 import os
 import sys
+
+try:
+    # hashlib maps OpenSSL's libcrypto (~3.4 MB resident); try the lean built-in first
+    from _sha1 import sha1 as _sha1
+except ImportError:
+    # an interpreter built without _sha1: the same digest from hashlib
+    from hashlib import sha1 as _sha1
 
 import numpy as np
 
@@ -152,7 +158,10 @@ def _config_help(command: str) -> str:
     outputs = ", ".join("<prefix>" + suffix for suffix in suffixes)
     lines.append(f"  output [required]: output path prefix; writes {outputs}")
     lines.append("numbers must be finite; integer keys take integral numbers.")
-    lines.append("flags --seed / --out override the config's seed / output keys.")
+    if "seed" in _CONFIG_KEYS[command]:
+        lines.append("flags --seed / --out override the config's seed / output keys.")
+    else:
+        lines.append("flag --out overrides the config's output key.")
     return "\n".join(lines)
 
 
@@ -395,7 +404,7 @@ def _config_hash(cfg: dict) -> str:
     identifies the computation, not the destination."""
     trimmed = {k: v for k, v in cfg.items() if k != "output"}
     blob = json.dumps(trimmed, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha1(blob).hexdigest()
+    return _sha1(blob).hexdigest()
 
 
 def _json_text(obj) -> str:
@@ -584,7 +593,12 @@ def build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         p.add_argument("--config", required=True, help="path to the JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config's seed key")
+        # Registered everywhere, so main rejects it as a config error (exit 1);
+        # listed only where the config has a seed key.
+        seed_help = "override the config's seed key"
+        if "seed" not in _CONFIG_KEYS[name]:
+            seed_help = argparse.SUPPRESS
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--out", default=None, help="override the config's output prefix")
     return parser
 

@@ -3,6 +3,7 @@ file contracts, byte-for-byte rerun determinism, the override flags, and the
 spans the benchmark's tracer expects from each experiment command."""
 
 import gc
+import hashlib
 import importlib.util
 import json
 import math
@@ -497,6 +498,15 @@ class TestTopLevel:
         assert "t_grid" in text and "f_tilde" in text
         assert "--seed" in text
 
+    @pytest.mark.parametrize("command", ["fit", "interpolate", "bounds", "spectrum", "thm1", "thm2"])
+    def test_help_lists_seed_only_where_the_config_has_a_seed(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert ("--seed" in text) == (command in ("thm1", "thm2"))
+        assert "--out" in text
+
     def test_module_entry_point(self, tmp_path):
         cfg = fit_config(tmp_path)
         proc = subprocess.run(
@@ -523,11 +533,12 @@ class TestTopLevel:
         assert events == ["freeze", "main"]
         assert exit_info.value.code == cli_module.EXIT_DIAGNOSTICS
 
-    def test_start_up_skips_statistics_csv_and_numpy_ma(self):
+    def test_start_up_skips_statistics_csv_numpy_ma_and_hashlib(self):
         # A thm command pays for every module that importing the CLI loads;
         # csv is imported by the CSV reader, and statistics (which loads
         # fractions and decimal) not at all.  Nor does a run's median load
-        # numpy.ma, as np.median would.
+        # numpy.ma, as np.median would, nor config_sha1 load hashlib, which
+        # maps OpenSSL's libcrypto.
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         probe = "\n".join(
@@ -536,7 +547,9 @@ class TestTopLevel:
                 "from krstab.experiments import ExperimentReport, ReportRow",
                 "rows = [ReportRow(1, 1.0, t, 0, 1.0, 1.0, 0.5) for t in range(2)]",
                 "ExperimentReport(rows, {}).medians()",
-                "names = ('statistics', 'fractions', 'decimal', 'csv', 'numpy.ma')",
+                "krstab.cli._config_hash({'seed': 1, 'output': 'out'})",
+                "names = ('statistics', 'fractions', 'decimal', 'csv', 'numpy.ma',",
+                "         'hashlib', '_hashlib', '_blake2')",
                 "print([m for m in names if m in sys.modules])",
             ]
         )
@@ -715,7 +728,51 @@ def test_sample_config_runs(tmp_path, config):
         assert Path(str(out) + suffix).is_file()
 
 
+def _hashlib_sha1(cfg: dict) -> str:
+    trimmed = {k: v for k, v in cfg.items() if k != "output"}
+    blob = json.dumps(trimmed, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha1(blob).hexdigest()
+
+
+DIGEST_CONFIGS = {
+    **{p.stem: json.loads(p.read_text(encoding="utf-8")) for p in DOCS_CONFIGS},
+    "non_ascii": {"label": "Grüße λ→∞ ✓", "output": "out"},
+    "twenty_digit_int": {"seed": 12345678901234567890, "output": "out"},
+}
+
+
+@pytest.mark.parametrize("name", DIGEST_CONFIGS)
+def test_config_hash_matches_hashlib_sha1(name):
+    cfg = DIGEST_CONFIGS[name]
+    assert cli_module._config_hash(cfg) == _hashlib_sha1(cfg)
+
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_config_hash_falls_back_to_hashlib_without_builtin_sha1():
+    # An interpreter built without the _sha1 module takes hashlib's sha1.
+    cfg = DIGEST_CONFIGS["thm2"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = "\n".join(
+        [
+            "import json, sys",
+            "sys.modules['_sha1'] = None",
+            "import krstab.cli",
+            "cfg = json.loads(sys.stdin.read())",
+            "print('hashlib' in sys.modules, krstab.cli._config_hash(cfg))",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        input=json.dumps(cfg),
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", _hashlib_sha1(cfg)]
 
 
 def _expected_spans() -> dict:
