@@ -29,8 +29,10 @@ alpha . (G - L L^T) alpha, and G - L L^T is PSD with trace about the stop,
 so by at most about 1e-13 * N * max diag * ||alpha||^2.  The dense route is
 :func:`~krstab.solver.krr_fit` and :func:`~krstab.rkhs.h_distance` through
 the eigendecomposition of G, whose PSD check flags the row (the summary
-lists it under ``flagged_rows``).  A row goes dense when any of four limits
-fails, each a property of its input and each a constant of this module:
+lists it under ``flagged_rows``); a G above the size limit
+``kernels.MAX_ENTRIES`` flags it before it is allocated.  A row goes dense
+when any of four limits fails, each a property of its input and each a
+constant of this module:
 
 * size floor ``_MIN_LOW_RANK_N`` = 128: smaller rows try no factor;
 * rank cap ``_RANK_CAP`` = 0.25: the factor gives up at N/4 pivots.  On a
@@ -48,8 +50,13 @@ fails, each a property of its input and each a constant of this module:
   low-rank row is one the dense route would not have flagged;
 * condition limit ``_CONDITION_LIMIT`` = 1e4 on trace(G) / (N lam).  One
   plus that ratio bounds cond(L^T L + N lam I) and the cancellation in
-  Woodbury's subtraction; at the limit the two routes' distances measured
-  5e-11 apart.
+  Woodbury's subtraction.  To first order the route's relative error is
+  ``_TRACE_STOP`` * trace(G) / (N lam), 1e-9 at the limit: on the
+  criterion-4 design at lam = 1e-4 (5 seeds) the two routes' distances
+  measured up to 3.6e-9 apart relative at N = 512 and 4.0e-9 at N = 2048.
+  On the shipped designs, whose low-rank rows have trace(G) / (N lam) <= 20,
+  they measured at most 1.7e-13 apart relative (every row with N >= 128 of
+  the N = 32..2048, 10-trial grid at master seeds 0, 777 and 1000).
 
 On the criterion-4 design (a gaussian of width 0.8 on [0, 4], numerical rank
 about 19 at every N) rows with N >= 128 take the low-rank route and rows
@@ -76,7 +83,6 @@ diagnostic fails the run.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import NamedTuple
 
@@ -92,7 +98,14 @@ from .kernels import (
     rounding_constant,
     sample_kappa,
 )
-from .linalg import DiagnosticsError, low_rank_solve, pivoted_cholesky, regularized_solve
+from .linalg import (
+    DiagnosticsError,
+    Frozen,
+    FrozenValue,
+    low_rank_solve,
+    pivoted_cholesky,
+    regularized_solve,
+)
 from .operators import decomposition_residual, noise_operator_bound, shrinkage_term
 from .rkhs import RepresenterFunction, cross_term_distance, evaluate, h_distance, rkhs_norm
 from .rng import SplitMix64, mix64
@@ -130,8 +143,7 @@ _RANK_CAP = 0.25
 _CONDITION_LIMIT = 1e4
 
 
-@dataclasses.dataclass(frozen=True)
-class NoiseProcess:
+class NoiseProcess(FrozenValue):
     """Bounded zero-mean noise on [-b_max, b_max].
 
     ``uniform`` is flat on the interval, ``rademacher`` puts mass 1/2 on each
@@ -139,20 +151,17 @@ class NoiseProcess:
     interval (sd required for that kind only).
     """
 
-    kind: str
-    b_max: float
-    sd: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.b_max < 0:
+    def __init__(self, kind: str, b_max: float, sd: float | None = None) -> None:
+        if kind not in NOISE_KINDS:
+            raise ValueError(f"unknown noise kind {kind!r}")
+        if b_max < 0:
             raise ValueError("b_max must be nonnegative")
-        if self.kind == "truncated_gaussian":
-            if self.sd is None or not self.sd > 0:
+        if kind == "truncated_gaussian":
+            if sd is None or not sd > 0:
                 raise ValueError("truncated_gaussian requires sd > 0")
-        elif self.sd is not None:
-            raise ValueError(f"{self.kind} noise takes no sd")
+        elif sd is not None:
+            raise ValueError(f"{kind} noise takes no sd")
+        vars(self).update(kind=kind, b_max=b_max, sd=sd)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n draws, fully determined by seed."""
@@ -198,33 +207,28 @@ class NoiseProcess:
         return NoiseProcess(kind=obj["kind"], b_max=float(obj["b_max"]), sd=obj.get("sd"))
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class DataDistribution:
+class DataDistribution(Frozen):
     """Inputs uniform on an axis-aligned box, labels = target(x) + noise."""
 
-    lo: np.ndarray
-    hi: np.ndarray
-    target: RepresenterFunction
-    noise: NoiseProcess
-
-    def __post_init__(self) -> None:
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float)).copy()
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float)).copy()
+    def __init__(
+        self, lo: np.ndarray, hi: np.ndarray, target: RepresenterFunction, noise: NoiseProcess
+    ) -> None:
+        lo = np.atleast_1d(np.asarray(lo, dtype=float)).copy()
+        hi = np.atleast_1d(np.asarray(hi, dtype=float)).copy()
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo and hi must be vectors of equal length")
         if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
             raise ValueError("box bounds must be finite")
         if not np.all(lo < hi):
             raise ValueError("box must satisfy lo < hi in every coordinate")
-        if lo.shape[0] != self.target.anchors.dim:
+        if lo.shape[0] != target.anchors.dim:
             raise ValueError(
                 f"box dimension {lo.shape[0]} does not match the target's "
-                f"anchor dimension {self.target.anchors.dim}"
+                f"anchor dimension {target.anchors.dim}"
             )
         lo.setflags(write=False)
         hi.setflags(write=False)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        vars(self).update(lo=lo, hi=hi, target=target, noise=noise)
 
     @property
     def dim(self) -> int:
@@ -247,23 +251,37 @@ def sample_dataset(dist: DataDistribution, n: int, seed: int) -> DataSet:
     return DataSet(pts=xs, labels=labels)
 
 
-@dataclasses.dataclass
 class ReportRow:
     """One (grid point, trial) outcome; ``flag`` is empty unless a thm1 row's
     fit hit a numerical diagnostic (a thm2 diagnostic fails the run), and
-    ``decomp_residual`` only applies to the vanishing-noise harness."""
+    ``decomp_residual`` only applies to the vanishing-noise harness.  The
+    harnesses fill in the distance columns after construction."""
 
-    index_var: float
-    lam: float
-    trial: int
-    seed: int
-    beta: float
-    p_n: float
-    h_distance: float = math.nan
-    shrinkage_term: float = math.nan
-    noise_bound: float = math.nan
-    decomp_residual: float = math.nan
-    flag: str = ""
+    def __init__(
+        self,
+        index_var: float,
+        lam: float,
+        trial: int,
+        seed: int,
+        beta: float,
+        p_n: float,
+        h_distance: float = math.nan,
+        shrinkage_term: float = math.nan,
+        noise_bound: float = math.nan,
+        decomp_residual: float = math.nan,
+        flag: str = "",
+    ) -> None:
+        self.index_var = index_var
+        self.lam = lam
+        self.trial = trial
+        self.seed = seed
+        self.beta = beta
+        self.p_n = p_n
+        self.h_distance = h_distance
+        self.shrinkage_term = shrinkage_term
+        self.noise_bound = noise_bound
+        self.decomp_residual = decomp_residual
+        self.flag = flag
 
 
 def _fmt_cell(x) -> str:
@@ -272,13 +290,13 @@ def _fmt_cell(x) -> str:
     return repr(float(x))
 
 
-@dataclasses.dataclass
 class ExperimentReport:
     """All rows of one harness run plus the run's configuration echo, which
     ``summary.json`` writes key for key."""
 
-    rows: list[ReportRow]
-    metadata: dict
+    def __init__(self, rows: list[ReportRow], metadata: dict) -> None:
+        self.rows = rows
+        self.metadata = metadata
 
     def to_csv_text(self) -> str:
         lines = [CSV_HEADER]

@@ -21,48 +21,49 @@ where max_diag is the largest diagonal entry (the square of the paper's
 kappa on those points; ``sample_kappa`` gives kappa itself).
 :func:`rounding_constant` bounds each computed entry's distance from the
 exact, PSD kernel value, which proves the same check passes for a Gram
-matrix that is never built, without a kernel value.
+matrix that is never built, without a kernel value.  :func:`kernel_matrix`
+refuses a matrix of more than ``MAX_ENTRIES`` entries before allocating it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import DiagnosticsError, EigenDecomposition, sym_eigen
+from .linalg import DiagnosticsError, EigenDecomposition, Frozen, FrozenValue, sym_eigen
 
 
-@dataclasses.dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(FrozenValue):
     """Declarative description of one kernel; only the fields its kind uses
     may be set."""
 
-    kind: str
-    width: float | None = None
-    degree: int | None = None
-    offset: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "gaussian":
-            if self.width is None or not self.width > 0:
+    def __init__(
+        self,
+        kind: str,
+        width: float | None = None,
+        degree: int | None = None,
+        offset: float | None = None,
+    ) -> None:
+        if kind == "gaussian":
+            if width is None or not width > 0:
                 raise ValueError("gaussian kernel requires width > 0")
-            if self.degree is not None or self.offset is not None:
+            if degree is not None or offset is not None:
                 raise ValueError("gaussian kernel takes only a width")
-        elif self.kind == "linear":
-            if (self.width, self.degree, self.offset) != (None, None, None):
+        elif kind == "linear":
+            if (width, degree, offset) != (None, None, None):
                 raise ValueError("linear kernel takes no parameters")
-        elif self.kind == "polynomial":
-            if self.degree is None or self.degree < 1 or int(self.degree) != self.degree:
+        elif kind == "polynomial":
+            if degree is None or degree < 1 or int(degree) != degree:
                 raise ValueError("polynomial kernel requires integer degree >= 1")
-            if self.offset is None or self.offset < 0:
+            if offset is None or offset < 0:
                 raise ValueError("polynomial kernel requires offset >= 0")
-            if self.width is not None:
+            if width is not None:
                 raise ValueError("polynomial kernel takes no width")
         else:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+            raise ValueError(f"unknown kernel kind {kind!r}")
+        vars(self).update(kind=kind, width=width, degree=degree, offset=offset)
 
     @staticmethod
     def gaussian(width: float) -> "KernelSpec":
@@ -98,17 +99,14 @@ class KernelSpec:
         )
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class PointSet:
+class PointSet(Frozen):
     """Finite ordered collection of points in R^d, stored as an (n, d) array.
 
     1-D input is read as n points on the real line.  Rows may repeat.
     """
 
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
+    def __init__(self, points) -> None:
+        pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
@@ -117,7 +115,7 @@ class PointSet:
             raise ValueError("points must be finite")
         pts = pts.copy()
         pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        vars(self)["points"] = pts
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -191,11 +189,35 @@ def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+# Most entries one kernel matrix may have; see kernel_matrix.
+MAX_ENTRIES = 1 << 27
+
+
 def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
-    """All pairwise kernel values, shape (len(xs), len(ys))."""
+    """All pairwise kernel values, shape (len(xs), len(ys)).
+
+    Every dense kernel block of the package is allocated here, so this is
+    where an oversized one is refused: above ``MAX_ENTRIES`` = 2^27 entries
+    (1 GiB of float64) a :class:`~krstab.linalg.DiagnosticsError` naming n,
+    m and the bytes is raised before anything is allocated.  A dense
+    command's peak resident set is about 5 times the bytes of its Gram
+    matrix G, on top of a ~33 MB base: G itself, the GramMatrix's copy,
+    eigh's eigenvectors and workspace, and sym_eigen's descending copy.
+    ``spectrum`` on n = 1024 / 2048 / 4096 points measured 72 / 197 / 690 MB
+    peak for G of 8 / 32 / 128 MB (2-vCPU Xeon, 1 BLAS thread).  So the
+    limit admits a square matrix up to n = 11585 at ~5 GiB peak.  It is a
+    property of the input, not of the host's free memory, so a row is
+    flagged on every host or on none.
+    """
     a, b = _as_points(xs), _as_points(ys)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"point dimensions differ: {a.shape[1]} vs {b.shape[1]}")
+    n, m = a.shape[0], b.shape[0]
+    if n * m > MAX_ENTRIES:
+        raise DiagnosticsError(
+            f"a {n} x {m} kernel matrix needs {8 * n * m} bytes, above the limit of "
+            f"{MAX_ENTRIES} entries ({8 * MAX_ENTRIES} bytes)"
+        )
     if spec.kind == "gaussian":
         return _gaussian_matrix(a, b, spec.width)
     if spec.kind == "linear":

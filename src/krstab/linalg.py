@@ -25,11 +25,14 @@ states them, with their constants and the measurements behind them.
 The route's distance takes G @ alpha as L (L^T alpha), so a low-rank row
 evaluates kernel values only in its r pivot columns and against the
 target's anchors.
+
+The module also holds what every other module shares: the diagnostics
+errors, and :class:`Frozen` and :class:`FrozenValue`, the bases of the
+package's immutable classes.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Callable
 from typing import TYPE_CHECKING
@@ -51,17 +54,44 @@ class InconsistentSystemError(DiagnosticsError):
     """A linear constraint system has no solution within tolerance."""
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class EigenDecomposition:
+class Frozen:
+    """Base of the immutable classes: ``__init__`` sets each field once
+    through ``vars(self)``, as ``functools.cached_property`` caches, and any
+    later assignment or deletion raises AttributeError.  Instances compare
+    and hash by identity.
+
+    Plain classes, not dataclasses: a dataclass writes its methods as source
+    text and compiles them on every import.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class FrozenValue(Frozen):
+    """A :class:`Frozen` value: equal to an object of its own class with
+    equal fields, and hashed by its fields, which must be hashable."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+
+class EigenDecomposition(Frozen):
     """Eigenvalues in descending order, eigenvectors as matching orthonormal
     columns."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> None:
+        eigenvalues.setflags(write=False)
+        eigenvectors.setflags(write=False)
+        vars(self).update(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def sym_eigen(g: GramMatrix) -> EigenDecomposition:

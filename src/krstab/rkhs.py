@@ -21,7 +21,6 @@ coefficients, as the thm1 harness's low-rank route gets it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from collections.abc import Sequence
@@ -29,28 +28,24 @@ from collections.abc import Sequence
 import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, PointSet, kernel_matrix
+from .linalg import Frozen
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class RepresenterFunction:
+class RepresenterFunction(Frozen):
     """Finite kernel expansion: anchors (n, d) with one coefficient each."""
 
-    kernel: KernelSpec
-    anchors: PointSet
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.anchors, PointSet):
-            object.__setattr__(self, "anchors", PointSet(self.anchors))
-        c = np.asarray(self.coeffs, dtype=float).copy()
-        if c.ndim != 1 or c.shape[0] != len(self.anchors):
+    def __init__(self, kernel: KernelSpec, anchors: PointSet, coeffs: np.ndarray) -> None:
+        if not isinstance(anchors, PointSet):
+            anchors = PointSet(anchors)
+        c = np.asarray(coeffs, dtype=float).copy()
+        if c.ndim != 1 or c.shape[0] != len(anchors):
             raise ValueError(
-                f"coeffs must be a vector of length {len(self.anchors)}, got shape {c.shape}"
+                f"coeffs must be a vector of length {len(anchors)}, got shape {c.shape}"
             )
         if not np.all(np.isfinite(c)):
             raise ValueError("coeffs must be finite")
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        vars(self).update(kernel=kernel, anchors=anchors, coeffs=c)
 
     def to_json_dict(self) -> dict:
         return {

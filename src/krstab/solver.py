@@ -16,53 +16,46 @@ caller gives one per dataset, and a single dataset is a block of one.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 from functools import cached_property
 
 import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, PointSet, gram
-from .linalg import DiagnosticsError, pinv_solve, regularized_solve
+from .linalg import DiagnosticsError, Frozen, FrozenValue, pinv_solve, regularized_solve
 from .rkhs import RepresenterFunction, combine, evaluate, inner_product
 from .rng import SplitMix64
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class DataSet:
+class DataSet(Frozen):
     """Sample points with one real label each."""
 
-    pts: PointSet
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.pts, PointSet):
-            object.__setattr__(self, "pts", PointSet(self.pts))
-        y = np.asarray(self.labels, dtype=float).copy()
-        if y.ndim != 1 or y.shape[0] != len(self.pts):
+    def __init__(self, pts: PointSet, labels: np.ndarray) -> None:
+        if not isinstance(pts, PointSet):
+            pts = PointSet(pts)
+        y = np.asarray(labels, dtype=float).copy()
+        if y.ndim != 1 or y.shape[0] != len(pts):
             raise ValueError(
-                f"labels must be a vector of length {len(self.pts)}, got shape {y.shape}"
+                f"labels must be a vector of length {len(pts)}, got shape {y.shape}"
             )
         if not np.all(np.isfinite(y)):
             raise ValueError("labels must be finite")
         y.setflags(write=False)
-        object.__setattr__(self, "labels", y)
+        vars(self).update(pts=pts, labels=y)
 
     def __len__(self) -> int:
         return len(self.pts)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class FitResult:
+class FitResult(Frozen):
     """Fitted function and the dataset it was fit to.
 
     ``residuals[i] = f(x_i) - y_i`` and ``objective`` is the attained
     regularized risk; each is computed on first read and cached.
     """
 
-    f: RepresenterFunction
-    lam: float
-    data: DataSet
+    def __init__(self, f: RepresenterFunction, lam: float, data: DataSet) -> None:
+        vars(self).update(f=f, lam=lam, data=data)
 
     @cached_property
     def residuals(self) -> np.ndarray:
@@ -137,8 +130,7 @@ def min_norm_interpolant(
     return RepresenterFunction(kernel, pts, alpha)
 
 
-@dataclasses.dataclass(frozen=True)
-class ClosenessCertificate:
+class ClosenessCertificate(FrozenValue):
     """Record of the functional-gap checks behind a stability argument.
 
     Two functionals with respective minimizers f1, f2 are 'eps-close' when
@@ -146,13 +138,25 @@ class ClosenessCertificate:
     |L1(f1) - L1(f2)| <= 2*eps obtained by optimality of f1 under L1.
     """
 
-    eps: float
-    minimizers_gap: float
-    first_functional_gap: float
-    max_probe_gap: float
-    minimizers_gap_ok: bool
-    first_functional_gap_ok: bool
-    passed: bool
+    def __init__(
+        self,
+        eps: float,
+        minimizers_gap: float,
+        first_functional_gap: float,
+        max_probe_gap: float,
+        minimizers_gap_ok: bool,
+        first_functional_gap_ok: bool,
+        passed: bool,
+    ) -> None:
+        vars(self).update(
+            eps=eps,
+            minimizers_gap=minimizers_gap,
+            first_functional_gap=first_functional_gap,
+            max_probe_gap=max_probe_gap,
+            minimizers_gap_ok=minimizers_gap_ok,
+            first_functional_gap_ok=first_functional_gap_ok,
+            passed=passed,
+        )
 
 
 def _eval_functional(functional, f: RepresenterFunction, name: str) -> float:

@@ -24,27 +24,21 @@ infinity).  Both bounds are strict; the boundary exponents fail.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
+from .linalg import FrozenValue
 
-@dataclasses.dataclass(frozen=True)
-class StabilityParams:
+
+class StabilityParams(FrozenValue):
     """Inputs of the stability formulas; every field must be positive."""
 
-    c: float
-    kappa: float
-    m: float
-    n: int
-    lam: float
-    eps: float
-
-    def __post_init__(self) -> None:
-        for name in ("c", "kappa", "m", "lam", "eps"):
-            if not getattr(self, name) > 0:
+    def __init__(self, c: float, kappa: float, m: float, n: int, lam: float, eps: float) -> None:
+        for name, value in (("c", c), ("kappa", kappa), ("m", m), ("lam", lam), ("eps", eps)):
+            if not value > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n must be a positive integer")
+        vars(self).update(c=c, kappa=kappa, m=m, n=n, lam=lam, eps=eps)
 
     @property
     def sample_size_ok(self) -> bool:
@@ -94,19 +88,15 @@ def eps_for_target(eta: float, lam: float) -> float:
     return eta**2 * lam / 8.0
 
 
-@dataclasses.dataclass(frozen=True)
-class Schedule:
+class Schedule(FrozenValue):
     """Power-law regularization schedule lam(i) = lam0 * i^(-exponent)."""
 
-    lambda0: float
-    exponent: float
-    family: str = "power"
-
-    def __post_init__(self) -> None:
-        if self.family != "power":
-            raise ValueError(f"unknown schedule family {self.family!r}")
-        if not self.lambda0 > 0:
+    def __init__(self, lambda0: float, exponent: float, family: str = "power") -> None:
+        if family != "power":
+            raise ValueError(f"unknown schedule family {family!r}")
+        if not lambda0 > 0:
             raise ValueError("lambda0 must be positive")
+        vars(self).update(lambda0=lambda0, exponent=exponent, family=family)
 
     def value(self, index: float) -> float:
         """lam at index (sample size n or noise scale t); index must be > 0."""

@@ -9,8 +9,10 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ import pytest
 import krstab.cli as cli_module
 from krstab.cli import _validate_config, main
 
+ROOT = Path(__file__).resolve().parents[1]
 GAUSS = {"kind": "gaussian", "width": 1.0}
 
 
@@ -559,6 +562,101 @@ class TestTopLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_generates_no_dataclass_code(self):
+        # A dataclass compiles its generated methods on every import; the
+        # CLI's classes are plain, so importing it leaves dataclasses (and
+        # its exec of generated source) out of the process.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        probe = "import sys, krstab.cli; print('dataclasses' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
+def _line_points(n):
+    return [[4.0 * i / n] for i in range(n)]
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def _run_capped(args):
+    """``python -m krstab.cli ARGS`` in a child whose address space is capped
+    at 2 GiB, so that a command which does allocate an oversized matrix
+    fails at once instead of taking the host's memory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "krstab.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_cap_address_space,
+    )
+    return proc, time.perf_counter() - start
+
+
+# The smallest n whose n x n Gram matrix is above kernels.MAX_ENTRIES = 2^27.
+OVERSIZED_N = 11586
+
+
+class TestMemoryGuard:
+    """An oversized dense matrix is refused before it is allocated: a thm1
+    row is flagged and the run goes on, any other command exits 3 and
+    writes nothing.  Each command, start-up included, ends within a
+    second."""
+
+    def test_oversized_thm1_row_is_flagged(self, tmp_path):
+        cfg = json.loads((ROOT / "docs" / "configs" / "thm1.json").read_text(encoding="utf-8"))
+        cfg["schedule"]["exponent"] = 0.8
+        cfg.update(n_grid=[65536], trials=1, output=str(tmp_path / "exp"))
+        proc, seconds = _run_capped(["thm1", "--config", write_config(tmp_path, cfg)])
+        assert proc.returncode == 0, proc.stderr
+        assert seconds < 1.0
+        summary = json.loads((tmp_path / "exp.summary.json").read_text(encoding="utf-8"))
+        [row] = summary["flagged_rows"]
+        assert row["index_var"] == 65536 and row["trial"] == 0
+        assert "65536 x 65536 kernel matrix needs 34359738368 bytes" in row["flag"]
+        assert summary["medians"] == [] and summary["rate"] is None
+        [line] = (tmp_path / "exp.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert line.split(",")[4] == "nan"
+
+    @pytest.mark.parametrize(
+        "command, n",
+        [
+            ("spectrum", 20000),
+            ("thm2", OVERSIZED_N),
+            ("fit", OVERSIZED_N),
+            ("interpolate", OVERSIZED_N),
+            ("bounds", OVERSIZED_N),
+        ],
+    )
+    def test_oversized_matrix_exits_diagnostics(self, tmp_path, command, n):
+        points = _line_points(n)
+        values = [0.0] * n
+        if command == "fit":
+            cfg = fit_config(tmp_path, dataset={"points": points, "labels": values})
+        elif command == "interpolate":
+            cfg = {
+                "kernel": GAUSS,
+                "dataset": {"points": points, "values": values},
+                "output": str(tmp_path / "out"),
+            }
+        else:
+            cfg = CONFIGS[command](tmp_path)
+            cfg["points"] = points
+        proc, seconds = _run_capped([command, "--config", write_config(tmp_path, cfg)])
+        assert proc.returncode == 3, proc.stderr
+        assert seconds < 1.0
+        assert f"a {n} x {n} kernel matrix needs {8 * n * n} bytes" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
 
 def bounds_config(tmp_path):
     return {
@@ -747,7 +845,6 @@ def test_config_hash_matches_hashlib_sha1(name):
     assert cli_module._config_hash(cfg) == _hashlib_sha1(cfg)
 
 
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_config_hash_falls_back_to_hashlib_without_builtin_sha1():

@@ -327,3 +327,21 @@ def test_exp_and_power_errors_within_the_assumed_bounds():
     for p in range(3, 11):
         exact = x.astype(np.longdouble) ** p
         assert np.max(np.abs(x**p - exact) / np.abs(exact)) <= 2 * UNIT_ROUNDOFF
+
+
+class TestEntryLimit:
+    @pytest.mark.parametrize("spec", all_kinds(), ids=lambda s: s.kind)
+    def test_limit_is_inclusive_and_checked_before_any_work(self, monkeypatch, spec):
+        monkeypatch.setattr(krstab.kernels, "MAX_ENTRIES", 6)
+        assert kernel_matrix(spec, np.zeros((2, 1)), np.ones((3, 1))).shape == (2, 3)
+        with pytest.raises(DiagnosticsError, match=r"a 7 x 1 kernel matrix needs 56 bytes"):
+            kernel_matrix(spec, np.zeros((7, 1)), np.ones((1, 1)))
+        with pytest.raises(DiagnosticsError, match="limit of 6 entries"):
+            gram(spec, PointSet(np.zeros((3, 1))))
+
+    def test_shipped_limit_refuses_without_allocating(self):
+        # 2^14 x (2^13 + 1) entries, 1 GiB + 128 KiB: one past 2^27.
+        a, b = np.zeros((1 << 14, 1)), np.zeros(((1 << 13) + 1, 1))
+        assert krstab.kernels.MAX_ENTRIES == 1 << 27
+        with pytest.raises(DiagnosticsError, match=r"needs 1073872896 bytes"):
+            kernel_matrix(KernelSpec.gaussian(1.0), a, b)
