@@ -7,6 +7,12 @@ rerunning with the same config reproduces every output byte for byte.  Nothing
 is written unless the whole command succeeds; on failure any partially written
 files are removed.
 
+Every config object's keys are declared once, here: a command's top-level keys
+in ``_CONFIG_KEYS``, and each nested object's in the one parser that reads it
+(``_kernel``, ``_noise``, ``_schedule``, ``_function``, and the dataset,
+distribution and box objects in their commands' parsers), all through
+``_keys``.  Every rejection names the key path.
+
 Exit codes: 0 success (all outputs written), 1 config error, 2 IO error,
 3 numerical diagnostics failure.
 """
@@ -203,7 +209,6 @@ def _number(value, path: str, integer: bool = False, bound: str = ""):
 
 
 _positive = functools.partial(_number, bound="> 0")
-_integer = functools.partial(_number, integer=True)
 _count = functools.partial(_number, integer=True, bound="> 0")
 
 
@@ -243,21 +248,36 @@ def _points(value, path: str) -> PointSet:
     return _build(path, PointSet, _rows(value, path))
 
 
-def _fields(obj, path: str) -> dict:
-    """A kernel, noise, schedule or function object, each field checked by its
-    name: kind and family pass as given, kernel is such an object, anchors are
-    points, coeffs numbers, degree an integer, and any other field a number."""
-    _object(obj, path)
-    checks = {"kernel": _fields, "anchors": _rows, "coeffs": _array, "degree": _integer}
-    return {
-        k: v if k in ("kind", "family") else checks.get(k, _number)(v, f"{path}/{k}")
-        for k, v in obj.items()
+def _kernel(obj, path: str) -> KernelSpec:
+    _keys(obj, path, ("kind",), ("kind", "width", "degree", "offset"))
+    params = {
+        key: _number(obj[key], f"{path}/{key}", integer=key == "degree")
+        for key in ("width", "degree", "offset")
+        if key in obj
     }
+    return _build(path, KernelSpec, obj["kind"], **params)
 
 
-def _spec(from_json_dict, obj, path: str):
-    """Build a library object from a kernel, noise, schedule or function object."""
-    return _build(path, from_json_dict, _fields(obj, path))
+def _noise(obj, path: str) -> NoiseProcess:
+    _keys(obj, path, ("kind", "b_max"), ("kind", "b_max", "sd"))
+    b_max = float(_number(obj["b_max"], f"{path}/b_max"))
+    sd = _number(obj["sd"], f"{path}/sd") if "sd" in obj else None
+    return _build(path, NoiseProcess, obj["kind"], b_max, sd)
+
+
+def _schedule(obj, path: str) -> Schedule:
+    _keys(obj, path, ("lambda0", "exponent"), ("lambda0", "exponent", "family"))
+    lambda0 = float(_number(obj["lambda0"], f"{path}/lambda0"))
+    exponent = float(_number(obj["exponent"], f"{path}/exponent"))
+    return _build(path, Schedule, lambda0, exponent, obj.get("family", "power"))
+
+
+def _function(obj, path: str) -> RepresenterFunction:
+    _keys(obj, path, ("kernel", "anchors", "coeffs"))
+    kernel = _kernel(obj["kernel"], f"{path}/kernel")
+    anchors = _rows(obj["anchors"], f"{path}/anchors")
+    coeffs = _array(obj["coeffs"], f"{path}/coeffs")
+    return _build(path, RepresenterFunction, kernel, anchors, coeffs)
 
 
 def _read_dataset_csv(path: str) -> tuple[PointSet, np.ndarray]:
@@ -296,7 +316,7 @@ def _parse_data(cfg: dict, value_key: str) -> dict:
     """Kernel, points and values of the ``fit`` / ``interpolate`` commands."""
     if ("dataset" in cfg) == ("dataset_csv" in cfg):
         raise ValueError("config must contain exactly one of dataset / dataset_csv")
-    kernel = _spec(KernelSpec.from_json_dict, cfg["kernel"], "kernel")
+    kernel = _kernel(cfg["kernel"], "kernel")
     if "dataset_csv" in cfg:
         pts, vals = _read_dataset_csv(_string(cfg["dataset_csv"], "dataset_csv"))
     else:
@@ -315,7 +335,7 @@ def _parse_fit(cfg: dict) -> dict:
 def _parse_harness(cfg: dict) -> dict:
     """Keyword arguments shared by ``run_thm1`` and ``run_thm2``."""
     args = {
-        "schedule": _spec(Schedule.from_json_dict, cfg["schedule"], "schedule"),
+        "schedule": _schedule(cfg["schedule"], "schedule"),
         "trials": _count(cfg["trials"], "trials"),
         "seed": _number(cfg["seed"], "seed", integer=True, bound=">= 0"),
     }
@@ -327,7 +347,7 @@ def _parse_harness(cfg: dict) -> dict:
 
 def _parse_thm2(cfg: dict) -> dict:
     pts = _points(cfg["points"], "points")
-    f_tilde = _spec(RepresenterFunction.from_json_dict, cfg["f_tilde"], "f_tilde")
+    f_tilde = _function(cfg["f_tilde"], "f_tilde")
     if pts.dim != f_tilde.anchors.dim:
         raise ValueError(
             f"config key points: dimension {pts.dim} does not match the "
@@ -336,7 +356,7 @@ def _parse_thm2(cfg: dict) -> dict:
     return {
         "pts": pts,
         "f_tilde": f_tilde,
-        "noise": _spec(NoiseProcess.from_json_dict, cfg["noise"], "noise"),
+        "noise": _noise(cfg["noise"], "noise"),
         "t_grid": _grid(cfg["t_grid"], "t_grid", _positive),
         **_parse_harness(cfg),
     }
@@ -346,8 +366,8 @@ def _parse_thm1(cfg: dict) -> dict:
     dist = _keys(cfg["distribution"], "distribution", ("box", "target", "noise"))
     box = _keys(dist["box"], "distribution/box", ("lo", "hi"))
     lo, hi = (_array(box[key], f"distribution/box/{key}") for key in ("lo", "hi"))
-    target = _spec(RepresenterFunction.from_json_dict, dist["target"], "distribution/target")
-    noise = _spec(NoiseProcess.from_json_dict, dist["noise"], "distribution/noise")
+    target = _function(dist["target"], "distribution/target")
+    noise = _noise(dist["noise"], "distribution/noise")
     return {
         "dist": _build("distribution", DataDistribution, lo, hi, target, noise),
         "n_grid": _grid(cfg["n_grid"], "n_grid", _count),
@@ -373,14 +393,14 @@ def _parse_bounds(cfg: dict) -> dict:
     if "n" in cfg:
         args["n"] = _count(cfg["n"], "n")
     if not has_kappa:
-        args["kernel"] = _spec(KernelSpec.from_json_dict, cfg["kernel"], "kernel")
+        args["kernel"] = _kernel(cfg["kernel"], "kernel")
         args["pts"] = _points(cfg["points"], "points")
     return args
 
 
 def _parse_spectrum(cfg: dict) -> dict:
     args = {
-        "kernel": _spec(KernelSpec.from_json_dict, cfg["kernel"], "kernel"),
+        "kernel": _kernel(cfg["kernel"], "kernel"),
         "pts": _points(cfg["points"], "points"),
         "lambdas": [float(v) for v in _array(cfg["lambdas"], "lambdas", _positive)],
     }

@@ -154,6 +154,9 @@ class NoiseProcess(FrozenValue):
     def __init__(self, kind: str, b_max: float, sd: float | None = None) -> None:
         if kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {kind!r}")
+        for name, value in (("b_max", b_max), ("sd", sd)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if b_max < 0:
             raise ValueError("b_max must be nonnegative")
         if kind == "truncated_gaussian":
@@ -196,15 +199,6 @@ class NoiseProcess(FrozenValue):
         if self.sd is not None:
             obj["sd"] = self.sd
         return obj
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "NoiseProcess":
-        extra = set(obj) - {"kind", "b_max", "sd"}
-        if extra:
-            raise ValueError(f"noise spec has unknown keys {sorted(extra)}")
-        if "kind" not in obj or "b_max" not in obj:
-            raise ValueError("noise spec requires kind and b_max")
-        return NoiseProcess(kind=obj["kind"], b_max=float(obj["b_max"]), sd=obj.get("sd"))
 
 
 class DataDistribution(Frozen):

@@ -46,6 +46,9 @@ class KernelSpec(FrozenValue):
         degree: int | None = None,
         offset: float | None = None,
     ) -> None:
+        for name, value in (("width", width), ("degree", degree), ("offset", offset)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"kernel {name} must be finite, got {value!r}")
         if kind == "gaussian":
             if width is None or not width > 0:
                 raise ValueError("gaussian kernel requires width > 0")
@@ -83,20 +86,6 @@ class KernelSpec(FrozenValue):
         if self.kind == "linear":
             return {"kind": "linear"}
         return {"kind": "polynomial", "degree": self.degree, "offset": self.offset}
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "KernelSpec":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError("kernel spec must be an object with a 'kind' key")
-        extra = set(obj) - {"kind", "width", "degree", "offset"}
-        if extra:
-            raise ValueError(f"kernel spec has unknown keys {sorted(extra)}")
-        return KernelSpec(
-            kind=obj["kind"],
-            width=obj.get("width"),
-            degree=obj.get("degree"),
-            offset=obj.get("offset"),
-        )
 
 
 class PointSet(Frozen):

@@ -54,21 +54,6 @@ class RepresenterFunction(Frozen):
             "coeffs": self.coeffs.tolist(),
         }
 
-    @staticmethod
-    def from_json_dict(obj: dict) -> "RepresenterFunction":
-        keys = {"kernel", "anchors", "coeffs"}
-        extra = set(obj) - keys
-        if extra:
-            raise ValueError(f"function object has unknown keys {sorted(extra)}")
-        missing = keys - set(obj)
-        if missing:
-            raise ValueError(f"function object is missing keys {sorted(missing)}")
-        return RepresenterFunction(
-            kernel=KernelSpec.from_json_dict(obj["kernel"]),
-            anchors=PointSet(np.asarray(obj["anchors"], dtype=float)),
-            coeffs=np.asarray(obj["coeffs"], dtype=float),
-        )
-
 
 def evaluate(f: RepresenterFunction, x):
     """f(x).

@@ -94,6 +94,8 @@ class Schedule(FrozenValue):
     def __init__(self, lambda0: float, exponent: float, family: str = "power") -> None:
         if family != "power":
             raise ValueError(f"unknown schedule family {family!r}")
+        if not (math.isfinite(lambda0) and math.isfinite(exponent)):
+            raise ValueError(f"lambda0 and exponent must be finite, got {lambda0!r}, {exponent!r}")
         if not lambda0 > 0:
             raise ValueError("lambda0 must be positive")
         vars(self).update(lambda0=lambda0, exponent=exponent, family=family)
@@ -116,16 +118,3 @@ class Schedule(FrozenValue):
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "lambda0": self.lambda0, "exponent": self.exponent}
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "Schedule":
-        extra = set(obj) - {"family", "lambda0", "exponent"}
-        if extra:
-            raise ValueError(f"schedule has unknown keys {sorted(extra)}")
-        if "lambda0" not in obj or "exponent" not in obj:
-            raise ValueError("schedule requires lambda0 and exponent")
-        return Schedule(
-            lambda0=float(obj["lambda0"]),
-            exponent=float(obj["exponent"]),
-            family=obj.get("family", "power"),
-        )

@@ -179,3 +179,22 @@ def test_validation_runs_in_the_constructor():
         NoiseProcess("uniform", 0.5, 0.1)
     with pytest.raises(ValueError, match="coeffs must be a vector"):
         RepresenterFunction(GAUSS, [[0.0]], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: KernelSpec("gaussian", width=v),
+        lambda v: KernelSpec("polynomial", degree=v, offset=1.0),
+        lambda v: KernelSpec("polynomial", degree=2, offset=v),
+        lambda v: NoiseProcess("uniform", v),
+        lambda v: NoiseProcess("truncated_gaussian", 0.5, sd=v),
+        lambda v: Schedule(v, 0.3),
+        lambda v: Schedule(0.5, v),
+    ],
+    ids=["width", "degree", "offset", "b_max", "sd", "lambda0", "exponent"],
+)
+def test_constructors_reject_non_finite_parameters(make, bad):
+    with pytest.raises(ValueError, match="finite"):
+        make(bad)

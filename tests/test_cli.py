@@ -15,10 +15,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import krstab.cli as cli_module
 from krstab.cli import _validate_config, main
+from krstab.experiments import NoiseProcess
+from krstab.kernels import KernelSpec, PointSet
+from krstab.rkhs import RepresenterFunction
+from krstab.stability import Schedule
 
 ROOT = Path(__file__).resolve().parents[1]
 GAUSS = {"kind": "gaussian", "width": 1.0}
@@ -793,6 +798,11 @@ class TestConfigParsing:
             # a grid that does not increase is named like every other key
             ("thm2", "t_grid", [10, 1], "config key t_grid: must be strictly increasing"),
             ("thm1", "n_grid", [16, 8], "config key n_grid: must be strictly increasing"),
+            # a missing key inside a nested object
+            ("fit", "kernel/kind", DELETE, "kernel/kind: required key is missing"),
+            ("thm2", "noise/b_max", DELETE, "noise/b_max: required key is missing"),
+            ("thm2", "schedule/lambda0", DELETE, "schedule/lambda0: required key is missing"),
+            ("thm2", "f_tilde/coeffs", DELETE, "f_tilde/coeffs: required key is missing"),
         ],
     )
     def test_rejections_name_the_key(self, tmp_path, capsys, command, path, value, named):
@@ -801,6 +811,44 @@ class TestConfigParsing:
             _validate_config(command, cfg)
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "parse,obj",
+        [
+            (cli_module._kernel, KernelSpec.gaussian(0.7)),
+            (cli_module._kernel, KernelSpec.linear()),
+            (cli_module._kernel, KernelSpec.polynomial(3, 0.5)),
+            (cli_module._noise, NoiseProcess("uniform", 0.5)),
+            (cli_module._noise, NoiseProcess("rademacher", 0.25)),
+            (cli_module._noise, NoiseProcess("truncated_gaussian", 1.0, 0.8)),
+            (cli_module._schedule, Schedule(0.25, 1.5)),
+        ],
+        ids=["gaussian", "linear", "polynomial", "uniform", "rademacher", "truncated", "schedule"],
+    )
+    def test_parsers_invert_to_json_dict(self, parse, obj):
+        assert parse(obj.to_json_dict(), "x") == obj
+
+    def test_expansion_parser_inverts_to_json_dict(self):
+        f = RepresenterFunction(
+            KernelSpec.polynomial(2, 1.0), PointSet([[0.5, 1.0], [1.5, -2.0]]), [0.3, -0.7]
+        )
+        back = cli_module._function(f.to_json_dict(), "f_tilde")
+        assert back.kernel == f.kernel
+        np.testing.assert_array_equal(back.anchors.points, f.anchors.points)
+        np.testing.assert_array_equal(back.coeffs, f.coeffs)
+
+    def test_parsers_convert_numbers(self):
+        # floats for b_max, lambda0 and exponent; an integral degree becomes
+        # an int; width, offset and sd pass through as given; family
+        # defaults to power.
+        noise = cli_module._noise({"kind": "truncated_gaussian", "b_max": 1, "sd": 2}, "noise")
+        assert type(noise.b_max) is float and type(noise.sd) is int
+        sched = cli_module._schedule({"lambda0": 1, "exponent": 0}, "schedule")
+        assert type(sched.lambda0) is float and type(sched.exponent) is float
+        assert sched == Schedule(1.0, 0.0, "power")
+        poly = cli_module._kernel({"kind": "polynomial", "degree": 2.0, "offset": 1}, "kernel")
+        assert type(poly.degree) is int and type(poly.offset) is int
+        assert type(cli_module._kernel({"kind": "gaussian", "width": 2}, "kernel").width) is int
 
 
 DOCS_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "docs" / "configs").glob("*.json"))

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from krstab.cli import _validate_config
 from krstab.experiments import (
     CSV_HEADER,
     DataDistribution,
@@ -113,15 +114,6 @@ class TestNoiseProcess:
         proc = NoiseProcess(kind="truncated_gaussian", b_max=1e-9, sd=1e6)
         with pytest.raises(DiagnosticsError, match="rejection"):
             proc.sample(1, seed=0)
-
-    def test_json_round_trip(self):
-        for proc in [
-            NoiseProcess(kind="uniform", b_max=0.5),
-            NoiseProcess(kind="truncated_gaussian", b_max=1.0, sd=0.8),
-        ]:
-            assert NoiseProcess.from_json_dict(proc.to_json_dict()) == proc
-        with pytest.raises(ValueError, match="unknown keys"):
-            NoiseProcess.from_json_dict({"kind": "uniform", "b_max": 1.0, "scale": 2})
 
 
 class TestSampling:
@@ -261,16 +253,10 @@ class TestRunThm2:
         # keeps its seed, and its distance up to the last bits, because BLAS
         # may round a column differently in a wider block.
         cfg = json.loads((DOCS / "thm2.json").read_text(encoding="utf-8"))
-        args = {
-            "pts": PointSet(cfg["points"]),
-            "f_tilde": RepresenterFunction.from_json_dict(cfg["f_tilde"]),
-            "noise": NoiseProcess.from_json_dict(cfg["noise"]),
-            "schedule": Schedule.from_json_dict(cfg["schedule"]),
-            "trials": cfg["trials"],
-            "seed": cfg["seed"],
-        }
-        small = run_thm2(t_grid=cfg["t_grid"], **args)
-        big = run_thm2(t_grid=cfg["t_grid"] + [10 * cfg["t_grid"][-1]], **args)
+        args = _validate_config("thm2", cfg)
+        t_grid = args.pop("t_grid")
+        small = run_thm2(t_grid=t_grid, **args)
+        big = run_thm2(t_grid=t_grid + [10 * t_grid[-1]], **args)
         assert len(big.rows) == len(small.rows) + cfg["trials"]
         by_key = {(r.index_var, r.trial): r for r in big.rows}
         for r in small.rows:

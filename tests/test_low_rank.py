@@ -178,6 +178,29 @@ class TestRoutes:
         np.testing.assert_allclose(distances(report), distances(dense), rtol=1e-10)
         assert not report.flagged()
 
+    def test_criterion_4_design_at_two_to_the_18(self, monkeypatch):
+        # One row at N = 2^18.  Its dense Gram matrix would hold 2^36
+        # entries, so the dense route can only flag the row at the memory
+        # guard (2^27 entries); the low-rank route computes its distance
+        # without an eigendecomposition.
+        kwargs = dict(
+            dist=box_dist(CRIT4_TARGET, 0.0, 4.0),
+            schedule=Schedule(lambda0=0.5, exponent=0.3),
+            n_grid=[2**18],
+            trials=1,
+            seed=777,
+        )
+        (dense,) = dense_report(monkeypatch, **kwargs).rows
+        assert "kernel matrix needs" in dense.flag
+
+        def no_eigh(g):
+            raise AssertionError(f"eigendecomposition of a {g.n} x {g.n} Gram matrix")
+
+        monkeypatch.setattr(krstab.kernels, "sym_eigen", no_eigh)
+        (row,) = run_thm1(**kwargs).rows
+        assert row.flag == ""
+        assert np.isfinite(row.h_distance) and row.h_distance > 0
+
     def test_rank_cap_sends_rows_above_n_over_4_dense(
         self, monkeypatch, eigen_calls, pivot_columns
     ):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import krstab.cli
 import krstab.rkhs
 from krstab.kernels import GramMatrix, KernelSpec, PointSet, eval_kernel, gram
 from krstab.rkhs import (
@@ -279,23 +280,11 @@ class TestCombine:
 
 
 class TestJson:
-    def test_round_trip(self):
-        f = random_function(np.random.default_rng(32), d=2)
-        obj = f.to_json_dict()
-        assert set(obj) == {"kernel", "anchors", "coeffs"}
-        back = RepresenterFunction.from_json_dict(obj)
-        assert back.kernel == f.kernel
-        np.testing.assert_array_equal(back.anchors.points, f.anchors.points)
-        np.testing.assert_array_equal(back.coeffs, f.coeffs)
-
-    def test_missing_key_raises(self):
-        with pytest.raises(ValueError, match="missing"):
-            RepresenterFunction.from_json_dict({"kernel": {"kind": "linear"}})
-
     def test_unknown_key_raises(self):
+        # an expansion object is read from JSON by the CLI's expansion parser
         obj = {"kernel": {"kind": "linear"}, "anchors": [[0.0]], "coeffs": [1.0], "bogus": 1}
-        with pytest.raises(ValueError, match="bogus"):
-            RepresenterFunction.from_json_dict(obj)
+        with pytest.raises(ValueError, match="config key f_tilde/bogus: unknown key"):
+            krstab.cli._function(obj, "f_tilde")
 
 
 def test_coeff_length_mismatch():

@@ -163,12 +163,6 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(lambda0=1.0, exponent=0.5).value(0)
 
-    def test_json_round_trip(self):
-        sched = Schedule(lambda0=0.25, exponent=1.5)
-        assert Schedule.from_json_dict(sched.to_json_dict()) == sched
-        with pytest.raises(ValueError, match="unknown"):
-            Schedule.from_json_dict({"lambda0": 1.0, "exponent": 1.0, "rate": 2})
-
 
 def test_decay_exponent_arithmetic():
     # symbolic check of the power-law exponents entering p_n:
