@@ -31,7 +31,6 @@ from .rkhs import (
 from .solver import (
     ClosenessCertificate,
     DataSet,
-    FitResult,
     closeness_certificate,
     krr_fit,
     min_norm_interpolant,

@@ -56,7 +56,7 @@ from .operators import (
     shrinkage_profile,
 )
 from .rkhs import RepresenterFunction, evaluate
-from .solver import DataSet, krr_fit, min_norm_interpolant
+from .solver import DataSet, krr_fit, min_norm_interpolant, regularized_risk
 from .stability import (
     Schedule,
     StabilityParams,
@@ -269,7 +269,10 @@ def _schedule(obj, path: str) -> Schedule:
     _keys(obj, path, ("lambda0", "exponent"), ("lambda0", "exponent", "family"))
     lambda0 = float(_number(obj["lambda0"], f"{path}/lambda0"))
     exponent = float(_number(obj["exponent"], f"{path}/exponent"))
-    return _build(path, Schedule, lambda0, exponent, obj.get("family", "power"))
+    family = obj.get("family", "power")
+    if family != "power":
+        raise ValueError(f"config key {path}/family: unknown schedule family {family!r}")
+    return _build(path, Schedule, lambda0, exponent)
 
 
 def _function(obj, path: str) -> RepresenterFunction:
@@ -285,7 +288,11 @@ def _read_dataset_csv(path: str) -> tuple[PointSet, np.ndarray]:
     import csv
 
     with open(path, newline="", encoding="utf-8") as fh:
-        raw = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            raw = list(reader)
+        except csv.Error as exc:  # such as a field beyond the csv module's size limit
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     if not raw:
         raise ValueError(f"{path}: dataset file is empty")
     header = [h.strip() for h in raw[0]]
@@ -438,8 +445,10 @@ def _residuals_csv(residuals: np.ndarray) -> str:
 
 
 def _cmd_fit(cfg: dict, args: dict) -> tuple[str, ...]:
-    fit = krr_fit(DataSet(args["pts"], args["values"]), args["lam"], args["kernel"])
-    return _json_text(fit.to_json_dict()), _residuals_csv(fit.residuals)
+    data, lam = DataSet(args["pts"], args["values"]), args["lam"]
+    f = krr_fit(data, lam, args["kernel"])
+    fit = {**f.to_json_dict(), "lambda": lam, "objective": regularized_risk(f, data, lam)}
+    return _json_text(fit), _residuals_csv(evaluate(f, data.pts) - data.labels)
 
 
 def _cmd_interpolate(cfg: dict, args: dict) -> tuple[str, ...]:
@@ -651,7 +660,7 @@ def main(argv=None) -> int:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise ValueError(f"{args.config}: invalid JSON ({exc})") from exc
         _object(cfg, "")
         if args.seed is not None:

@@ -35,7 +35,9 @@ when any of four limits fails, each a property of its input and each a
 constant of this module:
 
 * size floor ``_MIN_LOW_RANK_N`` = 128: smaller rows try no factor;
-* rank cap ``_RANK_CAP`` = 0.25: the factor gives up at N/4 pivots.  On a
+* rank cap ``_RANK_CAP`` = 0.25: the factor gives up at N/4 pivots, or
+  at ``kernels.MAX_ENTRIES`` // N if that is fewer (from N = 23171 on), so
+  the factor never holds more entries than a kernel matrix may.  On a
   full-rank design (a gaussian of width 0.5 on [0, 5]^4, 1 BLAS thread) a
   low-rank row of rank N/4 measured 1.3 and 1.0 times the dense row at
   N = 32 and 64, and 0.65 down to 0.10 times it from N = 128 to 2048 (one
@@ -88,6 +90,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .kernels import (
     PSD_TOL,
     PointSet,
@@ -193,12 +196,6 @@ class NoiseProcess(FrozenValue):
                     f"sd={self.sd} is far too large for b_max={self.b_max}"
                 )
         return out
-
-    def to_json_dict(self) -> dict:
-        obj = {"kind": self.kind, "b_max": self.b_max}
-        if self.sd is not None:
-            obj["sd"] = self.sd
-        return obj
 
 
 class DataDistribution(Frozen):
@@ -444,11 +441,11 @@ def run_thm2(
     lams = np.array([row.lam for row in rows])
     datasets = [DataSet(pts, values + b_row / row.index_var) for row, b_row in zip(rows, b)]
     fits = krr_fit(datasets, lams, kernel, gram_matrix=g)
-    alpha = np.column_stack([fit.f.coeffs for fit in fits])
+    alpha = np.column_stack([f.coeffs for f in fits])
     resid = decomposition_residual(
         g, alpha, fbar.coeffs, np.repeat(shrink_solves, trials, axis=1), b.T, ts, lams
     )
-    dists = h_distance([fit.f for fit in fits], fbar, gram_matrix=g)
+    dists = h_distance(fits, fbar, gram_matrix=g)
     for row, dist, b_row, r in zip(rows, dists.tolist(), b, resid):
         row.h_distance = dist
         row.noise_bound = noise_operator_bound(
@@ -476,7 +473,7 @@ def _low_rank_distance(data: DataSet, lam: float, target: RepresenterFunction) -
     factor = pivoted_cholesky(
         diag,
         lambda p: kernel_matrix(kernel, x, x[p : p + 1])[:, 0],
-        int(_RANK_CAP * n),
+        min(int(_RANK_CAP * n), kernels.MAX_ENTRIES // n),
         _TRACE_STOP * n * max_diag,
     )
     if factor is None:
@@ -523,7 +520,7 @@ def run_thm1(
         try:
             distance = _low_rank_distance(data, row.lam, dist.target)
             if distance is None:
-                distance = h_distance(krr_fit(data, row.lam, kernel).f, dist.target)
+                distance = h_distance(krr_fit(data, row.lam, kernel), dist.target)
             row.h_distance = distance
         except DiagnosticsError as exc:
             row.flag = str(exc)

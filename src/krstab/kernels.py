@@ -178,7 +178,8 @@ def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-# Most entries one kernel matrix may have; see kernel_matrix.
+# Most entries one kernel matrix may have (see kernel_matrix), and the most a
+# thm1 row's low-rank factor may hold (see krstab.experiments).
 MAX_ENTRIES = 1 << 27
 
 

@@ -174,7 +174,8 @@ def pivoted_cholesky(
     factor is returned once the residual's trace is at most ``tol``
     (Harbrecht, Peters and Schneider, Appl. Numer. Math. 2012), and ``None``
     once ``max_rank`` pivots have not brought it there.  The factor's storage
-    grows by doubling, so it holds at most 2 * n * r values, never n x n.
+    grows by doubling up to ``max_rank`` rows, so it holds at most
+    min(2 * r, max_rank) * n values, never n x n.
     """
     resid = np.array(diag, dtype=float)
     rows = np.empty((min(max_rank, 32), resid.shape[0]))  # L^T, one row per pivot
@@ -183,7 +184,7 @@ def pivoted_cholesky(
         if k == max_rank:
             return None
         if k == rows.shape[0]:
-            rows = np.concatenate([rows, np.empty_like(rows)])[:max_rank]
+            rows = np.concatenate([rows, np.empty((min(k, max_rank - k), rows.shape[1]))])
         p = int(resid.argmax())
         col = np.subtract(column(p), rows[:k].T @ rows[:k, p], out=rows[k])
         col /= math.sqrt(resid[p])

@@ -9,15 +9,18 @@ with the 1/n weight applied to the data term only; ``lam`` is never rescaled.
 Its unique minimizer is a kernel expansion over the data points whose
 coefficients solve (G + n*lam*I) alpha = y.  With lam -> 0 the fit approaches
 the minimal-norm interpolant, whose coefficients are the pseudoinverse
-solution of G alpha = y.  :func:`krr_fit` has one path: datasets on one
-point set are fitted as one block solve, each with its own lam if the
-caller gives one per dataset, and a single dataset is a block of one.
+solution of G alpha = y.  :func:`krr_fit` and :func:`min_norm_interpolant`
+return the function itself, a :class:`~krstab.rkhs.RepresenterFunction`;
+its risk is :func:`regularized_risk` and its residuals
+``evaluate(f, data.pts) - data.labels``.  :func:`krr_fit` has one path:
+datasets on one point set are fitted as one block solve, each with its own
+lam if the caller gives one per dataset, and a single dataset is a block of
+one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cached_property
 
 import numpy as np
 
@@ -43,31 +46,6 @@ class DataSet(Frozen):
         y.setflags(write=False)
         vars(self).update(pts=pts, labels=y)
 
-    def __len__(self) -> int:
-        return len(self.pts)
-
-
-class FitResult(Frozen):
-    """Fitted function and the dataset it was fit to.
-
-    ``residuals[i] = f(x_i) - y_i`` and ``objective`` is the attained
-    regularized risk; each is computed on first read and cached.
-    """
-
-    def __init__(self, f: RepresenterFunction, lam: float, data: DataSet) -> None:
-        vars(self).update(f=f, lam=lam, data=data)
-
-    @cached_property
-    def residuals(self) -> np.ndarray:
-        return evaluate(self.f, self.data.pts) - self.data.labels
-
-    @cached_property
-    def objective(self) -> float:
-        return regularized_risk(self.f, self.data, self.lam)
-
-    def to_json_dict(self) -> dict:
-        return {**self.f.to_json_dict(), "lambda": self.lam, "objective": self.objective}
-
 
 def regularized_risk(f: RepresenterFunction, data: DataSet, lam: float) -> float:
     """L(f) exactly as displayed in the module docstring."""
@@ -83,16 +61,16 @@ def krr_fit(
     lam: float | Sequence[float],
     kernel: KernelSpec,
     gram_matrix: GramMatrix | None = None,
-) -> FitResult | list[FitResult]:
+) -> RepresenterFunction | list[RepresenterFunction]:
     """Minimize the regularized risk in closed form.
 
     ``data`` is a sequence of DataSets on one PointSet object, or one
     DataSet, which is fitted as a sequence of one.  ``lam`` is one positive
     value for every dataset, or a sequence of one per dataset.  There is one
     path: one block solve of (G + n*lam_j I) a_j = y_j, one shift per
-    column, gives one FitResult per dataset, in order; a single DataSet gets
-    its FitResult back alone.  ``gram_matrix`` may be supplied when the
-    caller already holds the Gram matrix of the points (its cached
+    column, gives one fitted function per dataset, in order; a single
+    DataSet gets its function back alone.  ``gram_matrix`` may be supplied
+    when the caller already holds the Gram matrix of the points (its cached
     decomposition is then reused).
     """
     single = isinstance(data, DataSet)
@@ -110,10 +88,7 @@ def krr_fit(
     g = gram_matrix if gram_matrix is not None else gram(kernel, pts)
     labels = np.column_stack([d.labels for d in datasets])
     alphas = regularized_solve(g, len(pts) * np.array(lams, dtype=float), labels)
-    fits = [
-        FitResult(f=RepresenterFunction(kernel, pts, alpha), lam=v, data=d)
-        for alpha, v, d in zip(alphas.T, lams, datasets)
-    ]
+    fits = [RepresenterFunction(kernel, pts, alpha) for alpha in alphas.T]
     return fits[0] if single else fits
 
 

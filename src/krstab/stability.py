@@ -91,14 +91,12 @@ def eps_for_target(eta: float, lam: float) -> float:
 class Schedule(FrozenValue):
     """Power-law regularization schedule lam(i) = lam0 * i^(-exponent)."""
 
-    def __init__(self, lambda0: float, exponent: float, family: str = "power") -> None:
-        if family != "power":
-            raise ValueError(f"unknown schedule family {family!r}")
+    def __init__(self, lambda0: float, exponent: float) -> None:
         if not (math.isfinite(lambda0) and math.isfinite(exponent)):
             raise ValueError(f"lambda0 and exponent must be finite, got {lambda0!r}, {exponent!r}")
         if not lambda0 > 0:
             raise ValueError("lambda0 must be positive")
-        vars(self).update(lambda0=lambda0, exponent=exponent, family=family)
+        vars(self).update(lambda0=lambda0, exponent=exponent)
 
     def value(self, index: float) -> float:
         """lam at index (sample size n or noise scale t); index must be > 0."""
@@ -117,4 +115,4 @@ class Schedule(FrozenValue):
         return 0.0 < self.exponent < 2.0
 
     def to_json_dict(self) -> dict:
-        return {"family": self.family, "lambda0": self.lambda0, "exponent": self.exponent}
+        return {"family": "power", "lambda0": self.lambda0, "exponent": self.exponent}

@@ -130,12 +130,12 @@ def test_criterion_1_closed_form_matches_descent_oracle(announce, instance_facto
         lam = 10.0 ** rng.uniform(-4.0, 0.0)
         fit = krr_fit(DataSet(pts, y), lam, spec, gram_matrix=g)
         foc = float(
-            np.max(np.abs((g.entries + n * lam * np.eye(n)) @ fit.f.coeffs - y))
+            np.max(np.abs((g.entries + n * lam * np.eye(n)) @ fit.coeffs - y))
         )
         oracle = RepresenterFunction(
             kernel=spec, anchors=pts, coeffs=descent_fit_coeffs(g.entries, y, lam)
         )
-        worst_dist = max(worst_dist, h_distance(fit.f, oracle))
+        worst_dist = max(worst_dist, h_distance(fit, oracle))
         worst_foc = max(worst_foc, foc)
     elapsed = time.monotonic() - t0
     ok = worst_dist <= 1e-6 and worst_foc <= 1e-9 and elapsed < 30.0
@@ -441,8 +441,8 @@ def test_criterion_8_uniform_stability_spot_check(announce):
         fit2 = krr_fit(DataSet(PointSet(x2), y2), lam, kernel)
         px = rng.uniform(0.0, 3.0, (200, 1))
         py = rng.uniform(-1.0, 1.0, 200)
-        v1 = evaluate(fit.f, px)
-        v2 = evaluate(fit2.f, px)
+        v1 = evaluate(fit, px)
+        v2 = evaluate(fit2, px)
         x_max = float(max(np.max(np.abs(v1 - py)), np.max(np.abs(v2 - py))))
         c = sigma_admissible_ls(x_max)
         beta = beta_stability(

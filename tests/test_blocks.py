@@ -18,7 +18,7 @@ from krstab.linalg import regularized_solve
 from krstab.operators import decomposition_residual
 import krstab.rkhs as rkhs
 from krstab.rkhs import RepresenterFunction, gram_norm, h_distance
-from krstab.solver import DataSet, FitResult, krr_fit
+from krstab.solver import DataSet, krr_fit
 
 KERNEL = KernelSpec.gaussian(0.8)
 N, K, LAM, T = 30, 4, 1e-3, 10.0
@@ -82,15 +82,14 @@ class TestBlockMatchesColumns:
         datasets = [DataSet(pts, y[:, j]) for j in range(K)]
         fits = krr_fit(datasets, LAM, KERNEL, gram_matrix=g)
         assert len(fits) == K
-        for fit, data in zip(fits, datasets):
-            assert isinstance(fit, FitResult)
-            assert fit.data is data and fit.lam == LAM and fit.f.anchors is pts
-        got = np.column_stack([fit.f.coeffs for fit in fits])
-        want = [krr_fit(d, LAM, KERNEL, gram_matrix=g).f.coeffs for d in datasets]
+        for f in fits:
+            assert isinstance(f, RepresenterFunction) and f.anchors is pts
+        got = np.column_stack([f.coeffs for f in fits])
+        want = [krr_fit(d, LAM, KERNEL, gram_matrix=g).coeffs for d in datasets]
         assert_columns_close(got, want)
         # Without a supplied Gram matrix the block builds its own.
         own = krr_fit(datasets, LAM, KERNEL)
-        assert_columns_close(np.column_stack([fit.f.coeffs for fit in own]), want)
+        assert_columns_close(np.column_stack([f.coeffs for f in own]), want)
 
     def test_h_distance_sequence(self, repeated, monkeypatch):
         pts, g = design(repeated)
@@ -135,11 +134,11 @@ class TestVectorsKeepTheirFormula:
 
     def test_krr_fit(self, repeated):
         pts, g = design(repeated)
-        fit = krr_fit(DataSet(pts, block(11)[:, 0]), LAM, KERNEL, gram_matrix=g)
+        data = DataSet(pts, block(11)[:, 0])
+        f = krr_fit(data, LAM, KERNEL, gram_matrix=g)
         # The dataset's own (contiguous) copy of the labels: a strided vector
         # can round differently in the matrix-vector product.
-        y = fit.data.labels
-        assert np.array_equal(fit.f.coeffs, regularized_solve(g, N * LAM, y))
+        assert np.array_equal(f.coeffs, regularized_solve(g, N * LAM, data.labels))
 
 
 # One shift per column: two columns share a shift, as the trials of one t do.
@@ -172,10 +171,9 @@ class TestPerColumnShifts:
         lams = SHIFTS / N
         datasets = [DataSet(pts, y[:, j]) for j in range(K)]
         fits = krr_fit(datasets, lams, KERNEL, gram_matrix=g)
-        assert [fit.lam for fit in fits] == lams.tolist()
-        got = np.column_stack([fit.f.coeffs for fit in fits])
+        got = np.column_stack([f.coeffs for f in fits])
         assert np.array_equal(got, regularized_solve(g, N * lams, y))
-        want = [krr_fit(d, lam, KERNEL, gram_matrix=g).f.coeffs for d, lam in zip(datasets, lams)]
+        want = [krr_fit(d, lam, KERNEL, gram_matrix=g).coeffs for d, lam in zip(datasets, lams)]
         assert_columns_close(got, want)
 
     def test_decomposition_residual(self, repeated):

@@ -11,7 +11,6 @@ from krstab import (
     DataDistribution,
     DataSet,
     ExperimentReport,
-    FitResult,
     KernelSpec,
     NoiseProcess,
     PointSet,
@@ -19,7 +18,6 @@ from krstab import (
     RepresenterFunction,
     Schedule,
     StabilityParams,
-    krr_fit,
 )
 from krstab.linalg import EigenDecomposition, Frozen, FrozenValue
 
@@ -41,7 +39,6 @@ FROZEN = {
     "PointSet": lambda: PointSet([[0.0], [1.0]]),
     "RepresenterFunction": _function,
     "DataSet": lambda: DataSet(PointSet([[0.0], [1.0]]), [1.0, 2.0]),
-    "FitResult": lambda: krr_fit(DataSet([[0.0], [1.0]], [1.0, 2.0]), 0.1, GAUSS),
     "ClosenessCertificate": _certificate,
     "StabilityParams": lambda: StabilityParams(1.0, 1.0, 1.0, 10, 0.1, 0.5),
     "Schedule": lambda: Schedule(0.5, 0.3),
@@ -65,7 +62,7 @@ VALUES = {
     ),
     "Schedule": (
         lambda: Schedule(0.5, 0.3),
-        lambda: Schedule(lambda0=0.5, exponent=0.3, family="power"),
+        lambda: Schedule(lambda0=0.5, exponent=0.3),
         lambda: Schedule(0.5, 0.2),
     ),
     "StabilityParams": (
@@ -85,7 +82,7 @@ def _subclasses(cls):
 
 def test_every_frozen_class_is_covered():
     names = {c.__name__ for c in _subclasses(Frozen)} - {"FrozenValue"}
-    assert names == set(FROZEN) and len(names) == 11
+    assert names == set(FROZEN) and len(names) == 10
     assert {c.__name__ for c in FrozenValue.__subclasses__()} == set(VALUES)
 
 
@@ -124,8 +121,7 @@ def test_other_frozen_classes_compare_by_identity(name):
 
 
 def test_constructors_keep_positional_order_and_defaults():
-    assert Schedule(0.5, 0.3).family == "power"
-    assert vars(Schedule(0.5, 0.3)) == {"lambda0": 0.5, "exponent": 0.3, "family": "power"}
+    assert vars(Schedule(0.5, 0.3)) == {"lambda0": 0.5, "exponent": 0.3}
     assert vars(KernelSpec("linear")) == {
         "kind": "linear",
         "width": None,
@@ -149,8 +145,6 @@ def test_constructors_keep_positional_order_and_defaults():
     assert keyword.flag == "x" and math.isnan(keyword.h_distance)
     report = ExperimentReport([row], {"command": "thm1"})
     assert report.rows == [row] and report.metadata == {"command": "thm1"}
-    fit = FitResult(_function(), 0.1, DataSet([[0.0], [1.0]], [1.0, 2.0]))
-    assert fit.lam == 0.1 and fit.data.labels.tolist() == [1.0, 2.0]
 
 
 def test_report_rows_stay_mutable():
@@ -161,18 +155,11 @@ def test_report_rows_stay_mutable():
     assert (row.h_distance, row.flag) == (0.125, "diagnostic")
 
 
-def test_fit_result_caches_on_a_frozen_instance():
-    fit = FROZEN["FitResult"]()
-    assert fit.residuals is fit.residuals
-    assert fit.objective == fit.objective
-    assert {"residuals", "objective"} <= set(vars(fit))
-
-
 def test_validation_runs_in_the_constructor():
     with pytest.raises(ValueError, match="width > 0"):
         KernelSpec("gaussian")
-    with pytest.raises(ValueError, match="unknown schedule family"):
-        Schedule(0.5, 0.3, "exponential")
+    with pytest.raises(ValueError, match="lambda0 must be positive"):
+        Schedule(0.0, 0.3)
     with pytest.raises(ValueError, match="lam must be positive"):
         StabilityParams(1.0, 1.0, 1.0, 10, 0.0, 0.5)
     with pytest.raises(ValueError, match="takes no sd"):

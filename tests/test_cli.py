@@ -22,7 +22,8 @@ import krstab.cli as cli_module
 from krstab.cli import _validate_config, main
 from krstab.experiments import NoiseProcess
 from krstab.kernels import KernelSpec, PointSet
-from krstab.rkhs import RepresenterFunction
+from krstab.rkhs import RepresenterFunction, evaluate
+from krstab.solver import DataSet, regularized_risk
 from krstab.stability import Schedule
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -112,6 +113,21 @@ class TestFit:
         second = [(tmp_path / f"out{s}").read_bytes() for s in (".fit.json", ".residuals.csv")]
         assert first == second
 
+    def test_fit_json_holds_the_function_lambda_and_objective(self, tmp_path):
+        dataset = {"points": [[0.0], [0.7], [1.9]], "labels": [0.5, -0.25, 1.0]}
+        cfg = fit_config(tmp_path, dataset=dataset, **{"lambda": 0.05})
+        assert main(["fit", "--config", write_config(tmp_path, cfg)]) == 0
+        fit = json.loads((tmp_path / "out.fit.json").read_text())
+        assert set(fit) == {"kernel", "anchors", "coeffs", "lambda", "objective"}
+        assert fit["lambda"] == 0.05
+        # The written function gives back the objective and the residuals bit for bit.
+        f = cli_module._function({k: fit[k] for k in ("kernel", "anchors", "coeffs")}, "fit")
+        data = DataSet(PointSet(dataset["points"]), dataset["labels"])
+        assert fit["objective"] == regularized_risk(f, data, 0.05)
+        lines = (tmp_path / "out.residuals.csv").read_text().splitlines()
+        residuals = [float(line.split(",")[1]) for line in lines[1:]]
+        assert residuals == (evaluate(f, data.pts) - data.labels).tolist()
+
     def test_dataset_csv_route(self, tmp_path):
         csv_path = tmp_path / "data.csv"
         csv_path.write_text("x1,y\n0.0,1.0\n1.0,0.0\n")
@@ -130,6 +146,11 @@ class TestFit:
             ("x1,y\n0.0\n", "line 2"),
             ("x1,y\n0.0,inf\n", "line 2"),
             ("x1,y\n", "no data rows"),
+            pytest.param(
+                "x1,y\n0.0,1.0\n" + "1" * 131073 + ",0.0\n",
+                "data.csv line 3: field larger than field limit",
+                id="field-over-size-limit",
+            ),
         ],
     )
     def test_bad_csv_reports_location(self, tmp_path, capsys, csv_text, fragment):
@@ -443,9 +464,13 @@ class TestTopLevel:
         assert main(["fit", "--config", str(tmp_path / "nope.json")]) == 2
         assert "io error" in capsys.readouterr().err
 
-    def test_invalid_json_is_config_error(self, tmp_path, capsys):
+    # The decoder gives up on deep nesting with a RecursionError.
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[" * 100000 + "]" * 100000], ids=["malformed", "nested"]
+    )
+    def test_invalid_json_is_config_error(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        path.write_text(text)
         assert main(["fit", "--config", str(path)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
@@ -803,6 +828,13 @@ class TestConfigParsing:
             ("thm2", "noise/b_max", DELETE, "noise/b_max: required key is missing"),
             ("thm2", "schedule/lambda0", DELETE, "schedule/lambda0: required key is missing"),
             ("thm2", "f_tilde/coeffs", DELETE, "f_tilde/coeffs: required key is missing"),
+            # power is the one schedule family
+            (
+                "thm2",
+                "schedule/family",
+                "geometric",
+                "config key schedule/family: unknown schedule family 'geometric'",
+            ),
         ],
     )
     def test_rejections_name_the_key(self, tmp_path, capsys, command, path, value, named):
@@ -813,20 +845,29 @@ class TestConfigParsing:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "parse,obj",
+        "parse,obj,spec",
         [
-            (cli_module._kernel, KernelSpec.gaussian(0.7)),
-            (cli_module._kernel, KernelSpec.linear()),
-            (cli_module._kernel, KernelSpec.polynomial(3, 0.5)),
-            (cli_module._noise, NoiseProcess("uniform", 0.5)),
-            (cli_module._noise, NoiseProcess("rademacher", 0.25)),
-            (cli_module._noise, NoiseProcess("truncated_gaussian", 1.0, 0.8)),
-            (cli_module._schedule, Schedule(0.25, 1.5)),
+            (cli_module._kernel, KernelSpec.gaussian(0.7), None),
+            (cli_module._kernel, KernelSpec.linear(), None),
+            (cli_module._kernel, KernelSpec.polynomial(3, 0.5), None),
+            # No output writes a noise spec, so its JSON is given here.
+            (cli_module._noise, NoiseProcess("uniform", 0.5), {"kind": "uniform", "b_max": 0.5}),
+            (
+                cli_module._noise,
+                NoiseProcess("rademacher", 0.25),
+                {"kind": "rademacher", "b_max": 0.25},
+            ),
+            (
+                cli_module._noise,
+                NoiseProcess("truncated_gaussian", 1.0, 0.8),
+                {"kind": "truncated_gaussian", "b_max": 1.0, "sd": 0.8},
+            ),
+            (cli_module._schedule, Schedule(0.25, 1.5), None),
         ],
         ids=["gaussian", "linear", "polynomial", "uniform", "rademacher", "truncated", "schedule"],
     )
-    def test_parsers_invert_to_json_dict(self, parse, obj):
-        assert parse(obj.to_json_dict(), "x") == obj
+    def test_parsers_invert_to_json_dict(self, parse, obj, spec):
+        assert parse(obj.to_json_dict() if spec is None else spec, "x") == obj
 
     def test_expansion_parser_inverts_to_json_dict(self):
         f = RepresenterFunction(
@@ -839,13 +880,14 @@ class TestConfigParsing:
 
     def test_parsers_convert_numbers(self):
         # floats for b_max, lambda0 and exponent; an integral degree becomes
-        # an int; width, offset and sd pass through as given; family
-        # defaults to power.
+        # an int; width, offset and sd pass through as given; a schedule
+        # given without a family writes family power.
         noise = cli_module._noise({"kind": "truncated_gaussian", "b_max": 1, "sd": 2}, "noise")
         assert type(noise.b_max) is float and type(noise.sd) is int
         sched = cli_module._schedule({"lambda0": 1, "exponent": 0}, "schedule")
         assert type(sched.lambda0) is float and type(sched.exponent) is float
-        assert sched == Schedule(1.0, 0.0, "power")
+        assert sched == Schedule(1.0, 0.0)
+        assert sched.to_json_dict()["family"] == "power"
         poly = cli_module._kernel({"kind": "polynomial", "degree": 2.0, "offset": 1}, "kernel")
         assert type(poly.degree) is int and type(poly.offset) is int
         assert type(cli_module._kernel({"kind": "gaussian", "width": 2}, "kernel").width) is int

@@ -384,8 +384,8 @@ class TestRunThm2:
             fbar = min_norm_interpolant(pts, values, target.kernel, gram_matrix=g)
             for row in rep.rows:
                 labels = values + noise.sample(len(pts), row.seed) / row.index_var
-                fit = krr_fit(DataSet(pts, labels), row.lam, target.kernel, gram_matrix=g)
-                expect = rkhs_norm(combine_oracle(fit.f, fbar, 1.0, -1.0))
+                f = krr_fit(DataSet(pts, labels), row.lam, target.kernel, gram_matrix=g)
+                expect = rkhs_norm(combine_oracle(f, fbar, 1.0, -1.0))
                 assert abs(row.h_distance - expect) <= 1e-12 * expect
 
 

@@ -2,6 +2,8 @@
 Woodbury solve, the cross-term distance through the factor, and which rows
 take it rather than the dense eigendecomposition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,23 @@ class TestPivotedCholesky:
         assert factor_of(KernelSpec.gaussian(0.5), x, max_rank=20) is None
         assert factor_of(KernelSpec.gaussian(0.5), x, max_rank=0) is None
 
+    def test_storage_stops_at_the_rank_cap(self):
+        # A factor that gives up at 40 pivots grows its 32-row buffer to 40
+        # rows, not 64: its peak holds the old and the new buffer, 2 * 40
+        # rows of n values, where doubling past the cap would hold 128.
+        rng = np.random.default_rng(5)
+        n, cap = 1000, 40
+        spec = KernelSpec.gaussian(0.5)
+        x = rng.uniform(0.0, 5.0, (n, 4))
+        g = kernel_matrix(spec, x, x)
+        tracemalloc.start()
+        try:
+            assert pivoted_cholesky(np.diag(g), lambda p: g[:, p], cap, 0.0) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * cap * n * 8
+
     def test_zero_matrix_has_an_empty_factor(self):
         factor = pivoted_cholesky(np.zeros(4), lambda p: np.zeros(4), 1, 0.0)
         assert factor.shape == (4, 0)
@@ -223,6 +242,18 @@ class TestRoutes:
         np.testing.assert_array_equal(distances(report)[:2], distances(dense)[:2])
         np.testing.assert_allclose(distances(report)[2:], distances(dense)[2:], rtol=1e-10)
 
+    def test_rank_cap_keeps_the_factor_within_the_memory_guard(self, monkeypatch, pivot_columns):
+        # With the guard at 20 N entries the cap is 20 pivots, below N/4 = 64:
+        # each high-rank row's factor gives up after 20 pivot columns, and the
+        # guard refuses its dense Gram matrix, so the row is flagged.
+        n = 256
+        monkeypatch.setattr(krstab.kernels, "MAX_ENTRIES", 20 * n)
+        report = run_thm1(box_dist(HIGH_RANK_TARGET, 0.0, 5.0), Schedule(0.5, 0.3), [n], 2, 11)
+        assert pivot_columns == [n] * (2 * 20)
+        for row in report.rows:
+            assert f"a {n} x {n} kernel matrix needs" in row.flag
+            assert np.isnan(row.h_distance)
+
     def test_size_floor_factors_no_row_below_128(self, eigen_calls, pivot_columns):
         # An exact rank-3 design passes every other limit, so only the size
         # floor keeps the N = 32 and 127 rows from evaluating a pivot column.
@@ -234,7 +265,7 @@ class TestRoutes:
         assert pivot_columns == [128] * 6
         for row in report.rows[:4]:
             data = exp.sample_dataset(dist, row.index_var, row.seed)
-            expect = h_distance(krr_fit(data, row.lam, spec).f, target)
+            expect = h_distance(krr_fit(data, row.lam, spec), target)
             assert row.h_distance.hex() == expect.hex()
 
     def test_high_rank_design_stays_dense(self, monkeypatch, eigen_calls):

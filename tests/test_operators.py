@@ -248,8 +248,8 @@ class TestShrinkage:
         vals = rng.uniform(-1, 1, len(pts))
         fbar = min_norm_interpolant(pts, vals, spec, gram_matrix=g)
         for lam in (1e-3, 0.1, 1.0):
-            fit = krr_fit(DataSet(pts, vals), lam, spec, gram_matrix=g)
-            direct = h_distance(fit.f, fbar)
+            f = krr_fit(DataSet(pts, vals), lam, spec, gram_matrix=g)
+            direct = h_distance(f, fbar)
             term = shrinkage_term(g, shrink_solve(g, fbar.coeffs, lam), lam)
             assert abs(direct - term) <= 1e-8 * (1.0 + term)
 

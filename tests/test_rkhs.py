@@ -152,7 +152,7 @@ class TestNormAndDistance:
         pts = PointSet(rows)
         g = gram(GAUSS, pts)
         values = np.sin(rows[:, 0]) + rows[:, 1]
-        fit = krr_fit(DataSet(pts, values + 0.1), 1e-3, GAUSS, gram_matrix=g).f
+        fit = krr_fit(DataSet(pts, values + 0.1), 1e-3, GAUSS, gram_matrix=g)
         other = min_norm_interpolant(pts, values, GAUSS, gram_matrix=g)
         if case == "anchors differ":
             other = random_function(rng, d=2)

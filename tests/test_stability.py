@@ -159,8 +159,6 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(lambda0=0.0, exponent=0.5)
         with pytest.raises(ValueError):
-            Schedule(lambda0=1.0, exponent=0.5, family="geometric")
-        with pytest.raises(ValueError):
             Schedule(lambda0=1.0, exponent=0.5).value(0)
 
 
