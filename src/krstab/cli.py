@@ -44,7 +44,7 @@ from .experiments import (
     run_thm1,
     run_thm2,
 )
-from .kernels import KernelSpec, PointSet, sample_kappa
+from .kernels import KernelSpec, PointSet, gram, sample_kappa
 from .linalg import DiagnosticsError
 from .operators import (
     EvaluationOperator,
@@ -55,7 +55,7 @@ from .operators import (
     operator_norm_bound_p,
     shrinkage_profile,
 )
-from .rkhs import RepresenterFunction, evaluate
+from .rkhs import RepresenterFunction
 from .solver import DataSet, krr_fit, min_norm_interpolant, regularized_risk
 from .stability import (
     Schedule,
@@ -434,8 +434,31 @@ def _config_hash(cfg: dict) -> str:
     return _sha1(blob).hexdigest()
 
 
+def _non_finite_key(obj, path: str = "") -> str | None:
+    """The key path of the first non-finite float in ``obj``, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path or "<root>"
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite_key(value, f"{path}/{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Standard JSON: a non-finite number, which JSON cannot hold, is a
+    ValueError naming its output key instead of an Infinity or NaN token."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        key = _non_finite_key(obj)
+        raise ValueError(f"output key {key} leaves the float range for these inputs") from None
 
 
 def _residuals_csv(residuals: np.ndarray) -> str:
@@ -446,15 +469,18 @@ def _residuals_csv(residuals: np.ndarray) -> str:
 
 def _cmd_fit(cfg: dict, args: dict) -> tuple[str, ...]:
     data, lam = DataSet(args["pts"], args["values"]), args["lam"]
-    f = krr_fit(data, lam, args["kernel"])
-    fit = {**f.to_json_dict(), "lambda": lam, "objective": regularized_risk(f, data, lam)}
-    return _json_text(fit), _residuals_csv(evaluate(f, data.pts) - data.labels)
+    g = gram(args["kernel"], data.pts)
+    f = krr_fit(data, lam, args["kernel"], gram_matrix=g)
+    objective = regularized_risk(f, data, lam, gram_matrix=g)
+    fit = {**f.to_json_dict(), "lambda": lam, "objective": objective}
+    return _json_text(fit), _residuals_csv(g.entries @ f.coeffs - data.labels)
 
 
 def _cmd_interpolate(cfg: dict, args: dict) -> tuple[str, ...]:
     pts, values = args["pts"], args["values"]
-    f = min_norm_interpolant(pts, values, args["kernel"])
-    return _json_text(f.to_json_dict()), _residuals_csv(evaluate(f, pts) - values)
+    g = gram(args["kernel"], pts)
+    f = min_norm_interpolant(pts, values, args["kernel"], gram_matrix=g)
+    return _json_text(f.to_json_dict()), _residuals_csv(g.entries @ f.coeffs - values)
 
 
 def _plot_text(report: ExperimentReport) -> str:

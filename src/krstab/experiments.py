@@ -21,10 +21,14 @@ Each harness then fits its rows and fills in the distance columns:
 A thm1 row takes one of two routes.  The low-rank route factors the row's
 Gram matrix G ~ L L^T by greedy pivoted Cholesky, stopped when the residual
 trace is at most ``_TRACE_STOP`` * N * max diag (1e-13, 1000 times below the
-PSD check's tolerance).  It solves for the fit by Woodbury through an r x r
-system and takes the distance by the cross-term form
-:func:`~krstab.rkhs.cross_term_distance` with G @ alpha as L (L^T alpha); G
-is never built and never eigendecomposed.  That moves ||f||^2 by
+PSD check's tolerance); its pivot columns come from one
+:func:`~krstab.kernels.column_evaluator` built for the row, with the bits of
+``kernel_matrix`` columns.  It solves for the fit by Woodbury through an
+r x r system and takes the distance by the cross-term form
+:func:`~krstab.rkhs.cross_term_distance` with G @ alpha as L (L^T alpha),
+the target's values at the row's points from the step that sampled its
+labels, and ||target||^2 computed once per run; G is never built and never
+eigendecomposed.  That moves ||f||^2 by
 alpha . (G - L L^T) alpha, and G - L L^T is PSD with trace about the stop,
 so by at most about 1e-13 * N * max diag * ||alpha||^2.  The dense route is
 :func:`~krstab.solver.krr_fit` and :func:`~krstab.rkhs.h_distance` through
@@ -93,11 +97,12 @@ import numpy as np
 from . import kernels
 from .kernels import (
     PSD_TOL,
+    KernelSpec,
     PointSet,
+    column_evaluator,
     gram,
     kappa_upper_bound,
     kernel_diag,
-    kernel_matrix,
     rounding_constant,
     sample_kappa,
 )
@@ -110,7 +115,14 @@ from .linalg import (
     regularized_solve,
 )
 from .operators import decomposition_residual, noise_operator_bound, shrinkage_term
-from .rkhs import RepresenterFunction, cross_term_distance, evaluate, h_distance, rkhs_norm
+from .rkhs import (
+    RepresenterFunction,
+    cross_term_distance,
+    evaluate,
+    h_distance,
+    inner_product,
+    rkhs_norm,
+)
 from .rng import SplitMix64, mix64
 from .solver import DataSet, krr_fit, min_norm_interpolant
 from .stability import (
@@ -231,15 +243,21 @@ class DataDistribution(Frozen):
         return PointSet(self.lo + u * (self.hi - self.lo))
 
 
-def sample_dataset(dist: DataDistribution, n: int, seed: int) -> DataSet:
-    """Draw (x_i, target(x_i) + b_i); inputs and noise come from independent
-    substreams of ``seed``, so the draw is reproducible from the seed alone."""
+def _sample(dist: DataDistribution, n: int, seed: int) -> tuple[DataSet, np.ndarray]:
+    """The draw of :func:`sample_dataset` and the target's values at its
+    inputs, the labels without their noise."""
     if n < 1:
         raise ValueError("n must be positive")
     xs = dist.sample_x(n, SplitMix64(mix64(seed, 0)))
     b = dist.noise.sample(n, mix64(seed, 1))
-    labels = evaluate(dist.target, xs) + b
-    return DataSet(pts=xs, labels=labels)
+    values = evaluate(dist.target, xs)
+    return DataSet(pts=xs, labels=values + b), values
+
+
+def sample_dataset(dist: DataDistribution, n: int, seed: int) -> DataSet:
+    """Draw (x_i, target(x_i) + b_i); inputs and noise come from independent
+    substreams of ``seed``, so the draw is reproducible from the seed alone."""
+    return _sample(dist, n, seed)[0]
 
 
 class ReportRow:
@@ -455,11 +473,15 @@ def run_thm2(
     return ExperimentReport(rows=rows, metadata=metadata)
 
 
-def _low_rank_distance(data: DataSet, lam: float, target: RepresenterFunction) -> float | None:
-    """H-distance of the ridge fit of ``data`` to ``target`` by the low-rank
-    route, or None when one of its limits sends the row to the dense route."""
-    kernel, pts = target.kernel, data.pts
-    n, x = len(pts), pts.points
+def _low_rank_distance(
+    data: DataSet, lam: float, kernel: KernelSpec, target_values: np.ndarray, target_sq: float
+) -> float | None:
+    """H-distance of the ridge fit of ``data`` to the target by the low-rank
+    route, or None when one of its limits sends the row to the dense route.
+    ``target_values`` are the target's values at the data's points and
+    ``target_sq`` its squared H-norm."""
+    pts = data.pts
+    n = len(pts)
     if n < _MIN_LOW_RANK_N:
         return None
     diag = kernel_diag(kernel, pts)
@@ -472,7 +494,7 @@ def _low_rank_distance(data: DataSet, lam: float, target: RepresenterFunction) -
         return None
     factor = pivoted_cholesky(
         diag,
-        lambda p: kernel_matrix(kernel, x, x[p : p + 1])[:, 0],
+        column_evaluator(kernel, pts),
         min(int(_RANK_CAP * n), kernels.MAX_ENTRIES // n),
         _TRACE_STOP * n * max_diag,
     )
@@ -480,7 +502,8 @@ def _low_rank_distance(data: DataSet, lam: float, target: RepresenterFunction) -
         return None
     alpha = low_rank_solve(factor, shift, data.labels)
     g_alpha = factor @ (factor.T @ alpha)
-    return cross_term_distance(RepresenterFunction(kernel, pts, alpha), g_alpha, target)
+    fit = RepresenterFunction(kernel, pts, alpha)
+    return cross_term_distance(fit, g_alpha, target_values, target_sq)
 
 
 def run_thm1(
@@ -513,12 +536,13 @@ def run_thm1(
         schedule, n_grid, trials, seed, eta, m_bound, c_bound, kappa, dist.target, dist.noise.b_max
     )
     rows = [row for n_rows in groups for row in n_rows]
+    target_sq = inner_product(dist.target, dist.target)
     for row in rows:
         # A noise process that cannot be sampled fails the run, as in
         # run_thm2; only the fit and its distance are flagged per row.
-        data = sample_dataset(dist, row.index_var, row.seed)
+        data, values = _sample(dist, row.index_var, row.seed)
         try:
-            distance = _low_rank_distance(data, row.lam, dist.target)
+            distance = _low_rank_distance(data, row.lam, kernel, values, target_sq)
             if distance is None:
                 distance = h_distance(krr_fit(data, row.lam, kernel), dist.target)
             row.h_distance = distance

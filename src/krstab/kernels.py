@@ -9,11 +9,13 @@ Three positive semidefinite families are provided:
 Gaussian values are computed from coordinate differences directly (never via
 the expanded ||x||^2 + ||y||^2 - 2 x.y form), so the diagonal is exactly 1.
 In any dimension each coordinate's differences are one subtraction in a
-single column, such as a pivot column of the thm1 low-rank route, and one
-matrix product [a_k, -1] @ [1, b_k]^T in a wider matrix; the product's
-entries are sums of two exact products, rounded once, so they are the bits
-of a_ik - b_jk whatever BLAS does.  The squared differences are summed
-left to right.
+single column and one matrix product [a_k, -1] @ [1, b_k]^T in a wider
+matrix; the product's entries are sums of two exact products, rounded once,
+so they are the bits of a_ik - b_jk whatever BLAS does.  The squared
+differences are summed left to right.  A single column has one code path,
+shared by :func:`kernel_matrix` and :func:`column_evaluator`, which the thm1
+low-rank route builds once per row and calls for each pivot column without
+``kernel_matrix``'s per-call checks.
 Gram matrices are symmetrized by mirroring the upper triangle and carry a
 lazily computed, cached eigendecomposition; building one checks positive
 semidefiniteness against the scale-aware tolerance 1e-10 * n * max_diag,
@@ -131,51 +133,84 @@ def _as_points(x) -> np.ndarray:
 _BLOCK_BYTES = 1 << 19
 
 
+def _gaussian_column(coords, point, divisor: float, out: np.ndarray | None, diff) -> np.ndarray:
+    """exp(||x_i - point||^2 / divisor) into ``out`` (a new vector if None):
+    the single-column gaussian formula of :func:`_gaussian_matrix` and
+    :func:`column_evaluator`.
+
+    ``coords`` holds the d >= 1 coordinate vectors of the points x_i.  Each
+    coordinate's differences are one subtraction, squared and added to the
+    earlier ones left to right; ``diff`` is scratch for d >= 2.
+    """
+    out = np.subtract(coords[0], point[0], out=out)
+    np.square(out, out=out)
+    for k in range(1, len(point)):
+        np.subtract(coords[k], point[k], out=diff)
+        np.square(diff, out=diff)
+        out += diff
+    np.divide(out, divisor, out=out)
+    return np.exp(out, out=out)
+
+
 def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
     """exp(-||a_i - b_j||^2 / (2 width^2)) without an (n, m, d) temporary.
 
     Each squared distance is the left-to-right sum of the squared coordinate
     differences, the order numpy's own reduction uses below 8 terms, and
     never the expanded ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j.  A single column
-    (m == 1, as a pivot column is) takes coordinate k's differences as one
-    subtraction a_k - b_1k.  A wider matrix takes them as one matrix product
-    [a_k, -1] @ [1, b_k]^T, which is faster there: entry (i, j) is the sum
-    of the exact products a_ik * 1 and -1 * b_jk, rounded once, so it is
-    a_ik - b_jk bit for bit under any BLAS summation order, with or without
-    FMA (only the sign of a zero may differ, and squaring drops it).  Either
-    way each difference is rounded once, so both forms give the same bits.
-    Dividing by -2 width^2 gives the bits of negating and dividing by
-    2 width^2, since IEEE division is sign-symmetric.
+    (m == 1, as a pivot column is) is :func:`_gaussian_column`: coordinate
+    k's differences are one subtraction a_k - b_1k.  A wider matrix takes
+    them as one matrix product [a_k, -1] @ [1, b_k]^T, which is faster
+    there: entry (i, j) is the sum of the exact products a_ik * 1 and
+    -1 * b_jk, rounded once, so it is a_ik - b_jk bit for bit under any BLAS
+    summation order, with or without FMA (only the sign of a zero may
+    differ, and squaring drops it).  Either way each difference is rounded
+    once, so both forms give the same bits.  Dividing by -2 width^2 gives
+    the bits of negating and dividing by 2 width^2, since IEEE division is
+    sign-symmetric.
     """
     n, m, d = a.shape[0], b.shape[0], a.shape[1]
     # Points without coordinates are at distance 0; the loops write nothing.
     out = np.empty((n, m)) if d else np.zeros((n, m))
-    if m == 1:
-        # A pivot column: one subtraction per coordinate and no operands to
-        # build, 0.6 times the product form's time at N = 128, d = 1.
-        col, diff = out[:, 0], np.empty(n)
+    if m == 1 and d:
+        # One subtraction per coordinate and no operands to build, 0.6 times
+        # the product form's time at N = 128, d = 1.
+        _gaussian_column(a.T, b[0], -2.0 * width**2, out[:, 0], np.empty(n))
+        return out
+    # Per block row: its differences and 2 left-operand entries.
+    step = max(1, _BLOCK_BYTES // (8 * (m + 2)))
+    left, right = np.empty((2, min(n, step))), np.empty((2, m))
+    left[1], right[0] = -1.0, 1.0
+    for lo in range(0, n, step):
+        rows = a[lo : lo + step]
+        d2 = out[lo : lo + step]
+        ops = left[:, : rows.shape[0]]
         for k in range(d):
-            dk = np.subtract(a[:, k], b[0, k], out=diff if k else col)
-            np.square(dk, out=dk)
+            ops[0], right[1] = rows[:, k], b[:, k]
+            diff = np.matmul(ops.T, right, out=None if k else d2)
+            np.square(diff, out=diff)
             if k:
-                col += dk
-    else:
-        # Per block row: its differences and 2 left-operand entries.
-        step = max(1, _BLOCK_BYTES // (8 * (m + 2)))
-        left, right = np.empty((2, min(n, step))), np.empty((2, m))
-        left[1], right[0] = -1.0, 1.0
-        for lo in range(0, n, step):
-            rows = a[lo : lo + step]
-            d2 = out[lo : lo + step]
-            ops = left[:, : rows.shape[0]]
-            for k in range(d):
-                ops[0], right[1] = rows[:, k], b[:, k]
-                diff = np.matmul(ops.T, right, out=None if k else d2)
-                np.square(diff, out=diff)
-                if k:
-                    d2 += diff
+                d2 += diff
     np.divide(out, -2.0 * width**2, out=out)
     return np.exp(out, out=out)
+
+
+def column_evaluator(spec: KernelSpec, pts: PointSet):
+    """p -> K(x, x_p) over the points x of ``pts``, a fresh N-vector with the
+    bits of ``kernel_matrix(spec, x, x[p : p + 1])[:, 0]``.
+
+    Built once for a caller that reads many columns, such as a thm1 low-rank
+    row's pivoted Cholesky factor.  A gaussian evaluator holds the
+    coordinates as contiguous rows and the divisor -2 width^2, and skips
+    ``kernel_matrix``'s per-call checks; linear and polynomial columns call
+    ``kernel_matrix``.
+    """
+    x = pts.points
+    if spec.kind != "gaussian":
+        return lambda p: kernel_matrix(spec, x, x[p : p + 1])[:, 0]
+    coords, divisor = list(np.ascontiguousarray(x.T)), -2.0 * spec.width**2
+    diff = np.empty(x.shape[0])
+    return lambda p: _gaussian_column(coords, x[p], divisor, None, diff)
 
 
 # Most entries one kernel matrix may have (see kernel_matrix), and the most a

@@ -15,8 +15,9 @@ quadratic form on the (n, k) block of coefficients, as the thm2 harness uses
 for every row of a run at once.  :func:`gram_norm` alone keeps a separate 1-D form,
 because a vector's quadratic form rounds differently from a one-column
 block's.  :func:`cross_term_distance` takes a distance without a combined
-expansion, from the product of a Gram matrix never held whole with the
-coefficients, as the thm1 harness's low-rank route gets it.
+expansion and without a kernel value, from the product of a Gram matrix
+never held whole with the coefficients, as the thm1 harness's low-rank route
+gets it, and from the other function's values and squared norm.
 """
 
 from __future__ import annotations
@@ -187,20 +188,18 @@ def h_distance(
     return norms[0] if single else np.array(norms)
 
 
-def cross_term_distance(f: RepresenterFunction, gram_product, g: RepresenterFunction) -> float:
+def cross_term_distance(f: RepresenterFunction, gram_product, g_values, g_sq: float) -> float:
     """||f - g||_H as ||f||^2 - 2 (f, g)_H + ||g||^2, clamped and flagged as
-    in :func:`rkhs_norm`.
+    in :func:`rkhs_norm`, from terms the caller holds; no kernel value is
+    computed here.
 
     ``gram_product`` is G @ f.coeffs for the Gram matrix G of f's anchors,
     or L (L^T f.coeffs) for a factor G ~ L L^T, so ||f||^2 = f.coeffs .
-    gram_product, off by f.coeffs . (G - L L^T) f.coeffs for a factor;
-    (f, g)_H = f.coeffs . g(anchors of f) and ||g||^2 need kernel values
-    against g's anchors only, and no kernel matrix on f's anchors is built.
+    gram_product, off by f.coeffs . (G - L L^T) f.coeffs for a factor.
+    ``g_values`` is g at f's anchors, so (f, g)_H = f.coeffs . g_values, and
+    ``g_sq`` is ||g||^2, ``inner_product(g, g)``.  The thm1 harness takes
+    g's values from the step that sampled the labels and ||g||^2 once per
+    run.
     """
-    _require_same_kernel(f, g)
-    sq = (
-        float(f.coeffs @ gram_product)
-        - 2.0 * float(f.coeffs @ evaluate(g, f.anchors))
-        + inner_product(g, g)
-    )
+    sq = float(f.coeffs @ gram_product) - 2.0 * float(f.coeffs @ g_values) + g_sq
     return _norm_from_square(sq)

@@ -12,10 +12,12 @@ the minimal-norm interpolant, whose coefficients are the pseudoinverse
 solution of G alpha = y.  :func:`krr_fit` and :func:`min_norm_interpolant`
 return the function itself, a :class:`~krstab.rkhs.RepresenterFunction`;
 its risk is :func:`regularized_risk` and its residuals
-``evaluate(f, data.pts) - data.labels``.  :func:`krr_fit` has one path:
-datasets on one point set are fitted as one block solve, each with its own
-lam if the caller gives one per dataset, and a single dataset is a block of
-one.
+``evaluate(f, data.pts) - data.labels``, or G @ f.coeffs - data.labels when
+the caller holds the points' Gram matrix G.  All three functions take G as
+``gram_matrix=``, so that a caller builds it once.  :func:`krr_fit` has one
+path: datasets on one point set are fitted as one block solve, each with
+its own lam if the caller gives one per dataset, and a single dataset is a
+block of one.
 """
 
 from __future__ import annotations
@@ -47,13 +49,25 @@ class DataSet(Frozen):
         vars(self).update(pts=pts, labels=y)
 
 
-def regularized_risk(f: RepresenterFunction, data: DataSet, lam: float) -> float:
-    """L(f) exactly as displayed in the module docstring."""
+def regularized_risk(
+    f: RepresenterFunction, data: DataSet, lam: float, gram_matrix: GramMatrix | None = None
+) -> float:
+    """L(f) exactly as displayed in the module docstring.
+
+    ``gram_matrix`` may be supplied when f's anchors are the data's points
+    and it is their Gram matrix G: then f(x) = G alpha and ||f||^2 =
+    alpha . G . alpha come from it, in the order of :func:`evaluate` and
+    :func:`inner_product`, and no kernel matrix is built.
+    """
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    vals = evaluate(f, data.pts)
+    if gram_matrix is not None and f.anchors is data.pts and gram_matrix.n == len(data.pts):
+        vals = gram_matrix.entries @ f.coeffs
+        sq = float(f.coeffs @ gram_matrix.entries @ f.coeffs)
+    else:
+        vals, sq = evaluate(f, data.pts), inner_product(f, f)
     data_term = float(np.mean((vals - data.labels) ** 2))
-    return data_term + lam * inner_product(f, f)
+    return data_term + lam * sq
 
 
 def krr_fit(

@@ -20,10 +20,17 @@ Power-law schedules lam(i) = lam0 * i^(-exponent) keep the growing-sample
 argument alive iff 0 < exponent < 1/3 (then n lam^3 -> infinity) and the
 vanishing-noise argument alive iff 0 < exponent < 2 (then t sqrt(lam(t)) ->
 infinity).  Both bounds are strict; the boundary exponents fail.
+
+Every formula, and the schedule's value, returns a finite float or raises a
+ValueError that names the quantity which left the float range, so extreme
+but finite inputs fail the same way on every path: Python's float ``**``
+raises OverflowError and its ``/`` ZeroDivisionError (a divisor that
+underflowed to 0) where numpy would return inf, and ``*`` returns inf.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .linalg import FrozenValue
@@ -47,6 +54,28 @@ class StabilityParams(FrozenValue):
         return self.n >= 8.0 * self.m**2 / self.eps**2
 
 
+def _in_float_range(quantity: str, positive: bool = False):
+    """Decorator: the formula's result, or a ValueError naming ``quantity``
+    when the result is not a finite float (or, with ``positive``, when it
+    underflowed to 0 from positive inputs)."""
+
+    def decorate(formula):
+        @functools.wraps(formula)
+        def checked(*args, **kwargs):
+            try:
+                value = formula(*args, **kwargs)
+            except (OverflowError, ZeroDivisionError):
+                value = math.inf
+            if not math.isfinite(value) or (positive and not value > 0):
+                raise ValueError(f"{quantity} leaves the float range for these inputs")
+            return value
+
+        return checked
+
+    return decorate
+
+
+@_in_float_range("sigma_admissible = 2 * x_max")
 def sigma_admissible_ls(x_max: float) -> float:
     """Admissibility constant of squared loss: 2 * x_max."""
     if not x_max > 0:
@@ -54,11 +83,13 @@ def sigma_admissible_ls(x_max: float) -> float:
     return 2.0 * x_max
 
 
+@_in_float_range("beta = C^2 kappa^2 / (n lam)")
 def beta_stability(p: StabilityParams) -> float:
     """Uniform stability coefficient C^2 kappa^2 / (n lam)."""
     return p.c**2 * p.kappa**2 / (p.n * p.lam)
 
 
+@_in_float_range("p_n = (64 M n beta + 8 M^2) / (n eps^2)")
 def stability_probability(p: StabilityParams, beta: float) -> float:
     """(64 M n beta + 8 M^2) / (n eps^2)."""
     if beta < 0:
@@ -66,6 +97,7 @@ def stability_probability(p: StabilityParams, beta: float) -> float:
     return (64.0 * p.m * p.n * beta + 8.0 * p.m**2) / (p.n * p.eps**2)
 
 
+@_in_float_range("p_n_combined = (64 M C^2 kappa^2 + 8 M^2 lam) / (n lam eps^2)")
 def stability_probability_combined(p: StabilityParams) -> float:
     """The same bound with beta substituted in closed form:
     (64 M C^2 kappa^2 + 8 M^2 lam) / (n lam eps^2)."""
@@ -74,6 +106,7 @@ def stability_probability_combined(p: StabilityParams) -> float:
     )
 
 
+@_in_float_range("variance_radius = sqrt(2 eps / lam)")
 def variance_radius(eps: float, lam: float) -> float:
     """H-norm radius sqrt(2 eps / lam) forced by an eps-closeness certificate."""
     if not eps > 0 or not lam > 0:
@@ -81,6 +114,7 @@ def variance_radius(eps: float, lam: float) -> float:
     return math.sqrt(2.0 * eps / lam)
 
 
+@_in_float_range("eps_for_target = eta^2 lam / 8", positive=True)
 def eps_for_target(eta: float, lam: float) -> float:
     """Closeness level eta^2 lam / 8 that pins the minimizers within eta."""
     if not eta > 0 or not lam > 0:
@@ -98,6 +132,7 @@ class Schedule(FrozenValue):
             raise ValueError("lambda0 must be positive")
         vars(self).update(lambda0=lambda0, exponent=exponent)
 
+    @_in_float_range("the schedule's lambda = lambda0 * index^-exponent", positive=True)
     def value(self, index: float) -> float:
         """lam at index (sample size n or noise scale t); index must be > 0."""
         if not index > 0:

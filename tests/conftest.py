@@ -1,13 +1,16 @@
 """Shared test fixtures: random instance generators with conditioning
-control, used by both the module tests and the acceptance suite."""
+control, used by both the module tests and the acceptance suite, and a
+counter of kernel matrix calls."""
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import krstab.kernels
 from krstab import GramMatrix, KernelSpec, PointSet, gram
 
 
@@ -60,3 +63,20 @@ def instance_factory():
 @pytest.fixture(scope="session")
 def psd_factory():
     return make_random_psd
+
+
+@pytest.fixture
+def kernel_matrix_calls(monkeypatch):
+    """The (len(xs), len(ys)) of every kernel_matrix call, at each krstab
+    module attribute bound to the function."""
+    calls = []
+    real = krstab.kernels.kernel_matrix
+
+    def counted(spec, xs, ys):
+        calls.append((len(xs), len(ys)))
+        return real(spec, xs, ys)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "krstab" and getattr(module, "kernel_matrix", None) is real:
+            monkeypatch.setattr(module, "kernel_matrix", counted)
+    return calls

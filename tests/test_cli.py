@@ -916,6 +916,54 @@ def test_sample_config_runs(tmp_path, config):
         assert Path(str(out) + suffix).is_file()
 
 
+@pytest.mark.parametrize("command", ["fit", "interpolate"])
+def test_fit_and_interpolate_build_one_kernel_matrix(tmp_path, kernel_matrix_calls, command):
+    # The fitted values, the residuals and the objective come from the Gram
+    # matrix that the solve factors.
+    config = ROOT / "docs" / "configs" / f"{command}.json"
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    n = len(json.loads(config.read_text(encoding="utf-8"))["dataset"]["points"])
+    assert kernel_matrix_calls == [(n, n)]
+
+
+# One number of a docs/configs file set to an extreme but finite value whose
+# result leaves the float range (Python's float ** and / raise where numpy
+# gives inf), and the quantity the error names.
+FLOAT_RANGE_CASES = [
+    ("thm1", "schedule/exponent", -400, "the schedule's lambda"),
+    ("thm1", "schedule/lambda0", 1e-320, "beta"),
+    ("thm1", "eta", 1e200, "eps_for_target"),
+    ("thm1", "m_bound", 1e300, "beta"),
+    ("thm1", "c_bound", 1e300, "beta"),
+    ("thm2", "t_grid", [1, 1e300], "p_n"),
+    ("thm2", "t_grid", [1e-300, 1], "p_n"),
+    ("bounds", "eps", 1e-200, "p_n"),
+    ("bounds", "eps", 1e200, "p_n"),
+    ("bounds", "m", 1e300, "p_n"),
+    ("bounds", "c", 1e300, "beta"),
+    ("bounds", "lambda", 1e-320, "beta"),
+    ("spectrum", "lambdas", [1e-320], "output key profiles/0/filter_max_value"),
+]
+
+
+@pytest.mark.parametrize("command,key,value,quantity", FLOAT_RANGE_CASES)
+def test_results_beyond_the_float_range_are_config_errors(
+    tmp_path, capsys, command, key, value, quantity
+):
+    cfg = json.loads((ROOT / "docs" / "configs" / f"{command}.json").read_text(encoding="utf-8"))
+    *parents, last = key.split("/")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    out = tmp_path / "written"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {quantity}") and "leaves the float range" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.glob("written*")) == []
+
+
 def _hashlib_sha1(cfg: dict) -> str:
     trimmed = {k: v for k, v in cfg.items() if k != "output"}
     blob = json.dumps(trimmed, sort_keys=True, separators=(",", ":")).encode("utf-8")

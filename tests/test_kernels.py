@@ -12,6 +12,7 @@ from krstab.kernels import (
     GramMatrix,
     KernelSpec,
     PointSet,
+    column_evaluator,
     eval_kernel,
     gram,
     kappa_upper_bound,
@@ -265,6 +266,38 @@ def test_gaussian_matrix_bits_match_the_broadcast(monkeypatch, d, block_bytes):
             assert np.array_equal(kernel_matrix(spec, b, a).view(np.int64), got.T.view(np.int64))
             assert np.all(np.diag(kernel_matrix(spec, a, a)) == 1.0)
             assert np.all(got[np.all(a[:, None, :] == b[None, :, :], axis=-1)] == 1.0)
+
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+@pytest.mark.parametrize("width", [1e-6, 0.7, 1e6])
+def test_column_evaluator_has_the_bits_of_kernel_matrix_columns(d, width):
+    # The thm1 low-rank route reads its pivot columns from the evaluator, so
+    # each must be the kernel_matrix column bit for bit, at coordinates from
+    # 1e-8 to 1e8 in magnitude, zeros, and points that coincide.
+    rng = np.random.default_rng(70 + d)
+    n = 90
+    x = rng.uniform(-3.0, 3.0, (n, d)) * 10.0 ** rng.integers(-8, 9, (n, 1))
+    x[::7] = x[2]
+    x[::3, 0] = 0.0
+    pts, spec = PointSet(x), KernelSpec.gaussian(width)
+    column = column_evaluator(spec, pts)
+    for p in (0, 2, 7, 44, n - 1):
+        expect = kernel_matrix(spec, pts.points, pts.points[p : p + 1])[:, 0]
+        assert np.array_equal(column(p).view(np.int64), expect.view(np.int64))
+
+
+@pytest.mark.parametrize("spec", all_kinds(), ids=lambda s: s.kind)
+def test_column_evaluator_of_every_kind_is_a_gram_column(spec):
+    rng = np.random.default_rng(12)
+    pts = PointSet(rng.uniform(-2.0, 2.0, (40, 3)))
+    column = column_evaluator(spec, pts)
+    g = kernel_matrix(spec, pts, pts)
+    for p in (0, 17, 39):
+        got = column(p)
+        assert got.shape == (40,)
+        np.testing.assert_array_equal(got, kernel_matrix(spec, pts, pts.points[p : p + 1])[:, 0])
+        np.testing.assert_allclose(got, g[:, p], rtol=1e-14)
 
 
 UNIT_ROUNDOFF = 2.0**-53

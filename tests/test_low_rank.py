@@ -12,7 +12,13 @@ import krstab.kernels
 from krstab.experiments import DataDistribution, NoiseProcess, run_thm1
 from krstab.kernels import PSD_TOL, KernelSpec, PointSet, kernel_diag, kernel_matrix
 from krstab.linalg import low_rank_solve, pivoted_cholesky
-from krstab.rkhs import RepresenterFunction, cross_term_distance, h_distance
+from krstab.rkhs import (
+    RepresenterFunction,
+    cross_term_distance,
+    evaluate,
+    h_distance,
+    inner_product,
+)
 from krstab.solver import krr_fit
 from krstab.stability import Schedule
 
@@ -173,12 +179,41 @@ def test_cross_term_distance_matches_h_distance():
     x = PointSet(rng.uniform(0.0, 4.0, (60, 1)))
     f = RepresenterFunction(spec, x, rng.normal(size=60))
     expect = h_distance(f, CRIT4_TARGET)
+    values, target_sq = evaluate(CRIT4_TARGET, x), inner_product(CRIT4_TARGET, CRIT4_TARGET)
     product = kernel_matrix(spec, x, x) @ f.coeffs
-    assert cross_term_distance(f, product, CRIT4_TARGET) == pytest.approx(expect, rel=1e-12)
+    assert cross_term_distance(f, product, values, target_sq) == pytest.approx(expect, rel=1e-12)
     # The low-rank route's product L (L^T alpha), at the route tests' tolerance.
     factor = factor_of(spec, x.points)
     product = factor @ (factor.T @ f.coeffs)
-    assert cross_term_distance(f, product, CRIT4_TARGET) == pytest.approx(expect, rel=1e-10)
+    assert cross_term_distance(f, product, values, target_sq) == pytest.approx(expect, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "target,hi",
+    [
+        (CRIT4_TARGET, 4.0),
+        (CRIT4_TARGET, 16.0),
+        (RepresenterFunction(KernelSpec.gaussian(0.8), [[0.2, 0.3], [0.7, 0.6]], [0.9, -0.5]), 1.0),
+    ],
+    ids=["rank-19", "rank-over-32", "d2-rank-over-50"],
+)
+def test_low_rank_row_makes_one_kernel_matrix_call(
+    eigen_calls, pivot_columns, kernel_matrix_calls, target, hi
+):
+    # Each low-rank row reads its pivot columns from one column evaluator,
+    # and its distance uses the target's values from the labels' sampling and
+    # ||target||^2 from once per run: kernel_matrix runs once per row, for
+    # the labels, however many pivots the row takes.  The run adds one call
+    # for ||target||^2; m_bound and c_bound are given, so the default M takes
+    # none.
+    n, trials = 256, 3
+    report = run_thm1(
+        box_dist(target, 0.0, hi), Schedule(0.5, 0.3), [n], trials, 5, m_bound=2.0, c_bound=8.0
+    )
+    assert eigen_calls == [] and not report.flagged()
+    assert len(pivot_columns) > trials
+    anchors = len(target.anchors)
+    assert sorted(kernel_matrix_calls) == [(anchors, anchors)] + [(n, anchors)] * trials
 
 
 class TestRoutes:

@@ -39,6 +39,21 @@ class TestRegularizedRisk:
         with pytest.raises(ValueError):
             regularized_risk(f, data, 0.0)
 
+    def test_gram_matrix_route_has_the_bits_of_evaluate(self, instance_factory):
+        # With the Gram matrix of the fit's own points the values and the
+        # norm come from it, in the order of evaluate and inner_product.
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            spec, pts, g = instance_factory(rng, 1e8)
+            data = DataSet(pts, rng.normal(size=len(pts)))
+            f = krr_fit(data, 0.05, spec, gram_matrix=g)
+            assert regularized_risk(f, data, 0.05, gram_matrix=g) == regularized_risk(f, data, 0.05)
+        # A Gram matrix of other points is not used.
+        other = gram(GAUSS, PointSet([[0.0], [5.0]]))
+        f = RepresenterFunction(GAUSS, PointSet([[0.0], [1.0]]), [1.0, -1.0])
+        data = DataSet(PointSet([[0.0], [1.0]]), [0.5, 0.5])
+        assert regularized_risk(f, data, 0.1, gram_matrix=other) == regularized_risk(f, data, 0.1)
+
 
 class TestKrrFit:
     def test_single_point_closed_form(self):
