@@ -143,8 +143,11 @@ _CONFIG_KEYS: dict[str, dict[str, tuple[bool, str]]] = {
         "kernel": (False, _KERNEL_HELP),
         "points": (False, "points whose Gram matrix supplies kappa and the operator bounds"),
         "eta": (False, "optional target H-distance; adds the sufficient closeness level"),
-        "t": (False, "optional noise-shrink factor; with b_max adds the noise propagation bound"),
-        "b_max": (False, "optional noise amplitude; noise bound uses ||b||_2 <= b_max * sqrt(n)"),
+        "t": (False, "optional noise-shrink factor, given with b_max; adds the noise bound"),
+        "b_max": (
+            False,
+            "optional noise amplitude, given with t; noise bound uses ||b||_2 <= b_max * sqrt(n)",
+        ),
         "x_max": (False, "optional bound on |f(x) - y|; adds squared-loss admissibility constant"),
     },
     "spectrum": {
@@ -390,6 +393,9 @@ def _parse_bounds(cfg: dict) -> dict:
         raise ValueError("n is required when kappa is given inline")
     if ("kernel" in cfg) != ("points" in cfg):
         raise ValueError("kernel and points must be given together")
+    if ("t" in cfg) != ("b_max" in cfg):
+        missing, given = ("b_max", "t") if "t" in cfg else ("t", "b_max")
+        raise ValueError(f"config key {missing}: required with {given}; give both or neither")
     args = {
         key: float(_positive(cfg[key], key))
         for key in ("lambda", "eps", "c", "m", "kappa", "eta", "t", "x_max")
@@ -548,7 +554,7 @@ def _cmd_bounds(cfg: dict, args: dict) -> tuple[str, ...]:
         result["eps_for_target"] = eps_for_target(args["eta"], lam)
     if "x_max" in args:
         result["sigma_admissible"] = sigma_admissible_ls(args["x_max"])
-    if "t" in args and "b_max" in args:
+    if "t" in args:
         b_norm = args["b_max"] * math.sqrt(n)
         result["noise_bound"] = noise_operator_bound(n, args["t"], lam, b_norm)
     if op is not None:

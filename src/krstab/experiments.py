@@ -26,16 +26,17 @@ PSD check's tolerance); its pivot columns come from one
 ``kernel_matrix`` columns.  It solves for the fit by Woodbury through an
 r x r system and takes the distance by the cross-term form
 :func:`~krstab.rkhs.cross_term_distance` with G @ alpha as L (L^T alpha),
-the target's values at the row's points from the step that sampled its
-labels, and ||target||^2 computed once per run; G is never built and never
-eigendecomposed.  That moves ||f||^2 by
+the target's values at the row's points as :func:`sample_dataset` returns
+them with the labels, and ||target||^2 computed once per run; G is never
+built and never eigendecomposed.  That moves ||f||^2 by
 alpha . (G - L L^T) alpha, and G - L L^T is PSD with trace about the stop,
 so by at most about 1e-13 * N * max diag * ||alpha||^2.  The dense route is
 :func:`~krstab.solver.krr_fit` and :func:`~krstab.rkhs.h_distance` through
 the eigendecomposition of G, whose PSD check flags the row (the summary
-lists it under ``flagged_rows``); a G above the size limit
+lists it under ``flagged_rows``), as does the solve's shift rule (see
+:func:`~krstab.linalg.regularized_solve`); a G above the size limit
 ``kernels.MAX_ENTRIES`` flags it before it is allocated.  A row goes dense
-when any of four limits fails, each a property of its input and each a
+when any of five limits fails, each a property of its input and each a
 constant of this module:
 
 * size floor ``_MIN_LOW_RANK_N`` = 128: smaller rows try no factor;
@@ -62,7 +63,14 @@ constant of this module:
   measured up to 3.6e-9 apart relative at N = 512 and 4.0e-9 at N = 2048.
   On the shipped designs, whose low-rank rows have trace(G) / (N lam) <= 20,
   they measured at most 1.7e-13 apart relative (every row with N >= 128 of
-  the N = 32..2048, 10-trial grid at master seeds 0, 777 and 1000).
+  the N = 32..2048, 10-trial grid at master seeds 0, 777 and 1000);
+* shift limit N lam > tau = ``PSD_TOL`` * N * max diag: a smaller shift
+  goes dense, where the solve's shift rule flags the row whenever G's
+  smallest eigenvalue does not lift the shifted matrix above tau.  The
+  condition limit alone would let such a row through only when
+  trace(G) <= 1e-6 * N * max diag, a mean diagonal below a millionth of the
+  largest: never for the gaussian, whose diagonal is constant, and for the
+  other kernels only from N = 1e6 points on, since trace(G) >= max diag.
 
 On the criterion-4 design (a gaussian of width 0.8 on [0, 4], numerical rank
 about 19 at every N) rows with N >= 128 take the low-rank route and rows
@@ -243,21 +251,16 @@ class DataDistribution(Frozen):
         return PointSet(self.lo + u * (self.hi - self.lo))
 
 
-def _sample(dist: DataDistribution, n: int, seed: int) -> tuple[DataSet, np.ndarray]:
-    """The draw of :func:`sample_dataset` and the target's values at its
-    inputs, the labels without their noise."""
+def sample_dataset(dist: DataDistribution, n: int, seed: int) -> tuple[DataSet, np.ndarray]:
+    """Draw (x_i, target(x_i) + b_i), and the target's values at the inputs,
+    the labels without their noise.  Inputs and noise come from independent
+    substreams of ``seed``, so the draw is reproducible from the seed alone."""
     if n < 1:
         raise ValueError("n must be positive")
     xs = dist.sample_x(n, SplitMix64(mix64(seed, 0)))
     b = dist.noise.sample(n, mix64(seed, 1))
     values = evaluate(dist.target, xs)
     return DataSet(pts=xs, labels=values + b), values
-
-
-def sample_dataset(dist: DataDistribution, n: int, seed: int) -> DataSet:
-    """Draw (x_i, target(x_i) + b_i); inputs and noise come from independent
-    substreams of ``seed``, so the draw is reproducible from the seed alone."""
-    return _sample(dist, n, seed)[0]
 
 
 class ReportRow:
@@ -457,7 +460,14 @@ def run_thm2(
     b = np.array([noise.sample(n, row.seed) for row in rows])
     ts = np.array([row.index_var for row in rows], dtype=float)
     lams = np.array([row.lam for row in rows])
-    datasets = [DataSet(pts, values + b_row / row.index_var) for row, b_row in zip(rows, b)]
+    # b / t overflows at a tiny t: a ValueError naming the t_grid entry.
+    with np.errstate(over="ignore"):
+        labels = values + b / ts[:, None]
+    overflow = ~np.all(np.isfinite(labels), axis=1)
+    if overflow.any():
+        t = rows[int(overflow.argmax())].index_var
+        raise ValueError(f"labels f_tilde(x) + b / t leave the float range at t_grid entry {t!r}")
+    datasets = [DataSet(pts, row_labels) for row_labels in labels]
     fits = krr_fit(datasets, lams, kernel, gram_matrix=g)
     alpha = np.column_stack([f.coeffs for f in fits])
     resid = decomposition_residual(
@@ -489,6 +499,7 @@ def _low_rank_distance(
     # 2.0**-53 is the unit roundoff u.
     if not (
         float(np.sum(diag)) <= _CONDITION_LIMIT * shift
+        and shift > PSD_TOL * n * max_diag
         and rounding_constant(kernel, pts.dim) * 2.0**-53 <= PSD_TOL
     ):
         return None
@@ -540,7 +551,7 @@ def run_thm1(
     for row in rows:
         # A noise process that cannot be sampled fails the run, as in
         # run_thm2; only the fit and its distance are flagged per row.
-        data, values = _sample(dist, row.index_var, row.seed)
+        data, values = sample_dataset(dist, row.index_var, row.seed)
         try:
             distance = _low_rank_distance(data, row.lam, kernel, values, target_sq)
             if distance is None:

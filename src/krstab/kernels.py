@@ -8,14 +8,14 @@ Three positive semidefinite families are provided:
 
 Gaussian values are computed from coordinate differences directly (never via
 the expanded ||x||^2 + ||y||^2 - 2 x.y form), so the diagonal is exactly 1.
-In any dimension each coordinate's differences are one subtraction in a
-single column and one matrix product [a_k, -1] @ [1, b_k]^T in a wider
-matrix; the product's entries are sums of two exact products, rounded once,
-so they are the bits of a_ik - b_jk whatever BLAS does.  The squared
-differences are summed left to right.  A single column has one code path,
-shared by :func:`kernel_matrix` and :func:`column_evaluator`, which the thm1
-low-rank route builds once per row and calls for each pivot column without
-``kernel_matrix``'s per-call checks.
+:func:`kernel_matrix` takes each coordinate's differences as one matrix
+product [a_k, -1] @ [1, b_k]^T, whatever the dimension and shape; the
+product's entries are sums of two exact products, rounded once, so they are
+the bits of a_ik - b_jk whatever BLAS does.  The squared differences are
+summed left to right.  :func:`column_evaluator` is the one single-column
+path: the thm1 low-rank route builds it once per row and calls it for each
+pivot column without ``kernel_matrix``'s per-call checks, and it takes the
+differences by subtraction, with the same bits.
 Gram matrices are symmetrized by mirroring the upper triangle and carry a
 lazily computed, cached eigendecomposition; building one checks positive
 semidefiniteness against the scale-aware tolerance 1e-10 * n * max_diag,
@@ -54,6 +54,15 @@ class KernelSpec(FrozenValue):
         if kind == "gaussian":
             if width is None or not width > 0:
                 raise ValueError("gaussian kernel requires width > 0")
+            try:  # the divisor of kernel_matrix's exponent, which float ** may overflow
+                scale = 2.0 * width**2
+            except OverflowError:
+                scale = math.inf
+            if not 0.0 < scale < math.inf:
+                raise ValueError(
+                    f"gaussian kernel requires 2 * width^2 to be a positive finite float, "
+                    f"got width {width!r}"
+                )
             if degree is not None or offset is not None:
                 raise ValueError("gaussian kernel takes only a width")
         elif kind == "linear":
@@ -83,11 +92,7 @@ class KernelSpec(FrozenValue):
         return KernelSpec(kind="polynomial", degree=int(degree), offset=float(offset))
 
     def to_json_dict(self) -> dict:
-        if self.kind == "gaussian":
-            return {"kind": "gaussian", "width": self.width}
-        if self.kind == "linear":
-            return {"kind": "linear"}
-        return {"kind": "polynomial", "degree": self.degree, "offset": self.offset}
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 class PointSet(Frozen):
@@ -123,33 +128,12 @@ def _as_points(x) -> np.ndarray:
     return pts
 
 
-# Largest temporary, in bytes, that a gaussian kernel matrix of more than one
-# column allocates beside its (n, m) result and a (2, m) operand; rows are
-# processed in blocks that fit it (at least one row).  Blocking changes no
-# bit.  Measured on a 2-vCPU Xeon (2 MiB L2 per core) with 1 BLAS thread,
-# medians of 41 alternating rounds: a 1000 x 1000, d = 4 Gram took 7.4 ms at
-# 512 KiB and 10.8 ms at 1 MiB.  An (N, 1) pivot column is not blocked: it
-# allocates one N-vector.
+# Largest temporary, in bytes, that a gaussian kernel matrix allocates beside
+# its (n, m) result and a (2, m) operand; rows are processed in blocks that fit
+# it (at least one row).  Blocking changes no bit.  Measured on a 2-vCPU Xeon
+# (2 MiB L2 per core) with 1 BLAS thread, medians of 41 alternating rounds: a
+# 1000 x 1000, d = 4 Gram took 7.4 ms at 512 KiB and 10.8 ms at 1 MiB.
 _BLOCK_BYTES = 1 << 19
-
-
-def _gaussian_column(coords, point, divisor: float, out: np.ndarray | None, diff) -> np.ndarray:
-    """exp(||x_i - point||^2 / divisor) into ``out`` (a new vector if None):
-    the single-column gaussian formula of :func:`_gaussian_matrix` and
-    :func:`column_evaluator`.
-
-    ``coords`` holds the d >= 1 coordinate vectors of the points x_i.  Each
-    coordinate's differences are one subtraction, squared and added to the
-    earlier ones left to right; ``diff`` is scratch for d >= 2.
-    """
-    out = np.subtract(coords[0], point[0], out=out)
-    np.square(out, out=out)
-    for k in range(1, len(point)):
-        np.subtract(coords[k], point[k], out=diff)
-        np.square(diff, out=diff)
-        out += diff
-    np.divide(out, divisor, out=out)
-    return np.exp(out, out=out)
 
 
 def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
@@ -157,26 +141,19 @@ def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
 
     Each squared distance is the left-to-right sum of the squared coordinate
     differences, the order numpy's own reduction uses below 8 terms, and
-    never the expanded ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j.  A single column
-    (m == 1, as a pivot column is) is :func:`_gaussian_column`: coordinate
-    k's differences are one subtraction a_k - b_1k.  A wider matrix takes
-    them as one matrix product [a_k, -1] @ [1, b_k]^T, which is faster
-    there: entry (i, j) is the sum of the exact products a_ik * 1 and
-    -1 * b_jk, rounded once, so it is a_ik - b_jk bit for bit under any BLAS
-    summation order, with or without FMA (only the sign of a zero may
-    differ, and squaring drops it).  Either way each difference is rounded
-    once, so both forms give the same bits.  Dividing by -2 width^2 gives
+    never the expanded ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j.  Coordinate k's
+    differences are one matrix product [a_k, -1] @ [1, b_k]^T, whatever the
+    shape, a single column included: entry (i, j) is the sum of the exact
+    products a_ik * 1 and -1 * b_jk, rounded once, so it is a_ik - b_jk bit
+    for bit under any BLAS summation order, with or without FMA (only the
+    sign of a zero may differ, and squaring drops it).  So its bits are those
+    of :func:`column_evaluator`'s subtractions.  Dividing by -2 width^2 gives
     the bits of negating and dividing by 2 width^2, since IEEE division is
     sign-symmetric.
     """
     n, m, d = a.shape[0], b.shape[0], a.shape[1]
     # Points without coordinates are at distance 0; the loops write nothing.
     out = np.empty((n, m)) if d else np.zeros((n, m))
-    if m == 1 and d:
-        # One subtraction per coordinate and no operands to build, 0.6 times
-        # the product form's time at N = 128, d = 1.
-        _gaussian_column(a.T, b[0], -2.0 * width**2, out[:, 0], np.empty(n))
-        return out
     # Per block row: its differences and 2 left-operand entries.
     step = max(1, _BLOCK_BYTES // (8 * (m + 2)))
     left, right = np.empty((2, min(n, step))), np.empty((2, m))
@@ -200,17 +177,32 @@ def column_evaluator(spec: KernelSpec, pts: PointSet):
     bits of ``kernel_matrix(spec, x, x[p : p + 1])[:, 0]``.
 
     Built once for a caller that reads many columns, such as a thm1 low-rank
-    row's pivoted Cholesky factor.  A gaussian evaluator holds the
-    coordinates as contiguous rows and the divisor -2 width^2, and skips
-    ``kernel_matrix``'s per-call checks; linear and polynomial columns call
-    ``kernel_matrix``.
+    row's pivoted Cholesky factor.  A gaussian evaluator is the package's
+    only single-column formula: it holds the coordinates as contiguous rows
+    and the divisor -2 width^2, skips ``kernel_matrix``'s per-call checks,
+    and takes coordinate k's differences as one subtraction x_k - x_pk,
+    rounded once as :func:`_gaussian_matrix`'s products are, squared and
+    added to the earlier ones left to right.  Linear and polynomial columns
+    call ``kernel_matrix``.
     """
     x = pts.points
     if spec.kind != "gaussian":
         return lambda p: kernel_matrix(spec, x, x[p : p + 1])[:, 0]
     coords, divisor = list(np.ascontiguousarray(x.T)), -2.0 * spec.width**2
     diff = np.empty(x.shape[0])
-    return lambda p: _gaussian_column(coords, x[p], divisor, None, diff)
+
+    def column(p: int) -> np.ndarray:
+        point = x[p]
+        out = np.subtract(coords[0], point[0])
+        np.square(out, out=out)
+        for k in range(1, len(point)):
+            np.subtract(coords[k], point[k], out=diff)
+            np.square(diff, out=diff)
+            out += diff
+        np.divide(out, divisor, out=out)
+        return np.exp(out, out=out)
+
+    return column
 
 
 # Most entries one kernel matrix may have (see kernel_matrix), and the most a
@@ -367,12 +359,19 @@ class GramMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @property
+    def psd_tol(self) -> float:
+        """tau = 1e-10 * n * max_diag: how far below 0 the PSD check lets a
+        computed eigenvalue fall, and how far above 0 a regularized solve
+        needs the smallest shifted one."""
+        return PSD_TOL * self.n * self.max_diag
+
     @cached_property
     def eigen(self) -> EigenDecomposition:
         """Cached decomposition; raises DiagnosticsError if the matrix fails
-        the PSD check min eigenvalue >= -1e-10 * n * max_diag."""
+        the PSD check min eigenvalue >= -psd_tol."""
         eig = sym_eigen(self)
-        tol = PSD_TOL * self.n * self.max_diag
+        tol = self.psd_tol
         low = float(eig.eigenvalues[-1])
         if low < -tol:
             raise DiagnosticsError(

@@ -19,7 +19,7 @@ Low-rank route: :func:`pivoted_cholesky` builds G ~ L L^T from n * r kernel
 values and :func:`low_rank_solve` solves (L L^T + shift I) x = y through an
 r x r system.  Only ``run_thm1`` takes it, per row; thm2, ``fit``,
 ``interpolate``, ``spectrum`` and ``bounds`` take the dense route.  A thm1
-row goes dense when one of four limits fails; :mod:`krstab.experiments`
+row goes dense when one of five limits fails; :mod:`krstab.experiments`
 states them, with their constants and the measurements behind them.
 
 The route's distance takes G @ alpha as L (L^T alpha), so a low-rank row
@@ -119,6 +119,12 @@ def regularized_solve(g: GramMatrix, shift, rhs) -> np.ndarray:
     matrix products) each, and each column's divisor is what a solve of that
     column alone would use.  A raw symmetric PSD array goes through
     ``GramMatrix(a)``, which also gives it the PSD check.
+
+    The PSD check leaves each computed eigenvalue of G only within
+    tau = ``g.psd_tol`` of the truth, so G + shift*I is positive definite
+    only when its smallest computed eigenvalue w_min + shift exceeds tau.
+    Where it does not, :class:`DiagnosticsError` is raised, since the solve
+    would divide by shifted eigenvalues of either sign.
     """
     shifts = np.asarray(shift, dtype=float)
     if shifts.ndim > 1 or not np.all(shifts > 0):
@@ -130,6 +136,12 @@ def regularized_solve(g: GramMatrix, shift, rhs) -> np.ndarray:
     if shifts.ndim == 1 and shifts.shape != (block.shape[1],):
         raise ValueError(f"got {shifts.shape[0]} shifts for {block.shape[1]} right-hand sides")
     eig = g.eigen
+    low = float(eig.eigenvalues[-1]) + float(shifts.min())
+    if not low > g.psd_tol:
+        raise DiagnosticsError(
+            f"shifted Gram matrix may be indefinite: min eigenvalue plus smallest shift "
+            f"{low:.6e} does not exceed the PSD tolerance {g.psd_tol:.6e}"
+        )
     z = eig.eigenvectors.T @ block
     return (eig.eigenvectors @ (z / (eig.eigenvalues[:, None] + shifts))).reshape(y.shape)
 

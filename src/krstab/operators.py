@@ -31,6 +31,7 @@ from .kernels import GramMatrix, KernelSpec, PointSet, gram, kernel_matrix
 from .linalg import InconsistentSystemError, pinv_solve, regularized_solve
 from .rkhs import RepresenterFunction, evaluate, gram_norm
 from .rng import SplitMix64
+from .stability import _in_float_range
 
 
 class EvaluationOperator:
@@ -143,10 +144,14 @@ def filter_max(n: int, lam: float) -> tuple[float, float]:
     return (n * lam, n / (4.0 * lam))
 
 
+@_in_float_range("noise_bound = (1/(n t)) * (sqrt(n) / (2 sqrt(lam))) * ||b||_2")
 def noise_operator_bound(n: int, t: float, lam: float, b_norm: float) -> float:
     """Bound on the H-norm of the noise image (1/(n t)) (P*P/n + lam)^{-1} P* b:
 
         (1/(n t)) * (sqrt(n) / (2 sqrt(lam))) * ||b||_2
+
+    A result outside the float range, such as 1/(n t) overflowing at a tiny
+    t, is a ValueError naming the bound, as in :mod:`krstab.stability`.
     """
     if n < 1 or not t > 0 or not lam > 0 or b_norm < 0:
         raise ValueError("need n >= 1, t > 0, lam > 0, b_norm >= 0")

@@ -198,8 +198,8 @@ def cross_term_distance(f: RepresenterFunction, gram_product, g_values, g_sq: fl
     gram_product, off by f.coeffs . (G - L L^T) f.coeffs for a factor.
     ``g_values`` is g at f's anchors, so (f, g)_H = f.coeffs . g_values, and
     ``g_sq`` is ||g||^2, ``inner_product(g, g)``.  The thm1 harness takes
-    g's values from the step that sampled the labels and ||g||^2 once per
-    run.
+    g's values from ``sample_dataset``, which returns them with the labels,
+    and ||g||^2 once per run.
     """
     sq = float(f.coeffs @ gram_product) - 2.0 * float(f.coeffs @ g_values) + g_sq
     return _norm_from_square(sq)

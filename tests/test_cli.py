@@ -926,6 +926,22 @@ def test_fit_and_interpolate_build_one_kernel_matrix(tmp_path, kernel_matrix_cal
     assert kernel_matrix_calls == [(n, n)]
 
 
+def _edited_docs_config(command: str, edits: dict) -> dict:
+    """docs/configs/<command>.json with each "a/b" key path set to its value,
+    or deleted where the value is None."""
+    cfg = json.loads((ROOT / "docs" / "configs" / f"{command}.json").read_text(encoding="utf-8"))
+    for key, value in edits.items():
+        *parents, last = key.split("/")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value
+    return cfg
+
+
 # One number of a docs/configs file set to an extreme but finite value whose
 # result leaves the float range (Python's float ** and / raise where numpy
 # gives inf), and the quantity the error names.
@@ -950,18 +966,95 @@ FLOAT_RANGE_CASES = [
 def test_results_beyond_the_float_range_are_config_errors(
     tmp_path, capsys, command, key, value, quantity
 ):
-    cfg = json.loads((ROOT / "docs" / "configs" / f"{command}.json").read_text(encoding="utf-8"))
-    *parents, last = key.split("/")
-    node = cfg
-    for part in parents:
-        node = node[part]
-    node[last] = value
+    cfg = _edited_docs_config(command, {key: value})
     out = tmp_path / "written"
     assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {quantity}") and "leaves the float range" in err
     assert "Traceback" not in err
     assert list(tmp_path.glob("written*")) == []
+
+
+def _gaussian_width_cases(width):
+    kernel = {"kind": "gaussian", "width": width}
+    return [
+        ("fit", {"kernel/width": width}, "kernel"),
+        ("interpolate", {"kernel/width": width}, "kernel"),
+        ("spectrum", {"kernel/width": width}, "kernel"),
+        ("bounds", {"kappa": None, "n": None, "kernel": kernel, "points": [[0.0], [1.0]]}, "kernel"),
+        ("thm1", {"distribution/target/kernel/width": width}, "distribution/target/kernel"),
+        ("thm2", {"f_tilde/kernel/width": width}, "f_tilde/kernel"),
+    ]
+
+
+# (command, edits to its docs config, exit code, start of stderr)
+KEYED_FAILURES = [
+    *(
+        (command, edits, 1, f"config error: config key {path}: gaussian kernel requires "
+         f"2 * width^2 to be a positive finite float, got width {width!r}")
+        for width in (1e300, 1e-300)
+        for command, edits, path in _gaussian_width_cases(width)
+    ),
+    (
+        "thm2",
+        {"schedule/exponent": 0, "noise/b_max": 0, "t_grid": [1e-310, 1]},
+        1,
+        "config error: noise_bound = (1/(n t)) * (sqrt(n) / (2 sqrt(lam))) * ||b||_2 "
+        "leaves the float range",
+    ),
+    (
+        "thm2",
+        {"schedule/exponent": 0, "noise/b_max": 1, "t_grid": [1e-310, 1]},
+        1,
+        "config error: labels f_tilde(x) + b / t leave the float range at t_grid entry 1e-310",
+    ),
+    ("bounds", {"b_max": None}, 1, "config error: config key b_max: required with t"),
+    ("bounds", {"t": None}, 1, "config error: config key t: required with b_max"),
+    (
+        "fit",
+        {"dataset/points": [[0.0], [0.0], [1.0]], "dataset/labels": [1.0, 1.0, 0.0],
+         "lambda": 1e-30},
+        3,
+        "numerical diagnostics failure: shifted Gram matrix may be indefinite",
+    ),
+    (
+        "thm2",
+        {"points": [[0.0], [0.0], [1.0], [2.0]], "schedule/lambda0": 1e-30},
+        3,
+        "numerical diagnostics failure: shifted Gram matrix may be indefinite",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,edits,code,message", KEYED_FAILURES)
+def test_extreme_inputs_fail_with_a_keyed_message(tmp_path, capsys, command, edits, code, message):
+    # A gaussian width whose divisor 2 * width^2 leaves the float range, a
+    # thm2 t so small that the noise bound or the labels b / t overflow,
+    # bounds' t without b_max or b_max without t, and a ridge shift within
+    # the PSD tolerance of a singular Gram matrix.  No warning is printed
+    # (tier-1 turns one into an error), no traceback, and nothing is written.
+    out = tmp_path / "written"
+    cfg = _edited_docs_config(command, edits)
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+    assert list(tmp_path.glob("written*")) == []
+
+
+def test_thm1_shift_within_the_psd_tolerance_flags_every_row(tmp_path):
+    # lambda0 = 1e-30: every row's N lam is far below tau = 1e-10 * N, so
+    # the dense rows are flagged by the solve's shift rule and the N >= 128
+    # rows go dense by the condition limit and are flagged there too.
+    cfg = _edited_docs_config("thm1", {"schedule/lambda0": 1e-30, "trials": 2})
+    out = tmp_path / "o"
+    assert main(["thm1", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = json.loads(Path(str(out) + ".summary.json").read_text(encoding="utf-8"))
+    assert summary["row_count"] == 10 and len(summary["flagged_rows"]) == 10
+    assert all("does not exceed the PSD tolerance" in r["flag"] for r in summary["flagged_rows"])
+    assert summary["medians"] == [] and summary["rate"] is None
+    rows = Path(str(out) + ".csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["nan"] * 10
 
 
 def _hashlib_sha1(cfg: dict) -> str:

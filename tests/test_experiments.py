@@ -119,30 +119,33 @@ class TestNoiseProcess:
 class TestSampling:
     def test_dataset_deterministic(self):
         dist = make_dist()
-        a = sample_dataset(dist, 12, seed=5)
-        b = sample_dataset(dist, 12, seed=5)
+        a, a_values = sample_dataset(dist, 12, seed=5)
+        b, b_values = sample_dataset(dist, 12, seed=5)
         assert np.array_equal(a.pts.points, b.pts.points)
         assert np.array_equal(a.labels, b.labels)
-        c = sample_dataset(dist, 12, seed=6)
+        assert np.array_equal(a_values, b_values)
+        c, _ = sample_dataset(dist, 12, seed=6)
         assert not np.array_equal(a.pts.points, c.pts.points)
 
     def test_points_inside_box(self):
-        data = sample_dataset(make_dist(), 100, seed=2)
+        data, _ = sample_dataset(make_dist(), 100, seed=2)
         assert np.all(data.pts.points >= 0.0) and np.all(data.pts.points <= 2.0)
 
     def test_noiseless_labels_equal_target(self):
         dist = make_dist(b_max=0.0)
-        data = sample_dataset(dist, 20, seed=4)
+        data, values = sample_dataset(dist, 20, seed=4)
         assert np.array_equal(data.labels, evaluate(dist.target, data.pts))
+        assert np.array_equal(values, data.labels)
 
     def test_substream_layout(self):
         # inputs come from substream 0 of the seed, noise from substream 1
         dist = make_dist()
-        data = sample_dataset(dist, 7, seed=42)
+        data, values = sample_dataset(dist, 7, seed=42)
         xs = dist.sample_x(7, SplitMix64(mix64(42, 0)))
         assert np.array_equal(data.pts.points, xs.points)
         b = dist.noise.sample(7, mix64(42, 1))
-        assert np.allclose(data.labels, evaluate(dist.target, xs) + b, rtol=0, atol=0)
+        assert np.array_equal(values, evaluate(dist.target, xs))
+        assert np.allclose(data.labels, values + b, rtol=0, atol=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
     def test_points_match_scalar_stream(self, seed):

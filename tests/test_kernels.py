@@ -84,6 +84,17 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="unknown"):
             KernelSpec(kind="laplace", width=1.0)
 
+    @pytest.mark.parametrize("width", [1e-300, 1e-162, 1e154, 1e300, 1.7e308])
+    def test_gaussian_width_whose_divisor_leaves_the_float_range(self, width):
+        # 2 * width^2 underflows to 0, overflows to inf, or (from 1e155 on)
+        # makes float ** raise OverflowError.
+        with pytest.raises(ValueError, match=r"2 \* width\^2 to be a positive finite float"):
+            KernelSpec.gaussian(width)
+
+    @pytest.mark.parametrize("width", [1e-161, 1e-150, 9e153])
+    def test_gaussian_width_with_a_positive_finite_divisor(self, width):
+        assert kernel_matrix(KernelSpec.gaussian(width), [[0.0]], [[0.0]])[0, 0] == 1.0
+
     def test_json_exact_keys(self):
         assert KernelSpec.gaussian(1.0).to_json_dict() == {"kind": "gaussian", "width": 1.0}
         assert KernelSpec.linear().to_json_dict() == {"kind": "linear"}
@@ -242,11 +253,11 @@ def test_kernel_matrix_cross_shape():
 def test_gaussian_matrix_bits_match_the_broadcast(monkeypatch, d, block_bytes):
     # Every squared distance has the bits of the broadcast differences'
     # squares summed left to right, at coordinates from 1e-8 to 1e8 in
-    # magnitude, signed zeros and points that coincide.  A single column
-    # takes its differences by subtraction and a wider matrix by matrix
-    # product.  Below 8 coordinates the oracle has the bits of numpy's own
-    # reduction; from 8 on numpy sums pairwise, and the kernel still sums
-    # left to right.
+    # magnitude, signed zeros and points that coincide.  Every shape takes
+    # its differences by matrix product, so the (90, 1) and (128, 1) pivot
+    # columns check the product form's single columns against the oracle.
+    # Below 8 coordinates the oracle has the bits of numpy's own reduction;
+    # from 8 on numpy sums pairwise, and the kernel still sums left to right.
     if block_bytes is not None:
         monkeypatch.setattr(krstab.kernels, "_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(40 + d)

@@ -8,6 +8,7 @@ import pytest
 
 from krstab.kernels import GramMatrix
 from krstab.linalg import (
+    DiagnosticsError,
     InconsistentSystemError,
     pinv_solve,
     regularized_solve,
@@ -149,6 +150,20 @@ class TestRegularizedSolve:
     def test_rejects_wrong_rhs_shape(self):
         with pytest.raises(ValueError):
             regularized_solve(GramMatrix(np.eye(2)), 1.0, [1.0, 1.0, 1.0])
+
+    def test_shift_within_the_psd_tolerance_of_a_singular_matrix_raises(self):
+        # The PSD check leaves a computed eigenvalue of this rank-1 G only
+        # within tau = 1e-10 * 3 * 1 of 0, so a shift of 1e-30 cannot show
+        # that G + shift * I is positive definite; nor can one column of a
+        # block whose other shifts could.
+        g = GramMatrix(np.ones((3, 3)))
+        assert g.psd_tol == 3e-10
+        for shift, rhs in ((1e-30, [1.0, 2.0, 3.0]), (np.array([1.0, 1e-30]), np.ones((3, 2)))):
+            with pytest.raises(DiagnosticsError, match="does not exceed the PSD tolerance"):
+                regularized_solve(g, shift, rhs)
+        # A shift above tau solves, to the accuracy its conditioning allows.
+        x = regularized_solve(g, 1e-9, [1.0, -1.0, 0.0])
+        np.testing.assert_allclose(x, [1e9, -1e9, 0.0], rtol=0, atol=1e-6 * 1e9)
 
 
 class TestPinvSolve:

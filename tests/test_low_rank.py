@@ -2,6 +2,7 @@
 Woodbury solve, the cross-term distance through the factor, and which rows
 take it rather than the dense eigendecomposition."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -299,7 +300,7 @@ class TestRoutes:
         assert eigen_calls == [32, 32, 127, 127]
         assert pivot_columns == [128] * 6
         for row in report.rows[:4]:
-            data = exp.sample_dataset(dist, row.index_var, row.seed)
+            data, _ = exp.sample_dataset(dist, row.index_var, row.seed)
             expect = h_distance(krr_fit(data, row.lam, spec), target)
             assert row.h_distance.hex() == expect.hex()
 
@@ -320,6 +321,19 @@ class TestRoutes:
         # lam = 1e-6 puts trace(G) / (N lam) = 1e6 above the limit.
         run_thm1(box_dist(CRIT4_TARGET, 0.0, 4.0), Schedule(1e-6, 0.0), [128], 2, 2)
         assert eigen_calls == [128, 128]
+
+    def test_shift_limit_sends_rows_dense_where_they_are_flagged(
+        self, monkeypatch, eigen_calls
+    ):
+        # With the condition limit lifted, N lam = 1.28e-28 is still far
+        # below tau = 1e-10 * N * max diag, so each row goes dense, and the
+        # solve's shift rule flags it there against G's smallest eigenvalue.
+        monkeypatch.setattr(exp, "_CONDITION_LIMIT", 1e300)
+        report = run_thm1(box_dist(CRIT4_TARGET, 0.0, 4.0), Schedule(1e-30, 0.0), [128], 2, 2)
+        assert eigen_calls == [128, 128]
+        for row in report.rows:
+            assert "does not exceed the PSD tolerance" in row.flag
+            assert math.isnan(row.h_distance)
 
     @pytest.mark.parametrize(
         "spec,anchors",

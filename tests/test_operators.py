@@ -202,6 +202,13 @@ class TestNoiseBound:
     def test_zero_noise(self):
         assert noise_operator_bound(10, 2.0, 0.5, 0.0) == 0.0
 
+    @pytest.mark.parametrize("t,b_norm", [(1e-310, 0.0), (1e-310, 5.0), (1e-300, 1e300)])
+    def test_bound_outside_the_float_range_names_it(self, t, b_norm):
+        # 1/(n t) overflows: inf times a zero norm is nan, and times a
+        # positive one is inf.
+        with pytest.raises(ValueError, match="noise_bound .* leaves the float range"):
+            noise_operator_bound(25, t, 1.0, b_norm)
+
     def test_scales_inversely_with_t(self):
         a = noise_operator_bound(9, 1.0, 0.1, 2.0)
         b = noise_operator_bound(9, 10.0, 0.1, 2.0)
