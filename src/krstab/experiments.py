@@ -246,7 +246,16 @@ class DataDistribution(Frozen):
         return self.lo.shape[0]
 
     def sample_x(self, n: int, stream: SplitMix64) -> PointSet:
-        """n input points, coordinates drawn point-major from the stream."""
+        """n input points, coordinates drawn point-major from the stream.
+
+        More than ``kernels.MAX_ENTRIES`` coordinates raise a
+        :class:`~krstab.linalg.DiagnosticsError` before anything is drawn,
+        as an oversized kernel matrix does."""
+        if n * self.dim > kernels.MAX_ENTRIES:
+            raise DiagnosticsError(
+                f"a sample of {n} points in {self.dim} dimensions needs {8 * n * self.dim} "
+                f"bytes, above the limit of {kernels.MAX_ENTRIES} coordinates"
+            )
         u = stream.doubles(n * self.dim).reshape(n, self.dim)
         return PointSet(self.lo + u * (self.hi - self.lo))
 
@@ -503,12 +512,15 @@ def _low_rank_distance(
         and rounding_constant(kernel, pts.dim) * 2.0**-53 <= PSD_TOL
     ):
         return None
-    factor = pivoted_cholesky(
-        diag,
-        column_evaluator(kernel, pts),
-        min(int(_RANK_CAP * n), kernels.MAX_ENTRIES // n),
-        _TRACE_STOP * n * max_diag,
-    )
+    # A pivot column's overflow is the exact kernel value 0 (see
+    # kernels._gaussian_matrix); one errstate covers every column of the factor.
+    with np.errstate(over="ignore"):
+        factor = pivoted_cholesky(
+            diag,
+            column_evaluator(kernel, pts),
+            min(int(_RANK_CAP * n), kernels.MAX_ENTRIES // n),
+            _TRACE_STOP * n * max_diag,
+        )
     if factor is None:
         return None
     alpha = low_rank_solve(factor, shift, data.labels)

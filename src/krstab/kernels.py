@@ -150,6 +150,10 @@ def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
     of :func:`column_evaluator`'s subtractions.  Dividing by -2 width^2 gives
     the bits of negating and dividing by 2 width^2, since IEEE division is
     sign-symmetric.
+
+    A difference, square, sum or quotient beyond the float range (points
+    1e300 apart, or a subnormal 2 width^2) is inf, whose kernel value
+    exp(-inf) = 0 is the exact limit, so those overflows are not reported.
     """
     n, m, d = a.shape[0], b.shape[0], a.shape[1]
     # Points without coordinates are at distance 0; the loops write nothing.
@@ -158,17 +162,18 @@ def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
     step = max(1, _BLOCK_BYTES // (8 * (m + 2)))
     left, right = np.empty((2, min(n, step))), np.empty((2, m))
     left[1], right[0] = -1.0, 1.0
-    for lo in range(0, n, step):
-        rows = a[lo : lo + step]
-        d2 = out[lo : lo + step]
-        ops = left[:, : rows.shape[0]]
-        for k in range(d):
-            ops[0], right[1] = rows[:, k], b[:, k]
-            diff = np.matmul(ops.T, right, out=None if k else d2)
-            np.square(diff, out=diff)
-            if k:
-                d2 += diff
-    np.divide(out, -2.0 * width**2, out=out)
+    with np.errstate(over="ignore"):
+        for lo in range(0, n, step):
+            rows = a[lo : lo + step]
+            d2 = out[lo : lo + step]
+            ops = left[:, : rows.shape[0]]
+            for k in range(d):
+                ops[0], right[1] = rows[:, k], b[:, k]
+                diff = np.matmul(ops.T, right, out=None if k else d2)
+                np.square(diff, out=diff)
+                if k:
+                    d2 += diff
+        np.divide(out, -2.0 * width**2, out=out)
     return np.exp(out, out=out)
 
 
@@ -183,7 +188,10 @@ def column_evaluator(spec: KernelSpec, pts: PointSet):
     and takes coordinate k's differences as one subtraction x_k - x_pk,
     rounded once as :func:`_gaussian_matrix`'s products are, squared and
     added to the earlier ones left to right.  Linear and polynomial columns
-    call ``kernel_matrix``.
+    call ``kernel_matrix``.  The gaussian closure overflows as
+    :func:`_gaussian_matrix` does, to the exact value 0, but does not enter
+    ``np.errstate`` per column: a caller that may see such inputs enters it
+    once around all its columns, as the thm1 low-rank row does.
     """
     x = pts.points
     if spec.kind != "gaussian":
@@ -206,7 +214,7 @@ def column_evaluator(spec: KernelSpec, pts: PointSet):
 
 
 # Most entries one kernel matrix may have (see kernel_matrix), and the most a
-# thm1 row's low-rank factor may hold (see krstab.experiments).
+# thm1 row's low-rank factor or sample may hold (see krstab.experiments).
 MAX_ENTRIES = 1 << 27
 
 

@@ -1,6 +1,6 @@
 """Shared test fixtures: random instance generators with conditioning
-control, used by both the module tests and the acceptance suite, and a
-counter of kernel matrix calls."""
+control, used by both the module tests and the acceptance suite, a counter
+of kernel matrix calls, and the ``ci`` hypothesis profile."""
 
 from __future__ import annotations
 
@@ -9,9 +9,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import krstab.kernels
 from krstab import GramMatrix, KernelSpec, PointSet, gram
+
+# A wider search for the CLI contract property test, which takes its example
+# count from the loaded profile (100 by default): CI reruns
+# tests/test_cli_contract.py alone with --hypothesis-profile=ci.
+settings.register_profile("ci", max_examples=300)
 
 
 def make_random_instance(rng: np.random.Generator, max_cond: float):

@@ -5,6 +5,7 @@ spans the benchmark's tracer expects from each experiment command."""
 import gc
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -21,7 +22,7 @@ import pytest
 import krstab.cli as cli_module
 from krstab.cli import _validate_config, main
 from krstab.experiments import NoiseProcess
-from krstab.kernels import KernelSpec, PointSet
+from krstab.kernels import KernelSpec, PointSet, kernel_matrix
 from krstab.rkhs import RepresenterFunction, evaluate
 from krstab.solver import DataSet, regularized_risk
 from krstab.stability import Schedule
@@ -1139,3 +1140,126 @@ def test_traced_run_records_every_expected_span(tmp_path, command, workload, ove
     spans = json.loads(proc.stdout.splitlines()[-1])["spans"]
     missing = [s for s in _expected_spans()[workload] if spans.get(s, {}).get("calls", 0) == 0]
     assert missing == []
+
+
+def _run_edited(tmp_path, capsys, command, edits):
+    """(exit code, stderr, written files) of main on an edited docs config."""
+    cfg = _edited_docs_config(command, edits)
+    out = tmp_path / "written"
+    code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    return code, capsys.readouterr().err, sorted(p.name for p in tmp_path.glob("written*"))
+
+
+# A kernel value whose squared distance or quotient overflows is its exact
+# limit exp(-inf) = 0, so these runs exit 0 and print nothing on stderr
+# (tier-1 turns the RuntimeWarning they printed before into an error).
+
+
+def test_fit_point_at_1e300_runs_silently(tmp_path, capsys):
+    points = [[0.25 * i] for i in range(8)] + [[1e300]]
+    code, err, written = _run_edited(tmp_path, capsys, "fit", {"dataset/points": points})
+    assert (code, err) == (0, "")
+    assert written == ["written.fit.json", "written.residuals.csv"]
+
+
+def test_spectrum_point_at_1e300_is_an_isolated_eigenvalue(tmp_path, capsys):
+    points = [[0.5 * i] for i in range(7)] + [[1e300]]
+    code, err, _ = _run_edited(tmp_path, capsys, "spectrum", {"points": points})
+    assert (code, err) == (0, "")
+    result = json.loads((tmp_path / "written.spectrum.json").read_text(encoding="utf-8"))
+    assert min(abs(w - 1.0) for w in result["eigenvalues"]) < 1e-12
+
+
+def test_thm1_box_to_1e300_runs_silently(tmp_path, capsys):
+    code, err, _ = _run_edited(tmp_path, capsys, "thm1", {"distribution/box/hi": [1e300]})
+    assert (code, err) == (0, "")
+
+
+def test_gaussian_width_with_a_subnormal_divisor_is_the_identity(tmp_path, capsys):
+    # 2 * 1e-160^2 is subnormal: every distinct pair's quotient overflows.
+    code, err, _ = _run_edited(tmp_path, capsys, "fit", {"kernel/width": 1e-160})
+    assert (code, err) == (0, "")
+    pts = [[0.0], [0.25], [1.0]]
+    assert np.array_equal(kernel_matrix(KernelSpec.gaussian(1e-160), pts, pts), np.eye(3))
+
+
+# An intermediate value that leaves the float range, beyond the quantities
+# named by their own checks, is a config error, not a RuntimeWarning followed
+# by a result or by another error.
+@pytest.mark.parametrize(
+    "command,edits",
+    [
+        ("fit", {"dataset/labels": [1e300] + [0.0] * 8}),
+        ("fit", {"dataset/labels": [1.7e308] + [0.0] * 8}),
+        ("fit", {"lambda": 1.7e308}),
+        ("interpolate", {"dataset/values": [1.7e308, 0.0, 0.0, 0.0, 0.0]}),
+        ("thm1", {"distribution/target/coeffs": [1e300, 1.0, 1.0, 0.7], "trials": 2}),
+        ("thm2", {"f_tilde/coeffs": [1e300, -0.8, 0.6, -1.2, 0.9], "trials": 2}),
+    ],
+    ids=[
+        "fit-label-1e300",
+        "fit-label-max",
+        "fit-lambda-max",
+        "interpolate-value-max",
+        "thm1-target-coeff",
+        "thm2-f-tilde-coeff",
+    ],
+)
+def test_intermediate_overflow_is_a_config_error(tmp_path, capsys, command, edits):
+    code, err, written = _run_edited(tmp_path, capsys, command, edits)
+    assert code == 1 and written == []
+    assert err.startswith("config error: these inputs leave the float range: overflow"), err
+
+
+def test_thm1_sample_beyond_the_entry_limit_exits_3(tmp_path, capsys):
+    # 10^12 points were a MemoryError traceback; 10^30 a numpy ValueError.
+    for n in (10**12, 1e30):
+        code, err, written = _run_edited(tmp_path, capsys, "thm1", {"n_grid": [32, n]})
+        assert code == 3 and written == []
+        assert err.startswith(f"numerical diagnostics failure: a sample of {int(n)} points")
+
+
+def _configs_setting_every_key(tmp_path) -> dict:
+    """Per command, configs that parse and together set every key of its
+    table: one per alternative where keys exclude each other (a dataset
+    source; bounds' kappa + n or kernel + points)."""
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("x1,y\n0.0,1.0\n0.5,0.4\n1.0,-0.1\n", encoding="utf-8")
+    from_csv = {"dataset": None, "dataset_csv": str(csv_path)}
+    harness = {"eta": 0.2, "m_bound": 5.0, "c_bound": 20.0}
+    gram_route = {"kappa": None, "kernel": {"kind": "linear"}, "points": [[0.0], [1.0]]}
+    return {
+        "fit": [_edited_docs_config("fit", {}), _edited_docs_config("fit", from_csv)],
+        "interpolate": [
+            _edited_docs_config("interpolate", {}),
+            _edited_docs_config("interpolate", from_csv),
+        ],
+        "thm1": [_edited_docs_config("thm1", {"trials": 2, **harness})],
+        "thm2": [_edited_docs_config("thm2", {"trials": 2, **harness})],
+        "bounds": [_edited_docs_config("bounds", {}), _edited_docs_config("bounds", gram_route)],
+        "spectrum": [_edited_docs_config("spectrum", {"scale": 4.0})],
+    }
+
+
+@pytest.mark.parametrize("command", list(cli_module._CONFIG_KEYS))
+def test_every_table_key_is_parsed_and_used(tmp_path, command):
+    # Each key of _CONFIG_KEYS has its parser in its row, and each parsed
+    # key reaches the runner's arguments or a cross-key check: a row whose
+    # parser ignored its value, or a value that nothing read, fails here.
+    configs = _configs_setting_every_key(tmp_path)[command]
+    table = cli_module._CONFIG_KEYS[command]
+    assert set().union(*configs) == {*table, "output"}
+    for cfg in configs:
+        args = _validate_config(command, cfg)
+        for key in set(cfg) - {"output"}:
+            with pytest.raises(ValueError, match=f"^config key {key}: expected"):
+                _validate_config(command, {**cfg, key: None})
+            without = {k: v for k, v in cfg.items() if k != key}
+            try:
+                assert set(_validate_config(command, without)) < set(args), key
+            except ValueError:  # a missing required key or a cross-key rule
+                pass
+        if command in ("thm1", "thm2"):
+            # the runner takes exactly the parsed arguments, each by its name
+            run = cli_module.run_thm1 if command == "thm1" else cli_module.run_thm2
+            assert set(args) == set(inspect.signature(run).parameters)
