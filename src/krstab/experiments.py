@@ -12,7 +12,8 @@ Each harness then fits its rows and fills in the distance columns:
   decomposition residual that certifies the error identity.  Every row
   shares G's one eigendecomposition, so the run is one block per run, not
   one per t: each solve takes every (t, trial) row as a column with its own
-  shift n * lam(t).
+  shift n * lam(t), and the rows' label draws are the columns of one
+  :class:`~krstab.solver.DataSet`.
 * growing sample (``run_thm1``): datasets of size n are drawn from a
   distribution; the fit is compared in H-norm to the known target that
   generated the labels.  The shrinkage/noise columns do not apply in this
@@ -81,7 +82,13 @@ dense route only.
 
 Rows are reproducible in isolation: the seed of row (grid_index, trial) is
 ``mix64(master_seed, grid_index * 2**32 + trial)``, so enlarging the grid or
-adding trials never changes the seeds of existing rows.
+adding trials never changes the seeds of existing rows.  As an oversized
+kernel matrix is, a run too large to hold is refused before any row is built,
+by a :class:`~krstab.linalg.DiagnosticsError` naming ``trials``, the grid
+length and the limit: when its rows, at ``_ROW_BYTES`` each, would take more
+than 8 * ``kernels.MAX_ENTRIES`` bytes (1 GiB, a largest kernel matrix), or,
+in thm2, whose noise, label and solve blocks are rows x n dense matrices,
+when rows * n exceeds ``kernels.MAX_ENTRIES``.
 
 The CSV schema is fixed:
 
@@ -164,6 +171,9 @@ _TRACE_STOP = 1e-13
 _MIN_LOW_RANK_N = 128
 _RANK_CAP = 0.25
 _CONDITION_LIMIT = 1e4
+# Bytes a finished row takes with its CSV line: 560 (thm1) and 680 (thm2) at
+# the peak of writing the report (tracemalloc over 1e5 rows, Python 3.11).
+_ROW_BYTES = 700
 
 
 class NoiseProcess(FrozenValue):
@@ -366,12 +376,22 @@ def _sweep(schedule, grid, trials, seed, eta, m_bound, c_bound, kappa, target, b
     the sample grows and each index is its own sample size.  A row gets its
     index, lam = schedule.value(index), trial, seed, and beta and p_n on that
     sample size; the harness fills in the rest.  The echo is the report's
-    metadata.
+    metadata.  Rows above the module's limits are refused before any is built.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if not eta > 0:
         raise ValueError("eta must be positive")
+    count, limit = trials * len(grid), kernels.MAX_ENTRIES
+    made = f"trials {trials} over a grid of {len(grid)} entries make {count} rows"
+    if n is not None and count * n > limit:
+        raise DiagnosticsError(
+            f"{made} of {n} labels, {count * n} entries, above the limit of {limit} entries"
+        )
+    if count * _ROW_BYTES > 8 * limit:
+        raise DiagnosticsError(
+            f"{made} of about {_ROW_BYTES} bytes, above the limit of {8 * limit} bytes"
+        )
     if m_bound is None:
         m_bound = default_m_bound(target, kappa, b_max)
     if c_bound is None:
@@ -476,8 +496,7 @@ def run_thm2(
     if overflow.any():
         t = rows[int(overflow.argmax())].index_var
         raise ValueError(f"labels f_tilde(x) + b / t leave the float range at t_grid entry {t!r}")
-    datasets = [DataSet(pts, row_labels) for row_labels in labels]
-    fits = krr_fit(datasets, lams, kernel, gram_matrix=g)
+    fits = krr_fit(DataSet(pts, labels.T), lams, kernel, gram_matrix=g)
     alpha = np.column_stack([f.coeffs for f in fits])
     resid = decomposition_residual(
         g, alpha, fbar.coeffs, np.repeat(shrink_solves, trials, axis=1), b.T, ts, lams
@@ -524,9 +543,7 @@ def _low_rank_distance(
     if factor is None:
         return None
     alpha = low_rank_solve(factor, shift, data.labels)
-    g_alpha = factor @ (factor.T @ alpha)
-    fit = RepresenterFunction(kernel, pts, alpha)
-    return cross_term_distance(fit, g_alpha, target_values, target_sq)
+    return cross_term_distance(alpha, factor @ (factor.T @ alpha), target_values, target_sq)
 
 
 def run_thm1(

@@ -188,18 +188,18 @@ def h_distance(
     return norms[0] if single else np.array(norms)
 
 
-def cross_term_distance(f: RepresenterFunction, gram_product, g_values, g_sq: float) -> float:
+def cross_term_distance(coeffs, gram_product, g_values, g_sq: float) -> float:
     """||f - g||_H as ||f||^2 - 2 (f, g)_H + ||g||^2, clamped and flagged as
-    in :func:`rkhs_norm`, from terms the caller holds; no kernel value is
-    computed here.
+    in :func:`rkhs_norm`, for the expansion f with ``coeffs`` over some
+    anchors, from terms the caller holds; no kernel value is computed here.
 
-    ``gram_product`` is G @ f.coeffs for the Gram matrix G of f's anchors,
-    or L (L^T f.coeffs) for a factor G ~ L L^T, so ||f||^2 = f.coeffs .
-    gram_product, off by f.coeffs . (G - L L^T) f.coeffs for a factor.
-    ``g_values`` is g at f's anchors, so (f, g)_H = f.coeffs . g_values, and
+    ``gram_product`` is G @ coeffs for the Gram matrix G of f's anchors, or
+    L (L^T coeffs) for a factor G ~ L L^T, so ||f||^2 = coeffs .
+    gram_product, off by coeffs . (G - L L^T) coeffs for a factor.
+    ``g_values`` is g at f's anchors, so (f, g)_H = coeffs . g_values, and
     ``g_sq`` is ||g||^2, ``inner_product(g, g)``.  The thm1 harness takes
     g's values from ``sample_dataset``, which returns them with the labels,
     and ||g||^2 once per run.
     """
-    sq = float(f.coeffs @ gram_product) - 2.0 * float(f.coeffs @ g_values) + g_sq
+    sq = float(coeffs @ gram_product) - 2.0 * float(coeffs @ g_values) + g_sq
     return _norm_from_square(sq)

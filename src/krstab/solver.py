@@ -14,10 +14,10 @@ return the function itself, a :class:`~krstab.rkhs.RepresenterFunction`;
 its risk is :func:`regularized_risk` and its residuals
 ``evaluate(f, data.pts) - data.labels``, or G @ f.coeffs - data.labels when
 the caller holds the points' Gram matrix G.  All three functions take G as
-``gram_matrix=``, so that a caller builds it once.  :func:`krr_fit` has one
-path: datasets on one point set are fitted as one block solve, each with
-its own lam if the caller gives one per dataset, and a single dataset is a
-block of one.
+``gram_matrix=``, so that a caller builds it once.  A :class:`DataSet`'s
+labels are a vector or an (n, k) block of k label draws; :func:`krr_fit`
+fits a block in one block solve, each column with its own lam if the
+caller gives one per column, and a vector as a block of one.
 """
 
 from __future__ import annotations
@@ -33,16 +33,16 @@ from .rng import SplitMix64
 
 
 class DataSet(Frozen):
-    """Sample points with one real label each."""
+    """Sample points with a label vector or an (n, k) block of k label draws,
+    stored C-contiguous so that a block's bits never depend on its memory order."""
 
     def __init__(self, pts: PointSet, labels: np.ndarray) -> None:
         if not isinstance(pts, PointSet):
             pts = PointSet(pts)
-        y = np.asarray(labels, dtype=float).copy()
-        if y.ndim != 1 or y.shape[0] != len(pts):
-            raise ValueError(
-                f"labels must be a vector of length {len(pts)}, got shape {y.shape}"
-            )
+        y = np.array(labels, dtype=float, order="C")
+        if y.ndim not in (1, 2) or y.shape[0] != len(pts) or y.size == 0:
+            n = len(pts)
+            raise ValueError(f"labels have shape {y.shape}, expected ({n},) or ({n}, k >= 1)")
         if not np.all(np.isfinite(y)):
             raise ValueError("labels must be finite")
         y.setflags(write=False)
@@ -52,13 +52,15 @@ class DataSet(Frozen):
 def regularized_risk(
     f: RepresenterFunction, data: DataSet, lam: float, gram_matrix: GramMatrix | None = None
 ) -> float:
-    """L(f) exactly as displayed in the module docstring.
+    """L(f) exactly as displayed in the module docstring, for a label vector.
 
     ``gram_matrix`` may be supplied when f's anchors are the data's points
     and it is their Gram matrix G: then f(x) = G alpha and ||f||^2 =
     alpha . G . alpha come from it, in the order of :func:`evaluate` and
     :func:`inner_product`, and no kernel matrix is built.
     """
+    if data.labels.ndim != 1:
+        raise ValueError(f"the risk takes one label vector, got shape {data.labels.shape}")
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     if gram_matrix is not None and f.anchors is data.pts and gram_matrix.n == len(data.pts):
@@ -71,39 +73,31 @@ def regularized_risk(
 
 
 def krr_fit(
-    data: DataSet | Sequence[DataSet],
+    data: DataSet,
     lam: float | Sequence[float],
     kernel: KernelSpec,
     gram_matrix: GramMatrix | None = None,
 ) -> RepresenterFunction | list[RepresenterFunction]:
     """Minimize the regularized risk in closed form.
 
-    ``data`` is a sequence of DataSets on one PointSet object, or one
-    DataSet, which is fitted as a sequence of one.  ``lam`` is one positive
-    value for every dataset, or a sequence of one per dataset.  There is one
-    path: one block solve of (G + n*lam_j I) a_j = y_j, one shift per
-    column, gives one fitted function per dataset, in order; a single
-    DataSet gets its function back alone.  ``gram_matrix`` may be supplied
-    when the caller already holds the Gram matrix of the points (its cached
-    decomposition is then reused).
+    ``lam`` is one positive value for every label column of ``data``, or a
+    sequence of one per column.  There is one path: one block solve of
+    (G + n*lam_j I) a_j = y_j, one shift per column, gives the fitted
+    function of a label vector, or a list of one per column of a block.
+    ``gram_matrix`` may be supplied when the caller already holds the Gram
+    matrix of the points (its cached decomposition is then reused).
     """
-    single = isinstance(data, DataSet)
-    datasets = [data] if single else list(data)
-    if not datasets:
-        raise ValueError("need at least one dataset")
-    lams = [lam] * len(datasets) if np.ndim(lam) == 0 else [float(v) for v in lam]
-    if len(lams) != len(datasets):
-        raise ValueError(f"got {len(lams)} lam values for {len(datasets)} datasets")
-    if not all(v > 0 for v in lams):
+    y = data.labels
+    k = 1 if y.ndim == 1 else y.shape[1]
+    lams = np.full(k, lam, dtype=float) if np.ndim(lam) == 0 else np.asarray(lam, dtype=float)
+    if lams.shape != (k,):
+        raise ValueError(f"got {lams.size} lam values for {k} label columns")
+    if not np.all(lams > 0):
         raise ValueError(f"lam must be positive, got {lam}")
-    pts = datasets[0].pts
-    if any(d.pts is not pts for d in datasets):
-        raise ValueError("datasets of one block fit must share one PointSet")
-    g = gram_matrix if gram_matrix is not None else gram(kernel, pts)
-    labels = np.column_stack([d.labels for d in datasets])
-    alphas = regularized_solve(g, len(pts) * np.array(lams, dtype=float), labels)
-    fits = [RepresenterFunction(kernel, pts, alpha) for alpha in alphas.T]
-    return fits[0] if single else fits
+    g = gram_matrix if gram_matrix is not None else gram(kernel, data.pts)
+    alphas = regularized_solve(g, len(y) * lams, y).reshape(len(y), k)
+    fits = [RepresenterFunction(kernel, data.pts, alpha) for alpha in alphas.T]
+    return fits[0] if y.ndim == 1 else fits
 
 
 def min_norm_interpolant(

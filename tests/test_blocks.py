@@ -1,12 +1,13 @@
 """Block right-hand sides: an (n, k) block through ``regularized_solve`` or
-``gram_norm``, a sequence of datasets through ``krr_fit`` or a sequence of
-expansions through ``h_distance`` gives, column by column, what k separate
-single calls give, on a design with distinct points and on one with repeated
-points (singular G).  ``decomposition_residual`` takes blocks only, so each of
-its columns is compared with the explicit numpy formula instead.  The single
-calls, and a one-column ``decomposition_residual`` block, are pinned with
-``==`` to their explicit formulas.  A block may carry one shift (one lam,
-one t) per column; each column then matches its own scalar call."""
+``gram_norm``, a dataset with an (n, k) label block through ``krr_fit`` or a
+sequence of expansions through ``h_distance`` gives, column by column, what
+k separate single calls give, on a design with distinct points and on one
+with repeated points (singular G).  ``decomposition_residual`` takes blocks
+only, so each of its columns is compared with the explicit numpy formula
+instead.  The single calls, and a one-column ``decomposition_residual``
+block, are pinned with ``==`` to their explicit formulas.  A block may carry
+one shift (one lam, one t) per column; each column then matches its own
+scalar call.  The thm2 harness fits its label draws as one such block."""
 
 import math
 
@@ -16,9 +17,12 @@ import pytest
 from krstab.kernels import GramMatrix, KernelSpec, PointSet, gram
 from krstab.linalg import regularized_solve
 from krstab.operators import decomposition_residual
+import krstab.experiments as experiments
 import krstab.rkhs as rkhs
+from krstab.experiments import NoiseProcess, run_thm2
 from krstab.rkhs import RepresenterFunction, gram_norm, h_distance
-from krstab.solver import DataSet, krr_fit
+from krstab.solver import DataSet, krr_fit, regularized_risk
+from krstab.stability import Schedule
 
 KERNEL = KernelSpec.gaussian(0.8)
 N, K, LAM, T = 30, 4, 1e-3, 10.0
@@ -77,18 +81,20 @@ class TestBlockMatchesColumns:
             assert abs(got[j] - want) <= 1e-12 * want
 
     def test_krr_fit_sequence(self, repeated):
+        # A label block gives a list of fits, one per column, in order.
         pts, g = design(repeated)
         y = block(7)
-        datasets = [DataSet(pts, y[:, j]) for j in range(K)]
-        fits = krr_fit(datasets, LAM, KERNEL, gram_matrix=g)
-        assert len(fits) == K
+        fits = krr_fit(DataSet(pts, y), LAM, KERNEL, gram_matrix=g)
+        assert isinstance(fits, list) and len(fits) == K
         for f in fits:
             assert isinstance(f, RepresenterFunction) and f.anchors is pts
         got = np.column_stack([f.coeffs for f in fits])
-        want = [krr_fit(d, LAM, KERNEL, gram_matrix=g).coeffs for d in datasets]
+        want = [
+            krr_fit(DataSet(pts, y[:, j]), LAM, KERNEL, gram_matrix=g).coeffs for j in range(K)
+        ]
         assert_columns_close(got, want)
         # Without a supplied Gram matrix the block builds its own.
-        own = krr_fit(datasets, LAM, KERNEL)
+        own = krr_fit(DataSet(pts, y), LAM, KERNEL)
         assert_columns_close(np.column_stack([f.coeffs for f in own]), want)
 
     def test_h_distance_sequence(self, repeated, monkeypatch):
@@ -166,14 +172,17 @@ class TestPerColumnShifts:
         assert np.array_equal(got, regularized_solve(g, np.full(K, N * LAM), y))
 
     def test_krr_fit_takes_one_lam_per_dataset(self, repeated):
+        # Each column of a label block is one label draw with its own lam.
         pts, g = design(repeated)
         y = block(19)
         lams = SHIFTS / N
-        datasets = [DataSet(pts, y[:, j]) for j in range(K)]
-        fits = krr_fit(datasets, lams, KERNEL, gram_matrix=g)
+        fits = krr_fit(DataSet(pts, y), lams, KERNEL, gram_matrix=g)
         got = np.column_stack([f.coeffs for f in fits])
         assert np.array_equal(got, regularized_solve(g, N * lams, y))
-        want = [krr_fit(d, lam, KERNEL, gram_matrix=g).coeffs for d, lam in zip(datasets, lams)]
+        want = [
+            krr_fit(DataSet(pts, y[:, j]), lams[j], KERNEL, gram_matrix=g).coeffs
+            for j in range(K)
+        ]
         assert_columns_close(got, want)
 
     def test_decomposition_residual(self, repeated):
@@ -211,10 +220,10 @@ class TestBadShifts:
 
     def test_krr_fit_needs_one_lam_per_dataset(self):
         pts, g = design(False)
-        datasets = [DataSet(pts, col) for col in block(25).T]
-        for lams in ([LAM] * (K - 1), [LAM, LAM, 0.0, LAM]):
+        data = DataSet(pts, block(25))
+        for lams in ([LAM] * (K - 1), [LAM] * (K + 1), [LAM, LAM, 0.0, LAM]):
             with pytest.raises(ValueError, match="lam"):
-                krr_fit(datasets, lams, KERNEL, gram_matrix=g)
+                krr_fit(data, lams, KERNEL, gram_matrix=g)
 
     def test_decomposition_residual_needs_one_value_per_column(self):
         _, g = design(False)
@@ -268,20 +277,56 @@ class TestBadShapes:
             decomposition_residual(g, np.ones((N, K)), v, v, v, T, LAM)
 
 
-class TestKrrFitSequence:
-    def test_rejects_datasets_on_different_point_sets(self):
+class TestLabelBlock:
+    def test_f_ordered_block_keeps_the_bits_of_its_c_copy(self):
         pts, g = design(False)
-        y = block(12)
-        twin = PointSet(pts.points.copy())  # equal rows, another object
-        other = PointSet(pts.points + 1.0)
-        for second in (twin, other):
-            datasets = [DataSet(pts, y[:, 0]), DataSet(second, y[:, 1])]
-            with pytest.raises(ValueError, match="one PointSet"):
-                krr_fit(datasets, LAM, KERNEL, gram_matrix=g)
+        y = np.asfortranarray(block(12))
+        data = DataSet(pts, y)
+        assert data.labels.flags.c_contiguous
+        twin = DataSet(pts, np.ascontiguousarray(y))
+        assert data.labels.tobytes() == twin.labels.tobytes()
+        fits, twins = (krr_fit(d, LAM, KERNEL, gram_matrix=g) for d in (data, twin))
+        for f, t in zip(fits, twins):
+            assert f.coeffs.tobytes() == t.coeffs.tobytes()
 
-    def test_rejects_empty_sequence(self):
-        with pytest.raises(ValueError, match="at least one"):
-            krr_fit([], LAM, KERNEL)
+    @pytest.mark.parametrize("shape", [(N, 0), (N - 1, K), (N + 1,), (N, K, 1)])
+    def test_rejects_bad_shapes(self, shape):
+        pts, _ = design(False)
+        with pytest.raises(ValueError, match="shape"):
+            DataSet(pts, np.ones(shape))
+
+    def test_block_has_no_risk(self):
+        pts, g = design(False)
+        f = RepresenterFunction(KERNEL, pts, block(26)[:, 0])
+        with pytest.raises(ValueError, match="one label vector"):
+            regularized_risk(f, DataSet(pts, block(27)), LAM, gram_matrix=g)
+
+    def test_krr_fit_takes_no_sequence_of_datasets(self):
+        pts, g = design(False)
+        with pytest.raises(AttributeError, match="labels"):
+            krr_fit([DataSet(pts, col) for col in block(28).T], LAM, KERNEL, gram_matrix=g)
+
+    def test_run_thm2_fits_one_dataset(self, monkeypatch):
+        # Every label draw of a run, over all t and trials, is one column of
+        # one DataSet, fitted by one krr_fit call.
+        built, calls = [], []
+
+        def dataset(*args):
+            built.append(DataSet(*args))
+            return built[-1]
+
+        def fit(data, *args, **kwargs):
+            calls.append(data)
+            return krr_fit(data, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "DataSet", dataset)
+        monkeypatch.setattr(experiments, "krr_fit", fit)
+        pts = PointSet(np.linspace(0.0, 2.0, 8).reshape(-1, 1))
+        target = RepresenterFunction(KERNEL, PointSet([[0.5], [1.5]]), np.array([1.0, -0.5]))
+        noise, schedule = NoiseProcess("uniform", 0.5), Schedule(lambda0=0.5, exponent=1.0)
+        report = run_thm2(pts, target, noise, schedule, [1, 10, 100], trials=3, seed=17)
+        assert len(built) == 1 and calls == built
+        assert built[0].labels.shape == (8, len(report.rows)) == (8, 9)
 
 
 class TestHDistanceSequence:

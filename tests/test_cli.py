@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import krstab.cli as cli_module
+import krstab.kernels
 from krstab.cli import _validate_config, main
 from krstab.experiments import NoiseProcess
 from krstab.kernels import KernelSpec, PointSet, kernel_matrix
@@ -686,6 +687,46 @@ class TestMemoryGuard:
         assert proc.returncode == 3, proc.stderr
         assert seconds < 1.0
         assert f"a {n} x {n} kernel matrix needs {8 * n * n} bytes" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("command, trials", [("thm1", 1e30), ("thm2", 10**7)])
+    def test_huge_trials_exits_diagnostics(self, tmp_path, command, trials):
+        # The sweep refuses the rows before it builds any.
+        cfg = json.loads((ROOT / "docs" / "configs" / f"{command}.json").read_text("utf-8"))
+        cfg.update(trials=trials, output=str(tmp_path / "exp"))
+        proc, seconds = _run_capped([command, "--config", write_config(tmp_path, cfg)])
+        assert proc.returncode == 3, proc.stderr
+        assert seconds < 1.0
+        assert f"trials {int(trials)} over a grid of 5 entries" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @staticmethod
+    def _docs_run_exit(tmp_path, command):
+        cfg = json.loads((ROOT / "docs" / "configs" / f"{command}.json").read_text("utf-8"))
+        cfg["output"] = str(tmp_path / "exp")
+        return main([command, "--config", write_config(tmp_path, cfg)])
+
+    def test_thm1_rows_above_the_byte_limit_exit_3(self, tmp_path, monkeypatch, capsys):
+        # The docs run's 25 rows of about 700 B are above 8 * 2048 B.  Every
+        # kernel matrix it builds has at most 2048 entries (the target's
+        # values at 512 points) or is flagged, so without the guard it exits 0.
+        monkeypatch.setattr(krstab.kernels, "MAX_ENTRIES", 2048)
+        assert self._docs_run_exit(tmp_path, "thm1") == 3
+        err = capsys.readouterr().err
+        assert "trials 5 over a grid of 5 entries make 25 rows of about" in err
+        assert "above the limit of 16384 bytes" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_thm2_label_blocks_above_the_entry_limit_exit_3(self, tmp_path, monkeypatch, capsys):
+        # The docs run's noise and label blocks are 100 rows x 25 points, one
+        # entry above the limit; its Gram matrix has 625 entries, so without
+        # the guard it exits 0.
+        monkeypatch.setattr(krstab.kernels, "MAX_ENTRIES", 2499)
+        assert self._docs_run_exit(tmp_path, "thm2") == 3
+        err = capsys.readouterr().err
+        assert "trials 20 over a grid of 5 entries make 100 rows of 25 labels" in err
+        assert "2500 entries, above the limit of 2499 entries" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 

@@ -291,7 +291,7 @@ class TestRunThm2:
         calls = []
 
         def failing(*args, **kwargs):
-            calls.append(len(args[0]))
+            calls.append(args[0].labels.shape[1])
             raise DiagnosticsError("synthetic failure")
 
         monkeypatch.setattr(exp, "krr_fit", failing)

@@ -182,11 +182,13 @@ def test_cross_term_distance_matches_h_distance():
     expect = h_distance(f, CRIT4_TARGET)
     values, target_sq = evaluate(CRIT4_TARGET, x), inner_product(CRIT4_TARGET, CRIT4_TARGET)
     product = kernel_matrix(spec, x, x) @ f.coeffs
-    assert cross_term_distance(f, product, values, target_sq) == pytest.approx(expect, rel=1e-12)
+    got = cross_term_distance(f.coeffs, product, values, target_sq)
+    assert got == pytest.approx(expect, rel=1e-12)
     # The low-rank route's product L (L^T alpha), at the route tests' tolerance.
     factor = factor_of(spec, x.points)
     product = factor @ (factor.T @ f.coeffs)
-    assert cross_term_distance(f, product, values, target_sq) == pytest.approx(expect, rel=1e-10)
+    got = cross_term_distance(f.coeffs, product, values, target_sq)
+    assert got == pytest.approx(expect, rel=1e-10)
 
 
 @pytest.mark.parametrize(
