@@ -338,12 +338,12 @@ class ExperimentReport:
     def medians(self) -> dict:
         """Median h-distance per grid index over clean, finite rows;
         insertion order follows the grid."""
-        groups: dict = {}
+        by_index: dict = {}
         for r in self.rows:
             if r.flag or not math.isfinite(r.h_distance):
                 continue
-            groups.setdefault(r.index_var, []).append(r.h_distance)
-        return {idx: _median(vals) for idx, vals in groups.items()}
+            by_index.setdefault(r.index_var, []).append(r.h_distance)
+        return {idx: _median(vals) for idx, vals in by_index.items()}
 
     def flagged(self) -> list[ReportRow]:
         return [r for r in self.rows if r.flag]
@@ -370,13 +370,13 @@ def default_c_bound(m_bound: float) -> float:
 
 
 def _sweep(schedule, grid, trials, seed, eta, m_bound, c_bound, kappa, target, b_max, n=None):
-    """The rows of a harness run, one list per grid point, and the run's echo.
+    """The rows of a harness run in one list, and the run's echo.
 
     ``n`` is the fixed sample size of the vanishing-noise sweep; without it
-    the sample grows and each index is its own sample size.  A row gets its
-    index, lam = schedule.value(index), trial, seed, and beta and p_n on that
-    sample size; the harness fills in the rest.  The echo is the report's
-    metadata.  Rows above the module's limits are refused before any is built.
+    the sample grows and each index is its own sample size.  Row i has index
+    grid[i // trials], lam = schedule.value(index), trial i % trials, a seed,
+    and beta and p_n on that sample size; the harness fills in the rest.  The
+    echo is the report's metadata; rows above the limits are never built.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -396,7 +396,7 @@ def _sweep(schedule, grid, trials, seed, eta, m_bound, c_bound, kappa, target, b
         m_bound = default_m_bound(target, kappa, b_max)
     if c_bound is None:
         c_bound = default_c_bound(m_bound)
-    groups: list[list[ReportRow]] = []
+    rows: list[ReportRow] = []
     for gi, index in enumerate(grid):
         lam = schedule.value(index)
         size = index if n is None else n
@@ -405,11 +405,10 @@ def _sweep(schedule, grid, trials, seed, eta, m_bound, c_bound, kappa, target, b
         )
         beta = beta_stability(params)
         p_n = stability_probability(params, beta)
-        rows = [
+        rows += (
             ReportRow(index, lam, trial, mix64(seed, gi * 2**32 + trial), beta, p_n)
             for trial in range(trials)
-        ]
-        groups.append(rows)
+        )
     growing = n is None
     valid = schedule.valid_for_growing_sample if growing else schedule.valid_for_vanishing_noise
     metadata = {
@@ -425,7 +424,7 @@ def _sweep(schedule, grid, trials, seed, eta, m_bound, c_bound, kappa, target, b
         "trials": trials,
         "seed": seed,
     }
-    return groups, metadata
+    return rows, metadata
 
 
 def run_thm2(
@@ -468,21 +467,20 @@ def run_thm2(
     kernel = f_tilde.kernel
     n = len(pts)
     kappa = sample_kappa(kernel, pts)
-    groups, metadata = _sweep(
+    rows, metadata = _sweep(
         schedule, t_grid, trials, seed, eta, m_bound, c_bound, kappa, f_tilde, noise.b_max, n
     )
     g = gram(kernel, pts)
     values = evaluate(f_tilde, pts)
     fbar = min_norm_interpolant(pts, values, kernel, gram_matrix=g)
-    rows = [row for t_rows in groups for row in t_rows]
     # (G + n*lam I)^{-1} beta depends on t only: one column per t, solved as
     # one block with one shift per column.  The shrinkage terms and every
-    # row's residual share these solves.
-    t_lams = np.array([t_rows[0].lam for t_rows in groups])
+    # row's residual share these solves; row i belongs to t_grid[i // trials].
+    t_lams = np.array([row.lam for row in rows[::trials]])
     shrink_solves = regularized_solve(g, n * t_lams, np.tile(fbar.coeffs[:, None], len(t_lams)))
-    for t_rows, shrink in zip(groups, shrinkage_term(g, shrink_solves, t_lams).tolist()):
-        for row in t_rows:
-            row.shrinkage_term = shrink
+    shrinks = shrinkage_term(g, shrink_solves, t_lams).tolist()
+    for i, row in enumerate(rows):
+        row.shrinkage_term = shrinks[i // trials]
     # One noise vector per row, as rows of b.  Every row of the run, over all
     # t, is fitted in one block solve with its own shift, so the fits and the
     # residuals' noise side are one block solve each.
@@ -572,10 +570,9 @@ def run_thm1(
         raise ValueError("n_grid must be nonempty with positive integer entries")
     kernel = dist.target.kernel
     kappa = math.sqrt(kappa_upper_bound(kernel, dist.lo, dist.hi))
-    groups, metadata = _sweep(
+    rows, metadata = _sweep(
         schedule, n_grid, trials, seed, eta, m_bound, c_bound, kappa, dist.target, dist.noise.b_max
     )
-    rows = [row for n_rows in groups for row in n_rows]
     target_sq = inner_product(dist.target, dist.target)
     for row in rows:
         # A noise process that cannot be sampled fails the run, as in

@@ -25,6 +25,9 @@ kappa on those points; ``sample_kappa`` gives kappa itself).
 exact, PSD kernel value, which proves the same check passes for a Gram
 matrix that is never built, without a kernel value.  :func:`kernel_matrix`
 refuses a matrix of more than ``MAX_ENTRIES`` entries before allocating it.
+Points are checked for finiteness once: a :class:`PointSet` when it is
+built, and raw points where they enter :func:`kernel_matrix` or
+:func:`kernel_diag`, so no kernel value of a nan or inf point comes back.
 """
 
 from __future__ import annotations
@@ -122,10 +125,14 @@ class PointSet(Frozen):
 
 
 def _as_points(x) -> np.ndarray:
-    pts = x.points if isinstance(x, PointSet) else np.asarray(x, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    return pts
+    """A PointSet's points, or a raw array, checked finite, with 1-D read as
+    points on the line."""
+    if isinstance(x, PointSet):
+        return x.points
+    pts = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
 
 
 # Largest temporary, in bytes, that a gaussian kernel matrix allocates beside
@@ -188,14 +195,15 @@ def column_evaluator(spec: KernelSpec, pts: PointSet):
     and takes coordinate k's differences as one subtraction x_k - x_pk,
     rounded once as :func:`_gaussian_matrix`'s products are, squared and
     added to the earlier ones left to right.  Linear and polynomial columns
-    call ``kernel_matrix``.  The gaussian closure overflows as
+    call ``kernel_matrix`` with ``pts`` itself, so only the one-point slice
+    is checked for finiteness.  The gaussian closure overflows as
     :func:`_gaussian_matrix` does, to the exact value 0, but does not enter
     ``np.errstate`` per column: a caller that may see such inputs enters it
     once around all its columns, as the thm1 low-rank row does.
     """
     x = pts.points
     if spec.kind != "gaussian":
-        return lambda p: kernel_matrix(spec, x, x[p : p + 1])[:, 0]
+        return lambda p: kernel_matrix(spec, pts, x[p : p + 1])[:, 0]
     coords, divisor = list(np.ascontiguousarray(x.T)), -2.0 * spec.width**2
     diff = np.empty(x.shape[0])
 
@@ -257,8 +265,6 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
     b = np.atleast_1d(np.asarray(y, dtype=float))
     if a.ndim != 1 or b.ndim != 1:
         raise ValueError("eval_kernel expects single points")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("points must be finite")
     return float(kernel_matrix(spec, a[None, :], b[None, :])[0, 0])
 
 

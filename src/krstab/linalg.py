@@ -109,7 +109,7 @@ def sym_eigen(g: GramMatrix) -> EigenDecomposition:
 def regularized_solve(g: GramMatrix, shift, rhs) -> np.ndarray:
     """Solve ``(G + shift*I) x = rhs`` for the GramMatrix ``g``, shift > 0.
 
-    ``rhs`` is one vector (n,) or a block (n, k) of k right-hand sides; the
+    ``rhs`` is a finite vector (n,) or block (n, k) of k right-hand sides; the
     result has the shape of ``rhs``.  ``shift`` is one positive scalar for
     every column, or a vector of k positive shifts, one per column, so that
     one block holds right-hand sides of several ridge parameters.  There is
@@ -132,6 +132,8 @@ def regularized_solve(g: GramMatrix, shift, rhs) -> np.ndarray:
     y = np.asarray(rhs, dtype=float)
     if y.ndim not in (1, 2) or y.shape[0] != g.n:
         raise ValueError(f"rhs has shape {y.shape}, expected ({g.n},) or ({g.n}, k)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("rhs must be finite")
     block = y.reshape(g.n, -1)
     if shifts.ndim == 1 and shifts.shape != (block.shape[1],):
         raise ValueError(f"got {shifts.shape[0]} shifts for {block.shape[1]} right-hand sides")
@@ -147,7 +149,8 @@ def regularized_solve(g: GramMatrix, shift, rhs) -> np.ndarray:
 
 
 def pinv_solve(g: GramMatrix, rhs) -> np.ndarray:
-    """Minimal-norm solution of ``G x = rhs`` for the GramMatrix ``g``.
+    """Minimal-norm solution of ``G x = rhs`` for the GramMatrix ``g`` and a
+    finite ``rhs``.
 
     Eigenvalues of ``g.eigen`` at or below 1e-10 times the largest are
     treated as zero.  Raises :class:`InconsistentSystemError` when the
@@ -158,6 +161,8 @@ def pinv_solve(g: GramMatrix, rhs) -> np.ndarray:
     y = np.asarray(rhs, dtype=float)
     if y.shape != (g.n,):
         raise ValueError(f"rhs has shape {y.shape}, expected ({g.n},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("rhs must be finite")
     eig = g.eigen
     w = eig.eigenvalues
     keep = w > _RANK_TOL * max(float(w[0]), 0.0)

@@ -15,10 +15,9 @@ spectral statements reduce to the Gram eigenvalues gamma_k:
                   ||b||_2 / (2 t sqrt(lam) sqrt(n)) * ... see
                   :func:`noise_operator_bound` for the assembled constant.
 
-The error-identity check :func:`decomposition_residual` has one path, on
-(n, k) blocks of fits: a single fit is a one-column block.  Its t, lam and
-shrinkage solve may differ per column, as may :func:`shrinkage_term`'s, so
-the thm2 harness checks its whole t-grid as one block per run.
+The error-identity check :func:`decomposition_residual` takes (n, k)
+blocks of fits with t, lam and the shrinkage solve per column, as
+:func:`shrinkage_term` takes lam, so thm2 checks its t-grid as one block.
 """
 
 from __future__ import annotations
@@ -187,45 +186,36 @@ def decomposition_residual(
     beta: np.ndarray,
     shrink_solve: np.ndarray,
     noise: np.ndarray,
-    t,
-    lam,
-):
+    t: np.ndarray,
+    lam: np.ndarray,
+) -> np.ndarray:
     """H-norm gaps between the two sides of the fit-error identity, one per
     fit of a block.
 
-    ``alpha`` and ``noise`` are (n, k) blocks whose columns are k ridge fits
-    for labels v + b/t and their noise vectors b; ``beta`` (n,) holds the
-    minimal-norm interpolation coefficients for v.  ``t`` and ``lam`` are
-    scalars shared by every column or vectors of k values, one per column,
-    and ``shrink_solve`` is (G + n*lam I)^{-1} beta, one vector (n,) shared
-    by every column or an (n, k) block of one per column.  For each column,
+    ``alpha``, ``shrink_solve`` and ``noise`` are (n, k) blocks: column j
+    holds a ridge fit for labels v + b_j/t_j with lam_j, its shrinkage solve
+    (G + n*lam_j I)^{-1} beta and its noise b_j; ``t`` and ``lam`` hold the
+    k values t_j and lam_j, and ``beta`` (n,) the minimal-norm interpolation
+    coefficients for v.  For each column,
 
         alpha - beta = -n*lam*(G + n*lam I)^{-1} beta
                        + (G + n*lam I)^{-1} (b/t)
 
     holds exactly in arithmetic; the k H-norms of the difference of the two
-    sides are returned.  There is one path: a single fit is a one-column
-    block, and scalar t and lam are one value broadcast over the columns.
-    The noise solve (G + n*lam I)^{-1} (b/t) is computed here, as one block
-    solve, so the right side never shares the solve that produced alpha.
+    sides are returned.  The noise solve (G + n*lam I)^{-1} (b/t) is one
+    block solve made here, so the right side never shares the solve that
+    produced alpha; it checks lam, through its shifts n*lam.
     """
     t, lam = np.asarray(t, dtype=float), np.asarray(lam, dtype=float)
-    if not (np.all(t > 0) and np.all(lam > 0)):
-        raise ValueError("need t > 0 and lam > 0")
-    n = g.n
-    if np.ndim(alpha) != 2 or len(alpha) != n or np.shape(alpha) != np.shape(noise):
+    if t.ndim != 1 or lam.ndim != 1:
+        raise ValueError(f"t has shape {t.shape} and lam {lam.shape}, expected k values each")
+    n, k = g.n, len(t)
+    blocks = (np.shape(alpha), np.shape(shrink_solve), np.shape(noise))
+    if blocks != ((n, k),) * 3:
         raise ValueError(
-            f"alpha has shape {np.shape(alpha)} and noise has shape {np.shape(noise)}, "
-            f"expected two ({n}, k) blocks"
+            f"alpha, shrink_solve and noise have shapes {blocks}, expected three ({n}, {k}) blocks"
         )
-    k = np.shape(alpha)[1]
-    shrink = np.asarray(shrink_solve, dtype=float)
-    if any(v.shape not in ((), (k,)) for v in (t, lam)) or shrink.shape not in ((n,), (n, k)):
-        raise ValueError(
-            f"t has shape {t.shape}, lam {lam.shape} and shrink_solve {shrink.shape}; "
-            f"expected (), () and ({n},), or one value per column of the ({n}, {k}) block"
-        )
-    shrink = shrink.reshape(n, -1)
-    left = alpha - beta[:, None]
-    right = -n * lam * shrink + regularized_solve(g, n * lam, noise / t)
-    return gram_norm(g, left - right)
+    if not np.all(t > 0):
+        raise ValueError(f"need t > 0, got {t}")
+    right = regularized_solve(g, n * lam, noise / t) - n * lam * shrink_solve
+    return gram_norm(g, alpha - beta[:, None] - right)

@@ -61,9 +61,12 @@ def evaluate(f: RepresenterFunction, x):
 
     A scalar is one point on the line (float out).  A 1-D array is a single
     point when its length equals the anchor dimension d > 1, otherwise a
-    batch of 1-D points (vector out).  A 2-D (m, d) array is a batch.
+    batch of 1-D points (vector out).  A 2-D (m, d) array, or a PointSet,
+    is a batch.
     """
-    arr = x.points if isinstance(x, PointSet) else np.asarray(x, dtype=float)
+    if isinstance(x, PointSet):
+        return kernel_matrix(f.kernel, x, f.anchors) @ f.coeffs
+    arr = np.asarray(x, dtype=float)
     d = f.anchors.dim
     if arr.ndim == 0:
         arr, single = arr.reshape(1, 1), True
@@ -92,8 +95,6 @@ def _require_same_kernel(f: RepresenterFunction, g: RepresenterFunction) -> None
 def inner_product(f: RepresenterFunction, g: RepresenterFunction) -> float:
     """(f, g)_H = coeffs_f . K(anchors_f, anchors_g) . coeffs_g."""
     _require_same_kernel(f, g)
-    if f.anchors.dim != g.anchors.dim:
-        raise ValueError("anchor dimensions differ")
     cross = kernel_matrix(f.kernel, f.anchors, g.anchors)
     return float(f.coeffs @ cross @ g.coeffs)
 

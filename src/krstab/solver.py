@@ -81,23 +81,19 @@ def krr_fit(
     """Minimize the regularized risk in closed form.
 
     ``lam`` is one positive value for every label column of ``data``, or a
-    sequence of one per column.  There is one path: one block solve of
-    (G + n*lam_j I) a_j = y_j, one shift per column, gives the fitted
-    function of a label vector, or a list of one per column of a block.
-    ``gram_matrix`` may be supplied when the caller already holds the Gram
-    matrix of the points (its cached decomposition is then reused).
+    sequence of one per column; :func:`~krstab.linalg.regularized_solve`
+    checks it, as the shifts n*lam_j of its one block solve of
+    (G + n*lam_j I) a_j = y_j.  That gives the fitted function of a label
+    vector, or a list of one per column of a block.  ``gram_matrix`` may be
+    supplied when the caller already holds the Gram matrix of the points
+    (its cached decomposition is then reused).
     """
     y = data.labels
-    k = 1 if y.ndim == 1 else y.shape[1]
-    lams = np.full(k, lam, dtype=float) if np.ndim(lam) == 0 else np.asarray(lam, dtype=float)
-    if lams.shape != (k,):
-        raise ValueError(f"got {lams.size} lam values for {k} label columns")
-    if not np.all(lams > 0):
-        raise ValueError(f"lam must be positive, got {lam}")
     g = gram_matrix if gram_matrix is not None else gram(kernel, data.pts)
-    alphas = regularized_solve(g, len(y) * lams, y).reshape(len(y), k)
-    fits = [RepresenterFunction(kernel, data.pts, alpha) for alpha in alphas.T]
-    return fits[0] if y.ndim == 1 else fits
+    alphas = regularized_solve(g, len(y) * np.asarray(lam, dtype=float), y)
+    if y.ndim == 1:
+        return RepresenterFunction(kernel, data.pts, alphas)
+    return [RepresenterFunction(kernel, data.pts, alpha) for alpha in alphas.T]
 
 
 def min_norm_interpolant(

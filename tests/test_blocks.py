@@ -3,11 +3,14 @@
 sequence of expansions through ``h_distance`` gives, column by column, what
 k separate single calls give, on a design with distinct points and on one
 with repeated points (singular G).  ``decomposition_residual`` takes blocks
-only, so each of its columns is compared with the explicit numpy formula
-instead.  The single calls, and a one-column ``decomposition_residual``
-block, are pinned with ``==`` to their explicit formulas.  A block may carry
-one shift (one lam, one t) per column; each column then matches its own
-scalar call.  The thm2 harness fits its label draws as one such block."""
+only, with t, lam and the shrinkage solve given per column, so each of its
+columns is compared with the explicit numpy formula instead.  The single
+calls, and a one-column ``decomposition_residual`` block, are pinned with
+``==`` to their explicit formulas.  A block may carry one shift (one lam,
+one t) per column; each column of ``regularized_solve`` and ``krr_fit`` then
+matches its own scalar call, and each column of ``decomposition_residual``
+its own one-column block.  The thm2 harness fits its label draws as one
+such block."""
 
 import math
 
@@ -19,6 +22,7 @@ from krstab.linalg import regularized_solve
 from krstab.operators import decomposition_residual
 import krstab.experiments as experiments
 import krstab.rkhs as rkhs
+import krstab.solver as solver
 from krstab.experiments import NoiseProcess, run_thm2
 from krstab.rkhs import RepresenterFunction, gram_norm, h_distance
 from krstab.solver import DataSet, krr_fit, regularized_risk
@@ -69,13 +73,13 @@ class TestBlockMatchesColumns:
     def test_decomposition_residual(self, repeated):
         # An alpha that is not the fit makes each gap O(1), far above rounding.
         _, g = design(repeated)
-        alpha, noise = block(3), block(4)
-        beta, shrink = block(5)[:, 0], block(6)[:, 0]
-        got = decomposition_residual(g, alpha, beta, shrink, noise, T, LAM)
+        alpha, noise, shrink = block(3), block(4), block(6)
+        beta = block(5)[:, 0]
+        got = decomposition_residual(g, alpha, beta, shrink, noise, np.full(K, T), np.full(K, LAM))
         assert got.shape == (K,)
         q, w = g.eigen.eigenvectors, g.eigen.eigenvalues
         for j in range(K):
-            right = -N * LAM * shrink + q @ ((q.T @ (noise[:, j] / T)) / (w + N * LAM))
+            right = -N * LAM * shrink[:, j] + q @ ((q.T @ (noise[:, j] / T)) / (w + N * LAM))
             d = (alpha[:, j] - beta) - right
             want = math.sqrt(max(float(d @ g.entries @ d), 0.0))
             assert abs(got[j] - want) <= 1e-12 * want
@@ -133,9 +137,9 @@ class TestVectorsKeepTheirFormula:
     def test_decomposition_residual(self, repeated):
         _, g = design(repeated)
         alpha, noise, beta, shrink = block(10).T
-        alpha, noise = alpha[:, None], noise[:, None]
-        got = decomposition_residual(g, alpha, beta, shrink, noise, T, LAM)
-        right = -N * LAM * shrink[:, None] + regularized_solve(g, N * LAM, noise / T)
+        alpha, noise, shrink = alpha[:, None], noise[:, None], shrink[:, None]
+        got = decomposition_residual(g, alpha, beta, shrink, noise, np.array([T]), np.array([LAM]))
+        right = regularized_solve(g, N * LAM, noise / T) - N * LAM * shrink
         assert got.tolist() == gram_norm(g, (alpha - beta[:, None]) - right).tolist()
 
     def test_krr_fit(self, repeated):
@@ -187,7 +191,7 @@ class TestPerColumnShifts:
 
     def test_decomposition_residual(self, repeated):
         # Each column, with its own t, lam and shrinkage solve, gives what a
-        # one-column block with those scalars gives.
+        # one-column block with those values gives.
         _, g = design(repeated)
         alpha, noise, shrink = block(20), block(21), block(22)
         beta = block(23)[:, 0]
@@ -195,8 +199,9 @@ class TestPerColumnShifts:
         got = decomposition_residual(g, alpha, beta, shrink, noise, ts, lams)
         assert got.shape == (K,)
         for j in range(K):
-            cols = (alpha[:, j : j + 1], beta, shrink[:, j], noise[:, j : j + 1])
-            want = decomposition_residual(g, *cols, ts[j], lams[j])[0]
+            col = slice(j, j + 1)
+            cols = (alpha[:, col], beta, shrink[:, col], noise[:, col], ts[col], lams[col])
+            want = decomposition_residual(g, *cols)[0]
             assert abs(got[j] - want) <= 1e-12 * want
 
 
@@ -222,24 +227,50 @@ class TestBadShifts:
         pts, g = design(False)
         data = DataSet(pts, block(25))
         for lams in ([LAM] * (K - 1), [LAM] * (K + 1), [LAM, LAM, 0.0, LAM]):
-            with pytest.raises(ValueError, match="lam"):
+            with pytest.raises(ValueError, match="shift"):
                 krr_fit(data, lams, KERNEL, gram_matrix=g)
 
     def test_decomposition_residual_needs_one_value_per_column(self):
+        # A wrong count of t or a wrong shrinkage block is a shape error; a
+        # wrong count of lam, or a lam <= 0, is the noise solve's shift error.
         _, g = design(False)
-        a, v = np.ones((N, K)), np.ones(N)
-        for t, lam, shrink in (
-            (np.ones(K - 1), LAM, v),
-            (T, np.full(K + 1, LAM), v),
-            (T, LAM, np.ones((N, K + 1))),
+        a, v, ts, lams = np.ones((N, K)), np.ones(N), np.full(K, T), np.full(K, LAM)
+        for t, lam, shrink, match in (
+            (np.ones(K - 1), lams, a, "shape"),
+            (ts, np.full(K + 1, LAM), a, f"got {K + 1} shifts for {K} right-hand sides"),
+            (ts, lams, np.ones((N, K + 1)), "shape"),
+            (np.array([T, T, 0.0, T]), lams, a, "t > 0"),
+            (ts, np.array([LAM, LAM, 0.0, LAM]), a, "shift must be positive"),
         ):
-            with pytest.raises(ValueError, match="shape"):
+            with pytest.raises(ValueError, match=match):
                 decomposition_residual(g, a, v, shrink, a, t, lam)
-        with pytest.raises(ValueError, match="t > 0"):
-            decomposition_residual(g, a, v, v, a, np.array([T, T, 0.0, T]), LAM)
+
+    def test_krr_fit_leaves_lam_to_regularized_solve(self, monkeypatch):
+        # krr_fit checks no lam itself: a bad lam reaches regularized_solve,
+        # which rejects it as a shift.
+        pts, _ = design(False)
+        calls = []
+
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(solver, "gram", recorded("gram", gram))
+        monkeypatch.setattr(solver, "regularized_solve", recorded("solve", regularized_solve))
+        for lam in (0.0, -LAM, np.nan, [[LAM] * K]):
+            calls.clear()
+            with pytest.raises(ValueError, match="shift must be positive"):
+                krr_fit(DataSet(pts, block(29)), lam, KERNEL)
+            assert "solve" in calls
 
 
 bad_shapes = pytest.mark.parametrize("shape", [(N + 1,), (N + 1, K), (N, K, 1)])
+# decomposition_residual's own block check, not a numpy broadcast or a
+# right-hand-side error raised further in.
+BLOCK_SHAPES = "alpha, shrink_solve and noise have shapes"
 
 
 class TestBadShapes:
@@ -255,26 +286,37 @@ class TestBadShapes:
         with pytest.raises(ValueError, match="shape"):
             gram_norm(g, np.ones(shape))
 
+    # With K values of t and lam and an (N, K) shrinkage block, only alpha's
+    # or noise's shape is wrong, and the block check itself must say so.
     @bad_shapes
     def test_decomposition_residual(self, shape):
         _, g = design(False)
-        v = np.ones(N)
-        with pytest.raises(ValueError, match="shape"):
-            decomposition_residual(g, np.ones(shape), v, v, np.ones(shape), T, LAM)
+        v, ts, lams, shrink = np.ones(N), np.full(K, T), np.full(K, LAM), np.ones((N, K))
+        with pytest.raises(ValueError, match=BLOCK_SHAPES):
+            decomposition_residual(g, np.ones(shape), v, shrink, np.ones(shape), ts, lams)
 
     def test_decomposition_residual_takes_blocks_only(self):
         _, g = design(False)
-        v = np.ones(N)
-        with pytest.raises(ValueError, match="shape"):
-            decomposition_residual(g, v, v, v, v, T, LAM)
+        v, ts, lams, shrink = np.ones(N), np.full(K, T), np.full(K, LAM), np.ones((N, K))
+        with pytest.raises(ValueError, match=BLOCK_SHAPES):
+            decomposition_residual(g, v, v, shrink, v, ts, lams)
 
     def test_decomposition_residual_needs_matching_blocks(self):
         _, g = design(False)
-        v = np.ones(N)
-        with pytest.raises(ValueError, match="shape"):
-            decomposition_residual(g, np.ones((N, K)), v, v, np.ones((N, K + 1)), T, LAM)
-        with pytest.raises(ValueError, match="shape"):
-            decomposition_residual(g, np.ones((N, K)), v, v, v, T, LAM)
+        v, ts, lams, a = np.ones(N), np.full(K, T), np.full(K, LAM), np.ones((N, K))
+        for alpha, noise in ((a, np.ones((N, K + 1))), (a, v), (np.ones((N, K + 1)), a), (v, a)):
+            with pytest.raises(ValueError, match=BLOCK_SHAPES):
+                decomposition_residual(g, alpha, v, a, noise, ts, lams)
+
+    def test_decomposition_residual_takes_per_column_values_only(self):
+        # A scalar t, a scalar lam and a shrinkage vector shared by every
+        # column are each refused: t and lam hold k values, shrink_solve is
+        # an (n, k) block.
+        _, g = design(False)
+        a, v, ts, lams = np.ones((N, K)), np.ones(N), np.full(K, T), np.full(K, LAM)
+        for t, lam, shrink in ((T, lams, a), (ts, LAM, a), (ts, lams, v)):
+            with pytest.raises(ValueError, match="shape"):
+                decomposition_residual(g, a, v, shrink, a, t, lam)
 
 
 class TestLabelBlock:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import krstab.experiments as experiments
 from krstab.cli import _validate_config
 from krstab.experiments import (
     CSV_HEADER,
@@ -520,6 +521,19 @@ class TestRateEstimate:
         )
         assert rep.medians() == {10: 0.1, 100: 0.01, 1000: 0.001}
         assert abs(estimate_rate(rep).slope + 1.0) < 1e-12
+
+
+def test_sweep_returns_one_flat_list():
+    # One list of rows, grid point by grid point and then trial by trial, so
+    # row i has grid index i // trials and trial i % trials.
+    schedule, grid, trials = Schedule(lambda0=0.5, exponent=0.3), [32, 64, 128], 4
+    rows, metadata = experiments._sweep(schedule, grid, trials, 7, 0.1, 1.0, 4.0, 1.0, None, 0.0)
+    assert all(isinstance(row, ReportRow) for row in rows)
+    assert [(row.index_var, row.trial) for row in rows] == [
+        (index, trial) for index in grid for trial in range(trials)
+    ]
+    assert [row.lam for row in rows[::trials]] == [schedule.value(index) for index in grid]
+    assert metadata["trials"] == trials
 
 
 def test_medians_match_the_statistics_module():

@@ -19,8 +19,10 @@ from krstab.kernels import (
     kernel_diag,
     kernel_matrix,
     rounding_constant,
+    sample_kappa,
 )
 from krstab.linalg import DiagnosticsError
+from krstab.rkhs import RepresenterFunction, evaluate
 
 GAUSS_01 = 0.6065306597126334  # exp(-1/2), frozen
 
@@ -61,6 +63,13 @@ class TestEvalKernel:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             eval_kernel(KernelSpec.linear(), [1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_point_is_refused_by_kernel_matrix(self, x):
+        # eval_kernel has no finiteness check of its own: kernel_matrix's
+        # raw-array check refuses the point.
+        with pytest.raises(ValueError, match="points must be finite"):
+            eval_kernel(KernelSpec.gaussian(1.0), [x], [0.0])
 
 
 class TestKernelSpec:
@@ -238,6 +247,37 @@ class TestDiagHelpers:
         lo, hi = np.array([-2.0]), np.array([1.0])
         assert kappa_upper_bound(KernelSpec.linear(), lo, hi) == 4.0
         assert kappa_upper_bound(KernelSpec.gaussian(0.3), lo, hi) == 1.0
+
+
+EXPANSION = RepresenterFunction(KernelSpec.gaussian(1.0), PointSet([[0.0], [1.0]]), [1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: evaluate(EXPANSION, math.nan),
+        lambda: evaluate(EXPANSION, [math.nan, 0.5]),
+        lambda: evaluate(EXPANSION, math.inf),
+        lambda: kernel_matrix(KernelSpec.gaussian(1.0), [[math.nan]], [[0.0]]),
+        lambda: kernel_matrix(KernelSpec.linear(), [[0.0]], [[-math.inf]]),
+        lambda: kernel_diag(KernelSpec.polynomial(2, 1.0), [[math.nan]]),
+        lambda: sample_kappa(KernelSpec.linear(), [[math.nan, 1.0]]),
+    ],
+    ids=[
+        "evaluate-nan",
+        "evaluate-batch-nan",
+        "evaluate-inf",
+        "kernel_matrix-nan",
+        "kernel_matrix-minus-inf",
+        "kernel_diag-nan",
+        "sample_kappa-nan",
+    ],
+)
+def test_raw_points_must_be_finite(call):
+    # A raw array is checked where it enters a kernel, as a PointSet is when
+    # it is built; neither value nor nan comes back.
+    with pytest.raises(ValueError, match="points must be finite"):
+        call()
 
 
 def test_kernel_matrix_cross_shape():

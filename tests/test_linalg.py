@@ -151,6 +151,17 @@ class TestRegularizedSolve:
         with pytest.raises(ValueError):
             regularized_solve(GramMatrix(np.eye(2)), 1.0, [1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "rhs",
+        [[np.inf, 1.0], [np.nan, 1.0], [[1.0, 1.0], [1.0, -np.inf]]],
+        ids=["inf", "nan", "block"],
+    )
+    def test_rejects_nonfinite_rhs_before_factorizing(self, rhs):
+        g = GramMatrix([[2.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="rhs must be finite"):
+            regularized_solve(g, 0.1, rhs)
+        assert "eigen" not in vars(g)  # no factorization, no product
+
     def test_shift_within_the_psd_tolerance_of_a_singular_matrix_raises(self):
         # The PSD check leaves a computed eigenvalue of this rank-1 G only
         # within tau = 1e-10 * 3 * 1 of 0, so a shift of 1e-30 cannot show
@@ -169,6 +180,15 @@ class TestRegularizedSolve:
 class TestPinvSolve:
     def test_scalar(self):
         np.testing.assert_allclose(pinv_solve(GramMatrix([[1.0]]), [3.0]), [3.0])
+
+    @pytest.mark.parametrize("rhs", [[np.nan, 1.0], [1.0, -np.inf]], ids=["nan", "inf"])
+    def test_rejects_nonfinite_rhs_before_factorizing(self, rhs):
+        # A nan residual compares False against the tolerance, so the
+        # residual test alone would return nan silently.
+        g = GramMatrix([[2.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="rhs must be finite"):
+            pinv_solve(g, rhs)
+        assert "eigen" not in vars(g)
 
     def test_rank_deficient_consistent(self):
         a = np.ones((2, 2))

@@ -37,11 +37,14 @@ def shrink_solve(g, beta, lam):
 def residual(g, vals, b, t, lam):
     """decomposition_residual with its pieces computed as the thm2 harness
     computes them: the ridge fit, the minimal-norm solve and the per-t solve;
-    the fit and its noise go in as one-column blocks."""
+    the fit, its shrinkage solve and its noise go in as one-column blocks,
+    with t and lam as one value each."""
     alpha = regularized_solve(g, g.n * lam, vals + b / t)
     beta = pinv_solve(g, vals)
     shrink = shrink_solve(g, beta, lam)
-    return decomposition_residual(g, alpha[:, None], beta, shrink, b[:, None], t, lam)[0]
+    return decomposition_residual(
+        g, alpha[:, None], beta, shrink[:, None], b[:, None], np.array([t]), np.array([lam])
+    )[0]
 
 
 def make_op(rng, n=6, width=0.6):

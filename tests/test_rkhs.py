@@ -111,6 +111,13 @@ class TestInnerProduct:
         with pytest.raises(ValueError, match="kernel mismatch"):
             inner_product(f, g)
 
+    def test_dimension_mismatch_raises(self):
+        # kernel_matrix refuses anchors of different dimensions.
+        f = RepresenterFunction(GAUSS, PointSet([[0.0]]), [1.0])
+        g = RepresenterFunction(GAUSS, PointSet([[0.0, 1.0]]), [1.0])
+        with pytest.raises(ValueError, match="dimensions differ"):
+            inner_product(f, g)
+
 
 class TestNormAndDistance:
     def test_scaled_section_norm(self):
