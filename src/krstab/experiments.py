@@ -114,6 +114,7 @@ from .kernels import (
     PSD_TOL,
     KernelSpec,
     PointSet,
+    _point_set,
     column_evaluator,
     gram,
     kappa_upper_bound,
@@ -457,8 +458,7 @@ def run_thm2(
     flagged.  The rows, their stability columns on the n fixed points and
     the metadata come from the sweep shared with :func:`run_thm1`.
     """
-    if not isinstance(pts, PointSet):
-        pts = PointSet(pts)
+    pts = _point_set(pts)
     if f_tilde.anchors.dim != pts.dim:
         raise ValueError("target dimension does not match the point set")
     t_grid = [float(t) if not isinstance(t, int) else t for t in t_grid]

@@ -25,9 +25,9 @@ kappa on those points; ``sample_kappa`` gives kappa itself).
 exact, PSD kernel value, which proves the same check passes for a Gram
 matrix that is never built, without a kernel value.  :func:`kernel_matrix`
 refuses a matrix of more than ``MAX_ENTRIES`` entries before allocating it.
-Points are checked for finiteness once: a :class:`PointSet` when it is
-built, and raw points where they enter :func:`kernel_matrix` or
-:func:`kernel_diag`, so no kernel value of a nan or inf point comes back.
+Raw points become a :class:`PointSet` wherever they enter, in
+:func:`kernel_matrix` and :func:`kernel_diag` too, with its 1-D rule and its
+shape and finiteness checks, so no kernel value of a nan or inf point comes back.
 """
 
 from __future__ import annotations
@@ -124,15 +124,10 @@ class PointSet(Frozen):
         return self.points.shape[1]
 
 
-def _as_points(x) -> np.ndarray:
-    """A PointSet's points, or a raw array, checked finite, with 1-D read as
-    points on the line."""
-    if isinstance(x, PointSet):
-        return x.points
-    pts = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
+def _point_set(x) -> PointSet:
+    """``x`` itself if it is a PointSet, else ``PointSet(x)``: the one
+    reading of raw points."""
+    return x if isinstance(x, PointSet) else PointSet(x)
 
 
 # Largest temporary, in bytes, that a gaussian kernel matrix allocates beside
@@ -163,8 +158,7 @@ def _gaussian_matrix(a: np.ndarray, b: np.ndarray, width: float) -> np.ndarray:
     exp(-inf) = 0 is the exact limit, so those overflows are not reported.
     """
     n, m, d = a.shape[0], b.shape[0], a.shape[1]
-    # Points without coordinates are at distance 0; the loops write nothing.
-    out = np.empty((n, m)) if d else np.zeros((n, m))
+    out = np.empty((n, m))
     # Per block row: its differences and 2 left-operand entries.
     step = max(1, _BLOCK_BYTES // (8 * (m + 2)))
     left, right = np.empty((2, min(n, step))), np.empty((2, m))
@@ -196,7 +190,7 @@ def column_evaluator(spec: KernelSpec, pts: PointSet):
     rounded once as :func:`_gaussian_matrix`'s products are, squared and
     added to the earlier ones left to right.  Linear and polynomial columns
     call ``kernel_matrix`` with ``pts`` itself, so only the one-point slice
-    is checked for finiteness.  The gaussian closure overflows as
+    becomes a new PointSet.  The gaussian closure overflows as
     :func:`_gaussian_matrix` does, to the exact value 0, but does not enter
     ``np.errstate`` per column: a caller that may see such inputs enters it
     once around all its columns, as the thm1 low-rank row does.
@@ -242,7 +236,7 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     property of the input, not of the host's free memory, so a row is
     flagged on every host or on none.
     """
-    a, b = _as_points(xs), _as_points(ys)
+    a, b = _point_set(xs).points, _point_set(ys).points
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"point dimensions differ: {a.shape[1]} vs {b.shape[1]}")
     n, m = a.shape[0], b.shape[0]
@@ -270,7 +264,7 @@ def eval_kernel(spec: KernelSpec, x, y) -> float:
 
 def kernel_diag(spec: KernelSpec, xs) -> np.ndarray:
     """K(x_i, x_i) for each point, without forming the full matrix."""
-    a = _as_points(xs)
+    a = _point_set(xs).points
     if spec.kind == "gaussian":
         return np.ones(a.shape[0])
     sq = np.sum(a * a, axis=1)
@@ -397,6 +391,5 @@ class GramMatrix:
 
 def gram(spec: KernelSpec, pts: PointSet) -> GramMatrix:
     """Gram matrix of one point set under one kernel."""
-    if not isinstance(pts, PointSet):
-        pts = PointSet(pts)
+    pts = _point_set(pts)
     return GramMatrix(kernel_matrix(spec, pts, pts))

@@ -109,7 +109,7 @@ def sym_eigen(g: GramMatrix) -> EigenDecomposition:
 def regularized_solve(g: GramMatrix, shift, rhs) -> np.ndarray:
     """Solve ``(G + shift*I) x = rhs`` for the GramMatrix ``g``, shift > 0.
 
-    ``rhs`` is a finite vector (n,) or block (n, k) of k right-hand sides; the
+    ``rhs`` is a finite vector (n,) or block (n, k >= 1) of k right-hand sides; the
     result has the shape of ``rhs``.  ``shift`` is one positive scalar for
     every column, or a vector of k positive shifts, one per column, so that
     one block holds right-hand sides of several ridge parameters.  There is
@@ -130,8 +130,8 @@ def regularized_solve(g: GramMatrix, shift, rhs) -> np.ndarray:
     if shifts.ndim > 1 or not np.all(shifts > 0):
         raise ValueError(f"shift must be positive, one value or one per column, got {shift}")
     y = np.asarray(rhs, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[0] != g.n:
-        raise ValueError(f"rhs has shape {y.shape}, expected ({g.n},) or ({g.n}, k)")
+    if y.ndim not in (1, 2) or y.shape[0] != g.n or y.size == 0:
+        raise ValueError(f"rhs has shape {y.shape}, expected ({g.n},) or ({g.n}, k >= 1)")
     if not np.all(np.isfinite(y)):
         raise ValueError("rhs must be finite")
     block = y.reshape(g.n, -1)

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelSpec, PointSet, gram, kernel_matrix
+from .kernels import GramMatrix, KernelSpec, PointSet, _point_set, gram, kernel_matrix
 from .linalg import InconsistentSystemError, pinv_solve, regularized_solve
 from .rkhs import RepresenterFunction, evaluate, gram_norm
 from .rng import SplitMix64
@@ -38,8 +38,7 @@ class EvaluationOperator:
     composition acts through."""
 
     def __init__(self, kernel: KernelSpec, pts: PointSet):
-        if not isinstance(pts, PointSet):
-            pts = PointSet(pts)
+        pts = _point_set(pts)
         self.kernel = kernel
         self.pts = pts
         self.gram = gram(kernel, pts)
@@ -83,8 +82,7 @@ def ker_p_sample(
     when the correction system cannot be satisfied; the construction is
     verified to max_i |h(x_i)| <= 1e-8 before returning.
     """
-    if not isinstance(extra_pts, PointSet):
-        extra_pts = PointSet(extra_pts)
+    extra_pts = _point_set(extra_pts)
     if extra_pts.dim != op.pts.dim:
         raise ValueError("extra points have the wrong dimension")
     base_rows = {row.tobytes() for row in op.pts.points}
@@ -175,8 +173,14 @@ def shrinkage_term(g: GramMatrix, shrink_solve: np.ndarray, lam):
 
     A vector ``shrink_solve`` with a scalar ``lam`` gives one norm; an
     (n, k) block whose column j was solved with shift n*lam[j], with an
-    array of k values of ``lam``, gives the k norms from one Gram product.
+    array of k values of ``lam`` (or one for all), gives the k norms from
+    one Gram product.  Any other ``lam`` is a ValueError naming it.
     """
+    if np.ndim(lam) and np.shape(lam) != np.shape(shrink_solve)[1:]:
+        raise ValueError(
+            f"lam has shape {np.shape(lam)}; it takes one value, or one per column "
+            f"of shrink_solve {np.shape(shrink_solve)}"
+        )
     return gram_norm(g, g.n * lam * shrink_solve)
 
 
@@ -210,6 +214,8 @@ def decomposition_residual(
     if t.ndim != 1 or lam.ndim != 1:
         raise ValueError(f"t has shape {t.shape} and lam {lam.shape}, expected k values each")
     n, k = g.n, len(t)
+    if np.shape(beta) != (n,):
+        raise ValueError(f"beta has shape {np.shape(beta)}, expected ({n},)")
     blocks = (np.shape(alpha), np.shape(shrink_solve), np.shape(noise))
     if blocks != ((n, k),) * 3:
         raise ValueError(

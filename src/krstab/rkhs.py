@@ -2,12 +2,12 @@
 norm, and distance they inherit from their kernel.
 
 A function is f = sum_i coeffs[i] * K(anchors[i], .).  The reproducing
-property makes evaluation an inner product against the kernel section at the
-query point, and makes the squared norm a Gram quadratic form; both are used
-all over the solver and experiment code, so the implementations here stay in
-pure vectorized numpy.  Expansions are never deduplicated: two expansions
-over one point set combine by adding coefficients, any others by
-concatenation.  :func:`h_distance` has one path: it takes a sequence of
+property makes evaluation an inner product against the kernel section at
+each query point, one value per point, and makes the squared norm a Gram
+quadratic form; both are used all over the solver and experiment code, so
+the implementations here stay in pure vectorized numpy.  Expansions are never
+deduplicated: two expansions over one point set combine by adding
+coefficients, any others by concatenation.  :func:`h_distance` has one path: it takes a sequence of
 expansions against one reference, and a single expansion is a sequence of
 one.  When every difference lies on one point set, repeated rows or not,
 whose Gram matrix the caller supplies, their k distances are one Gram
@@ -28,7 +28,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelSpec, PointSet, kernel_matrix
+from .kernels import GramMatrix, KernelSpec, PointSet, _point_set, kernel_matrix
 from .linalg import Frozen
 
 
@@ -36,8 +36,7 @@ class RepresenterFunction(Frozen):
     """Finite kernel expansion: anchors (n, d) with one coefficient each."""
 
     def __init__(self, kernel: KernelSpec, anchors: PointSet, coeffs: np.ndarray) -> None:
-        if not isinstance(anchors, PointSet):
-            anchors = PointSet(anchors)
+        anchors = _point_set(anchors)
         c = np.asarray(coeffs, dtype=float).copy()
         if c.ndim != 1 or c.shape[0] != len(anchors):
             raise ValueError(
@@ -56,33 +55,12 @@ class RepresenterFunction(Frozen):
         }
 
 
-def evaluate(f: RepresenterFunction, x):
-    """f(x).
-
-    A scalar is one point on the line (float out).  A 1-D array is a single
-    point when its length equals the anchor dimension d > 1, otherwise a
-    batch of 1-D points (vector out).  A 2-D (m, d) array, or a PointSet,
-    is a batch.
+def evaluate(f: RepresenterFunction, x) -> np.ndarray:
+    """(f(x_1), ..., f(x_m)), one value per point of ``x``, read as a
+    :class:`~krstab.kernels.PointSet` (a 1-D array is m points on the line).
+    f at the single point (x_1, ..., x_d) is ``evaluate(f, [[x_1, ..., x_d]])[0]``.
     """
-    if isinstance(x, PointSet):
-        return kernel_matrix(f.kernel, x, f.anchors) @ f.coeffs
-    arr = np.asarray(x, dtype=float)
-    d = f.anchors.dim
-    if arr.ndim == 0:
-        arr, single = arr.reshape(1, 1), True
-    elif arr.ndim == 1:
-        if d > 1:
-            if arr.shape[0] != d:
-                raise ValueError(f"point has dimension {arr.shape[0]}, expected {d}")
-            arr, single = arr.reshape(1, d), True
-        else:
-            arr, single = arr.reshape(-1, 1), False
-    elif arr.ndim == 2:
-        single = False
-    else:
-        raise ValueError(f"cannot interpret input of shape {arr.shape} as points")
-    vals = kernel_matrix(f.kernel, arr, f.anchors) @ f.coeffs
-    return float(vals[0]) if single else vals
+    return kernel_matrix(f.kernel, x, f.anchors) @ f.coeffs
 
 
 def _require_same_kernel(f: RepresenterFunction, g: RepresenterFunction) -> None:
@@ -125,11 +103,13 @@ def gram_norm(g: GramMatrix, coeffs: np.ndarray):
     array of their k norms, each clamped and flagged, from one
     matrix-matrix product with G.  A vector keeps its own form, because
     routing it through a one-column block changes the last bits of the
-    norm.
+    norm.  Non-finite coefficients are refused before the product.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim not in (1, 2) or coeffs.shape[0] != g.n:
         raise ValueError(f"coeffs have shape {coeffs.shape}, expected ({g.n},) or ({g.n}, k)")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coeffs must be finite")
     if coeffs.ndim == 1:
         return _norm_from_square(float(coeffs @ g.entries @ coeffs))
     squares = np.sum(coeffs * (g.entries @ coeffs), axis=0)

@@ -26,7 +26,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelSpec, PointSet, gram
+from .kernels import GramMatrix, KernelSpec, PointSet, _point_set, gram
 from .linalg import DiagnosticsError, Frozen, FrozenValue, pinv_solve, regularized_solve
 from .rkhs import RepresenterFunction, combine, evaluate, inner_product
 from .rng import SplitMix64
@@ -37,8 +37,7 @@ class DataSet(Frozen):
     stored C-contiguous so that a block's bits never depend on its memory order."""
 
     def __init__(self, pts: PointSet, labels: np.ndarray) -> None:
-        if not isinstance(pts, PointSet):
-            pts = PointSet(pts)
+        pts = _point_set(pts)
         y = np.array(labels, dtype=float, order="C")
         if y.ndim not in (1, 2) or y.shape[0] != len(pts) or y.size == 0:
             n = len(pts)

@@ -19,7 +19,7 @@ import pytest
 
 from krstab.kernels import GramMatrix, KernelSpec, PointSet, gram
 from krstab.linalg import regularized_solve
-from krstab.operators import decomposition_residual
+from krstab.operators import decomposition_residual, shrinkage_term
 import krstab.experiments as experiments
 import krstab.rkhs as rkhs
 import krstab.solver as solver
@@ -318,6 +318,33 @@ class TestBadShapes:
             with pytest.raises(ValueError, match="shape"):
                 decomposition_residual(g, a, v, shrink, a, t, lam)
 
+    # beta is one (n,) vector shared by every column; a vector of another
+    # length or a block is refused by name before any solve.
+    @pytest.mark.parametrize("shape", [(1,), (K,), (N, 1)])
+    def test_decomposition_residual_checks_beta(self, shape):
+        _, g = design(False)
+        a, ts, lams = np.ones((N, K)), np.full(K, T), np.full(K, LAM)
+        with pytest.raises(ValueError, match=r"beta has shape"):
+            decomposition_residual(g, a, np.ones(shape), a, a, ts, lams)
+
+    @pytest.mark.parametrize(
+        "shrink, lam",
+        [((N, K), (K - 1,)), ((N, K), (K, 1)), ((N,), (K,))],
+        ids=["too-few", "2-d", "vector"],
+    )
+    def test_shrinkage_term_takes_one_lam_or_one_per_column(self, shrink, lam):
+        _, g = design(False)
+        with pytest.raises(ValueError, match="lam has shape"):
+            shrinkage_term(g, np.ones(shrink), np.full(lam, LAM))
+
+    # A block without columns is refused by name, as DataSet refuses an
+    # empty label block, with one shift per column or one for all.
+    @pytest.mark.parametrize("shift", [[], 1.0], ids=["per-column", "scalar"])
+    def test_regularized_solve_needs_a_column(self, shift):
+        _, g = design(False)
+        with pytest.raises(ValueError, match="rhs has shape"):
+            regularized_solve(g, shift, np.ones((N, 0)))
+
 
 class TestLabelBlock:
     def test_f_ordered_block_keeps_the_bits_of_its_c_copy(self):
@@ -412,3 +439,30 @@ def test_block_norms_are_clamped_and_flagged():
     c = np.array([[1.0, 1.0], [-1.0, 0.0]])  # squares -2 and 1
     with pytest.warns(RuntimeWarning, match="significantly negative"):
         assert gram_norm(g, c).tolist() == [0.0, 1.0]
+
+
+def _with_nan(shape):
+    c = np.ones(shape)
+    c.flat[1] = math.nan
+    return c
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: gram_norm(g, _with_nan(N)),
+        lambda g: gram_norm(g, np.full((N, 1), math.inf)),
+        lambda g: decomposition_residual(
+            g, _with_nan((N, K)), np.ones(N), np.ones((N, K)), np.ones((N, K)),
+            np.full(K, T), np.full(K, LAM),
+        ),
+        lambda g: shrinkage_term(g, _with_nan(N), LAM),
+    ],
+    ids=["vector-nan", "block-inf", "decomposition_residual", "shrinkage_term"],
+)
+def test_gram_norm_refuses_non_finite_coefficients(call):
+    # A nan or inf coefficient is refused before the product, in both forms,
+    # so no nan norm comes back unflagged.
+    _, g = design(False)
+    with pytest.raises(ValueError, match="coeffs must be finite"):
+        call(g)

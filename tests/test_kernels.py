@@ -21,8 +21,12 @@ from krstab.kernels import (
     rounding_constant,
     sample_kappa,
 )
+from krstab.experiments import NoiseProcess, run_thm2
 from krstab.linalg import DiagnosticsError
+from krstab.operators import EvaluationOperator, ker_p_sample
 from krstab.rkhs import RepresenterFunction, evaluate
+from krstab.solver import DataSet
+from krstab.stability import Schedule
 
 GAUSS_01 = 0.6065306597126334  # exp(-1/2), frozen
 
@@ -255,9 +259,9 @@ EXPANSION = RepresenterFunction(KernelSpec.gaussian(1.0), PointSet([[0.0], [1.0]
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: evaluate(EXPANSION, math.nan),
+        lambda: evaluate(EXPANSION, [math.nan]),
         lambda: evaluate(EXPANSION, [math.nan, 0.5]),
-        lambda: evaluate(EXPANSION, math.inf),
+        lambda: evaluate(EXPANSION, [math.inf]),
         lambda: kernel_matrix(KernelSpec.gaussian(1.0), [[math.nan]], [[0.0]]),
         lambda: kernel_matrix(KernelSpec.linear(), [[0.0]], [[-math.inf]]),
         lambda: kernel_diag(KernelSpec.polynomial(2, 1.0), [[math.nan]]),
@@ -278,6 +282,53 @@ def test_raw_points_must_be_finite(call):
     # it is built; neither value nor nan comes back.
     with pytest.raises(ValueError, match="points must be finite"):
         call()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [np.empty((0, 2)), np.empty((3, 0)), np.zeros((2, 2, 2))],
+    ids=["no-rows", "no-coordinates", "3-d"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda raw: kernel_matrix(KernelSpec.gaussian(1.0), raw, raw),
+        lambda raw: kernel_matrix(KernelSpec.linear(), [[0.0, 1.0]], raw),
+        lambda raw: kernel_diag(KernelSpec.polynomial(2, 1.0), raw),
+    ],
+    ids=["kernel_matrix", "kernel_matrix-second", "kernel_diag"],
+)
+def test_raw_points_take_the_point_set_shape_check(call, raw):
+    # Raw points are read as a PointSet reads them: no (0, m) matrix, and no
+    # entries exp(0) = 1 for points without coordinates.
+    with pytest.raises(ValueError, match=r"points must form an \(n, d\) array"):
+        call(raw)
+
+
+def test_point_set_call_sites_accept_raw_points():
+    # Every function that takes a point set reads raw points as PointSet
+    # does, 1-D as points on the line, with the PointSet's own results; a
+    # PointSet is kept as the same object.
+    spec = KernelSpec.gaussian(0.8)
+    raw = np.linspace(0.0, 2.0, 8)
+    pts = PointSet(raw)
+    coeffs = np.linspace(-1.0, 1.0, 8)
+    assert gram(spec, raw).entries.tobytes() == gram(spec, pts).entries.tobytes()
+    assert RepresenterFunction(spec, pts, coeffs).anchors is pts
+    for p in (
+        RepresenterFunction(spec, raw, coeffs).anchors,
+        DataSet(raw, coeffs).pts,
+        EvaluationOperator(spec, raw).pts,
+    ):
+        assert p.points.tobytes() == pts.points.tobytes()
+    op = EvaluationOperator(spec, pts)
+    h, twin = (ker_p_sample(op, extra, seed=3) for extra in ([2.5, 3.0], PointSet([2.5, 3.0])))
+    assert h.anchors.points.tobytes() == twin.anchors.points.tobytes()
+    assert h.coeffs.tobytes() == twin.coeffs.tobytes()
+    target = RepresenterFunction(spec, [[0.5], [1.5]], [1.0, -0.5])
+    args = (target, NoiseProcess("uniform", 0.5), Schedule(0.5, 1.0), [1, 10], 2, 17)
+    rows, twin_rows = (run_thm2(p, *args).rows for p in (raw, pts))
+    assert [r.h_distance for r in rows] == [r.h_distance for r in twin_rows]
 
 
 def test_kernel_matrix_cross_shape():

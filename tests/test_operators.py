@@ -70,7 +70,7 @@ class TestApply:
         f = apply_p_star(op, e0)
         for x in np.linspace(0, 6, 13):
             assert abs(
-                evaluate(f, float(x)) - eval_kernel(op.kernel, [x], op.pts.points[0])
+                evaluate(f, [x])[0] - eval_kernel(op.kernel, [x], op.pts.points[0])
             ) < 1e-14
 
     def test_adjointness(self):

@@ -41,29 +41,36 @@ def inner_product_oracle(f, g):
 class TestEvaluate:
     def test_zero_coefficients(self):
         f = RepresenterFunction(GAUSS, PointSet([[0.0], [1.0]]), [0.0, 0.0])
-        assert evaluate(f, 0.5) == 0.0
+        assert evaluate(f, [0.5]).tolist() == [0.0]
 
     def test_single_anchor_at_anchor(self):
         f = RepresenterFunction(GAUSS, PointSet([[0.0]]), [2.0])
-        assert evaluate(f, 0.0) == 2.0
+        assert evaluate(f, [0.0]).tolist() == [2.0]
 
     def test_two_anchor_value(self):
         f = RepresenterFunction(GAUSS, PointSet([[0.0], [1.0]]), [1.0, 1.0])
         expect = 1.0 + math.exp(-0.5)
-        assert abs(evaluate(f, 0.0) - expect) < 1e-15
+        assert abs(evaluate(f, [0.0])[0] - expect) < 1e-15
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(20)
         f = random_function(rng, d=2)
         xs = rng.normal(size=(7, 2))
         batch = evaluate(f, xs)
-        singles = [evaluate(f, x) for x in xs]
+        singles = [evaluate(f, [x])[0] for x in xs]
         np.testing.assert_allclose(batch, singles, rtol=1e-15)
 
     def test_scalar_vs_vector_of_scalars(self):
+        # Points are read as a PointSet reads them: a scalar is no point set,
+        # and a 1-D array is one point on the line per entry, one value each.
         f = random_function(np.random.default_rng(21), d=1)
+        with pytest.raises(ValueError, match=r"points must form an \(n, d\) array"):
+            evaluate(f, 0.1)
         xs = np.array([0.1, 0.7, -0.3])
-        np.testing.assert_allclose(evaluate(f, xs), [evaluate(f, float(x)) for x in xs])
+        vals = evaluate(f, xs)
+        assert vals.shape == (3,)
+        assert vals.tobytes() == evaluate(f, PointSet(xs.reshape(-1, 1))).tobytes()
+        np.testing.assert_allclose(vals, [evaluate(f, [[x]])[0] for x in xs])
 
     def test_wrong_dimension_raises(self):
         f = random_function(np.random.default_rng(22), d=3)
@@ -103,7 +110,7 @@ class TestInnerProduct:
             f = random_function(rng)
             x = rng.uniform(-2.0, 2.0, 1)
             section = RepresenterFunction(GAUSS, PointSet(x.reshape(1, 1)), [1.0])
-            assert abs(inner_product(f, section) - evaluate(f, x[0])) < 1e-12
+            assert abs(inner_product(f, section) - evaluate(f, x)[0]) < 1e-12
 
     def test_kernel_mismatch_raises(self):
         f = RepresenterFunction(GAUSS, PointSet([[0.0]]), [1.0])
@@ -204,7 +211,7 @@ class TestNormAndDistance:
             f = random_function(rng)
             x = rng.uniform(-3.0, 3.0, 1)
             bound = rkhs_norm(f) * math.sqrt(eval_kernel(GAUSS, x, x))
-            assert abs(evaluate(f, x[0])) <= bound + 1e-12
+            assert abs(evaluate(f, x)[0]) <= bound + 1e-12
 
 
 def combine_oracle(f, g, a, b):
@@ -281,9 +288,9 @@ class TestCombine:
         rng = np.random.default_rng(31)
         f, g = random_function(rng), random_function(rng)
         s = combine(f, g, 0.7, -1.3)
-        for x in rng.uniform(-2, 2, 10):
-            expect = 0.7 * evaluate(f, float(x)) - 1.3 * evaluate(g, float(x))
-            assert abs(evaluate(s, float(x)) - expect) < 1e-12
+        xs = rng.uniform(-2, 2, 10)
+        expect = 0.7 * evaluate(f, xs) - 1.3 * evaluate(g, xs)
+        assert np.max(np.abs(evaluate(s, xs) - expect)) < 1e-12
 
 
 class TestJson:
