@@ -36,27 +36,20 @@ so by at most about 1e-13 * N * max diag * ||alpha||^2.  The dense route is
 the eigendecomposition of G, whose PSD check flags the row (the summary
 lists it under ``flagged_rows``), as does the solve's shift rule (see
 :func:`~krstab.linalg.regularized_solve`); a G above the size limit
-``kernels.MAX_ENTRIES`` flags it before it is allocated.  A row goes dense
-when any of five limits fails, each a property of its input and each a
-constant of this module:
+``kernels.MAX_ENTRIES`` flags it before it is allocated.  One
+:func:`_route` call per row picks the route.  It tests five limits, each a
+property of the row's input and each a constant of this module, in the
+order below; the first that fails sends the row dense, and its name is the
+reason the row records as ``ReportRow.route`` ("low rank" when all pass):
 
-* size floor ``_MIN_LOW_RANK_N`` = 128: smaller rows try no factor;
-* rank cap ``_RANK_CAP`` = 0.25: the factor gives up at N/4 pivots, or
-  at ``kernels.MAX_ENTRIES`` // N if that is fewer (from N = 23171 on), so
-  the factor never holds more entries than a kernel matrix may.  On a
-  full-rank design (a gaussian of width 0.5 on [0, 5]^4, 1 BLAS thread) a
-  low-rank row of rank N/4 measured 1.3 and 1.0 times the dense row at
-  N = 32 and 64, and 0.65 down to 0.10 times it from N = 128 to 2048 (one
-  dataset per N, medians); a factor that gives up adds 0.4-1.2 of a dense
-  row below N = 256 (under 2 ms) and at most 0.37 of it from N = 256 on.
-  So below N = 128 a factor saves nothing when it succeeds and costs up to
-  a dense row when it fails, which is what the size floor avoids;
-* PSD bound c * u <= ``PSD_TOL`` = 1e-10, with c the entrywise rounding
-  constant :func:`~krstab.kernels.rounding_constant` of the kernel in this
-  dimension and u = 2^-53.  It proves, without a kernel value, that the
-  dense route's PSD check at tau = 1e-10 * N * max diag would pass, so a
-  low-rank row is one the dense route would not have flagged;
-* condition limit ``_CONDITION_LIMIT`` = 1e4 on trace(G) / (N lam).  One
+* "size floor", ``_MIN_LOW_RANK_N`` = 128: smaller rows try no factor.  On
+  a full-rank design (a gaussian of width 0.5 on [0, 5]^4, 1 BLAS thread,
+  one dataset per N, medians) a low-rank row of rank N/4 measured 1.3 and
+  1.0 times the dense row at N = 32 and 64, and a factor that gives up at
+  the rank cap adds 0.4-1.2 of a dense row below N = 256 (under 2 ms).  So
+  below N = 128 a factor saves nothing when it succeeds and costs up to a
+  dense row when it fails;
+* "condition limit", ``_CONDITION_LIMIT`` = 1e4 on trace(G) / (N lam).  One
   plus that ratio bounds cond(L^T L + N lam I) and the cancellation in
   Woodbury's subtraction.  To first order the route's relative error is
   ``_TRACE_STOP`` * trace(G) / (N lam), 1e-9 at the limit: on the
@@ -65,20 +58,32 @@ constant of this module:
   On the shipped designs, whose low-rank rows have trace(G) / (N lam) <= 20,
   they measured at most 1.7e-13 apart relative (every row with N >= 128 of
   the N = 32..2048, 10-trial grid at master seeds 0, 777 and 1000);
-* shift limit N lam > tau = ``PSD_TOL`` * N * max diag: a smaller shift
+* "shift limit", N lam > tau = ``PSD_TOL`` * N * max diag: a smaller shift
   goes dense, where the solve's shift rule flags the row whenever G's
   smallest eigenvalue does not lift the shifted matrix above tau.  The
   condition limit alone would let such a row through only when
   trace(G) <= 1e-6 * N * max diag, a mean diagonal below a millionth of the
   largest: never for the gaussian, whose diagonal is constant, and for the
-  other kernels only from N = 1e6 points on, since trace(G) >= max diag.
+  other kernels only from N = 1e6 points on, since trace(G) >= max diag;
+* "PSD bound", c * u <= ``PSD_TOL`` = 1e-10, with c the entrywise rounding
+  constant :func:`~krstab.kernels.rounding_constant` of the kernel in this
+  dimension and u = 2^-53.  It proves, without a kernel value, that the
+  dense route's PSD check at tau = 1e-10 * N * max diag would pass, so a
+  low-rank row is one the dense route would not have flagged;
+* "rank cap", ``_RANK_CAP`` = 0.25: the factor gives up at N/4 pivots, or
+  at ``kernels.MAX_ENTRIES`` // N if that is fewer (from N = 23171 on), so
+  the factor never holds more entries than a kernel matrix may.  On the
+  full-rank design above a low-rank row of rank N/4 measured 0.65 down to
+  0.10 times the dense row from N = 128 to 2048, and a factor that gives up
+  adds at most 0.37 of a dense row from N = 256 on.
 
 On the criterion-4 design (a gaussian of width 0.8 on [0, 4], numerical rank
 about 19 at every N) rows with N >= 128 take the low-rank route and rows
 with N = 32 and 64 go dense by the size floor (their rank caps, 8 and 16,
 are below 19 anyway); a high-rank design, such as a gaussian of width 0.5
-on [0, 5]^4, stays dense.  ``run_thm2`` and the other commands take the
-dense route only.
+on [0, 5]^4, stays dense by the rank cap.  ``run_thm2`` and the other
+commands take the dense route only, with no route decision (a thm2 row's
+``route`` is "").
 
 Rows are reproducible in isolation: the seed of row (grid_index, trial) is
 ``mix64(master_seed, grid_index * 2**32 + trial)``, so enlarging the grid or
@@ -285,7 +290,8 @@ def sample_dataset(dist: DataDistribution, n: int, seed: int) -> tuple[DataSet, 
 
 class ReportRow:
     """One (grid point, trial) outcome; ``flag`` is empty unless a thm1 row's
-    fit hit a numerical diagnostic (a thm2 diagnostic fails the run), and
+    fit hit a numerical diagnostic (a thm2 diagnostic fails the run),
+    ``route`` is the reason :func:`_route` gave a thm1 row ("" in thm2), and
     ``decomp_residual`` only applies to the vanishing-noise harness.  The
     harnesses fill in the distance columns after construction."""
 
@@ -302,6 +308,7 @@ class ReportRow:
         noise_bound: float = math.nan,
         decomp_residual: float = math.nan,
         flag: str = "",
+        route: str = "",
     ) -> None:
         self.index_var = index_var
         self.lam = lam
@@ -314,6 +321,7 @@ class ReportRow:
         self.noise_bound = noise_bound
         self.decomp_residual = decomp_residual
         self.flag = flag
+        self.route = route
 
 
 def _fmt_cell(x) -> str:
@@ -509,26 +517,23 @@ def run_thm2(
     return ExperimentReport(rows=rows, metadata=metadata)
 
 
-def _low_rank_distance(
-    data: DataSet, lam: float, kernel: KernelSpec, target_values: np.ndarray, target_sq: float
-) -> float | None:
-    """H-distance of the ridge fit of ``data`` to the target by the low-rank
-    route, or None when one of its limits sends the row to the dense route.
-    ``target_values`` are the target's values at the data's points and
-    ``target_sq`` its squared H-norm."""
-    pts = data.pts
+def _route(kernel: KernelSpec, pts: PointSet, shift: float) -> tuple[np.ndarray | None, str]:
+    """The route of a thm1 row whose Gram matrix G is on ``pts``, with
+    ``shift`` = N lam: the factor L of G ~ L L^T with "low rank", or None
+    with the name of the first limit that sends the row dense.  The limits
+    are tested in the module docstring's order; G is never built."""
     n = len(pts)
     if n < _MIN_LOW_RANK_N:
-        return None
+        return None, "size floor"
     diag = kernel_diag(kernel, pts)
-    max_diag, shift = float(np.max(diag)), n * lam
+    max_diag = float(np.max(diag))
+    if not float(np.sum(diag)) <= _CONDITION_LIMIT * shift:
+        return None, "condition limit"
+    if not shift > PSD_TOL * n * max_diag:
+        return None, "shift limit"
     # 2.0**-53 is the unit roundoff u.
-    if not (
-        float(np.sum(diag)) <= _CONDITION_LIMIT * shift
-        and shift > PSD_TOL * n * max_diag
-        and rounding_constant(kernel, pts.dim) * 2.0**-53 <= PSD_TOL
-    ):
-        return None
+    if not rounding_constant(kernel, pts.dim) * 2.0**-53 <= PSD_TOL:
+        return None, "PSD bound"
     # A pivot column's overflow is the exact kernel value 0 (see
     # kernels._gaussian_matrix); one errstate covers every column of the factor.
     with np.errstate(over="ignore"):
@@ -538,10 +543,7 @@ def _low_rank_distance(
             min(int(_RANK_CAP * n), kernels.MAX_ENTRIES // n),
             _TRACE_STOP * n * max_diag,
         )
-    if factor is None:
-        return None
-    alpha = low_rank_solve(factor, shift, data.labels)
-    return cross_term_distance(alpha, factor @ (factor.T @ alpha), target_values, target_sq)
+    return (None, "rank cap") if factor is None else (factor, "low rank")
 
 
 def run_thm1(
@@ -558,16 +560,18 @@ def run_thm1(
 
     For each n in the grid and each trial, a dataset of size n is drawn from
     ``dist``, fit with ``lam = schedule.value(n)``, and the row records the
-    H-distance of the fit to the target, by the low-rank route where the
-    row's input allows it and by the dense route otherwise (see the module
-    docstring).  The shrinkage/noise columns of the
+    H-distance of the fit to the target, by the route that one
+    :func:`_route` call per row picks, and that call's reason as ``route``
+    (see the module docstring).  The shrinkage/noise columns of the
     fixed-design decomposition do not exist here and are nan.  The rows,
     their stability columns on n points and the metadata come from the sweep
     shared with :func:`run_thm2`.
     """
-    n_grid = [int(n) for n in n_grid]
-    if len(n_grid) < 1 or any(n < 1 for n in n_grid):
-        raise ValueError("n_grid must be nonempty with positive integer entries")
+    given = list(n_grid)
+    # n >= 1 is false for nan; comparing with inf, unlike isfinite, takes any int.
+    if not given or not all(n >= 1 and n != math.inf and n == int(n) for n in given):
+        raise ValueError(f"n_grid must be nonempty with positive integer entries, got {given}")
+    n_grid = [int(n) for n in given]
     kernel = dist.target.kernel
     kappa = math.sqrt(kappa_upper_bound(kernel, dist.lo, dist.hi))
     rows, metadata = _sweep(
@@ -578,11 +582,15 @@ def run_thm1(
         # A noise process that cannot be sampled fails the run, as in
         # run_thm2; only the fit and its distance are flagged per row.
         data, values = sample_dataset(dist, row.index_var, row.seed)
+        shift = row.index_var * row.lam
         try:
-            distance = _low_rank_distance(data, row.lam, kernel, values, target_sq)
-            if distance is None:
-                distance = h_distance(krr_fit(data, row.lam, kernel), dist.target)
-            row.h_distance = distance
+            factor, row.route = _route(kernel, data.pts, shift)
+            if factor is None:
+                row.h_distance = h_distance(krr_fit(data, row.lam, kernel), dist.target)
+            else:
+                alpha = low_rank_solve(factor, shift, data.labels)
+                product = factor @ (factor.T @ alpha)
+                row.h_distance = cross_term_distance(alpha, product, values, target_sq)
         except DiagnosticsError as exc:
             row.flag = str(exc)
     return ExperimentReport(rows=rows, metadata=metadata)

@@ -19,8 +19,9 @@ Low-rank route: :func:`pivoted_cholesky` builds G ~ L L^T from n * r kernel
 values and :func:`low_rank_solve` solves (L L^T + shift I) x = y through an
 r x r system.  Only ``run_thm1`` takes it, per row; thm2, ``fit``,
 ``interpolate``, ``spectrum`` and ``bounds`` take the dense route.  A thm1
-row goes dense when one of five limits fails; :mod:`krstab.experiments`
-states them, with their constants and the measurements behind them.
+row goes dense when one of five limits fails, as ``experiments._route``
+decides; :mod:`krstab.experiments` states them, with their constants and
+the measurements behind them.
 
 The route's distance takes G @ alpha as L (L^T alpha), so a low-rank row
 evaluates kernel values only in its r pivot columns and against the

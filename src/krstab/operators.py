@@ -213,9 +213,9 @@ def decomposition_residual(
     t, lam = np.asarray(t, dtype=float), np.asarray(lam, dtype=float)
     if t.ndim != 1 or lam.ndim != 1:
         raise ValueError(f"t has shape {t.shape} and lam {lam.shape}, expected k values each")
-    n, k = g.n, len(t)
-    if np.shape(beta) != (n,):
-        raise ValueError(f"beta has shape {np.shape(beta)}, expected ({n},)")
+    n, k, beta = g.n, len(t), np.asarray(beta, dtype=float)
+    if beta.shape != (n,):
+        raise ValueError(f"beta has shape {beta.shape}, expected ({n},)")
     blocks = (np.shape(alpha), np.shape(shrink_solve), np.shape(noise))
     if blocks != ((n, k),) * 3:
         raise ValueError(

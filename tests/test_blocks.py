@@ -327,6 +327,16 @@ class TestBadShapes:
         with pytest.raises(ValueError, match=r"beta has shape"):
             decomposition_residual(g, a, np.ones(shape), a, a, ts, lams)
 
+    # beta is read as an array, as the other five arguments are: a list
+    # gives its array's residuals bit for bit.
+    def test_decomposition_residual_reads_a_beta_list(self):
+        _, g = design(False)
+        alpha, noise, shrink, beta = block(3), block(4), block(6), block(5)[:, 0]
+        ts, lams = np.full(K, T), np.full(K, LAM)
+        want = decomposition_residual(g, alpha, beta, shrink, noise, ts, lams)
+        got = decomposition_residual(g, alpha, beta.tolist(), shrink, noise, ts, lams)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
         "shrink, lam",
         [((N, K), (K - 1,)), ((N, K), (K, 1)), ((N,), (K,))],

@@ -206,7 +206,8 @@ class TestRunThm2:
 
     def test_rows_satisfy_error_bound(self):
         for row in small_thm2().rows:
-            assert not row.flag
+            # thm2 takes no route decision: every row is dense.
+            assert not row.flag and row.route == ""
             assert row.h_distance <= row.shrinkage_term + row.noise_bound + 1e-8
             assert row.decomp_residual <= 1e-8
 
@@ -445,6 +446,19 @@ class TestRunThm1:
             run_thm1(dist, sched, [4, 0], trials=1, seed=0)
         with pytest.raises(ValueError, match="trials"):
             run_thm1(dist, sched, [4], trials=-1, seed=0)
+
+    def test_n_grid_entries_must_be_integral(self):
+        # A fractional or non-finite sample size is refused by name, as the
+        # CLI refuses it, not truncated; an integral float runs the
+        # integer's rows.
+        dist = make_dist()
+        sched = Schedule(lambda0=1.0, exponent=0.25)
+        for grid in ([32.9, 64], [8, 16.5], [8, math.inf], [math.nan]):
+            with pytest.raises(ValueError, match="n_grid"):
+                run_thm1(dist, sched, grid, trials=1, seed=0)
+        floats = run_thm1(dist, sched, [8.0, 16.0], trials=2, seed=0)
+        ints = run_thm1(dist, sched, [8, 16], trials=2, seed=0)
+        assert floats.to_csv_text() == ints.to_csv_text()
 
 
 class TestBounds:

@@ -89,12 +89,16 @@ def pivot_columns(monkeypatch):
 def dense_report(monkeypatch, **kwargs):
     """The same run with every row sent to the dense route."""
     with monkeypatch.context() as m:
-        m.setattr(exp, "_low_rank_distance", lambda *args: None)
+        m.setattr(exp, "_route", lambda *args: (None, "forced"))
         return run_thm1(**kwargs)
 
 
 def distances(report):
     return np.array([row.h_distance for row in report.rows])
+
+
+def routes(report):
+    return [row.route for row in report.rows]
 
 
 class TestPivotedCholesky:
@@ -230,6 +234,7 @@ class TestRoutes:
         )
         report = run_thm1(**kwargs)
         assert eigen_calls == []
+        assert routes(report) == ["low rank"] * 8
         dense = dense_report(monkeypatch, **kwargs)
         assert eigen_calls == [128, 128, 256, 256, 512, 512, 1024, 1024]
         np.testing.assert_allclose(distances(report), distances(dense), rtol=1e-10)
@@ -255,7 +260,7 @@ class TestRoutes:
 
         monkeypatch.setattr(krstab.kernels, "sym_eigen", no_eigh)
         (row,) = run_thm1(**kwargs).rows
-        assert row.flag == ""
+        assert row.flag == "" and row.route == "low rank"
         assert np.isfinite(row.h_distance) and row.h_distance > 0
 
     def test_rank_cap_sends_rows_above_n_over_4_dense(
@@ -274,6 +279,7 @@ class TestRoutes:
         )
         report = run_thm1(**kwargs)
         assert eigen_calls == [128, 128]
+        assert routes(report) == ["rank cap"] * 2 + ["low rank"] * 2
         assert pivot_columns.count(128) == 2 * 32
         assert 2 * 32 < pivot_columns.count(256) <= 2 * 64
         dense = dense_report(monkeypatch, **kwargs)
@@ -288,6 +294,7 @@ class TestRoutes:
         monkeypatch.setattr(krstab.kernels, "MAX_ENTRIES", 20 * n)
         report = run_thm1(box_dist(HIGH_RANK_TARGET, 0.0, 5.0), Schedule(0.5, 0.3), [n], 2, 11)
         assert pivot_columns == [n] * (2 * 20)
+        assert routes(report) == ["rank cap"] * 2
         for row in report.rows:
             assert f"a {n} x {n} kernel matrix needs" in row.flag
             assert np.isnan(row.h_distance)
@@ -301,6 +308,7 @@ class TestRoutes:
         report = run_thm1(dist, Schedule(0.5, 0.3), [32, 127, 128], 2, 8)
         assert eigen_calls == [32, 32, 127, 127]
         assert pivot_columns == [128] * 6
+        assert routes(report) == ["size floor"] * 4 + ["low rank"] * 2
         for row in report.rows[:4]:
             data, _ = exp.sample_dataset(dist, row.index_var, row.seed)
             expect = h_distance(krr_fit(data, row.lam, spec), target)
@@ -316,13 +324,15 @@ class TestRoutes:
         )
         report = run_thm1(**kwargs)
         assert eigen_calls == [128, 128, 256, 256]
+        assert routes(report) == ["rank cap"] * 4
         dense = dense_report(monkeypatch, **kwargs)
         np.testing.assert_array_equal(distances(report), distances(dense))
 
     def test_condition_limit_sends_rows_dense(self, eigen_calls):
         # lam = 1e-6 puts trace(G) / (N lam) = 1e6 above the limit.
-        run_thm1(box_dist(CRIT4_TARGET, 0.0, 4.0), Schedule(1e-6, 0.0), [128], 2, 2)
+        report = run_thm1(box_dist(CRIT4_TARGET, 0.0, 4.0), Schedule(1e-6, 0.0), [128], 2, 2)
         assert eigen_calls == [128, 128]
+        assert routes(report) == ["condition limit"] * 2
 
     def test_shift_limit_sends_rows_dense_where_they_are_flagged(
         self, monkeypatch, eigen_calls
@@ -333,9 +343,26 @@ class TestRoutes:
         monkeypatch.setattr(exp, "_CONDITION_LIMIT", 1e300)
         report = run_thm1(box_dist(CRIT4_TARGET, 0.0, 4.0), Schedule(1e-30, 0.0), [128], 2, 2)
         assert eigen_calls == [128, 128]
+        assert routes(report) == ["shift limit"] * 2
         for row in report.rows:
             assert "does not exceed the PSD tolerance" in row.flag
             assert math.isnan(row.h_distance)
+
+    def test_shift_limit_and_psd_bound_from_a_design(self, pivot_columns):
+        # No run_thm1 design below 1e6 points reaches these two limits, since
+        # trace(G) >= max diag, so these designs go to _route directly.
+        # Linear kernel, one point at 1 and the rest at 0: trace(G) = max
+        # diag = 1, so a shift of 1.5e-4 passes the condition limit
+        # (1 <= 1e4 * 1.5e-4) and fails the shift limit (<= 1e-10 * 2^21).
+        x = np.zeros((2**21, 1))
+        x[0] = 1.0
+        assert exp._route(KernelSpec.linear(), PointSet(x), 1.5e-4) == (None, "shift limit")
+        # (x y)^400000 on 128 points at 1: G is all ones and passes the
+        # condition and shift limits, while c * u = 400000 * 3 * 2^-53 is
+        # about 1.3e-10 > PSD_TOL.
+        spec, pts = KernelSpec.polynomial(400000, 0.0), PointSet(np.ones((128, 1)))
+        assert exp._route(spec, pts, 1.0) == (None, "PSD bound")
+        assert pivot_columns == []
 
     @pytest.mark.parametrize(
         "spec,anchors",
@@ -356,6 +383,7 @@ class TestRoutes:
         )
         report = run_thm1(**kwargs)
         assert eigen_calls == []
+        assert routes(report) == ["low rank"] * 9
         np.testing.assert_allclose(
             distances(report), distances(dense_report(monkeypatch, **kwargs)), rtol=1e-10
         )
@@ -376,5 +404,6 @@ class TestRoutes:
         )
         report = run_thm1(**kwargs)
         assert eigen_calls == [128, 128, 256, 256]
+        assert routes(report) == ["PSD bound"] * 4
         dense = dense_report(monkeypatch, **kwargs)
         np.testing.assert_array_equal(distances(report), distances(dense))
