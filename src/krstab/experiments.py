@@ -12,8 +12,8 @@ Each harness then fits its rows and fills in the distance columns:
   decomposition residual that certifies the error identity.  Every row
   shares G's one eigendecomposition, so the run is one block per run, not
   one per t: each solve takes every (t, trial) row as a column with its own
-  shift n * lam(t), and the rows' label draws are the columns of one
-  :class:`~krstab.solver.DataSet`.
+  shift n * lam(t), and the rows' label draws and fits are the columns of
+  one :class:`~krstab.solver.DataSet` and of one expansion's (n, rows) block.
 * growing sample (``run_thm1``): datasets of size n are drawn from a
   distribution; the fit is compared in H-norm to the known target that
   generated the labels.  The shrinkage/noise columns do not apply in this
@@ -280,8 +280,10 @@ def sample_dataset(dist: DataDistribution, n: int, seed: int) -> tuple[DataSet, 
     """Draw (x_i, target(x_i) + b_i), and the target's values at the inputs,
     the labels without their noise.  Inputs and noise come from independent
     substreams of ``seed``, so the draw is reproducible from the seed alone."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    # n >= 1 is false for nan; comparing with inf, unlike isfinite, takes any int.
+    if not (n >= 1 and n != math.inf and n == int(n)):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = int(n)
     xs = dist.sample_x(n, SplitMix64(mix64(seed, 0)))
     b = dist.noise.sample(n, mix64(seed, 1))
     values = evaluate(dist.target, xs)
@@ -503,9 +505,8 @@ def run_thm2(
         t = rows[int(overflow.argmax())].index_var
         raise ValueError(f"labels f_tilde(x) + b / t leave the float range at t_grid entry {t!r}")
     fits = krr_fit(DataSet(pts, labels.T), lams, kernel, gram_matrix=g)
-    alpha = np.column_stack([f.coeffs for f in fits])
     resid = decomposition_residual(
-        g, alpha, fbar.coeffs, np.repeat(shrink_solves, trials, axis=1), b.T, ts, lams
+        g, fits.coeffs, fbar.coeffs, np.repeat(shrink_solves, trials, axis=1), b.T, ts, lams
     )
     dists = h_distance(fits, fbar, gram_matrix=g)
     for row, dist, b_row, r in zip(rows, dists.tolist(), b, resid):

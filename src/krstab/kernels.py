@@ -40,6 +40,11 @@ import numpy as np
 from .linalg import DiagnosticsError, EigenDecomposition, Frozen, FrozenValue, sym_eigen
 
 
+def _float(value):
+    """float(value), but a bool is passed on for KernelSpec to refuse."""
+    return value if isinstance(value, (bool, np.bool_)) else float(value)
+
+
 class KernelSpec(FrozenValue):
     """Declarative description of one kernel; only the fields its kind uses
     may be set."""
@@ -52,8 +57,8 @@ class KernelSpec(FrozenValue):
         offset: float | None = None,
     ) -> None:
         for name, value in (("width", width), ("degree", degree), ("offset", offset)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"kernel {name} must be finite, got {value!r}")
+            if isinstance(value, (bool, np.bool_)) or not (value is None or math.isfinite(value)):
+                raise ValueError(f"kernel {name} must be a finite number, got {value!r}")
         if kind == "gaussian":
             if width is None or not width > 0:
                 raise ValueError("gaussian kernel requires width > 0")
@@ -78,13 +83,14 @@ class KernelSpec(FrozenValue):
                 raise ValueError("polynomial kernel requires offset >= 0")
             if width is not None:
                 raise ValueError("polynomial kernel takes no width")
+            degree = int(degree)
         else:
             raise ValueError(f"unknown kernel kind {kind!r}")
         vars(self).update(kind=kind, width=width, degree=degree, offset=offset)
 
     @staticmethod
     def gaussian(width: float) -> "KernelSpec":
-        return KernelSpec(kind="gaussian", width=float(width))
+        return KernelSpec(kind="gaussian", width=_float(width))
 
     @staticmethod
     def linear() -> "KernelSpec":
@@ -92,7 +98,7 @@ class KernelSpec(FrozenValue):
 
     @staticmethod
     def polynomial(degree: int, offset: float) -> "KernelSpec":
-        return KernelSpec(kind="polynomial", degree=int(degree), offset=float(offset))
+        return KernelSpec(kind="polynomial", degree=degree, offset=_float(offset))
 
     def to_json_dict(self) -> dict:
         return {key: value for key, value in vars(self).items() if value is not None}
@@ -228,8 +234,10 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     (1 GiB of float64) a :class:`~krstab.linalg.DiagnosticsError` naming n,
     m and the bytes is raised before anything is allocated.  A dense
     command's peak resident set is about 5 times the bytes of its Gram
-    matrix G, on top of a ~33 MB base: G itself, the GramMatrix's copy,
-    eigh's eigenvectors and workspace, and sym_eigen's descending copy.
+    matrix G, on top of a ~33 MB base.  The peak is inside ``eigh``: G and
+    numpy's copy of it, LAPACK dsyevd's workspace of 1 + 6n + 2n^2 doubles,
+    and the eigenvector output (gram's 2 G and sym_eigen's descending copy
+    are smaller and come before and after it).
     ``spectrum`` on n = 1024 / 2048 / 4096 points measured 72 / 197 / 690 MB
     peak for G of 8 / 32 / 128 MB (2-vCPU Xeon, 1 BLAS thread).  So the
     limit admits a square matrix up to n = 11585 at ~5 GiB peak.  It is a

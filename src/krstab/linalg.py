@@ -108,11 +108,11 @@ def sym_eigen(g: GramMatrix) -> EigenDecomposition:
 
 
 def regularized_solve(g: GramMatrix, shift, rhs) -> np.ndarray:
-    """Solve ``(G + shift*I) x = rhs`` for the GramMatrix ``g``, shift > 0.
+    """Solve ``(G + shift*I) x = rhs`` for the GramMatrix ``g``, 0 < shift < inf.
 
     ``rhs`` is a finite vector (n,) or block (n, k >= 1) of k right-hand sides; the
-    result has the shape of ``rhs``.  ``shift`` is one positive scalar for
-    every column, or a vector of k positive shifts, one per column, so that
+    result has the shape of ``rhs``.  ``shift`` is one positive finite scalar for
+    every column, or a vector of k such shifts, one per column, so that
     one block holds right-hand sides of several ridge parameters.  There is
     one path: a vector is solved as a one-column block,
     ``Q @ ((Q.T @ Y) / (w[:, None] + shift))`` through ``g.eigen``, so
@@ -128,8 +128,10 @@ def regularized_solve(g: GramMatrix, shift, rhs) -> np.ndarray:
     would divide by shifted eigenvalues of either sign.
     """
     shifts = np.asarray(shift, dtype=float)
-    if shifts.ndim > 1 or not np.all(shifts > 0):
-        raise ValueError(f"shift must be positive, one value or one per column, got {shift}")
+    if shifts.ndim > 1 or not np.all((shifts > 0) & (shifts < np.inf)):
+        raise ValueError(
+            f"shift must be positive and finite, one value or one per column, got {shift}"
+        )
     y = np.asarray(rhs, dtype=float)
     if y.ndim not in (1, 2) or y.shape[0] != g.n or y.size == 0:
         raise ValueError(f"rhs has shape {y.shape}, expected ({g.n},) or ({g.n}, k >= 1)")
@@ -212,15 +214,15 @@ def pivoted_cholesky(
 
 
 def low_rank_solve(factor: np.ndarray, shift: float, rhs) -> np.ndarray:
-    """Solve ``(L L^T + shift*I) x = rhs`` for the (n, r) ``factor`` L, shift > 0.
+    """Solve ``(L L^T + shift*I) x = rhs`` for the (n, r) ``factor`` L, 0 < shift < inf.
 
     Sherman-Morrison-Woodbury: x = (y - L (L^T L + shift I)^{-1} L^T y) / shift,
     one r x r system (Fine and Scheinberg, JMLR 2001).  The subtraction loses
     up to a factor 1 + lambda_max(L^T L) / shift <= 1 + trace / shift of
     relative accuracy, so callers bound that ratio.
     """
-    if not shift > 0:
-        raise ValueError(f"shift must be positive, got {shift}")
+    if not 0 < shift < np.inf:
+        raise ValueError(f"shift must be positive and finite, got {shift}")
     y = np.asarray(rhs, dtype=float)
     small = factor.T @ factor
     small[np.diag_indices_from(small)] += shift

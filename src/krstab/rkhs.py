@@ -7,24 +7,23 @@ each query point, one value per point, and makes the squared norm a Gram
 quadratic form; both are used all over the solver and experiment code, so
 the implementations here stay in pure vectorized numpy.  Expansions are never
 deduplicated: two expansions over one point set combine by adding
-coefficients, any others by concatenation.  :func:`h_distance` has one path: it takes a sequence of
-expansions against one reference, and a single expansion is a sequence of
-one.  When every difference lies on one point set, repeated rows or not,
-whose Gram matrix the caller supplies, their k distances are one Gram
-quadratic form on the (n, k) block of coefficients, as the thm2 harness uses
-for every row of a run at once.  :func:`gram_norm` alone keeps a separate 1-D form,
-because a vector's quadratic form rounds differently from a one-column
-block's.  :func:`cross_term_distance` takes a distance without a combined
-expansion and without a kernel value, from the product of a Gram matrix
-never held whole with the coefficients, as the thm1 harness's low-rank route
-gets it, and from the other function's values and squared norm.
+coefficients, any others by concatenation.  The coefficients are a vector,
+or an (n, k) block of k expansions on one point set, as thm2 holds every
+fit of a run; :func:`h_distance` of a block is its k distances, one Gram
+quadratic form when the caller gives the points' Gram matrix, and
+:func:`inner_product` and :func:`rkhs_norm` take vectors only.
+:func:`gram_norm` keeps a separate 1-D form, because a vector's quadratic
+form rounds differently from a one-column block's.
+:func:`cross_term_distance` takes a distance without a combined expansion
+and without a kernel value, from the product of a Gram matrix never held
+whole with the coefficients, as the thm1 harness's low-rank route gets it,
+and from the other function's values and squared norm.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -33,14 +32,16 @@ from .linalg import Frozen
 
 
 class RepresenterFunction(Frozen):
-    """Finite kernel expansion: anchors (n, d) with one coefficient each."""
+    """Finite kernel expansion: anchors (n, d) with a coefficient vector, or an
+    (n, k) block of k expansions, stored C-contiguous as DataSet's labels are."""
 
     def __init__(self, kernel: KernelSpec, anchors: PointSet, coeffs: np.ndarray) -> None:
         anchors = _point_set(anchors)
-        c = np.asarray(coeffs, dtype=float).copy()
-        if c.ndim != 1 or c.shape[0] != len(anchors):
+        c = np.array(coeffs, dtype=float, order="C")
+        if c.ndim not in (1, 2) or c.shape[0] != len(anchors) or c.size == 0:
             raise ValueError(
-                f"coeffs must be a vector of length {len(anchors)}, got shape {c.shape}"
+                f"coeffs must be a vector of length {len(anchors)}, or a block of as many "
+                f"rows and k >= 1 columns, got shape {c.shape}"
             )
         if not np.all(np.isfinite(c)):
             raise ValueError("coeffs must be finite")
@@ -59,6 +60,7 @@ def evaluate(f: RepresenterFunction, x) -> np.ndarray:
     """(f(x_1), ..., f(x_m)), one value per point of ``x``, read as a
     :class:`~krstab.kernels.PointSet` (a 1-D array is m points on the line).
     f at the single point (x_1, ..., x_d) is ``evaluate(f, [[x_1, ..., x_d]])[0]``.
+    An (n, k) block of k expansions gives one row of k values per point.
     """
     return kernel_matrix(f.kernel, x, f.anchors) @ f.coeffs
 
@@ -71,8 +73,11 @@ def _require_same_kernel(f: RepresenterFunction, g: RepresenterFunction) -> None
 
 
 def inner_product(f: RepresenterFunction, g: RepresenterFunction) -> float:
-    """(f, g)_H = coeffs_f . K(anchors_f, anchors_g) . coeffs_g."""
+    """(f, g)_H = coeffs_f . K(anchors_f, anchors_g) . coeffs_g, for vectors."""
     _require_same_kernel(f, g)
+    for h in (f, g):
+        if h.coeffs.ndim != 1:
+            raise ValueError(f"inner_product takes vectors, got a block of shape {h.coeffs.shape}")
     cross = kernel_matrix(f.kernel, f.anchors, g.anchors)
     return float(f.coeffs @ cross @ g.coeffs)
 
@@ -130,43 +135,36 @@ def combine(
     object or byte-equal rows) that set is kept and the coefficients are added
     row by row; otherwise the anchors of f are followed by those of g.  Anchors
     are never deduplicated: a repeated row only splits a coefficient, and the
-    H-norm is the same either way."""
+    H-norm is the same either way.  A vector, like a one-column block, joins
+    every column of a block, as that column's own combine would."""
     _require_same_kernel(f, g)
     if f.anchors.dim != g.anchors.dim:
         raise ValueError("anchor dimensions differ")
+    fc, gc = a * f.coeffs, b * g.coeffs
+    if 2 in (fc.ndim, gc.ndim):
+        k = np.broadcast_shapes(fc.shape[1:], gc.shape[1:])
+        fc, gc = (np.broadcast_to(c.reshape(len(c), -1), (len(c), *k)) for c in (fc, gc))
     if _same_rows(f.anchors, g.anchors):
-        return RepresenterFunction(f.kernel, f.anchors, a * f.coeffs + b * g.coeffs)
+        return RepresenterFunction(f.kernel, f.anchors, fc + gc)
     pts = PointSet(np.vstack([f.anchors.points, g.anchors.points]))
-    return RepresenterFunction(f.kernel, pts, np.concatenate([a * f.coeffs, b * g.coeffs]))
+    return RepresenterFunction(f.kernel, pts, np.concatenate([fc, gc]))
 
 
 def h_distance(
-    f: RepresenterFunction | Sequence[RepresenterFunction],
-    g: RepresenterFunction,
-    gram_matrix: GramMatrix | None = None,
+    f: RepresenterFunction, g: RepresenterFunction, gram_matrix: GramMatrix | None = None
 ) -> float | np.ndarray:
-    """||f - g||_H via the combined expansion of f - g, built by :func:`combine`.
+    """||f - g||_H via the combined expansion of f - g, built by :func:`combine`:
+    a float for a coefficient vector, or the k distances of an (n, k) block.
 
-    ``f`` is a nonempty sequence of expansions, giving an array of their
-    distances to g in order; one expansion is a sequence of one and gives a
-    float.  When ``gram_matrix`` is supplied and every difference lies on the
-    point set of its expansion, whose Gram matrix it is (repeated rows or
-    not), the norms are one :func:`gram_norm` call on the (n, k) block of
-    difference coefficients, or on the vector of a single expansion, and no
-    kernel matrix is built.  Otherwise every member takes :func:`rkhs_norm`.
+    When ``gram_matrix`` is supplied and the difference lies on f's point set,
+    whose Gram matrix it is (repeated rows or not), the norms are one
+    :func:`gram_norm` call and no kernel matrix is built.  Otherwise the
+    difference takes :func:`rkhs_norm`, which takes a vector only.
     """
-    single = isinstance(f, RepresenterFunction)
-    fs = [f] if single else list(f)
-    if not fs:
-        raise ValueError("h_distance needs at least one expansion")
-    diffs = [combine(fi, g, 1.0, -1.0) for fi in fs]
-    if gram_matrix is not None and all(
-        d.anchors is fi.anchors and gram_matrix.n == len(d.anchors) for fi, d in zip(fs, diffs)
-    ):
-        coeffs = diffs[0].coeffs if single else np.column_stack([d.coeffs for d in diffs])
-        return gram_norm(gram_matrix, coeffs)
-    norms = [rkhs_norm(d) for d in diffs]
-    return norms[0] if single else np.array(norms)
+    diff = combine(f, g, 1.0, -1.0)
+    if gram_matrix is not None and diff.anchors is f.anchors and gram_matrix.n == len(f.anchors):
+        return gram_norm(gram_matrix, diff.coeffs)
+    return rkhs_norm(diff)
 
 
 def cross_term_distance(coeffs, gram_product, g_values, g_sq: float) -> float:

@@ -16,8 +16,8 @@ its risk is :func:`regularized_risk` and its residuals
 the caller holds the points' Gram matrix G.  All three functions take G as
 ``gram_matrix=``, so that a caller builds it once.  A :class:`DataSet`'s
 labels are a vector or an (n, k) block of k label draws; :func:`krr_fit`
-fits a block in one block solve, each column with its own lam if the
-caller gives one per column, and a vector as a block of one.
+fits either in one block solve, each column with its own lam if the
+caller gives one per column, as one expansion of the labels' shape.
 """
 
 from __future__ import annotations
@@ -51,15 +51,16 @@ class DataSet(Frozen):
 def regularized_risk(
     f: RepresenterFunction, data: DataSet, lam: float, gram_matrix: GramMatrix | None = None
 ) -> float:
-    """L(f) exactly as displayed in the module docstring, for a label vector.
+    """L(f) exactly as displayed in the module docstring, for vectors.
 
     ``gram_matrix`` may be supplied when f's anchors are the data's points
     and it is their Gram matrix G: then f(x) = G alpha and ||f||^2 =
     alpha . G . alpha come from it, in the order of :func:`evaluate` and
     :func:`inner_product`, and no kernel matrix is built.
     """
-    if data.labels.ndim != 1:
-        raise ValueError(f"the risk takes one label vector, got shape {data.labels.shape}")
+    if data.labels.ndim != 1 or f.coeffs.ndim != 1:
+        shapes = data.labels.shape, f.coeffs.shape
+        raise ValueError(f"the risk takes one label vector and coefficient vector, got {shapes}")
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     if gram_matrix is not None and f.anchors is data.pts and gram_matrix.n == len(data.pts):
@@ -76,23 +77,22 @@ def krr_fit(
     lam: float | Sequence[float],
     kernel: KernelSpec,
     gram_matrix: GramMatrix | None = None,
-) -> RepresenterFunction | list[RepresenterFunction]:
+) -> RepresenterFunction:
     """Minimize the regularized risk in closed form.
 
     ``lam`` is one positive value for every label column of ``data``, or a
     sequence of one per column; :func:`~krstab.linalg.regularized_solve`
     checks it, as the shifts n*lam_j of its one block solve of
-    (G + n*lam_j I) a_j = y_j.  That gives the fitted function of a label
-    vector, or a list of one per column of a block.  ``gram_matrix`` may be
-    supplied when the caller already holds the Gram matrix of the points
-    (its cached decomposition is then reused).
+    (G + n*lam_j I) a_j = y_j.  That gives one fitted expansion whose
+    coefficients have the labels' shape: the fit of a label vector, or the
+    (n, k) block of one fit per column.  ``gram_matrix`` may be supplied when
+    the caller already holds the Gram matrix of the points (its cached
+    decomposition is then reused).
     """
     y = data.labels
     g = gram_matrix if gram_matrix is not None else gram(kernel, data.pts)
     alphas = regularized_solve(g, len(y) * np.asarray(lam, dtype=float), y)
-    if y.ndim == 1:
-        return RepresenterFunction(kernel, data.pts, alphas)
-    return [RepresenterFunction(kernel, data.pts, alpha) for alpha in alphas.T]
+    return RepresenterFunction(kernel, data.pts, alphas)
 
 
 def min_norm_interpolant(
@@ -161,10 +161,14 @@ def closeness_certificate(
     perturbations of each minimizer (drawn from the package generator, so the
     certificate is reproducible from ``seed``).  ``max_probe_gap`` is
     max |L1(h) - L2(h)| over the probes; the pass verdict needs both the
-    minimizers gap (<= eps) and the first-functional gap (<= 2*eps).
+    minimizers gap (<= eps) and the first-functional gap (<= 2*eps).  The
+    minimizers are single functions, with coefficient vectors.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    for f in (f1, f2):
+        if f.coeffs.ndim != 1:
+            raise ValueError(f"minimizers must be vectors, got a block of shape {f.coeffs.shape}")
     stream = SplitMix64(seed)
     probes: list[RepresenterFunction] = [f1, f2, combine(f1, f2, 0.5, 0.5)]
     for base in (f1, f2):

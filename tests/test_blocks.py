@@ -1,16 +1,18 @@
 """Block right-hand sides: an (n, k) block through ``regularized_solve`` or
-``gram_norm``, a dataset with an (n, k) label block through ``krr_fit`` or a
-sequence of expansions through ``h_distance`` gives, column by column, what
-k separate single calls give, on a design with distinct points and on one
-with repeated points (singular G).  ``decomposition_residual`` takes blocks
-only, with t, lam and the shrinkage solve given per column, so each of its
-columns is compared with the explicit numpy formula instead.  The single
-calls, and a one-column ``decomposition_residual`` block, are pinned with
-``==`` to their explicit formulas.  A block may carry one shift (one lam,
-one t) per column; each column of ``regularized_solve`` and ``krr_fit`` then
-matches its own scalar call, and each column of ``decomposition_residual``
-its own one-column block.  The thm2 harness fits its label draws as one
-such block."""
+``gram_norm``, a dataset with an (n, k) label block through ``krr_fit``, or
+an expansion with an (n, k) coefficient block through ``h_distance`` or
+``combine`` gives, column by column, what k separate single calls give, on a
+design with distinct points and on one with repeated points (singular G).
+``decomposition_residual`` takes blocks only, with t, lam and the shrinkage
+solve given per column, so each of its columns is compared with the explicit
+numpy formula instead.  The single calls, and a one-column
+``decomposition_residual`` block, are pinned with ``==`` to their explicit
+formulas.  A block may carry one shift (one lam, one t) per column; each
+column of ``regularized_solve`` and ``krr_fit`` then matches its own scalar
+call, and each column of ``decomposition_residual`` its own one-column
+block.  The thm2 harness fits its label draws as one such block, and its
+fits stay one expansion from the solve to the distances.  The functions that
+take one coefficient vector refuse a block."""
 
 import math
 
@@ -24,8 +26,15 @@ import krstab.experiments as experiments
 import krstab.rkhs as rkhs
 import krstab.solver as solver
 from krstab.experiments import NoiseProcess, run_thm2
-from krstab.rkhs import RepresenterFunction, gram_norm, h_distance
-from krstab.solver import DataSet, krr_fit, regularized_risk
+from krstab.rkhs import (
+    RepresenterFunction,
+    combine,
+    gram_norm,
+    h_distance,
+    inner_product,
+    rkhs_norm,
+)
+from krstab.solver import DataSet, closeness_certificate, krr_fit, regularized_risk
 from krstab.stability import Schedule
 
 KERNEL = KernelSpec.gaussian(0.8)
@@ -85,28 +94,25 @@ class TestBlockMatchesColumns:
             assert abs(got[j] - want) <= 1e-12 * want
 
     def test_krr_fit_sequence(self, repeated):
-        # A label block gives a list of fits, one per column, in order.
+        # A label block gives one expansion whose coefficient block holds one
+        # fit per column, in order.
         pts, g = design(repeated)
         y = block(7)
         fits = krr_fit(DataSet(pts, y), LAM, KERNEL, gram_matrix=g)
-        assert isinstance(fits, list) and len(fits) == K
-        for f in fits:
-            assert isinstance(f, RepresenterFunction) and f.anchors is pts
-        got = np.column_stack([f.coeffs for f in fits])
+        assert isinstance(fits, RepresenterFunction) and fits.anchors is pts
+        assert fits.coeffs.flags.c_contiguous
         want = [
             krr_fit(DataSet(pts, y[:, j]), LAM, KERNEL, gram_matrix=g).coeffs for j in range(K)
         ]
-        assert_columns_close(got, want)
+        assert_columns_close(fits.coeffs, want)
         # Without a supplied Gram matrix the block builds its own.
-        own = krr_fit(DataSet(pts, y), LAM, KERNEL)
-        assert_columns_close(np.column_stack([f.coeffs for f in own]), want)
+        assert_columns_close(krr_fit(DataSet(pts, y), LAM, KERNEL).coeffs, want)
 
     def test_h_distance_sequence(self, repeated, monkeypatch):
         pts, g = design(repeated)
         c = block(13)
-        fs = [RepresenterFunction(KERNEL, pts, c[:, j]) for j in range(K)]
         ref = RepresenterFunction(KERNEL, pts, block(14)[:, 0])
-        want = [h_distance(f, ref, gram_matrix=g) for f in fs]
+        want = [h_distance(RepresenterFunction(KERNEL, pts, col), ref, g) for col in c.T]
         shapes = []
 
         def recorded(gm, coeffs):
@@ -114,11 +120,30 @@ class TestBlockMatchesColumns:
             return gram_norm(gm, coeffs)
 
         monkeypatch.setattr(rkhs, "gram_norm", recorded)
-        got = h_distance(fs, ref, gram_matrix=g)
+        got = h_distance(RepresenterFunction(KERNEL, pts, c), ref, gram_matrix=g)
         assert shapes == [(N, K)]  # one quadratic form on the whole block
         assert isinstance(got, np.ndarray) and got.shape == (K,)
         for j in range(K):
             assert abs(got[j] - want[j]) <= 1e-12 * want[j]
+
+    def test_combine(self, repeated):
+        # A vector joins every column of a block, on the block's own points
+        # (added) and on other points (concatenated), in either order: each
+        # column has the bits of that column's own combine.
+        pts, _ = design(repeated)
+        c, v = block(30), block(31)[:, 0]
+        blk = RepresenterFunction(KERNEL, pts, c)
+        for other in (pts, PointSet(pts.points[:7] + 1.0)):
+            vec = RepresenterFunction(KERNEL, other, v[: len(other)])
+            for f, g, pick in ((blk, vec, 0), (vec, blk, 1)):
+                got = combine(f, g, 0.5, -3.0)
+                assert got.coeffs.shape == (len(got.anchors), K)
+                for j in range(K):
+                    col = RepresenterFunction(KERNEL, pts, c[:, j])
+                    pair = (col, vec) if pick == 0 else (vec, col)
+                    want = combine(*pair, 0.5, -3.0)
+                    assert got.anchors.points.tobytes() == want.anchors.points.tobytes()
+                    assert got.coeffs[:, j].tobytes() == want.coeffs.tobytes()
 
 
 @designs
@@ -180,8 +205,7 @@ class TestPerColumnShifts:
         pts, g = design(repeated)
         y = block(19)
         lams = SHIFTS / N
-        fits = krr_fit(DataSet(pts, y), lams, KERNEL, gram_matrix=g)
-        got = np.column_stack([f.coeffs for f in fits])
+        got = krr_fit(DataSet(pts, y), lams, KERNEL, gram_matrix=g).coeffs
         assert np.array_equal(got, regularized_solve(g, N * lams, y))
         want = [
             krr_fit(DataSet(pts, y[:, j]), lams[j], KERNEL, gram_matrix=g).coeffs
@@ -286,6 +310,22 @@ class TestBadShapes:
         with pytest.raises(ValueError, match="shape"):
             gram_norm(g, np.ones(shape))
 
+    @pytest.mark.parametrize("shape", [(N + 1,), (N + 1, K), (N - 1, K), (N, K, 1)])
+    def test_representer_function(self, shape):
+        pts, _ = design(False)
+        with pytest.raises(ValueError, match="coeffs must be a vector"):
+            RepresenterFunction(KERNEL, pts, np.ones(shape))
+
+    def test_combine_needs_matching_widths(self):
+        # Two blocks combine column by column, so their widths must agree,
+        # whether their coefficients are added or concatenated.
+        pts, _ = design(False)
+        f = RepresenterFunction(KERNEL, pts, np.ones((N, K)))
+        for anchors in (pts, PointSet(pts.points + 1.0)):
+            g = RepresenterFunction(KERNEL, anchors, np.ones((N, K + 1)))
+            with pytest.raises(ValueError, match="shape"):
+                combine(f, g)
+
     # With K values of t and lam and an (N, K) shrinkage block, only alpha's
     # or noise's shape is wrong, and the block check itself must say so.
     @bad_shapes
@@ -365,8 +405,11 @@ class TestLabelBlock:
         twin = DataSet(pts, np.ascontiguousarray(y))
         assert data.labels.tobytes() == twin.labels.tobytes()
         fits, twins = (krr_fit(d, LAM, KERNEL, gram_matrix=g) for d in (data, twin))
-        for f, t in zip(fits, twins):
-            assert f.coeffs.tobytes() == t.coeffs.tobytes()
+        assert fits.coeffs.tobytes() == twins.coeffs.tobytes()
+        # An F-ordered coefficient block is stored as its C copy too.
+        f = RepresenterFunction(KERNEL, pts, np.asfortranarray(block(12)))
+        assert f.coeffs.flags.c_contiguous
+        assert f.coeffs.tobytes() == np.ascontiguousarray(block(12)).tobytes()
 
     @pytest.mark.parametrize("shape", [(N, 0), (N - 1, K), (N + 1,), (N, K, 1)])
     def test_rejects_bad_shapes(self, shape):
@@ -410,24 +453,27 @@ class TestLabelBlock:
 
 class TestHDistanceSequence:
     def test_members_off_the_gram_point_set_take_the_single_path(self):
-        # A sequence with a member off the Gram point set takes rkhs_norm for
-        # every member; G is the kernel matrix rkhs_norm forms, so a member
-        # on the point set gets the bits of its single Gram-route call.
+        # Off the Gram point set, or without a Gram matrix, the difference
+        # takes rkhs_norm: a vector gets the bits of rkhs_norm on its
+        # combined expansion, and a block is refused by name.
         pts, g = design(False)
         other = PointSet(pts.points + 1.0)
         c = block(15)
         ref = RepresenterFunction(KERNEL, pts, c[:, 0])
-        on = RepresenterFunction(KERNEL, pts, c[:, 1])
         off = RepresenterFunction(KERNEL, other, c[:, 2])
-        for fs, gm in (([on, off], g), ([off, off], g), ([on, on], None)):
-            got = h_distance(fs, ref, gram_matrix=gm)
-            assert got.tolist() == [h_distance(f, ref, gram_matrix=gm) for f in fs]
+        want = rkhs_norm(combine(off, ref, 1.0, -1.0))
+        assert h_distance(off, ref, gram_matrix=g) == want == h_distance(off, ref)
+        for anchors, gm in ((other, g), (pts, None)):
+            f = RepresenterFunction(KERNEL, anchors, c)
+            with pytest.raises(ValueError, match=r"got a block of shape \(\d+, 4\)"):
+                h_distance(f, ref, gram_matrix=gm)
 
     def test_rejects_empty_sequence(self):
-        pts, g = design(False)
-        ref = RepresenterFunction(KERNEL, pts, block(16)[:, 0])
-        with pytest.raises(ValueError, match="at least one"):
-            h_distance([], ref, gram_matrix=g)
+        # An expansion holds at least one column, as a DataSet holds at
+        # least one label draw, so h_distance never sees an empty block.
+        pts, _ = design(False)
+        with pytest.raises(ValueError, match=r"coeffs must be a vector .* got shape \(30, 0\)"):
+            RepresenterFunction(KERNEL, pts, np.ones((N, 0)))
 
     def test_negative_squares_warn_for_each_column(self):
         # The caller's Gram matrix is indefinite: two differences have square
@@ -435,11 +481,35 @@ class TestHDistanceSequence:
         pts = PointSet(np.array([[0.0], [1.0]]))
         g = GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         ref = RepresenterFunction(KERNEL, pts, np.zeros(2))
-        coeffs = ([1.0, -1.0], [1.0, 0.0], [-1.0, 1.0])
-        fs = [RepresenterFunction(KERNEL, pts, np.array(c)) for c in coeffs]
+        f = RepresenterFunction(KERNEL, pts, np.array([[1.0, 1.0, -1.0], [-1.0, 0.0, 1.0]]))
         with pytest.warns(RuntimeWarning, match="significantly negative") as record:
-            assert h_distance(fs, ref, gram_matrix=g).tolist() == [0.0, 1.0, 0.0]
+            assert h_distance(f, ref, gram_matrix=g).tolist() == [0.0, 1.0, 0.0]
         assert len(record) == 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda blk, vec: inner_product(blk, vec),
+        lambda blk, vec: inner_product(vec, blk),
+        lambda blk, vec: rkhs_norm(blk),
+        lambda blk, vec: regularized_risk(blk, DataSet(vec.anchors, block(33)[:, 0]), LAM),
+        lambda blk, vec: closeness_certificate(rkhs_norm, rkhs_norm, vec, blk, 1.0),
+    ],
+    ids=[
+        "inner_product-first",
+        "inner_product-second",
+        "rkhs_norm",
+        "regularized_risk",
+        "closeness_certificate",
+    ],
+)
+def test_vector_only_functions_refuse_a_block(call):
+    pts, _ = design(False)
+    blk = RepresenterFunction(KERNEL, pts, block(32))
+    vec = RepresenterFunction(KERNEL, pts, block(32)[:, 0])
+    with pytest.raises(ValueError, match=r"\(30, 4\)"):
+        call(blk, vec)
 
 
 def test_block_norms_are_clamped_and_flagged():

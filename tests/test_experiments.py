@@ -180,6 +180,19 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_dataset(make_dist(), 0, seed=1)
 
+    def test_integral_float_n_is_read_as_an_int(self):
+        # As run_thm1 reads its n_grid: 3.0 draws what 3 draws.
+        dist = make_dist()
+        (a, a_values), (b, b_values) = (sample_dataset(dist, n, seed=8) for n in (3.0, 3))
+        assert a.pts.points.tobytes() == b.pts.points.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
+        assert a_values.tobytes() == b_values.tobytes()
+
+    @pytest.mark.parametrize("n", [3.5, math.nan, math.inf, 0.5])
+    def test_rejects_a_fractional_n(self, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            sample_dataset(make_dist(), n, seed=8)
+
 
 def small_thm2(trials=3, b_max=0.5, seed=17, t_grid=(1, 10, 100)):
     pts = PointSet(np.linspace(0.0, 2.0, 8).reshape(-1, 1))
@@ -331,13 +344,16 @@ class TestRunThm2:
         # and whether or not design points repeat (G is then singular).  The
         # run makes three solves whatever the number of t values and trials:
         # the block of shrinkage solves, the block of fits and the block of
-        # residual noise solves, each with one shift per column, and one
-        # h_distance call takes the distances of every row.
+        # residual noise solves, each with one shift per column.  The fits
+        # stay one expansion: one krr_fit call fits every row, and one
+        # h_distance call, with one combine, takes the distances of every row.
         homes = {
             "kernel_matrix": "krstab.kernels",
             "sym_eigen": "krstab.linalg",
             "regularized_solve": "krstab.linalg",
+            "krr_fit": "krstab.solver",
             "h_distance": "krstab.rkhs",
+            "combine": "krstab.rkhs",
         }
         calls = dict.fromkeys([*homes, "GramMatrix"], 0)
 
@@ -378,7 +394,9 @@ class TestRunThm2:
             "kernel_matrix": 3,
             "sym_eigen": 1,
             "regularized_solve": 3,
+            "krr_fit": 1,
             "h_distance": 1,
+            "combine": 1,
             "GramMatrix": 1,
         }
         if repeated:

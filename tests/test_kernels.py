@@ -97,6 +97,35 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="unknown"):
             KernelSpec(kind="laplace", width=1.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: KernelSpec.polynomial(2.5, 0.0),
+            lambda: KernelSpec.polynomial(True, 0.0),
+            lambda: KernelSpec.polynomial(2, True),
+            lambda: KernelSpec.gaussian(True),
+            lambda: KernelSpec("polynomial", degree=True, offset=1.0),
+            lambda: KernelSpec("polynomial", degree=2, offset=False),
+            lambda: KernelSpec("gaussian", width=True),
+            lambda: KernelSpec("gaussian", width=np.True_),
+            lambda: KernelSpec.gaussian(np.True_),
+        ],
+        ids=["factory-fractional-degree", "factory-bool-degree", "factory-bool-offset",
+             "factory-bool-width", "bool-degree", "bool-offset", "bool-width",
+             "numpy-bool-width", "factory-numpy-bool-width"],
+    )
+    def test_factories_refuse_what_the_constructor_refuses(self, make):
+        # A factory passes its fields to the constructor's checks as given:
+        # a fractional degree is not truncated and a bool is not read as 1.
+        with pytest.raises(ValueError, match="degree|must be a finite number"):
+            make()
+
+    def test_integral_degree_is_stored_as_an_int(self):
+        spec = KernelSpec("polynomial", degree=2.0, offset=0.0)
+        assert spec == KernelSpec.polynomial(2, 0)
+        assert spec.to_json_dict() == KernelSpec.polynomial(2, 0).to_json_dict()
+        assert type(spec.degree) is int and type(KernelSpec.polynomial(3.0, 1).degree) is int
+
     @pytest.mark.parametrize("width", [1e-300, 1e-162, 1e154, 1e300, 1.7e308])
     def test_gaussian_width_whose_divisor_leaves_the_float_range(self, width):
         # 2 * width^2 underflows to 0, overflows to inf, or (from 1e155 on)

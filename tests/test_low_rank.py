@@ -177,6 +177,12 @@ class TestLowRankSolve:
         with pytest.raises(ValueError, match="shift"):
             low_rank_solve(np.ones((3, 1)), 0.0, np.ones(3))
 
+    @pytest.mark.parametrize("shift", [math.inf, math.nan])
+    def test_rejects_a_shift_that_is_not_finite(self, shift):
+        # An infinite shift would return the zero solution.
+        with pytest.raises(ValueError, match="shift must be positive"):
+            low_rank_solve(np.ones((3, 1)), shift, np.ones(3))
+
 
 def test_cross_term_distance_matches_h_distance():
     rng = np.random.default_rng(9)

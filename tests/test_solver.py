@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from krstab.kernels import KernelSpec, PointSet, gram
-from krstab.linalg import DiagnosticsError
+from krstab.linalg import DiagnosticsError, regularized_solve
 from krstab.operators import EvaluationOperator, ker_p_sample
 from krstab.rkhs import RepresenterFunction, evaluate, h_distance, inner_product, rkhs_norm
 from krstab.rng import SplitMix64
@@ -108,6 +108,18 @@ class TestKrrFit:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             krr_fit(DataSet(PointSet([[0.0]]), [1.0]), 0.0, GAUSS)
+
+    def test_rejects_an_infinite_shift(self):
+        # An infinite lam, or one column's infinite shift, would give a zero
+        # fit; both solves refuse it as a shift that is not finite.
+        pts = PointSet([[0.0], [1.0]])
+        g = gram(GAUSS, pts)
+        y = np.array([[1.0, 2.0], [0.5, -1.0]])
+        with pytest.raises(ValueError, match="shift must be positive"):
+            krr_fit(DataSet(pts, y[:, 0]), np.inf, GAUSS)
+        for shift in (np.inf, [1.0, np.inf]):
+            with pytest.raises(ValueError, match="shift must be positive"):
+                regularized_solve(g, shift, y)
 
 
 class TestMinNormInterpolant:
