@@ -403,7 +403,9 @@ def _validate_config(command: str, cfg) -> dict:
     table = _CONFIG_KEYS[command]
     required = [key for key, (needed, _, _) in table.items() if needed]
     _keys(cfg, "", required + ["output"], [*table, "output"])
-    _string(cfg["output"], "output")
+    output = _string(cfg["output"], "output")
+    if os.path.basename(output) in ("", ".", ".."):
+        raise ValueError(f"config key output: expected a file name at the end, got {output!r}")
     args = {
         _ARGUMENT.get(key, key): parse(cfg[key], key)
         for key, (_, parse, _) in table.items()

@@ -128,9 +128,11 @@ from .kernels import (
     sample_kappa,
 )
 from .linalg import (
+    _BOOLS,
     DiagnosticsError,
     Frozen,
     FrozenValue,
+    _as_count,
     low_rank_solve,
     pivoted_cholesky,
     regularized_solve,
@@ -194,8 +196,8 @@ class NoiseProcess(FrozenValue):
         if kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {kind!r}")
         for name, value in (("b_max", b_max), ("sd", sd)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if isinstance(value, _BOOLS) or not (value is None or math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if b_max < 0:
             raise ValueError("b_max must be nonnegative")
         if kind == "truncated_gaussian":
@@ -207,8 +209,7 @@ class NoiseProcess(FrozenValue):
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n draws, fully determined by seed."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        n = _as_count(n, "n", low=0)
         if self.b_max == 0.0:
             return np.zeros(n)
         stream = SplitMix64(seed)
@@ -267,6 +268,7 @@ class DataDistribution(Frozen):
         More than ``kernels.MAX_ENTRIES`` coordinates raise a
         :class:`~krstab.linalg.DiagnosticsError` before anything is drawn,
         as an oversized kernel matrix does."""
+        n = _as_count(n, "n")
         if n * self.dim > kernels.MAX_ENTRIES:
             raise DiagnosticsError(
                 f"a sample of {n} points in {self.dim} dimensions needs {8 * n * self.dim} "
@@ -279,11 +281,8 @@ class DataDistribution(Frozen):
 def sample_dataset(dist: DataDistribution, n: int, seed: int) -> tuple[DataSet, np.ndarray]:
     """Draw (x_i, target(x_i) + b_i), and the target's values at the inputs,
     the labels without their noise.  Inputs and noise come from independent
-    substreams of ``seed``, so the draw is reproducible from the seed alone."""
-    # n >= 1 is false for nan; comparing with inf, unlike isfinite, takes any int.
-    if not (n >= 1 and n != math.inf and n == int(n)):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    substreams of ``seed``, so the draw is reproducible from the seed alone.
+    :meth:`DataDistribution.sample_x` reads ``n`` before anything is drawn."""
     xs = dist.sample_x(n, SplitMix64(mix64(seed, 0)))
     b = dist.noise.sample(n, mix64(seed, 1))
     values = evaluate(dist.target, xs)
@@ -389,8 +388,7 @@ def _sweep(schedule, grid, trials, seed, eta, m_bound, c_bound, kappa, target, b
     and beta and p_n on that sample size; the harness fills in the rest.  The
     echo is the report's metadata; rows above the limits are never built.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = _as_count(trials, "trials")
     if not eta > 0:
         raise ValueError("eta must be positive")
     count, limit = trials * len(grid), kernels.MAX_ENTRIES
@@ -471,9 +469,10 @@ def run_thm2(
     pts = _point_set(pts)
     if f_tilde.anchors.dim != pts.dim:
         raise ValueError("target dimension does not match the point set")
-    t_grid = [float(t) if not isinstance(t, int) else t for t in t_grid]
-    if len(t_grid) < 1 or any(not t > 0 for t in t_grid):
-        raise ValueError("t_grid must be nonempty with positive entries")
+    t_grid = list(t_grid)
+    if not t_grid or any(isinstance(t, _BOOLS) or not t > 0 for t in t_grid):
+        raise ValueError(f"t_grid must be nonempty with positive numbers, got {t_grid}")
+    t_grid = [t if isinstance(t, int) else float(t) for t in t_grid]
     kernel = f_tilde.kernel
     n = len(pts)
     kappa = sample_kappa(kernel, pts)
@@ -568,11 +567,9 @@ def run_thm1(
     their stability columns on n points and the metadata come from the sweep
     shared with :func:`run_thm2`.
     """
-    given = list(n_grid)
-    # n >= 1 is false for nan; comparing with inf, unlike isfinite, takes any int.
-    if not given or not all(n >= 1 and n != math.inf and n == int(n) for n in given):
-        raise ValueError(f"n_grid must be nonempty with positive integer entries, got {given}")
-    n_grid = [int(n) for n in given]
+    n_grid = [_as_count(n, "n_grid entry") for n in n_grid]
+    if not n_grid:
+        raise ValueError("n_grid must be nonempty")
     kernel = dist.target.kernel
     kappa = math.sqrt(kappa_upper_bound(kernel, dist.lo, dist.hi))
     rows, metadata = _sweep(

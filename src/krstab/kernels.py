@@ -37,12 +37,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DiagnosticsError, EigenDecomposition, Frozen, FrozenValue, sym_eigen
+from .linalg import (
+    _BOOLS,
+    DiagnosticsError,
+    EigenDecomposition,
+    Frozen,
+    FrozenValue,
+    _as_count,
+    sym_eigen,
+)
 
 
 def _float(value):
     """float(value), but a bool is passed on for KernelSpec to refuse."""
-    return value if isinstance(value, (bool, np.bool_)) else float(value)
+    return value if isinstance(value, _BOOLS) else float(value)
 
 
 class KernelSpec(FrozenValue):
@@ -57,7 +65,7 @@ class KernelSpec(FrozenValue):
         offset: float | None = None,
     ) -> None:
         for name, value in (("width", width), ("degree", degree), ("offset", offset)):
-            if isinstance(value, (bool, np.bool_)) or not (value is None or math.isfinite(value)):
+            if isinstance(value, _BOOLS) or not (value is None or math.isfinite(value)):
                 raise ValueError(f"kernel {name} must be a finite number, got {value!r}")
         if kind == "gaussian":
             if width is None or not width > 0:
@@ -77,13 +85,13 @@ class KernelSpec(FrozenValue):
             if (width, degree, offset) != (None, None, None):
                 raise ValueError("linear kernel takes no parameters")
         elif kind == "polynomial":
-            if degree is None or degree < 1 or int(degree) != degree:
+            if degree is None:
                 raise ValueError("polynomial kernel requires integer degree >= 1")
+            degree = _as_count(degree, "degree")
             if offset is None or offset < 0:
                 raise ValueError("polynomial kernel requires offset >= 0")
             if width is not None:
                 raise ValueError("polynomial kernel takes no width")
-            degree = int(degree)
         else:
             raise ValueError(f"unknown kernel kind {kind!r}")
         vars(self).update(kind=kind, width=width, degree=degree, offset=offset)

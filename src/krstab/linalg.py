@@ -28,8 +28,9 @@ evaluates kernel values only in its r pivot columns and against the
 target's anchors.
 
 The module also holds what every other module shares: the diagnostics
-errors, and :class:`Frozen` and :class:`FrozenValue`, the bases of the
-package's immutable classes.
+errors; :class:`Frozen` and :class:`FrozenValue`, the bases of the
+package's immutable classes; and :func:`_as_count`, the one reading of a
+sample size, count or index that a library entry point takes.
 """
 
 from __future__ import annotations
@@ -45,6 +46,20 @@ if TYPE_CHECKING:
 
 # pinv_solve treats eigenvalues at or below this fraction of the largest as zero.
 _RANK_TOL = 1e-10
+# Numbers to Python that no count or value of the library may be.
+_BOOLS = (bool, np.bool_)
+
+
+def _as_count(value, name: str, low: int = 1) -> int:
+    """``int(value)`` for an integral number ``value >= low`` (1, or 0 for
+    a count that may be empty).  A bool or numpy bool, a fraction, nan, inf
+    or a smaller value is a ValueError naming ``name``."""
+    # value >= low is false for nan; comparing with inf, unlike isfinite, takes any int.
+    integral = value >= low and value != math.inf and value == int(value)
+    if isinstance(value, _BOOLS) or not integral:
+        kind = "positive" if low else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
 
 
 class DiagnosticsError(RuntimeError):

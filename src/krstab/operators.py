@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, PointSet, _point_set, gram, kernel_matrix
-from .linalg import InconsistentSystemError, pinv_solve, regularized_solve
+from .linalg import InconsistentSystemError, _as_count, pinv_solve, regularized_solve
 from .rkhs import RepresenterFunction, evaluate, gram_norm
 from .rng import SplitMix64
 from .stability import _in_float_range
@@ -124,9 +124,9 @@ def filter_gains(g: GramMatrix, lam: float) -> np.ndarray:
 
 def filter_gain_bound(n: int, lam: float) -> float:
     """sqrt(n) / (2 sqrt(lam)): the exact maximum of the gain profile."""
-    if n < 1 or not lam > 0:
-        raise ValueError("need n >= 1 and lam > 0")
-    return math.sqrt(n) / (2.0 * math.sqrt(lam))
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    return math.sqrt(_as_count(n, "n")) / (2.0 * math.sqrt(lam))
 
 
 def filter_max(n: int, lam: float) -> tuple[float, float]:
@@ -136,8 +136,9 @@ def filter_max(n: int, lam: float) -> tuple[float, float]:
     the squared gain profile, so its max is the square of
     :func:`filter_gain_bound`.
     """
-    if n < 1 or not lam > 0:
-        raise ValueError("need n >= 1 and lam > 0")
+    n = _as_count(n, "n")
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam}")
     return (n * lam, n / (4.0 * lam))
 
 
@@ -150,8 +151,9 @@ def noise_operator_bound(n: int, t: float, lam: float, b_norm: float) -> float:
     A result outside the float range, such as 1/(n t) overflowing at a tiny
     t, is a ValueError naming the bound, as in :mod:`krstab.stability`.
     """
-    if n < 1 or not t > 0 or not lam > 0 or b_norm < 0:
-        raise ValueError("need n >= 1, t > 0, lam > 0, b_norm >= 0")
+    n = _as_count(n, "n")
+    if not t > 0 or not lam > 0 or b_norm < 0:
+        raise ValueError("need t > 0, lam > 0, b_norm >= 0")
     return (1.0 / (n * t)) * (math.sqrt(n) / (2.0 * math.sqrt(lam))) * b_norm
 
 

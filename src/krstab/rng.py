@@ -26,6 +26,8 @@ import math
 
 import numpy as np
 
+from .linalg import _as_count
+
 _MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
@@ -46,9 +48,7 @@ def mix64(seed: int, index: int) -> int:
     Equal to ``SplitMix64(seed)`` advanced ``index + 1`` times, but computed
     directly, so derived seeds for row k never require generating rows < k.
     """
-    if index < 0:
-        raise ValueError("index must be nonnegative")
-    return scramble((seed + (index + 1) * GAMMA) & _MASK)
+    return scramble((seed + (_as_count(index, "index", low=0) + 1) * GAMMA) & _MASK)
 
 
 def _scramble_words(z: np.ndarray) -> np.ndarray:
@@ -74,8 +74,7 @@ class SplitMix64:
     def words(self, k: int) -> np.ndarray:
         """The next ``k`` output words as a uint64 array; the stream ends
         where ``k`` calls of :meth:`next_u64` would leave it."""
-        if k < 0:
-            raise ValueError("k must be nonnegative")
+        k = _as_count(k, "k", low=0)
         steps = np.arange(1, k + 1, dtype=np.uint64)
         z = np.uint64(self._state) + steps * np.uint64(GAMMA)
         self._state = (self._state + k * GAMMA) & _MASK

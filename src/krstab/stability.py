@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .linalg import FrozenValue
+from .linalg import _BOOLS, FrozenValue, _as_count
 
 
 class StabilityParams(FrozenValue):
@@ -41,11 +41,9 @@ class StabilityParams(FrozenValue):
 
     def __init__(self, c: float, kappa: float, m: float, n: int, lam: float, eps: float) -> None:
         for name, value in (("c", c), ("kappa", kappa), ("m", m), ("lam", lam), ("eps", eps)):
-            if not value > 0:
-                raise ValueError(f"{name} must be positive")
-        if n < 1:
-            raise ValueError("n must be a positive integer")
-        vars(self).update(c=c, kappa=kappa, m=m, n=n, lam=lam, eps=eps)
+            if isinstance(value, _BOOLS) or not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        vars(self).update(c=c, kappa=kappa, m=m, n=_as_count(n, "n"), lam=lam, eps=eps)
 
     @property
     def sample_size_ok(self) -> bool:
@@ -126,8 +124,9 @@ class Schedule(FrozenValue):
     """Power-law regularization schedule lam(i) = lam0 * i^(-exponent)."""
 
     def __init__(self, lambda0: float, exponent: float) -> None:
-        if not (math.isfinite(lambda0) and math.isfinite(exponent)):
-            raise ValueError(f"lambda0 and exponent must be finite, got {lambda0!r}, {exponent!r}")
+        for name, value in (("lambda0", lambda0), ("exponent", exponent)):
+            if isinstance(value, _BOOLS) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not lambda0 > 0:
             raise ValueError("lambda0 must be positive")
         vars(self).update(lambda0=lambda0, exponent=exponent)

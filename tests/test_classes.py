@@ -185,3 +185,26 @@ def test_validation_runs_in_the_constructor():
 def test_constructors_reject_non_finite_parameters(make, bad):
     with pytest.raises(ValueError, match="finite"):
         make(bad)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda v: NoiseProcess("uniform", v), "b_max"),
+        (lambda v: NoiseProcess("truncated_gaussian", 1.0, sd=v), "sd"),
+        (lambda v: Schedule(v, 0.3), "lambda0"),
+        (lambda v: Schedule(0.5, v), "exponent"),
+        (lambda v: StabilityParams(v, 1.0, 1.0, 10, 0.1, 0.5), "c"),
+        (lambda v: StabilityParams(1.0, v, 1.0, 10, 0.1, 0.5), "kappa"),
+        (lambda v: StabilityParams(1.0, 1.0, v, 10, 0.1, 0.5), "m"),
+        (lambda v: StabilityParams(1.0, 1.0, 1.0, 10, v, 0.5), "lam"),
+        (lambda v: StabilityParams(1.0, 1.0, 1.0, 10, 0.1, v), "eps"),
+    ],
+    ids=["b_max", "sd", "lambda0", "exponent", "c", "kappa", "m", "lam", "eps"],
+)
+def test_constructors_refuse_a_bool_for_a_number(make, field, bad):
+    # A bool is a number to Python: unrefused, it would be read as 1 and
+    # echoed as true in a run's metadata.
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        make(bad)

@@ -886,6 +886,22 @@ class TestConfigParsing:
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 1
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [False, True], ids=["key", "flag"])
+    @pytest.mark.parametrize("output", ["", "sub/", "."], ids=["empty", "directory", "dot"])
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_output_prefix_needs_a_file_name(
+        self, tmp_path, capsys, monkeypatch, command, output, flag
+    ):
+        # Without a file name the outputs would be hidden files such as
+        # ./.bounds.json, or ./..bounds.json for ".".
+        monkeypatch.chdir(tmp_path)
+        cfg = CONFIGS[command](tmp_path)
+        cfg["output"] = "out" if flag else output
+        args = [command, "--config", write_config(tmp_path, cfg)]
+        assert main(args + ["--out", output] if flag else args) == 1
+        assert "config error: config key output: expected a file name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     @pytest.mark.parametrize(
         "parse,obj,spec",
         [

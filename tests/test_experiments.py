@@ -327,6 +327,9 @@ class TestRunThm2:
             run_thm2(pts, make_target(), noise, sched, [], trials=1, seed=0)
         with pytest.raises(ValueError, match="t_grid"):
             run_thm2(pts, make_target(), noise, sched, [1, -2], trials=1, seed=0)
+        for flag in (True, np.True_):  # not t = 1
+            with pytest.raises(ValueError, match="t_grid"):
+                run_thm2(pts, make_target(), noise, sched, [flag, 10], trials=1, seed=0)
         with pytest.raises(ValueError, match="trials"):
             run_thm2(pts, make_target(), noise, sched, [1], trials=0, seed=0)
         with pytest.raises(ValueError, match="eta"):
