@@ -128,11 +128,11 @@ from .kernels import (
     sample_kappa,
 )
 from .linalg import (
-    _BOOLS,
     DiagnosticsError,
     Frozen,
     FrozenValue,
     _as_count,
+    _as_real,
     low_rank_solve,
     pivoted_cholesky,
     regularized_solve,
@@ -195,14 +195,11 @@ class NoiseProcess(FrozenValue):
     def __init__(self, kind: str, b_max: float, sd: float | None = None) -> None:
         if kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {kind!r}")
-        for name, value in (("b_max", b_max), ("sd", sd)):
-            if isinstance(value, _BOOLS) or not (value is None or math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if b_max < 0:
-            raise ValueError("b_max must be nonnegative")
+        _as_real(b_max, "b_max", ">= 0")
         if kind == "truncated_gaussian":
-            if sd is None or not sd > 0:
+            if sd is None:
                 raise ValueError("truncated_gaussian requires sd > 0")
+            _as_real(sd, "sd")
         elif sd is not None:
             raise ValueError(f"{kind} noise takes no sd")
         vars(self).update(kind=kind, b_max=b_max, sd=sd)
@@ -388,9 +385,8 @@ def _sweep(schedule, grid, trials, seed, eta, m_bound, c_bound, kappa, target, b
     and beta and p_n on that sample size; the harness fills in the rest.  The
     echo is the report's metadata; rows above the limits are never built.
     """
-    trials = _as_count(trials, "trials")
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    trials, seed = _as_count(trials, "trials"), _as_count(seed, "seed", low=None)
+    _as_real(eta, "eta")
     count, limit = trials * len(grid), kernels.MAX_ENTRIES
     made = f"trials {trials} over a grid of {len(grid)} entries make {count} rows"
     if n is not None and count * n > limit:
@@ -469,9 +465,9 @@ def run_thm2(
     pts = _point_set(pts)
     if f_tilde.anchors.dim != pts.dim:
         raise ValueError("target dimension does not match the point set")
-    t_grid = list(t_grid)
-    if not t_grid or any(isinstance(t, _BOOLS) or not t > 0 for t in t_grid):
-        raise ValueError(f"t_grid must be nonempty with positive numbers, got {t_grid}")
+    t_grid = [_as_real(t, "t_grid entry") for t in t_grid]
+    if not t_grid:
+        raise ValueError("t_grid must be nonempty")
     t_grid = [t if isinstance(t, int) else float(t) for t in t_grid]
     kernel = f_tilde.kernel
     n = len(pts)

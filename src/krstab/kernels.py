@@ -38,19 +38,19 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    _BOOLS,
     DiagnosticsError,
     EigenDecomposition,
     Frozen,
     FrozenValue,
     _as_count,
+    _as_real,
     sym_eigen,
 )
 
 
-def _float(value):
-    """float(value), but a bool is passed on for KernelSpec to refuse."""
-    return value if isinstance(value, _BOOLS) else float(value)
+def _float(value, name: str) -> float:
+    """float(value) for a factory, after KernelSpec's finite-number check."""
+    return float(_as_real(value, f"kernel {name}", ""))
 
 
 class KernelSpec(FrozenValue):
@@ -64,12 +64,10 @@ class KernelSpec(FrozenValue):
         degree: int | None = None,
         offset: float | None = None,
     ) -> None:
-        for name, value in (("width", width), ("degree", degree), ("offset", offset)):
-            if isinstance(value, _BOOLS) or not (value is None or math.isfinite(value)):
-                raise ValueError(f"kernel {name} must be a finite number, got {value!r}")
         if kind == "gaussian":
-            if width is None or not width > 0:
+            if width is None:
                 raise ValueError("gaussian kernel requires width > 0")
+            _as_real(width, "kernel width")
             try:  # the divisor of kernel_matrix's exponent, which float ** may overflow
                 scale = 2.0 * width**2
             except OverflowError:
@@ -87,9 +85,11 @@ class KernelSpec(FrozenValue):
         elif kind == "polynomial":
             if degree is None:
                 raise ValueError("polynomial kernel requires integer degree >= 1")
+            _as_real(degree, "kernel degree", "")  # names a nan, inf or bool degree as not finite
             degree = _as_count(degree, "degree")
-            if offset is None or offset < 0:
+            if offset is None:
                 raise ValueError("polynomial kernel requires offset >= 0")
+            _as_real(offset, "kernel offset", ">= 0")
             if width is not None:
                 raise ValueError("polynomial kernel takes no width")
         else:
@@ -98,7 +98,7 @@ class KernelSpec(FrozenValue):
 
     @staticmethod
     def gaussian(width: float) -> "KernelSpec":
-        return KernelSpec(kind="gaussian", width=_float(width))
+        return KernelSpec(kind="gaussian", width=_float(width, "width"))
 
     @staticmethod
     def linear() -> "KernelSpec":
@@ -106,7 +106,7 @@ class KernelSpec(FrozenValue):
 
     @staticmethod
     def polynomial(degree: int, offset: float) -> "KernelSpec":
-        return KernelSpec(kind="polynomial", degree=degree, offset=_float(offset))
+        return KernelSpec(kind="polynomial", degree=degree, offset=_float(offset, "offset"))
 
     def to_json_dict(self) -> dict:
         return {key: value for key, value in vars(self).items() if value is not None}

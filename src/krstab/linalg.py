@@ -29,8 +29,10 @@ target's anchors.
 
 The module also holds what every other module shares: the diagnostics
 errors; :class:`Frozen` and :class:`FrozenValue`, the bases of the
-package's immutable classes; and :func:`_as_count`, the one reading of a
-sample size, count or index that a library entry point takes.
+package's immutable classes; and the two readers of a scalar input to a
+library entry point: :func:`_as_count`, the one reading of a sample size,
+count, index or seed, and :func:`_as_real`, the one reading of a real
+number such as lam, t, eps or a kernel width.
 """
 
 from __future__ import annotations
@@ -48,18 +50,47 @@ if TYPE_CHECKING:
 _RANK_TOL = 1e-10
 # Numbers to Python that no count or value of the library may be.
 _BOOLS = (bool, np.bool_)
+# The types a count or real value may have; bool, an int to Python, is refused apart.
+_REALS = (int, float, np.integer, np.floating)
 
 
-def _as_count(value, name: str, low: int = 1) -> int:
+def _as_count(value, name: str, low: int | None = 1) -> int:
     """``int(value)`` for an integral number ``value >= low`` (1, or 0 for
-    a count that may be empty).  A bool or numpy bool, a fraction, nan, inf
-    or a smaller value is a ValueError naming ``name``."""
-    # value >= low is false for nan; comparing with inf, unlike isfinite, takes any int.
-    integral = value >= low and value != math.inf and value == int(value)
-    if isinstance(value, _BOOLS) or not integral:
-        kind = "positive" if low else "nonnegative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    a count that may be empty, or None for any integer, such as a seed).  A
+    bool or numpy bool, a non-number, a fraction, nan, inf or a smaller
+    value is a ValueError naming ``name``."""
+    # Comparing with inf, unlike isfinite, takes any int; nan fails each comparison.
+    integral = isinstance(value, _REALS) and -math.inf < value < math.inf and value == int(value)
+    if isinstance(value, _BOOLS) or not integral or (low is not None and value < low):
+        kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[low]
+        raise ValueError(f"{name} must be {kind} integer, got {value!r}")
     return int(value)
+
+
+def _as_real(value, name: str, bound: str = "> 0"):
+    """``value`` itself, unconverted, for a finite real number within
+    ``bound``: "> 0", ">= 0", or "" for any.  A bool or numpy bool, a
+    non-number, nan, inf or an int beyond the float range is a ValueError
+    naming ``name``, as is a value outside ``bound``."""
+    try:
+        finite = isinstance(value, _REALS) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if isinstance(value, _BOOLS) or not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if (bound == "> 0" and not value > 0) or (bound == ">= 0" and not value >= 0):
+        kind = "positive" if bound == "> 0" else "nonnegative"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def _as_floats(values, name: str) -> np.ndarray:
+    """``np.asarray(values, dtype=float)`` for a scalar or an array of
+    shifts or lams; a bool in ``values``, which it would read as 0 or 1, is
+    a ValueError naming ``name``."""
+    if any(isinstance(v, _BOOLS) for v in np.asarray(values, dtype=object).flat):
+        raise ValueError(f"{name} must not be or hold a bool, got {values!r}")
+    return np.asarray(values, dtype=float)
 
 
 class DiagnosticsError(RuntimeError):
@@ -142,7 +173,7 @@ def regularized_solve(g: GramMatrix, shift, rhs) -> np.ndarray:
     Where it does not, :class:`DiagnosticsError` is raised, since the solve
     would divide by shifted eigenvalues of either sign.
     """
-    shifts = np.asarray(shift, dtype=float)
+    shifts = _as_floats(shift, "shift")
     if shifts.ndim > 1 or not np.all((shifts > 0) & (shifts < np.inf)):
         raise ValueError(
             f"shift must be positive and finite, one value or one per column, got {shift}"

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, PointSet, _point_set, gram, kernel_matrix
-from .linalg import InconsistentSystemError, _as_count, pinv_solve, regularized_solve
+from .linalg import InconsistentSystemError, _as_count, _as_real, pinv_solve, regularized_solve
 from .rkhs import RepresenterFunction, evaluate, gram_norm
 from .rng import SplitMix64
 from .stability import _in_float_range
@@ -116,17 +116,14 @@ def ker_p_sample(
 def filter_gains(g: GramMatrix, lam: float) -> np.ndarray:
     """Per-eigenvalue gains sqrt(gamma_k) / (gamma_k/n + lam), descending
     eigenvalue order; tiny negative eigenvalues contribute zero numerator."""
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    _as_real(lam, "lam")
     w = g.eigen.eigenvalues
     return np.sqrt(np.maximum(w, 0.0)) / (w / g.n + lam)
 
 
 def filter_gain_bound(n: int, lam: float) -> float:
     """sqrt(n) / (2 sqrt(lam)): the exact maximum of the gain profile."""
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    return math.sqrt(_as_count(n, "n")) / (2.0 * math.sqrt(lam))
+    return math.sqrt(_as_count(n, "n")) / (2.0 * math.sqrt(_as_real(lam, "lam")))
 
 
 def filter_max(n: int, lam: float) -> tuple[float, float]:
@@ -136,9 +133,7 @@ def filter_max(n: int, lam: float) -> tuple[float, float]:
     the squared gain profile, so its max is the square of
     :func:`filter_gain_bound`.
     """
-    n = _as_count(n, "n")
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    n, lam = _as_count(n, "n"), _as_real(lam, "lam")
     return (n * lam, n / (4.0 * lam))
 
 
@@ -152,8 +147,7 @@ def noise_operator_bound(n: int, t: float, lam: float, b_norm: float) -> float:
     t, is a ValueError naming the bound, as in :mod:`krstab.stability`.
     """
     n = _as_count(n, "n")
-    if not t > 0 or not lam > 0 or b_norm < 0:
-        raise ValueError("need t > 0, lam > 0, b_norm >= 0")
+    t, lam, b_norm = _as_real(t, "t"), _as_real(lam, "lam"), _as_real(b_norm, "b_norm", ">= 0")
     return (1.0 / (n * t)) * (math.sqrt(n) / (2.0 * math.sqrt(lam))) * b_norm
 
 
@@ -161,8 +155,7 @@ def shrinkage_profile(g: GramMatrix, lam: float, scale: float) -> list[tuple[flo
     """Pairs (gamma_k, lam / (gamma_k/scale + lam)) in descending eigenvalue
     order: the factor by which regularization damps each spectral component.
     ``scale`` is n for the sample operator P*P and 1 for its mean surrogate."""
-    if not lam > 0 or not scale > 0:
-        raise ValueError("need lam > 0 and scale > 0")
+    lam, scale = _as_real(lam, "lam"), _as_real(scale, "scale")
     w = g.eigen.eigenvalues
     factors = lam / (np.maximum(w, 0.0) / scale + lam)
     return [(float(gamma), float(fac)) for gamma, fac in zip(w, factors)]

@@ -47,8 +47,10 @@ def mix64(seed: int, index: int) -> int:
 
     Equal to ``SplitMix64(seed)`` advanced ``index + 1`` times, but computed
     directly, so derived seeds for row k never require generating rows < k.
+    A seed is any integer, read modulo 2**64, as :class:`SplitMix64` reads it.
     """
-    return scramble((seed + (_as_count(index, "index", low=0) + 1) * GAMMA) & _MASK)
+    seed, index = _as_count(seed, "seed", low=None), _as_count(index, "index", low=0)
+    return scramble((seed + (index + 1) * GAMMA) & _MASK)
 
 
 def _scramble_words(z: np.ndarray) -> np.ndarray:
@@ -62,10 +64,11 @@ def _scramble_words(z: np.ndarray) -> np.ndarray:
 
 
 class SplitMix64:
-    """Sequential stream over the generator above."""
+    """Sequential stream over the generator above, from any integer seed
+    read modulo 2**64."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        self._state = _as_count(seed, "seed", low=None) & _MASK
 
     def next_u64(self) -> int:
         self._state = (self._state + GAMMA) & _MASK

@@ -27,7 +27,15 @@ from collections.abc import Sequence
 import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, PointSet, _point_set, gram
-from .linalg import DiagnosticsError, Frozen, FrozenValue, pinv_solve, regularized_solve
+from .linalg import (
+    DiagnosticsError,
+    Frozen,
+    FrozenValue,
+    _as_floats,
+    _as_real,
+    pinv_solve,
+    regularized_solve,
+)
 from .rkhs import RepresenterFunction, combine, evaluate, inner_product
 from .rng import SplitMix64
 
@@ -61,8 +69,7 @@ def regularized_risk(
     if data.labels.ndim != 1 or f.coeffs.ndim != 1:
         shapes = data.labels.shape, f.coeffs.shape
         raise ValueError(f"the risk takes one label vector and coefficient vector, got {shapes}")
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    _as_real(lam, "lam")
     if gram_matrix is not None and f.anchors is data.pts and gram_matrix.n == len(data.pts):
         vals = gram_matrix.entries @ f.coeffs
         sq = float(f.coeffs @ gram_matrix.entries @ f.coeffs)
@@ -81,8 +88,9 @@ def krr_fit(
     """Minimize the regularized risk in closed form.
 
     ``lam`` is one positive value for every label column of ``data``, or a
-    sequence of one per column; :func:`~krstab.linalg.regularized_solve`
-    checks it, as the shifts n*lam_j of its one block solve of
+    sequence of one per column.  A bool in it is refused here, since a float
+    array reads it as 0 or 1; :func:`~krstab.linalg.regularized_solve`
+    checks the rest, as the shifts n*lam_j of its one block solve of
     (G + n*lam_j I) a_j = y_j.  That gives one fitted expansion whose
     coefficients have the labels' shape: the fit of a label vector, or the
     (n, k) block of one fit per column.  ``gram_matrix`` may be supplied when
@@ -91,7 +99,7 @@ def krr_fit(
     """
     y = data.labels
     g = gram_matrix if gram_matrix is not None else gram(kernel, data.pts)
-    alphas = regularized_solve(g, len(y) * np.asarray(lam, dtype=float), y)
+    alphas = regularized_solve(g, len(y) * _as_floats(lam, "lam"), y)
     return RepresenterFunction(kernel, data.pts, alphas)
 
 
@@ -164,8 +172,7 @@ def closeness_certificate(
     minimizers gap (<= eps) and the first-functional gap (<= 2*eps).  The
     minimizers are single functions, with coefficient vectors.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    eps = float(_as_real(eps, "eps"))  # so that the verdicts are Python bools
     for f in (f1, f2):
         if f.coeffs.ndim != 1:
             raise ValueError(f"minimizers must be vectors, got a block of shape {f.coeffs.shape}")

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .linalg import _BOOLS, FrozenValue, _as_count
+from .linalg import FrozenValue, _as_count, _as_real
 
 
 class StabilityParams(FrozenValue):
@@ -41,8 +41,7 @@ class StabilityParams(FrozenValue):
 
     def __init__(self, c: float, kappa: float, m: float, n: int, lam: float, eps: float) -> None:
         for name, value in (("c", c), ("kappa", kappa), ("m", m), ("lam", lam), ("eps", eps)):
-            if isinstance(value, _BOOLS) or not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            _as_real(value, name)
         vars(self).update(c=c, kappa=kappa, m=m, n=_as_count(n, "n"), lam=lam, eps=eps)
 
     @property
@@ -76,9 +75,7 @@ def _in_float_range(quantity: str, positive: bool = False):
 @_in_float_range("sigma_admissible = 2 * x_max")
 def sigma_admissible_ls(x_max: float) -> float:
     """Admissibility constant of squared loss: 2 * x_max."""
-    if not x_max > 0:
-        raise ValueError(f"x_max must be positive, got {x_max}")
-    return 2.0 * x_max
+    return 2.0 * _as_real(x_max, "x_max")
 
 
 @_in_float_range("beta = C^2 kappa^2 / (n lam)")
@@ -90,9 +87,7 @@ def beta_stability(p: StabilityParams) -> float:
 @_in_float_range("p_n = (64 M n beta + 8 M^2) / (n eps^2)")
 def stability_probability(p: StabilityParams, beta: float) -> float:
     """(64 M n beta + 8 M^2) / (n eps^2)."""
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
-    return (64.0 * p.m * p.n * beta + 8.0 * p.m**2) / (p.n * p.eps**2)
+    return (64.0 * p.m * p.n * _as_real(beta, "beta", ">= 0") + 8.0 * p.m**2) / (p.n * p.eps**2)
 
 
 @_in_float_range("p_n_combined = (64 M C^2 kappa^2 + 8 M^2 lam) / (n lam eps^2)")
@@ -107,36 +102,27 @@ def stability_probability_combined(p: StabilityParams) -> float:
 @_in_float_range("variance_radius = sqrt(2 eps / lam)")
 def variance_radius(eps: float, lam: float) -> float:
     """H-norm radius sqrt(2 eps / lam) forced by an eps-closeness certificate."""
-    if not eps > 0 or not lam > 0:
-        raise ValueError("need eps > 0 and lam > 0")
-    return math.sqrt(2.0 * eps / lam)
+    return math.sqrt(2.0 * _as_real(eps, "eps") / _as_real(lam, "lam"))
 
 
 @_in_float_range("eps_for_target = eta^2 lam / 8", positive=True)
 def eps_for_target(eta: float, lam: float) -> float:
     """Closeness level eta^2 lam / 8 that pins the minimizers within eta."""
-    if not eta > 0 or not lam > 0:
-        raise ValueError("need eta > 0 and lam > 0")
-    return eta**2 * lam / 8.0
+    return _as_real(eta, "eta") ** 2 * _as_real(lam, "lam") / 8.0
 
 
 class Schedule(FrozenValue):
     """Power-law regularization schedule lam(i) = lam0 * i^(-exponent)."""
 
     def __init__(self, lambda0: float, exponent: float) -> None:
-        for name, value in (("lambda0", lambda0), ("exponent", exponent)):
-            if isinstance(value, _BOOLS) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if not lambda0 > 0:
-            raise ValueError("lambda0 must be positive")
-        vars(self).update(lambda0=lambda0, exponent=exponent)
+        vars(self).update(
+            lambda0=_as_real(lambda0, "lambda0"), exponent=_as_real(exponent, "exponent", "")
+        )
 
     @_in_float_range("the schedule's lambda = lambda0 * index^-exponent", positive=True)
     def value(self, index: float) -> float:
         """lam at index (sample size n or noise scale t); index must be > 0."""
-        if not index > 0:
-            raise ValueError(f"schedule index must be positive, got {index}")
-        return self.lambda0 * float(index) ** (-self.exponent)
+        return self.lambda0 * float(_as_real(index, "schedule index")) ** (-self.exponent)
 
     @property
     def valid_for_growing_sample(self) -> bool:

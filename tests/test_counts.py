@@ -1,39 +1,64 @@
-"""The one reading of counts: every library entry point that takes a sample
-size, count or index reads it through ``linalg._as_count``.  Each refuses a
-bool, a fraction, nan, inf and a value below its floor with a ValueError
-naming the argument, and reads an integral number as the int it equals."""
+"""The one reading of counts and of real numbers.
+
+Every library entry point that takes a sample size, count, index or seed
+reads it through ``linalg._as_count``: each refuses a bool, a non-number, a
+fraction, nan, inf and a value below its floor with a ValueError naming the
+argument, and reads an integral number as the int it equals.  A seed is any
+integer, read modulo 2**64.  Every scalar real value an entry point takes
+(lam, t, eps, a kernel width, ...) is read through ``linalg._as_real``: each
+refuses a bool, a non-number, nan, inf, an int beyond the float range and a
+value outside its bound, and computes from an int or a numpy float what it
+computes from the equal float.  A property test feeds arbitrary scalars to
+every reader's entry points; CI reruns this file with
+``--hypothesis-profile=ci`` for a wider search.
+"""
 
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from krstab.experiments import (
     DataDistribution,
     ExperimentReport,
     NoiseProcess,
     run_thm1,
+    run_thm2,
     sample_dataset,
 )
-from krstab.kernels import KernelSpec, PointSet
-from krstab.linalg import Frozen
-from krstab.operators import filter_gain_bound, filter_max, noise_operator_bound
+from krstab.kernels import KernelSpec, PointSet, gram, kernel_matrix
+from krstab.linalg import DiagnosticsError, Frozen, regularized_solve
+from krstab.operators import (
+    filter_gain_bound,
+    filter_gains,
+    filter_max,
+    noise_operator_bound,
+    shrinkage_profile,
+)
 from krstab.rkhs import RepresenterFunction
 from krstab.rng import SplitMix64, mix64
-from krstab.stability import Schedule, StabilityParams
+from krstab.solver import DataSet, closeness_certificate, krr_fit, regularized_risk
+from krstab.stability import (
+    Schedule,
+    StabilityParams,
+    eps_for_target,
+    sigma_admissible_ls,
+    stability_probability,
+    stability_probability_combined,
+    variance_radius,
+)
 
 GAUSS = KernelSpec.gaussian(0.7)
-DIST = DataDistribution(
-    [0.0],
-    [2.0],
-    RepresenterFunction(GAUSS, PointSet([[0.5], [1.5]]), np.array([1.0, -0.5])),
-    NoiseProcess("uniform", 0.25),
-)
+TARGET = RepresenterFunction(GAUSS, PointSet([[0.5], [1.5]]), np.array([1.0, -0.5]))
+NOISE = NoiseProcess("uniform", 0.25)
+DIST = DataDistribution([0.0], [2.0], TARGET, NOISE)
 SCHEDULE = Schedule(1.0, 0.25)
 BELOW = object()  # stands for one less than the entry point's smallest count
 
-# name -> (call with the count, the argument's name, the smallest count taken).
+# name -> (call with the count, the argument's name, the smallest count
+# taken, or None for a seed, which may be any integer).
 ENTRY_POINTS = {
     "sample_dataset": (lambda v: sample_dataset(DIST, v, 3), "n", 1),
     "sample_x": (lambda v: DIST.sample_x(v, SplitMix64(3)), "n", 1),
@@ -47,7 +72,86 @@ ENTRY_POINTS = {
     "filter_gain_bound": (lambda v: filter_gain_bound(v, 0.1), "n", 1),
     "filter_max": (lambda v: filter_max(v, 0.1), "n", 1),
     "noise_operator_bound": (lambda v: noise_operator_bound(v, 2.0, 0.1, 1.0), "n", 1),
+    "SplitMix64.seed": (lambda v: SplitMix64(v).words(3), "seed", None),
+    "mix64.seed": (lambda v: mix64(v, 5), "seed", None),
+    "run_thm1.seed": (lambda v: run_thm1(DIST, SCHEDULE, [4], trials=2, seed=v), "seed", None),
 }
+
+PTS = PointSet([[0.0], [1.0], [2.5]])
+G = gram(GAUSS, PTS)
+DATA = DataSet(PTS, [1.0, 0.5, -0.25])
+FITS = (krr_fit(DATA, 0.1, GAUSS, gram_matrix=G), krr_fit(DATA, 0.2, GAUSS, gram_matrix=G))
+RISKS = (lambda f: regularized_risk(f, DATA, 0.1), lambda f: regularized_risk(f, DATA, 0.2))
+PARAMS = (1.0, 1.0, 1.0, 10, 0.1, 0.5)  # c, kappa, m, n, lam, eps
+
+
+def _params(i, v):
+    """The failure probability of PARAMS with field ``i`` set to ``v``."""
+    return stability_probability_combined(StabilityParams(*PARAMS[:i], v, *PARAMS[i + 1 :]))
+
+
+# name -> (call with the value, the argument's name, the bound it must meet:
+# "> 0", ">= 0" or "" for any finite number).  18 entry points, 30 values.
+REAL_VALUES = {
+    "filter_gains": (lambda v: filter_gains(G, v), "lam", "> 0"),
+    "filter_gain_bound": (lambda v: filter_gain_bound(4, v), "lam", "> 0"),
+    "filter_max": (lambda v: filter_max(4, v), "lam", "> 0"),
+    "noise_operator_bound.t": (lambda v: noise_operator_bound(4, v, 0.1, 1.0), "t", "> 0"),
+    "noise_operator_bound.lam": (lambda v: noise_operator_bound(4, 2.0, v, 1.0), "lam", "> 0"),
+    "noise_operator_bound.b_norm": (
+        lambda v: noise_operator_bound(4, 2.0, 0.1, v), "b_norm", ">= 0"
+    ),
+    "shrinkage_profile.lam": (lambda v: shrinkage_profile(G, v, 3), "lam", "> 0"),
+    "shrinkage_profile.scale": (lambda v: shrinkage_profile(G, 0.1, v), "scale", "> 0"),
+    "regularized_risk": (lambda v: regularized_risk(FITS[0], DATA, v), "lam", "> 0"),
+    "closeness_certificate": (lambda v: closeness_certificate(*RISKS, *FITS, v), "eps", "> 0"),
+    **{
+        f"StabilityParams.{name}": (lambda v, i=i: _params(i, v), name, "> 0")
+        for i, name in ((0, "c"), (1, "kappa"), (2, "m"), (4, "lam"), (5, "eps"))
+    },
+    "sigma_admissible_ls": (sigma_admissible_ls, "x_max", "> 0"),
+    "stability_probability": (
+        lambda v: stability_probability(StabilityParams(*PARAMS), v), "beta", ">= 0"
+    ),
+    "variance_radius.eps": (lambda v: variance_radius(v, 0.1), "eps", "> 0"),
+    "variance_radius.lam": (lambda v: variance_radius(0.5, v), "lam", "> 0"),
+    "eps_for_target.eta": (lambda v: eps_for_target(v, 0.1), "eta", "> 0"),
+    "eps_for_target.lam": (lambda v: eps_for_target(0.2, v), "lam", "> 0"),
+    "Schedule.lambda0": (lambda v: Schedule(v, 0.25).value(4), "lambda0", "> 0"),
+    "Schedule.exponent": (lambda v: Schedule(1.0, v).value(4), "exponent", ""),
+    "Schedule.value": (SCHEDULE.value, "schedule index", "> 0"),
+    "NoiseProcess.b_max": (lambda v: NoiseProcess("uniform", v).sample(5, 3), "b_max", ">= 0"),
+    "NoiseProcess.sd": (
+        lambda v: NoiseProcess("truncated_gaussian", 1.0, v).sample(5, 3), "sd", "> 0"
+    ),
+    "eta": (lambda v: run_thm1(DIST, SCHEDULE, [4], trials=2, seed=0, eta=v), "eta", "> 0"),
+    "t_grid": (
+        lambda v: run_thm2(PTS, TARGET, NOISE, SCHEDULE, [v], trials=2, seed=0),
+        "t_grid entry",
+        "> 0",
+    ),
+    "KernelSpec.width": (
+        lambda v: kernel_matrix(KernelSpec("gaussian", width=v), PTS, PTS), "width", "> 0"
+    ),
+    "KernelSpec.offset": (
+        lambda v: kernel_matrix(KernelSpec("polynomial", degree=2, offset=v), PTS, PTS),
+        "offset",
+        ">= 0",
+    ),
+}
+# Values whose absence (None) keeps its kind's "requires ..." message.
+OPTIONAL = {"NoiseProcess.sd", "KernelSpec.width", "KernelSpec.offset"}
+NOT_REAL = {
+    "bool": True,
+    "numpy-bool": np.True_,
+    "string": "1",
+    "none": None,
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "beyond-float": 10**400,
+}
+OUTSIDE = {"> 0": 0, ">= 0": -1}
 
 
 def _bits(x):
@@ -64,18 +168,50 @@ def _bits(x):
     return type(x), x
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [True, np.True_, 2.5, math.nan, math.inf, BELOW],
-    ids=["bool", "numpy-bool", "fraction", "nan", "inf", "below"],
-)
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def _value_bits(x):
+    """:func:`_bits` with every scalar number read as a float.  A real value
+    is kept in the type it was given (an int t echoes as an int), so a call
+    with an int or a numpy float is compared with the float call number by
+    number, bit for bit."""
+    if isinstance(x, ExperimentReport):
+        return _value_bits([vars(row) for row in x.rows]), _value_bits(x.metadata)
+    if isinstance(x, Frozen):
+        x = vars(x)
+    if isinstance(x, dict):
+        return {key: _value_bits(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_value_bits(v) for v in x]
+    if isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool):
+        return float(x).hex()
+    return _bits(x)
+
+
+# A seed has no floor to go below, and a missing degree (None) keeps
+# KernelSpec's "requires" message.
+COUNT_CASES = [
+    pytest.param(entry, bad, id=f"{entry}-{bad_id}")
+    for entry, (_, _, low) in ENTRY_POINTS.items()
+    for bad_id, bad in {
+        "bool": True,
+        "numpy-bool": np.True_,
+        "fraction": 2.5,
+        "nan": math.nan,
+        "inf": math.inf,
+        "below": BELOW,
+        "string": "2",
+        "none": None,
+    }.items()
+    if not (bad is BELOW and low is None) and not (bad is None and entry == "KernelSpec")
+]
+
+
+@pytest.mark.parametrize("entry,bad", COUNT_CASES)
 def test_refuses_what_is_not_a_count(entry, bad):
     # A bool is an int to Python, and a fraction would reach rng's ``&`` as
     # a TypeError or be used as a size, so each is refused by name here.
     call, name, low = ENTRY_POINTS[entry]
     value = low - 1 if bad is BELOW else bad
-    # KernelSpec's finite-number check names a bool, nan or inf degree first.
+    # KernelSpec's finite-number check names a bool, nan, inf or string degree first.
     with pytest.raises(ValueError, match=rf"^(kernel )?{re.escape(name)} must be"):
         call(value)
 
@@ -83,10 +219,17 @@ def test_refuses_what_is_not_a_count(entry, bad):
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_reads_an_integral_number_as_an_int(entry):
     call, _, low = ENTRY_POINTS[entry]
-    for count in (low, 3):
+    for count in (-1 if low is None else low, 3):
         expected = _bits(call(count))
         assert _bits(call(float(count))) == expected
         assert _bits(call(np.int64(count))) == expected
+
+
+def test_a_seed_is_read_modulo_2_to_the_64():
+    assert mix64(-1, 0) == mix64(2**64 - 1, 0) == mix64(2**128 - 1, 0)
+    assert SplitMix64(-1).next_u64() == SplitMix64(np.uint64(2**64 - 1)).next_u64()
+    report = run_thm1(DIST, SCHEDULE, [4], trials=1, seed=np.int64(5))
+    assert type(report.metadata["seed"]) is int and report.metadata["seed"] == 5
 
 
 def test_refusal_messages():
@@ -96,3 +239,102 @@ def test_refusal_messages():
         sample_dataset(DIST, True, 3)
     with pytest.raises(ValueError, match=r"^n_grid must be nonempty$"):
         run_thm1(DIST, SCHEDULE, [], trials=1, seed=0)
+
+
+def test_seed_and_real_refusal_messages():
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 2.5$"):
+        SplitMix64(2.5)
+    with pytest.raises(ValueError, match=r"^lam must be a finite number, got True$"):
+        filter_max(4, True)
+    with pytest.raises(ValueError, match=r"^b_norm must be nonnegative, got -1$"):
+        noise_operator_bound(4, 2.0, 0.1, -1)
+    with pytest.raises(ValueError, match=r"^kernel width must be positive, got 0$"):
+        KernelSpec("gaussian", width=0)
+    with pytest.raises(ValueError, match=r"^t_grid must be nonempty$"):
+        run_thm2(PTS, TARGET, NOISE, SCHEDULE, [], trials=1, seed=0)
+
+
+REAL_CASES = [
+    pytest.param(entry, bad, id=f"{entry}-{bad_id}")
+    for entry, (_, _, bound) in REAL_VALUES.items()
+    for bad_id, bad in (*NOT_REAL.items(), ("outside", OUTSIDE.get(bound)))
+    if not (bad_id == "outside" and bound == "")
+]
+
+
+@pytest.mark.parametrize("entry,bad", REAL_CASES)
+def test_refuses_what_is_not_a_real_number(entry, bad):
+    call, name, _ = REAL_VALUES[entry]
+    if bad is None and entry in OPTIONAL:
+        message = rf"requires {name} "  # a value its kind needs is missing
+    else:
+        message = rf"^(kernel )?{re.escape(name)} must be"
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", REAL_VALUES)
+def test_reads_an_int_or_numpy_float_as_the_equal_float(entry):
+    call = REAL_VALUES[entry][0]
+    expected = _value_bits(call(2.0))
+    assert _value_bits(call(2)) == expected
+    assert _value_bits(call(np.float64(2.0))) == expected
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [True, np.True_, [True, 0.1], [0.1, np.True_], np.array([True, True])],
+    ids=["bool", "numpy-bool", "list-entry", "numpy-bool-entry", "bool-array"],
+)
+def test_krr_fit_refuses_a_bool_lam(lam):
+    # A float array reads True as 1: the fit would use lam = 1.
+    labels = np.array([[1.0, 0.0], [0.5, 1.0], [-0.25, 0.5]])
+    data = DATA if np.ndim(lam) == 0 else DataSet(PTS, labels)
+    with pytest.raises(ValueError, match=r"^lam must not be or hold a bool"):
+        krr_fit(data, lam, GAUSS)
+
+
+@pytest.mark.parametrize("shift", [True, np.array([True, False])], ids=["bool", "bool-array"])
+def test_regularized_solve_refuses_a_bool_shift(shift):
+    with pytest.raises(ValueError, match=r"^shift must not be or hold a bool"):
+        regularized_solve(G, shift, np.ones((3, 2)))
+
+
+# Scalars of every kind a caller might pass: floats with nan, infinities and
+# subnormals, ints beyond the float and uint64 ranges, bools, numpy
+# scalars, strings and None.
+SCALARS = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400), 2**64, -(2**63) - 1, 5e-324, 1.7e308]),
+    st.booleans(),
+    st.sampled_from([np.True_, np.False_]),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.text(max_size=3),
+    st.none(),
+)
+READERS = {**{f"real:{k}": v[0] for k, v in REAL_VALUES.items()}, **{
+    f"count:{k}": v[0] for k, v in ENTRY_POINTS.items() if k.endswith(".seed")
+}}
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(reader=st.sampled_from(sorted(READERS)), value=SCALARS)
+def test_any_scalar_is_read_or_refused_by_name(reader, value):
+    # Run as the CLI runs: a numpy overflow raises FloatingPointError.
+    # Anything but a result or a ValueError, DiagnosticsError or
+    # FloatingPointError (a TypeError, OverflowError or ZeroDivisionError)
+    # is an input the readers let through.
+    with np.errstate(all="raise"):
+        try:
+            READERS[reader](value)
+        except (ValueError, DiagnosticsError, FloatingPointError):
+            pass
