@@ -49,7 +49,7 @@ from .experiments import (
     run_thm2,
 )
 from .kernels import KernelSpec, PointSet, gram, sample_kappa
-from .linalg import DiagnosticsError
+from .linalg import DiagnosticsError, _as_count, _as_real
 from .operators import (
     EvaluationOperator,
     filter_gain_bound,
@@ -98,21 +98,14 @@ def _keys(obj, path: str, required, allowed=None) -> dict:
 
 
 def _number(value, path: str, integer: bool = False, bound: str = ""):
-    """A finite, non-bool JSON number, returned unchanged, or as an int when
-    ``integer`` (it must then be integral).  ``bound`` is "", "> 0" or ">= 0"."""
-    try:
-        finite = isinstance(value, (int, float)) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if isinstance(value, bool) or not finite:
-        raise ValueError(f"config key {path}: expected a finite number, got {json.dumps(value)}")
+    """A finite, non-bool JSON number within ``bound`` ("", "> 0" or ">= 0"),
+    read by the library's one rule: ``linalg._as_count`` when ``integer``,
+    which gives the int it equals, else ``linalg._as_real``, which returns
+    it unchanged."""
+    name = f"config key {path}:"
     if integer:
-        if value != int(value):
-            raise ValueError(f"config key {path}: expected an integer, got {value!r}")
-        value = int(value)
-    if (bound == "> 0" and not value > 0) or (bound == ">= 0" and not value >= 0):
-        raise ValueError(f"config key {path}: must be {bound}, got {value!r}")
-    return value
+        return _as_count(value, name, {"> 0": 1, ">= 0": 0, "": None}[bound])
+    return _as_real(value, name, bound)
 
 
 _positive = functools.partial(_number, bound="> 0")

@@ -132,6 +132,7 @@ from .linalg import (
     Frozen,
     FrozenValue,
     _as_count,
+    _as_floats,
     _as_real,
     low_rank_solve,
     pivoted_cholesky,
@@ -238,12 +239,9 @@ class DataDistribution(Frozen):
     def __init__(
         self, lo: np.ndarray, hi: np.ndarray, target: RepresenterFunction, noise: NoiseProcess
     ) -> None:
-        lo = np.atleast_1d(np.asarray(lo, dtype=float)).copy()
-        hi = np.atleast_1d(np.asarray(hi, dtype=float)).copy()
+        lo, hi = (np.atleast_1d(_as_floats(v, "box bounds")).copy() for v in (lo, hi))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo and hi must be vectors of equal length")
-        if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
-            raise ValueError("box bounds must be finite")
         if not np.all(lo < hi):
             raise ValueError("box must satisfy lo < hi in every coordinate")
         if lo.shape[0] != target.anchors.dim:

@@ -27,7 +27,10 @@ matrix that is never built, without a kernel value.  :func:`kernel_matrix`
 refuses a matrix of more than ``MAX_ENTRIES`` entries before allocating it.
 Raw points become a :class:`PointSet` wherever they enter, in
 :func:`kernel_matrix` and :func:`kernel_diag` too, with its 1-D rule and its
-shape and finiteness checks, so no kernel value of a nan or inf point comes back.
+shape check, so no kernel value of a nan or inf point comes back.  Every
+array this module takes (points, Gram entries, the box of
+:func:`kappa_upper_bound`) is read by :func:`~krstab.linalg._as_floats`,
+which refuses a bool, a non-number, nan and inf by the argument's name.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ from .linalg import (
     Frozen,
     FrozenValue,
     _as_count,
+    _as_floats,
     _as_real,
     sym_eigen,
 )
+from .stability import _in_float_range
 
 
 def _float(value, name: str) -> float:
@@ -119,13 +124,11 @@ class PointSet(Frozen):
     """
 
     def __init__(self, points) -> None:
-        pts = np.asarray(points, dtype=float)
+        pts = _as_floats(points, "points")
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError(f"points must form an (n, d) array, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
         pts = pts.copy()
         pts.setflags(write=False)
         vars(self)["points"] = pts
@@ -271,8 +274,7 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
 def eval_kernel(spec: KernelSpec, x, y) -> float:
     """K(x, y) for two single points: the paper's kernel as a function, kept
     public for that reason although the library itself builds matrices."""
-    a = np.atleast_1d(np.asarray(x, dtype=float))
-    b = np.atleast_1d(np.asarray(y, dtype=float))
+    a, b = (np.atleast_1d(_as_floats(v, "points")) for v in (x, y))
     if a.ndim != 1 or b.ndim != 1:
         raise ValueError("eval_kernel expects single points")
     return float(kernel_matrix(spec, a[None, :], b[None, :])[0, 0])
@@ -294,13 +296,15 @@ def sample_kappa(spec: KernelSpec, xs) -> float:
     return math.sqrt(max(float(np.max(kernel_diag(spec, xs))), 0.0))
 
 
+@_in_float_range("kappa_upper_bound = sup K(x, x) over the box")
 def kappa_upper_bound(spec: KernelSpec, lo, hi) -> float:
     """sup of K(x, x) over the axis-aligned box [lo, hi].
 
-    ||x||^2 is coordinatewise convex, so the sup sits at a box corner.
+    ||x||^2 is coordinatewise convex, so the sup sits at a box corner.  A sup
+    beyond the float range is a ValueError naming it, as in
+    :mod:`krstab.stability`.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi = _as_floats(lo, "lo"), _as_floats(hi, "hi")
     if spec.kind == "gaussian":
         return 1.0
     corner_sq = float(np.sum(np.maximum(lo**2, hi**2)))
@@ -358,11 +362,9 @@ class GramMatrix:
     """
 
     def __init__(self, entries):
-        m = np.asarray(entries, dtype=float)
+        m = _as_floats(entries, "Gram matrix entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"Gram matrix must be square and nonempty, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("Gram matrix has non-finite entries")
         # Compared bit for bit, so skipping the mirror is exactly a no-op;
         # gaussian Gram matrices always take this branch.
         if np.array_equal(m.view(np.int64), m.T.view(np.int64)):

@@ -29,10 +29,12 @@ target's anchors.
 
 The module also holds what every other module shares: the diagnostics
 errors; :class:`Frozen` and :class:`FrozenValue`, the bases of the
-package's immutable classes; and the two readers of a scalar input to a
-library entry point: :func:`_as_count`, the one reading of a sample size,
-count, index or seed, and :func:`_as_real`, the one reading of a real
-number such as lam, t, eps or a kernel width.
+package's immutable classes; and the three readers of a number a library
+entry point takes: :func:`_as_count`, the one reading of a sample size,
+count, index or seed; :func:`_as_real`, the one reading of a real number
+such as lam, t, eps or a kernel width; and :func:`_as_floats`, the one
+reading of a numeric array such as points, labels, coefficients, a
+right-hand side or a Gram matrix.
 """
 
 from __future__ import annotations
@@ -57,10 +59,12 @@ _REALS = (int, float, np.integer, np.floating)
 def _as_count(value, name: str, low: int | None = 1) -> int:
     """``int(value)`` for an integral number ``value >= low`` (1, or 0 for
     a count that may be empty, or None for any integer, such as a seed).  A
-    bool or numpy bool, a non-number, a fraction, nan, inf or a smaller
-    value is a ValueError naming ``name``."""
-    # Comparing with inf, unlike isfinite, takes any int; nan fails each comparison.
-    integral = isinstance(value, _REALS) and -math.inf < value < math.inf and value == int(value)
+    bool or numpy bool, a non-number, a fraction, nan, inf, an int beyond
+    the float range or a smaller value is a ValueError naming ``name``."""
+    try:
+        integral = isinstance(value, _REALS) and math.isfinite(value) and value == int(value)
+    except OverflowError:  # an int beyond the float range
+        integral = False
     if isinstance(value, _BOOLS) or not integral or (low is not None and value < low):
         kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[low]
         raise ValueError(f"{name} must be {kind} integer, got {value!r}")
@@ -84,13 +88,34 @@ def _as_real(value, name: str, bound: str = "> 0"):
     return value
 
 
-def _as_floats(values, name: str) -> np.ndarray:
-    """``np.asarray(values, dtype=float)`` for a scalar or an array of
-    shifts or lams; a bool in ``values``, which it would read as 0 or 1, is
-    a ValueError naming ``name``."""
-    if any(isinstance(v, _BOOLS) for v in np.asarray(values, dtype=object).flat):
-        raise ValueError(f"{name} must not be or hold a bool, got {values!r}")
-    return np.asarray(values, dtype=float)
+def _as_floats(values, name: str, rows: int | None = None) -> np.ndarray:
+    """``np.asarray(values, dtype=float)`` for a scalar or array of finite
+    real numbers; given ``rows``, for a vector of ``rows`` entries or a
+    (rows, k >= 1) block only.  A bool entry, which a float array reads as
+    0 or 1, a non-number (a string, None, a nested object or a complex
+    number), nan, inf, an int beyond the float range or another shape is a
+    ValueError naming ``name`` and showing the first bad entry or the shape.
+    An int, unsigned or float ndarray holds none of the first two, so only
+    other inputs, lists among them, are scanned entry by entry."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        for v in np.asarray(values, dtype=object).flat:
+            if isinstance(v, _BOOLS):
+                raise ValueError(f"{name} must not be or hold a bool, got {v!r}")
+            if not isinstance(v, _REALS):
+                raise ValueError(f"{name} must hold real numbers only, got {v!r}")
+    try:
+        a = np.asarray(values, dtype=float)
+        finite = bool(np.isfinite(a).all())
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite")
+    if rows is not None and (a.ndim not in (1, 2) or a.shape[0] != rows or a.size == 0):
+        raise ValueError(
+            f"{name} must be a vector of {rows} numbers or a ({rows}, k >= 1) block, "
+            f"got shape {a.shape}"
+        )
+    return a
 
 
 class DiagnosticsError(RuntimeError):
@@ -174,15 +199,11 @@ def regularized_solve(g: GramMatrix, shift, rhs) -> np.ndarray:
     would divide by shifted eigenvalues of either sign.
     """
     shifts = _as_floats(shift, "shift")
-    if shifts.ndim > 1 or not np.all((shifts > 0) & (shifts < np.inf)):
+    if shifts.ndim > 1 or not np.all(shifts > 0):
         raise ValueError(
             f"shift must be positive and finite, one value or one per column, got {shift}"
         )
-    y = np.asarray(rhs, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[0] != g.n or y.size == 0:
-        raise ValueError(f"rhs has shape {y.shape}, expected ({g.n},) or ({g.n}, k >= 1)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("rhs must be finite")
+    y = _as_floats(rhs, "rhs", g.n)
     block = y.reshape(g.n, -1)
     if shifts.ndim == 1 and shifts.shape != (block.shape[1],):
         raise ValueError(f"got {shifts.shape[0]} shifts for {block.shape[1]} right-hand sides")
@@ -207,11 +228,9 @@ def pinv_solve(g: GramMatrix, rhs) -> np.ndarray:
     component outside the numerical range of G.  A raw symmetric PSD array
     goes through ``GramMatrix(a)``, which also gives it the PSD check.
     """
-    y = np.asarray(rhs, dtype=float)
+    y = _as_floats(rhs, "rhs")
     if y.shape != (g.n,):
         raise ValueError(f"rhs has shape {y.shape}, expected ({g.n},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("rhs must be finite")
     eig = g.eigen
     w = eig.eigenvalues
     keep = w > _RANK_TOL * max(float(w[0]), 0.0)
@@ -260,7 +279,8 @@ def pivoted_cholesky(
 
 
 def low_rank_solve(factor: np.ndarray, shift: float, rhs) -> np.ndarray:
-    """Solve ``(L L^T + shift*I) x = rhs`` for the (n, r) ``factor`` L, 0 < shift < inf.
+    """Solve ``(L L^T + shift*I) x = rhs`` for the (n, r) ``factor`` L, 0 < shift < inf,
+    and a finite vector (n,) or block (n, k >= 1) ``rhs``.
 
     Sherman-Morrison-Woodbury: x = (y - L (L^T L + shift I)^{-1} L^T y) / shift,
     one r x r system (Fine and Scheinberg, JMLR 2001).  The subtraction loses
@@ -269,7 +289,7 @@ def low_rank_solve(factor: np.ndarray, shift: float, rhs) -> np.ndarray:
     """
     if not 0 < shift < np.inf:
         raise ValueError(f"shift must be positive and finite, got {shift}")
-    y = np.asarray(rhs, dtype=float)
+    y = _as_floats(rhs, "rhs", factor.shape[0])
     small = factor.T @ factor
     small[np.diag_indices_from(small)] += shift
     return (y - factor @ np.linalg.solve(small, factor.T @ y)) / shift

@@ -27,7 +27,14 @@ import math
 import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, PointSet, _point_set, gram, kernel_matrix
-from .linalg import InconsistentSystemError, _as_count, _as_real, pinv_solve, regularized_solve
+from .linalg import (
+    InconsistentSystemError,
+    _as_count,
+    _as_floats,
+    _as_real,
+    pinv_solve,
+    regularized_solve,
+)
 from .rkhs import RepresenterFunction, evaluate, gram_norm
 from .rng import SplitMix64
 from .stability import _in_float_range
@@ -56,11 +63,9 @@ def apply_p(op: EvaluationOperator, f: RepresenterFunction) -> np.ndarray:
 
 
 def apply_p_star(op: EvaluationOperator, c) -> RepresenterFunction:
-    """sum_i c_i K(x_i, .) as a kernel expansion over the operator's points."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (op.n,):
-        raise ValueError(f"coefficient vector must have shape ({op.n},), got {c.shape}")
-    return RepresenterFunction(op.kernel, op.pts, c)
+    """sum_i c_i K(x_i, .) as a kernel expansion over the operator's points;
+    an (n, k) block of k coefficient vectors gives the k expansions."""
+    return RepresenterFunction(op.kernel, op.pts, _as_floats(c, "c", op.n))
 
 
 def operator_norm_bound_p(op: EvaluationOperator) -> float:
@@ -95,7 +100,7 @@ def ker_p_sample(
         lo, hi = -1.0, 1.0
         c = lo + (hi - lo) * stream.doubles(len(extra_pts))
     else:
-        c = np.asarray(extra_coeffs, dtype=float)
+        c = _as_floats(extra_coeffs, "extra_coeffs")
         if c.shape != (len(extra_pts),):
             raise ValueError("extra_coeffs length must match extra_pts")
     cross = kernel_matrix(op.kernel, op.pts, extra_pts)
@@ -131,10 +136,22 @@ def filter_max(n: int, lam: float) -> tuple[float, float]:
 
     The maximizer is z = n*lam and the value there is n / (4*lam); this is
     the squared gain profile, so its max is the square of
-    :func:`filter_gain_bound`.
+    :func:`filter_gain_bound`.  A result outside the float range, such as
+    n / (4*lam) at a subnormal lam, is a ValueError naming it, as in
+    :mod:`krstab.stability`.
     """
     n, lam = _as_count(n, "n"), _as_real(lam, "lam")
-    return (n * lam, n / (4.0 * lam))
+    return (_filter_argmax(n, lam), _filter_max_value(n, lam))
+
+
+@_in_float_range("filter_argmax = n lam")
+def _filter_argmax(n: int, lam: float) -> float:
+    return n * lam
+
+
+@_in_float_range("filter_max_value = n / (4 lam)")
+def _filter_max_value(n: int, lam: float) -> float:
+    return n / (4.0 * lam)
 
 
 @_in_float_range("noise_bound = (1/(n t)) * (sqrt(n) / (2 sqrt(lam))) * ||b||_2")
@@ -169,11 +186,13 @@ def shrinkage_term(g: GramMatrix, shrink_solve: np.ndarray, lam):
     A vector ``shrink_solve`` with a scalar ``lam`` gives one norm; an
     (n, k) block whose column j was solved with shift n*lam[j], with an
     array of k values of ``lam`` (or one for all), gives the k norms from
-    one Gram product.  Any other ``lam`` is a ValueError naming it.
+    one Gram product.  Any other ``lam``, or one that is not finite, is a
+    ValueError naming it.
     """
-    if np.ndim(lam) and np.shape(lam) != np.shape(shrink_solve)[1:]:
+    lam = _as_floats(lam, "lam")
+    if lam.ndim and lam.shape != np.shape(shrink_solve)[1:]:
         raise ValueError(
-            f"lam has shape {np.shape(lam)}; it takes one value, or one per column "
+            f"lam has shape {lam.shape}; it takes one value, or one per column "
             f"of shrink_solve {np.shape(shrink_solve)}"
         )
     return gram_norm(g, g.n * lam * shrink_solve)
@@ -205,10 +224,10 @@ def decomposition_residual(
     block solve made here, so the right side never shares the solve that
     produced alpha; it checks lam, through its shifts n*lam.
     """
-    t, lam = np.asarray(t, dtype=float), np.asarray(lam, dtype=float)
+    t, lam = _as_floats(t, "t"), _as_floats(lam, "lam")
     if t.ndim != 1 or lam.ndim != 1:
         raise ValueError(f"t has shape {t.shape} and lam {lam.shape}, expected k values each")
-    n, k, beta = g.n, len(t), np.asarray(beta, dtype=float)
+    n, k, beta = g.n, len(t), _as_floats(beta, "beta")
     if beta.shape != (n,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({n},)")
     blocks = (np.shape(alpha), np.shape(shrink_solve), np.shape(noise))

@@ -17,7 +17,10 @@ form rounds differently from a one-column block's.
 :func:`cross_term_distance` takes a distance without a combined expansion
 and without a kernel value, from the product of a Gram matrix never held
 whole with the coefficients, as the thm1 harness's low-rank route gets it,
-and from the other function's values and squared norm.
+and from the other function's values and squared norm.  Coefficients are
+read by :func:`~krstab.linalg._as_floats`, which refuses a bool, a
+non-number, nan, inf and a shape other than a vector or an (n, k >= 1)
+block by name.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import warnings
 import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, PointSet, _point_set, kernel_matrix
-from .linalg import Frozen
+from .linalg import Frozen, _as_floats
 
 
 class RepresenterFunction(Frozen):
@@ -37,14 +40,7 @@ class RepresenterFunction(Frozen):
 
     def __init__(self, kernel: KernelSpec, anchors: PointSet, coeffs: np.ndarray) -> None:
         anchors = _point_set(anchors)
-        c = np.array(coeffs, dtype=float, order="C")
-        if c.ndim not in (1, 2) or c.shape[0] != len(anchors) or c.size == 0:
-            raise ValueError(
-                f"coeffs must be a vector of length {len(anchors)}, or a block of as many "
-                f"rows and k >= 1 columns, got shape {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coeffs must be finite")
+        c = np.array(_as_floats(coeffs, "coeffs", len(anchors)), order="C")
         c.setflags(write=False)
         vars(self).update(kernel=kernel, anchors=anchors, coeffs=c)
 
@@ -108,13 +104,10 @@ def gram_norm(g: GramMatrix, coeffs: np.ndarray):
     array of their k norms, each clamped and flagged, from one
     matrix-matrix product with G.  A vector keeps its own form, because
     routing it through a one-column block changes the last bits of the
-    norm.  Non-finite coefficients are refused before the product.
+    norm.  Non-finite coefficients and an (n, 0) block are refused before
+    the product.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim not in (1, 2) or coeffs.shape[0] != g.n:
-        raise ValueError(f"coeffs have shape {coeffs.shape}, expected ({g.n},) or ({g.n}, k)")
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("coeffs must be finite")
+    coeffs = _as_floats(coeffs, "coeffs", g.n)
     if coeffs.ndim == 1:
         return _norm_from_square(float(coeffs @ g.entries @ coeffs))
     squares = np.sum(coeffs * (g.entries @ coeffs), axis=0)

@@ -17,7 +17,9 @@ the caller holds the points' Gram matrix G.  All three functions take G as
 ``gram_matrix=``, so that a caller builds it once.  A :class:`DataSet`'s
 labels are a vector or an (n, k) block of k label draws; :func:`krr_fit`
 fits either in one block solve, each column with its own lam if the
-caller gives one per column, as one expansion of the labels' shape.
+caller gives one per column, as one expansion of the labels' shape.  Labels,
+lam and interpolation values are read by :func:`~krstab.linalg._as_floats`,
+which refuses a bool, a non-number, nan, inf and a wrong shape by name.
 """
 
 from __future__ import annotations
@@ -46,12 +48,7 @@ class DataSet(Frozen):
 
     def __init__(self, pts: PointSet, labels: np.ndarray) -> None:
         pts = _point_set(pts)
-        y = np.array(labels, dtype=float, order="C")
-        if y.ndim not in (1, 2) or y.shape[0] != len(pts) or y.size == 0:
-            n = len(pts)
-            raise ValueError(f"labels have shape {y.shape}, expected ({n},) or ({n}, k >= 1)")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("labels must be finite")
+        y = np.array(_as_floats(labels, "labels", len(pts)), order="C")
         y.setflags(write=False)
         vars(self).update(pts=pts, labels=y)
 
@@ -88,8 +85,8 @@ def krr_fit(
     """Minimize the regularized risk in closed form.
 
     ``lam`` is one positive value for every label column of ``data``, or a
-    sequence of one per column.  A bool in it is refused here, since a float
-    array reads it as 0 or 1; :func:`~krstab.linalg.regularized_solve`
+    sequence of one per column.  A bool, a non-number, nan or inf in it is
+    refused here by the name ``lam``; :func:`~krstab.linalg.regularized_solve`
     checks the rest, as the shifts n*lam_j of its one block solve of
     (G + n*lam_j I) a_j = y_j.  That gives one fitted expansion whose
     coefficients have the labels' shape: the fit of a label vector, or the
@@ -112,7 +109,7 @@ def min_norm_interpolant(
     attains the values (rank-deficient Gram matrix with incompatible data).
     """
     g = gram_matrix if gram_matrix is not None else gram(kernel, pts)
-    alpha = pinv_solve(g, np.asarray(values, dtype=float))
+    alpha = pinv_solve(g, values)
     return RepresenterFunction(kernel, pts, alpha)
 
 

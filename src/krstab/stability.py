@@ -47,8 +47,9 @@ class StabilityParams(FrozenValue):
     @property
     def sample_size_ok(self) -> bool:
         """Whether n clears the threshold n >= 8 M^2 / eps^2 under which the
-        failure probability formula is meaningful."""
-        return self.n >= 8.0 * self.m**2 / self.eps**2
+        failure probability formula is meaningful; a threshold outside the
+        float range is a ValueError naming it."""
+        return self.n >= _sample_size_threshold(self)
 
 
 def _in_float_range(quantity: str, positive: bool = False):
@@ -61,15 +62,22 @@ def _in_float_range(quantity: str, positive: bool = False):
         def checked(*args, **kwargs):
             try:
                 value = formula(*args, **kwargs)
+                finite = math.isfinite(value)  # an int result may overflow here
             except (OverflowError, ZeroDivisionError):
-                value = math.inf
-            if not math.isfinite(value) or (positive and not value > 0):
+                finite = False
+            if not finite or (positive and not value > 0):
                 raise ValueError(f"{quantity} leaves the float range for these inputs")
             return value
 
         return checked
 
     return decorate
+
+
+@_in_float_range("sample_size_threshold = 8 M^2 / eps^2")
+def _sample_size_threshold(p: StabilityParams) -> float:
+    """The n from which the failure probability formula holds: 8 M^2 / eps^2."""
+    return 8.0 * p.m**2 / p.eps**2
 
 
 @_in_float_range("sigma_admissible = 2 * x_max")

@@ -14,10 +14,10 @@ from hypothesis import settings
 import krstab.kernels
 from krstab import GramMatrix, KernelSpec, PointSet, gram
 
-# A wider search for the CLI contract and scalar input property tests, which
-# take their example count from the loaded profile (100 by default): CI
-# reruns tests/test_cli_contract.py and tests/test_counts.py alone with
-# --hypothesis-profile=ci.
+# A wider search for the CLI contract and the scalar and array input property
+# tests, which take their example count from the loaded profile (100 by
+# default): CI reruns tests/test_cli_contract.py and tests/test_counts.py
+# alone with --hypothesis-profile=ci.
 settings.register_profile("ci", max_examples=300)
 
 

@@ -270,7 +270,8 @@ class TestBadShifts:
                 decomposition_residual(g, a, v, shrink, a, t, lam)
 
     def test_krr_fit_leaves_lam_to_regularized_solve(self, monkeypatch):
-        # krr_fit checks no lam itself: a bad lam reaches regularized_solve,
+        # krr_fit reads lam as numbers, refusing a nan by name before the
+        # solve; a lam <= 0 or of the wrong shape reaches regularized_solve,
         # which rejects it as a shift.
         pts, _ = design(False)
         calls = []
@@ -284,11 +285,15 @@ class TestBadShifts:
 
         monkeypatch.setattr(solver, "gram", recorded("gram", gram))
         monkeypatch.setattr(solver, "regularized_solve", recorded("solve", regularized_solve))
-        for lam in (0.0, -LAM, np.nan, [[LAM] * K]):
+        for lam in (0.0, -LAM, [[LAM] * K]):
             calls.clear()
             with pytest.raises(ValueError, match="shift must be positive"):
                 krr_fit(DataSet(pts, block(29)), lam, KERNEL)
             assert "solve" in calls
+        calls.clear()
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            krr_fit(DataSet(pts, block(29)), np.nan, KERNEL)
+        assert "solve" not in calls
 
 
 bad_shapes = pytest.mark.parametrize("shape", [(N + 1,), (N + 1, K), (N, K, 1)])
@@ -392,7 +397,7 @@ class TestBadShapes:
     @pytest.mark.parametrize("shift", [[], 1.0], ids=["per-column", "scalar"])
     def test_regularized_solve_needs_a_column(self, shift):
         _, g = design(False)
-        with pytest.raises(ValueError, match="rhs has shape"):
+        with pytest.raises(ValueError, match="rhs must be a vector"):
             regularized_solve(g, shift, np.ones((N, 0)))
 
 

@@ -813,7 +813,7 @@ class TestConfigParsing:
         cfg = edited_config(tmp_path, command, path, value)
         out = str(tmp_path / "written")
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", out]) == 1
-        assert f"config key {path}: expected a finite number" in capsys.readouterr().err
+        assert f"config key {path}: must be a finite number" in capsys.readouterr().err
         assert list(tmp_path.glob("written*")) == []
 
     @pytest.mark.parametrize(
@@ -876,6 +876,19 @@ class TestConfigParsing:
                 "schedule/family",
                 "geometric",
                 "config key schedule/family: unknown schedule family 'geometric'",
+            ),
+            # integer keys beyond the float range are refused, not run
+            *(
+                pytest.param(
+                    command, path, 10**400, f"config key {path}:", id=f"{command}-{path}-1e400"
+                )
+                for command, path in (
+                    ("thm1", "trials"),
+                    ("thm2", "seed"),
+                    ("thm1", "n_grid/1"),
+                    ("bounds", "n"),
+                    ("spectrum", "kernel/degree"),
+                )
             ),
         ],
     )
@@ -1016,7 +1029,7 @@ FLOAT_RANGE_CASES = [
     ("bounds", "m", 1e300, "p_n"),
     ("bounds", "c", 1e300, "beta"),
     ("bounds", "lambda", 1e-320, "beta"),
-    ("spectrum", "lambdas", [1e-320], "output key profiles/0/filter_max_value"),
+    ("spectrum", "lambdas", [1e-320], "filter_max_value"),
 ]
 
 
@@ -1309,7 +1322,8 @@ def test_every_table_key_is_parsed_and_used(tmp_path, command):
     for cfg in configs:
         args = _validate_config(command, cfg)
         for key in set(cfg) - {"output"}:
-            with pytest.raises(ValueError, match=f"^config key {key}: expected"):
+            # parsers of JSON structure say "expected", the number readers "must be"
+            with pytest.raises(ValueError, match=f"^config key {key}: (expected|must be)"):
                 _validate_config(command, {**cfg, key: None})
             without = {k: v for k, v in cfg.items() if k != key}
             try:

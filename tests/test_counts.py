@@ -1,16 +1,23 @@
-"""The one reading of counts and of real numbers.
+"""The one reading of counts, of real numbers and of numeric arrays.
 
 Every library entry point that takes a sample size, count, index or seed
 reads it through ``linalg._as_count``: each refuses a bool, a non-number, a
-fraction, nan, inf and a value below its floor with a ValueError naming the
-argument, and reads an integral number as the int it equals.  A seed is any
-integer, read modulo 2**64.  Every scalar real value an entry point takes
-(lam, t, eps, a kernel width, ...) is read through ``linalg._as_real``: each
-refuses a bool, a non-number, nan, inf, an int beyond the float range and a
-value outside its bound, and computes from an int or a numpy float what it
-computes from the equal float.  A property test feeds arbitrary scalars to
-every reader's entry points; CI reruns this file with
-``--hypothesis-profile=ci`` for a wider search.
+fraction, nan, inf, an int beyond the float range and a value below its
+floor with a ValueError naming the argument, and reads an integral number
+as the int it equals.  A seed is any integer, read modulo 2**64.  Every
+scalar real value an entry point takes (lam, t, eps, a kernel width, ...)
+is read through ``linalg._as_real``: each refuses a bool, a non-number,
+nan, inf, an int beyond the float range and a value outside its bound, and
+computes from an int or a numpy float what it computes from the equal
+float.  Every numeric array an entry point takes
+(points, labels, coefficients, a right-hand side, Gram entries, a box, an
+array of lam, t or shifts) is read through ``linalg._as_floats``: each
+refuses a bool entry, a non-number entry, nan, inf and an int beyond the
+float range, and where the array must have one row per point, a wrong
+length and an (n, 0) block, and computes from an int list what it computes
+from the equal float array.  Property tests feed arbitrary scalars to every
+reader's entry points, alone and as the entries of arrays; CI reruns this
+file with ``--hypothesis-profile=ci`` for a wider search.
 """
 
 import math
@@ -28,18 +35,37 @@ from krstab.experiments import (
     run_thm2,
     sample_dataset,
 )
-from krstab.kernels import KernelSpec, PointSet, gram, kernel_matrix
-from krstab.linalg import DiagnosticsError, Frozen, regularized_solve
+from krstab.kernels import (
+    GramMatrix,
+    KernelSpec,
+    PointSet,
+    eval_kernel,
+    gram,
+    kappa_upper_bound,
+    kernel_matrix,
+)
+from krstab.linalg import DiagnosticsError, Frozen, low_rank_solve, pinv_solve, regularized_solve
 from krstab.operators import (
+    EvaluationOperator,
+    apply_p_star,
+    decomposition_residual,
     filter_gain_bound,
     filter_gains,
     filter_max,
+    ker_p_sample,
     noise_operator_bound,
     shrinkage_profile,
+    shrinkage_term,
 )
-from krstab.rkhs import RepresenterFunction
+from krstab.rkhs import RepresenterFunction, gram_norm
 from krstab.rng import SplitMix64, mix64
-from krstab.solver import DataSet, closeness_certificate, krr_fit, regularized_risk
+from krstab.solver import (
+    DataSet,
+    closeness_certificate,
+    krr_fit,
+    min_norm_interpolant,
+    regularized_risk,
+)
 from krstab.stability import (
     Schedule,
     StabilityParams,
@@ -197,6 +223,7 @@ COUNT_CASES = [
         "fraction": 2.5,
         "nan": math.nan,
         "inf": math.inf,
+        "beyond-float": 10**400,
         "below": BELOW,
         "string": "2",
         "none": None,
@@ -338,3 +365,172 @@ def test_any_scalar_is_read_or_refused_by_name(reader, value):
             READERS[reader](value)
         except (ValueError, DiagnosticsError, FloatingPointError):
             pass
+
+
+OP = EvaluationOperator(GAUSS, PTS)
+FACTOR = np.array([[1.0, 0.0], [0.5, 0.25], [0.0, 1.0]])  # an (n, r) low-rank factor
+COLUMNS = np.array([[1.0, 2.0], [0.5, -1.0], [-0.25, 0.5]])  # an (n, k) block
+BLOCK_DATA = DataSet(PTS, COLUMNS)
+POLY = KernelSpec.polynomial(2, 1.0)
+
+
+def _residual(t=(10, 20), lam=(1, 2), beta=(1, 2, -1)):
+    return decomposition_residual(G, COLUMNS, beta, COLUMNS, COLUMNS, t, lam)
+
+
+# name -> (call with the array, the argument's name, an int-valued array
+# as nested lists, and the rows it must have, or None where it has no
+# vector-or-block rule).  Each call returns an array or a float.
+ARRAY_VALUES = {
+    "PointSet": (lambda v: PointSet(v).points, "points", [[0], [1], [3]], None),
+    "GramMatrix": (
+        lambda v: GramMatrix(v).entries,
+        "Gram matrix entries",
+        [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+        None,
+    ),
+    "eval_kernel.x": (lambda v: eval_kernel(GAUSS, v, [0.5]), "points", [1], None),
+    "eval_kernel.y": (lambda v: eval_kernel(GAUSS, [0.5], v), "points", [1], None),
+    "kappa_upper_bound.lo": (lambda v: kappa_upper_bound(POLY, v, [2, 1]), "lo", [-1, 0], None),
+    "kappa_upper_bound.hi": (lambda v: kappa_upper_bound(POLY, [-1, 0], v), "hi", [2, 1], None),
+    "RepresenterFunction": (
+        lambda v: RepresenterFunction(GAUSS, PTS, v).coeffs, "coeffs", [1, 2, -1], 3
+    ),
+    "gram_norm": (lambda v: gram_norm(G, v), "coeffs", [1, 2, -1], 3),
+    "DataSet": (lambda v: DataSet(PTS, v).labels, "labels", [1, 2, -1], 3),
+    "krr_fit": (lambda v: krr_fit(BLOCK_DATA, v, GAUSS, gram_matrix=G).coeffs, "lam", [1, 2], None),
+    "min_norm_interpolant": (
+        lambda v: min_norm_interpolant(PTS, v, GAUSS, gram_matrix=G).coeffs, "rhs", [1, 2, -1], None
+    ),
+    "regularized_solve.shift": (
+        lambda v: regularized_solve(G, v, COLUMNS), "shift", [1, 2], None
+    ),
+    "regularized_solve.rhs": (
+        lambda v: regularized_solve(G, 1.0, v), "rhs", [[1, 0], [2, 1], [-1, 3]], 3
+    ),
+    "pinv_solve": (lambda v: pinv_solve(G, v), "rhs", [1, 2, -1], None),
+    "low_rank_solve": (lambda v: low_rank_solve(FACTOR, 1.0, v), "rhs", [1, 2, -1], 3),
+    "apply_p_star": (lambda v: apply_p_star(OP, v).coeffs, "c", [1, 2, -1], 3),
+    "ker_p_sample": (
+        lambda v: ker_p_sample(OP, PointSet([[4.0], [5.0]]), extra_coeffs=v).coeffs,
+        "extra_coeffs",
+        [1, -1],
+        None,
+    ),
+    "shrinkage_term": (lambda v: shrinkage_term(G, COLUMNS, v), "lam", [1, 2], None),
+    "decomposition_residual.t": (lambda v: _residual(t=v), "t", [10, 20], None),
+    "decomposition_residual.lam": (lambda v: _residual(lam=v), "lam", [1, 2], None),
+    "decomposition_residual.beta": (lambda v: _residual(beta=v), "beta", [1, 2, -1], None),
+    "DataDistribution.lo": (
+        lambda v: DataDistribution(v, [2], TARGET, NOISE).lo, "box bounds", [0], None
+    ),
+    "DataDistribution.hi": (
+        lambda v: DataDistribution([0], v, TARGET, NOISE).hi, "box bounds", [2], None
+    ),
+}
+
+
+def _with_last(values, v):
+    """The nested list ``values`` with its last number replaced by ``v``."""
+    if isinstance(values, list):
+        return [*values[:-1], _with_last(values[-1], v)]
+    return v
+
+
+def _entry_message(bad) -> str:
+    """What the reader says of the bad entry ``bad``, after the argument's name."""
+    if isinstance(bad, (bool, np.bool_)):
+        return f"must not be or hold a bool, got {bad!r}"
+    if isinstance(bad, (str, type(None))):
+        return f"must hold real numbers only, got {bad!r}"
+    return "must be finite"
+
+
+ARRAY_CASES = [
+    pytest.param(entry, bad, _with_last(good, bad), id=f"{entry}-{bad_id}")
+    for entry, (_, _, good, _) in ARRAY_VALUES.items()
+    for bad_id, bad in NOT_REAL.items()
+]
+SHAPE_CASES = [
+    pytest.param(entry, shape, id=f"{entry}-{shape_id}")
+    for entry, (_, _, good, rows) in ARRAY_VALUES.items()
+    if rows is not None
+    for shape_id, shape in (("length", (rows + 1,)), ("empty-block", (rows, 0)))
+]
+
+
+@pytest.mark.parametrize("entry,bad,values", ARRAY_CASES)
+def test_refuses_an_array_entry_that_is_not_a_real_number(entry, bad, values):
+    # A float array reads True as 1 and "1" as 1.0, and None as nan.
+    call, name, _, _ = ARRAY_VALUES[entry]
+    message = f"{name} {_entry_message(bad)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(values)
+
+
+@pytest.mark.parametrize("entry,shape", SHAPE_CASES)
+def test_refuses_an_array_without_one_row_per_point(entry, shape):
+    call, name, _, rows = ARRAY_VALUES[entry]
+    message = (
+        f"{name} must be a vector of {rows} numbers or a ({rows}, k >= 1) block, "
+        f"got shape {shape}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(np.ones(shape))
+
+
+@pytest.mark.parametrize("entry", ARRAY_VALUES)
+def test_reads_an_int_list_or_array_as_the_equal_float_array(entry):
+    call, _, good, _ = ARRAY_VALUES[entry]
+    expected = _bits(call(np.array(good, dtype=float)))
+    assert _bits(call(good)) == expected
+    assert _bits(call(np.array(good))) == expected
+
+
+def test_low_rank_solve_refuses_a_nan_rhs():
+    # The Woodbury solve would return all nan.
+    with pytest.raises(ValueError, match=r"^rhs must be finite$"):
+        low_rank_solve(FACTOR, 1.0, [math.nan, 1.0, 1.0])
+
+
+def test_gram_norm_refuses_a_block_without_columns():
+    # It returned an empty array of norms, where DataSet, RepresenterFunction
+    # and regularized_solve refuse such a block.
+    message = r"^coeffs must be a vector of 3 numbers or a \(3, k >= 1\) block, got shape \(3, 0\)$"
+    with pytest.raises(ValueError, match=message):
+        gram_norm(G, np.ones((3, 0)))
+
+
+def _leaves(values):
+    return sum(map(_leaves, values)) if isinstance(values, list) else 1
+
+
+def _filled(values, scalars):
+    """The nested list ``values`` with its numbers replaced, in order, by
+    the iterator ``scalars``."""
+    if isinstance(values, list):
+        return [_filled(v, scalars) for v in values]
+    return next(scalars)
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(entry=st.sampled_from(sorted(ARRAY_VALUES)), data=st.data())
+def test_any_list_of_scalars_is_read_or_refused_by_name(entry, data):
+    # Each number of the entry point's array is an arbitrary scalar.  As in
+    # the scalar test above, anything but a result or a ValueError,
+    # DiagnosticsError or FloatingPointError is an input the readers let
+    # through, and so is a nan in the result.
+    call, _, good, _ = ARRAY_VALUES[entry]
+    n = _leaves(good)
+    values = _filled(good, iter(data.draw(st.lists(SCALARS, min_size=n, max_size=n))))
+    with np.errstate(all="raise"):
+        try:
+            result = call(values)
+        except (ValueError, DiagnosticsError, FloatingPointError):
+            return
+    assert not np.any(np.isnan(result)), (values, result)

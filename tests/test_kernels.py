@@ -70,8 +70,8 @@ class TestEvalKernel:
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_nonfinite_point_is_refused_by_kernel_matrix(self, x):
-        # eval_kernel has no finiteness check of its own: kernel_matrix's
-        # raw-array check refuses the point.
+        # eval_kernel reads both points as kernel_matrix reads points, so a
+        # non-finite one is refused by the same name.
         with pytest.raises(ValueError, match="points must be finite"):
             eval_kernel(KernelSpec.gaussian(1.0), [x], [0.0])
 
@@ -280,6 +280,18 @@ class TestDiagHelpers:
         lo, hi = np.array([-2.0]), np.array([1.0])
         assert kappa_upper_bound(KernelSpec.linear(), lo, hi) == 4.0
         assert kappa_upper_bound(KernelSpec.gaussian(0.3), lo, hi) == 1.0
+
+    # The polynomial's (1e200 + 1)^2 overflows in Python floats, the linear
+    # kernel's 1e200^2 in numpy.
+    @pytest.mark.parametrize(
+        "spec,hi",
+        [(KernelSpec.polynomial(2, 1.0), 1e100), (KernelSpec.linear(), 1e200)],
+        ids=["polynomial", "linear"],
+    )
+    def test_kappa_bound_outside_the_float_range_names_it(self, spec, hi):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^kappa_upper_bound = .* leaves the float range"):
+                kappa_upper_bound(spec, [0.0], [hi])
 
 
 EXPANSION = RepresenterFunction(KernelSpec.gaussian(1.0), PointSet([[0.0], [1.0]]), [1.0, 2.0])

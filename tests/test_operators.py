@@ -178,6 +178,20 @@ class TestFilterBounds:
             assert profile[k] <= value + 1e-9
             assert abs(profile[k] - value) <= 1e-6 * value
 
+    @pytest.mark.parametrize(
+        "n,lam,quantity",
+        [
+            (4, 1e-320, "filter_max_value"),
+            (4, 1e308, "filter_argmax"),
+            (2**62, 1e300, "filter_argmax"),
+        ],
+        ids=["subnormal-lam", "huge-lam", "huge-n"],
+    )
+    def test_filter_max_outside_the_float_range_names_it(self, n, lam, quantity):
+        # n / (4 lam) at a subnormal lam, or n lam at a huge one, is inf.
+        with pytest.raises(ValueError, match=f"^{quantity} = .* leaves the float range"):
+            filter_max(n, lam)
+
     def test_gain_bound_squares_to_filter_max(self):
         for n, lam in [(3, 0.5), (40, 1e-2)]:
             assert abs(filter_gain_bound(n, lam) ** 2 - filter_max(n, lam)[1]) < 1e-12

@@ -111,14 +111,14 @@ class TestKrrFit:
 
     def test_rejects_an_infinite_shift(self):
         # An infinite lam, or one column's infinite shift, would give a zero
-        # fit; both solves refuse it as a shift that is not finite.
+        # fit; each is refused by name as a value that is not finite.
         pts = PointSet([[0.0], [1.0]])
         g = gram(GAUSS, pts)
         y = np.array([[1.0, 2.0], [0.5, -1.0]])
-        with pytest.raises(ValueError, match="shift must be positive"):
+        with pytest.raises(ValueError, match="lam must be finite"):
             krr_fit(DataSet(pts, y[:, 0]), np.inf, GAUSS)
         for shift in (np.inf, [1.0, np.inf]):
-            with pytest.raises(ValueError, match="shift must be positive"):
+            with pytest.raises(ValueError, match="shift must be finite"):
                 regularized_solve(g, shift, y)
 
 

@@ -97,6 +97,13 @@ class TestParams:
         assert params(m=1.0, n=8, eps=1.0).sample_size_ok
         assert not params(m=1.0, n=7, eps=1.0).sample_size_ok
 
+    @pytest.mark.parametrize("m,eps", [(1e200, 0.1), (1.0, 1e-200)], ids=["huge-m", "tiny-eps"])
+    def test_sample_size_threshold_outside_the_float_range_names_it(self, m, eps):
+        # 8 M^2 / eps^2 in Python floats: M^2 overflows, or eps^2 underflows
+        # to 0 and the division by it fails.
+        with pytest.raises(ValueError, match=r"^sample_size_threshold = 8 M\^2 / eps\^2 leaves"):
+            params(m=m, n=10, eps=eps).sample_size_ok
+
 
 def growing(exponent):
     return Schedule(lambda0=1.0, exponent=exponent).valid_for_growing_sample
