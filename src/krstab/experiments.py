@@ -21,17 +21,20 @@ Each harness then fits its rows and fills in the distance columns:
 
 A thm1 row takes one of two routes.  The low-rank route factors the row's
 Gram matrix G ~ L L^T by greedy pivoted Cholesky, stopped when the residual
-trace is at most ``_TRACE_STOP`` * N * max diag (1e-13, 1000 times below the
-PSD check's tolerance); its pivot columns come from one
+trace is at most eps * N lam, with eps = ``_ACCURACY`` = 1e-12 the route's
+one accuracy constant; its pivot columns come from one
 :func:`~krstab.kernels.column_evaluator` built for the row, with the bits of
 ``kernel_matrix`` columns.  It solves for the fit by Woodbury through an
 r x r system and takes the distance by the cross-term form
 :func:`~krstab.rkhs.cross_term_distance` with G @ alpha as L (L^T alpha),
 the target's values at the row's points as :func:`sample_dataset` returns
 them with the labels, and ||target||^2 computed once per run; G is never
-built and never eigendecomposed.  That moves ||f||^2 by
-alpha . (G - L L^T) alpha, and G - L L^T is PSD with trace about the stop,
-so by at most about 1e-13 * N * max diag * ||alpha||^2.  The dense route is
+built and never eigendecomposed.  The stop is relative to the shift, as
+in the Nystrom literature (Bach, COLT 2013; Rudi, Camoriano and Rosasco,
+NeurIPS 2015), because the fit solves (G + N lam I) alpha = y: E = G - L L^T
+is PSD with ||E|| <= trace(E) <= eps N lam, and the factor's fit differs from
+alpha by (L L^T + N lam I)^-1 E alpha, at most eps relative whatever lam is;
+||f||^2 moves by alpha . E alpha <= eps N lam ||alpha||^2.  The dense route is
 :func:`~krstab.solver.krr_fit` and :func:`~krstab.rkhs.h_distance` through
 the eigendecomposition of G, whose PSD check flags the row (the summary
 lists it under ``flagged_rows``), as does the solve's shift rule (see
@@ -49,27 +52,28 @@ reason the row records as ``ReportRow.route`` ("low rank" when all pass):
   the rank cap adds 0.4-1.2 of a dense row below N = 256 (under 2 ms).  So
   below N = 128 a factor saves nothing when it succeeds and costs up to a
   dense row when it fails;
-* "condition limit", ``_CONDITION_LIMIT`` = 1e4 on trace(G) / (N lam).  One
-  plus that ratio bounds cond(L^T L + N lam I) and the cancellation in
-  Woodbury's subtraction.  To first order the route's relative error is
-  ``_TRACE_STOP`` * trace(G) / (N lam), 1e-9 at the limit: on the
-  criterion-4 design at lam = 1e-4 (5 seeds) the two routes' distances
-  measured up to 3.6e-9 apart relative at N = 512 and 4.0e-9 at N = 2048.
-  On the shipped designs, whose low-rank rows have trace(G) / (N lam) <= 20,
-  they measured at most 1.7e-13 apart relative (every row with N >= 128 of
-  the N = 32..2048, 10-trial grid at master seeds 0, 777 and 1000);
+* "condition limit", ``_CONDITION_LIMIT`` = eps / u on trace(G) / (N lam),
+  with u = 2^-53 the unit roundoff, so about 9007.  One plus that ratio
+  bounds cond(L^T L + N lam I) and the cancellation in Woodbury's
+  subtraction, which costs up to 2u (1 + trace(G) / (N lam)) of relative
+  accuracy (:func:`~krstab.linalg.low_rank_solve`); the limit holds that to
+  2u + 2 eps, the order of the stop's own eps.  So eps sets both the stop
+  and the limit.  The tests hold rows just inside the limit (trace(G) / (N
+  lam) = 8333 on the criterion-4 design) to eps + 2u (1 + trace(G) / (N lam))
+  of a long-double oracle's fit;
 * "shift limit", N lam > tau = ``PSD_TOL`` * N * max diag: a smaller shift
   goes dense, where the solve's shift rule flags the row whenever G's
   smallest eigenvalue does not lift the shifted matrix above tau.  The
   condition limit alone would let such a row through only when
-  trace(G) <= 1e-6 * N * max diag, a mean diagonal below a millionth of the
-  largest: never for the gaussian, whose diagonal is constant, and for the
-  other kernels only from N = 1e6 points on, since trace(G) >= max diag;
+  trace(G) <= eps / u * ``PSD_TOL`` * N * max diag, a mean diagonal below
+  about 9e-7 of the largest: never for the gaussian, whose diagonal is
+  constant, and for the other kernels only from about 1.1e6 points on,
+  since trace(G) >= max diag;
 * "PSD bound", c * u <= ``PSD_TOL`` = 1e-10, with c the entrywise rounding
   constant :func:`~krstab.kernels.rounding_constant` of the kernel in this
-  dimension and u = 2^-53.  It proves, without a kernel value, that the
-  dense route's PSD check at tau = 1e-10 * N * max diag would pass, so a
-  low-rank row is one the dense route would not have flagged;
+  dimension.  It proves, without a kernel value, that the dense route's PSD
+  check at tau = 1e-10 * N * max diag would pass, so a low-rank row is one
+  the dense route would not have flagged;
 * "rank cap", ``_RANK_CAP`` = 0.25: the factor gives up at N/4 pivots, or
   at ``kernels.MAX_ENTRIES`` // N if that is fewer (from N = 23171 on), so
   the factor never holds more entries than a kernel matrix may.  On the
@@ -81,7 +85,11 @@ On the criterion-4 design (a gaussian of width 0.8 on [0, 4], numerical rank
 about 19 at every N) rows with N >= 128 take the low-rank route and rows
 with N = 32 and 64 go dense by the size floor (their rank caps, 8 and 16,
 are below 19 anyway); a high-rank design, such as a gaussian of width 0.5
-on [0, 5]^4, stays dense by the rank cap.  ``run_thm2`` and the other
+on [0, 5]^4, stays dense by the rank cap.  At the shipped schedule
+(lam = 0.5 N^-0.3, trace(G) / (N lam) <= 20) the two routes' distances
+measured at most 9.4e-14 apart relative (every row with N >= 128 of the
+N = 32..2048, 10-trial grid at master seeds 0, 777 and 1000, 1 BLAS
+thread).  ``run_thm2`` and the other
 commands take the dense route only, with no route decision (a thm2 row's
 ``route`` is "").
 
@@ -174,12 +182,14 @@ CSV_HEADER = ",".join(column for column, _ in CSV_COLUMNS)
 
 NOISE_KINDS = ("uniform", "rademacher", "truncated_gaussian")
 
-# The stop and the limits of a thm1 row's low-rank route, stated with the
-# measurements behind them in the module docstring.
-_TRACE_STOP = 1e-13
+# The accuracy of a thm1 row's low-rank route, which sets its factor's stop
+# and its condition limit, and the route's other limits, with the
+# derivations and measurements behind them in the module docstring.
+_ACCURACY = 1e-12
+_UNIT_ROUNDOFF = 2.0**-53
+_CONDITION_LIMIT = _ACCURACY / _UNIT_ROUNDOFF
 _MIN_LOW_RANK_N = 128
 _RANK_CAP = 0.25
-_CONDITION_LIMIT = 1e4
 # Bytes a finished row takes with its CSV line: 560 (thm1) and 680 (thm2) at
 # the peak of writing the report (tracemalloc over 1e5 rows, Python 3.11).
 _ROW_BYTES = 700
@@ -525,8 +535,7 @@ def _route(kernel: KernelSpec, pts: PointSet, shift: float) -> tuple[np.ndarray 
         return None, "condition limit"
     if not shift > PSD_TOL * n * max_diag:
         return None, "shift limit"
-    # 2.0**-53 is the unit roundoff u.
-    if not rounding_constant(kernel, pts.dim) * 2.0**-53 <= PSD_TOL:
+    if not rounding_constant(kernel, pts.dim) * _UNIT_ROUNDOFF <= PSD_TOL:
         return None, "PSD bound"
     # A pivot column's overflow is the exact kernel value 0 (see
     # kernels._gaussian_matrix); one errstate covers every column of the factor.
@@ -535,7 +544,7 @@ def _route(kernel: KernelSpec, pts: PointSet, shift: float) -> tuple[np.ndarray 
             diag,
             column_evaluator(kernel, pts),
             min(int(_RANK_CAP * n), kernels.MAX_ENTRIES // n),
-            _TRACE_STOP * n * max_diag,
+            _ACCURACY * shift,
         )
     return (None, "rank cap") if factor is None else (factor, "low rank")
 

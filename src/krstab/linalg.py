@@ -21,7 +21,7 @@ r x r system.  Only ``run_thm1`` takes it, per row; thm2, ``fit``,
 ``interpolate``, ``spectrum`` and ``bounds`` take the dense route.  A thm1
 row goes dense when one of five limits fails, as ``experiments._route``
 decides; :mod:`krstab.experiments` states them, with their constants and
-the measurements behind them.
+the derivations and measurements behind them.
 
 The route's distance takes G @ alpha as L (L^T alpha), so a low-rank row
 evaluates kernel values only in its r pivot columns and against the
@@ -287,8 +287,7 @@ def low_rank_solve(factor: np.ndarray, shift: float, rhs) -> np.ndarray:
     up to a factor 1 + lambda_max(L^T L) / shift <= 1 + trace / shift of
     relative accuracy, so callers bound that ratio.
     """
-    if not 0 < shift < np.inf:
-        raise ValueError(f"shift must be positive and finite, got {shift}")
+    shift = _as_real(shift, "shift")
     y = _as_floats(rhs, "rhs", factor.shape[0])
     small = factor.T @ factor
     small[np.diag_indices_from(small)] += shift

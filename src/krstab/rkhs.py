@@ -20,7 +20,9 @@ whole with the coefficients, as the thm1 harness's low-rank route gets it,
 and from the other function's values and squared norm.  Coefficients are
 read by :func:`~krstab.linalg._as_floats`, which refuses a bool, a
 non-number, nan, inf and a shape other than a vector or an (n, k >= 1)
-block by name.
+block by name, and so are the arrays :func:`cross_term_distance` takes;
+the scalars of :func:`combine` and ||g||^2 are read by
+:func:`~krstab.linalg._as_real`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import warnings
 import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, PointSet, _point_set, kernel_matrix
-from .linalg import Frozen, _as_floats
+from .linalg import Frozen, _as_floats, _as_real
 
 
 class RepresenterFunction(Frozen):
@@ -133,7 +135,7 @@ def combine(
     _require_same_kernel(f, g)
     if f.anchors.dim != g.anchors.dim:
         raise ValueError("anchor dimensions differ")
-    fc, gc = a * f.coeffs, b * g.coeffs
+    fc, gc = _as_real(a, "a", "") * f.coeffs, _as_real(b, "b", "") * g.coeffs
     if 2 in (fc.ndim, gc.ndim):
         k = np.broadcast_shapes(fc.shape[1:], gc.shape[1:])
         fc, gc = (np.broadcast_to(c.reshape(len(c), -1), (len(c), *k)) for c in (fc, gc))
@@ -171,7 +173,18 @@ def cross_term_distance(coeffs, gram_product, g_values, g_sq: float) -> float:
     ``g_values`` is g at f's anchors, so (f, g)_H = coeffs . g_values, and
     ``g_sq`` is ||g||^2, ``inner_product(g, g)``.  The thm1 harness takes
     g's values from ``sample_dataset``, which returns them with the labels,
-    and ||g||^2 once per run.
+    and ||g||^2 once per run.  The three arrays must be vectors of one
+    length, and ``g_sq`` a finite number >= 0.
     """
-    sq = float(coeffs @ gram_product) - 2.0 * float(coeffs @ g_values) + g_sq
+    g_sq = _as_real(g_sq, "g_sq", ">= 0")
+    coeffs, product, values = (
+        _as_floats(v, name)
+        for v, name in ((coeffs, "coeffs"), (gram_product, "gram_product"), (g_values, "g_values"))
+    )
+    if coeffs.ndim != 1 or product.shape != coeffs.shape or values.shape != coeffs.shape:
+        raise ValueError(
+            "coeffs, gram_product and g_values must be vectors of one length, got shapes "
+            f"{coeffs.shape}, {product.shape} and {values.shape}"
+        )
+    sq = float(coeffs @ product) - 2.0 * float(coeffs @ values) + g_sq
     return _norm_from_square(sq)

@@ -57,7 +57,7 @@ from krstab.operators import (
     shrinkage_profile,
     shrinkage_term,
 )
-from krstab.rkhs import RepresenterFunction, gram_norm
+from krstab.rkhs import RepresenterFunction, combine, cross_term_distance, gram_norm
 from krstab.rng import SplitMix64, mix64
 from krstab.solver import (
     DataSet,
@@ -117,7 +117,7 @@ def _params(i, v):
 
 
 # name -> (call with the value, the argument's name, the bound it must meet:
-# "> 0", ">= 0" or "" for any finite number).  18 entry points, 30 values.
+# "> 0", ">= 0" or "" for any finite number).  21 entry points, 34 values.
 REAL_VALUES = {
     "filter_gains": (lambda v: filter_gains(G, v), "lam", "> 0"),
     "filter_gain_bound": (lambda v: filter_gain_bound(4, v), "lam", "> 0"),
@@ -164,6 +164,10 @@ REAL_VALUES = {
         "offset",
         ">= 0",
     ),
+    "low_rank_solve.shift": (lambda v: low_rank_solve(FACTOR, v, [1.0, 2.0, -1.0]), "shift", "> 0"),
+    "combine.a": (lambda v: combine(TARGET, TARGET, v, 0.5).coeffs, "a", ""),
+    "combine.b": (lambda v: combine(TARGET, TARGET, 0.5, v).coeffs, "b", ""),
+    "cross_term_distance.g_sq": (lambda v: _distance(g_sq=v), "g_sq", ">= 0"),
 }
 # Values whose absence (None) keeps its kind's "requires ..." message.
 OPTIONAL = {"NoiseProcess.sd", "KernelSpec.width", "KernelSpec.offset"}
@@ -378,6 +382,14 @@ def _residual(t=(10, 20), lam=(1, 2), beta=(1, 2, -1)):
     return decomposition_residual(G, COLUMNS, beta, COLUMNS, COLUMNS, t, lam)
 
 
+def _distance(coeffs=(0, 0, 0), product=(0, 0, 0), values=(0, 0, 0), g_sq=4):
+    # Zero companions keep the squared distance at g_sq whatever the array
+    # under test holds: an arbitrary gram_product is no Gram matrix's
+    # product, and the squared distance it gives may be negative, which the
+    # library flags with a warning.
+    return cross_term_distance(coeffs, product, values, g_sq)
+
+
 # name -> (call with the array, the argument's name, an int-valued array
 # as nested lists, and the rows it must have, or None where it has no
 # vector-or-block rule).  Each call returns an array or a float.
@@ -421,6 +433,11 @@ ARRAY_VALUES = {
     "decomposition_residual.t": (lambda v: _residual(t=v), "t", [10, 20], None),
     "decomposition_residual.lam": (lambda v: _residual(lam=v), "lam", [1, 2], None),
     "decomposition_residual.beta": (lambda v: _residual(beta=v), "beta", [1, 2, -1], None),
+    "cross_term_distance.coeffs": (lambda v: _distance(coeffs=v), "coeffs", [1, 2, -1], None),
+    "cross_term_distance.gram_product": (
+        lambda v: _distance(product=v), "gram_product", [2, 1, 0], None
+    ),
+    "cross_term_distance.g_values": (lambda v: _distance(values=v), "g_values", [1, 0, 2], None),
     "DataDistribution.lo": (
         lambda v: DataDistribution(v, [2], TARGET, NOISE).lo, "box bounds", [0], None
     ),
@@ -491,6 +508,21 @@ def test_low_rank_solve_refuses_a_nan_rhs():
     # The Woodbury solve would return all nan.
     with pytest.raises(ValueError, match=r"^rhs must be finite$"):
         low_rank_solve(FACTOR, 1.0, [math.nan, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "kwargs,shapes",
+    [
+        (dict(product=(0, 0)), "(3,), (2,) and (3,)"),
+        (dict(coeffs=[[0], [0], [0]]), "(3, 1), (3,) and (3,)"),
+        (dict(coeffs=0, product=0, values=0), "(), () and ()"),
+    ],
+    ids=["lengths", "block", "scalars"],
+)
+def test_cross_term_distance_takes_vectors_of_one_length(kwargs, shapes):
+    message = f"coeffs, gram_product and g_values must be vectors of one length, got shapes {shapes}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _distance(**kwargs)
 
 
 def test_gram_norm_refuses_a_block_without_columns():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle import long_double_kernel, needs_long_double
 
 import krstab.cli
 import krstab.kernels
@@ -444,23 +445,6 @@ def test_column_evaluator_of_every_kind_is_a_gram_column(spec):
 
 
 UNIT_ROUNDOFF = 2.0**-53
-# The oracles below round each operation at 2^-64, so they need an x87
-# extended long double; where long double is plain double they prove nothing.
-needs_long_double = pytest.mark.skipif(
-    np.finfo(np.longdouble).nmant < 63, reason="long double is not extended precision"
-)
-
-
-def long_double_kernel(spec, a, b):
-    """K(a_i, b_j) in long double, from the same double inputs."""
-    a, b = a.astype(np.longdouble), b.astype(np.longdouble)
-    if spec.kind == "gaussian":
-        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-        return np.exp(-d2 / (2 * np.longdouble(spec.width) ** 2))
-    dot = np.sum(a[:, None, :] * b[None, :, :], axis=-1)
-    if spec.kind == "linear":
-        return dot
-    return (dot + np.longdouble(spec.offset)) ** spec.degree
 
 
 @needs_long_double

@@ -177,10 +177,11 @@ class TestLowRankSolve:
         with pytest.raises(ValueError, match="shift"):
             low_rank_solve(np.ones((3, 1)), 0.0, np.ones(3))
 
-    @pytest.mark.parametrize("shift", [math.inf, math.nan])
+    @pytest.mark.parametrize("shift", [math.inf, math.nan, True, "1"])
     def test_rejects_a_shift_that_is_not_finite(self, shift):
-        # An infinite shift would return the zero solution.
-        with pytest.raises(ValueError, match="shift must be positive"):
+        # An infinite shift would return the zero solution, and a bool
+        # would be read as the shift 1.
+        with pytest.raises(ValueError, match=r"^shift must be a finite number, got"):
             low_rank_solve(np.ones((3, 1)), shift, np.ones(3))
 
 
@@ -340,6 +341,17 @@ class TestRoutes:
         assert eigen_calls == [128, 128]
         assert routes(report) == ["condition limit"] * 2
 
+    def test_condition_limit_is_the_accuracy_over_the_unit_roundoff(self, pivot_columns):
+        # eps / u = 1e-12 * 2^53 = 9007: on 128 criterion-4 points (trace
+        # 128) lam = 1e-4 gives trace(G) / (N lam) = 1e4 and goes dense
+        # before any pivot column; lam = 1.2e-4 gives 8333 and is factored.
+        assert exp._CONDITION_LIMIT == exp._ACCURACY / 2.0**-53
+        pts = PointSet(np.linspace(0.0, 4.0, 128)[:, None])
+        assert exp._route(CRIT4_TARGET.kernel, pts, 128 * 1e-4) == (None, "condition limit")
+        assert pivot_columns == []
+        factor, route = exp._route(CRIT4_TARGET.kernel, pts, 128 * 1.2e-4)
+        assert route == "low rank" and factor.shape[0] == 128
+
     def test_shift_limit_sends_rows_dense_where_they_are_flagged(
         self, monkeypatch, eigen_calls
     ):
@@ -359,7 +371,7 @@ class TestRoutes:
         # trace(G) >= max diag, so these designs go to _route directly.
         # Linear kernel, one point at 1 and the rest at 0: trace(G) = max
         # diag = 1, so a shift of 1.5e-4 passes the condition limit
-        # (1 <= 1e4 * 1.5e-4) and fails the shift limit (<= 1e-10 * 2^21).
+        # (1 <= 9007 * 1.5e-4) and fails the shift limit (<= 1e-10 * 2^21).
         x = np.zeros((2**21, 1))
         x[0] = 1.0
         assert exp._route(KernelSpec.linear(), PointSet(x), 1.5e-4) == (None, "shift limit")
