@@ -93,12 +93,17 @@ def _as_floats(values, name: str, rows: int | None = None) -> np.ndarray:
     real numbers; given ``rows``, for a vector of ``rows`` entries or a
     (rows, k >= 1) block only.  A bool entry, which a float array reads as
     0 or 1, a non-number (a string, None, a nested object or a complex
-    number), nan, inf, an int beyond the float range or another shape is a
-    ValueError naming ``name`` and showing the first bad entry or the shape.
+    number), nan, inf, an int beyond the float range, entries that form no
+    rectangular array or another shape is a ValueError naming ``name`` and
+    showing the first bad entry or the shape.
     An int, unsigned or float ndarray holds none of the first two, so only
     other inputs, lists among them, are scanned entry by entry."""
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
-        for v in np.asarray(values, dtype=object).flat:
+        try:
+            entries = np.asarray(values, dtype=object).flat
+        except ValueError:  # arrays of unequal shapes, such as (2, 2) and (2, 3)
+            raise ValueError(f"{name}'s entries do not form a rectangular array") from None
+        for v in entries:
             if isinstance(v, _BOOLS):
                 raise ValueError(f"{name} must not be or hold a bool, got {v!r}")
             if not isinstance(v, _REALS):

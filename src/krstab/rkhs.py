@@ -12,8 +12,7 @@ or an (n, k) block of k expansions on one point set, as thm2 holds every
 fit of a run; :func:`h_distance` of a block is its k distances, one Gram
 quadratic form when the caller gives the points' Gram matrix, and
 :func:`inner_product` and :func:`rkhs_norm` take vectors only.
-:func:`gram_norm` keeps a separate 1-D form, because a vector's quadratic
-form rounds differently from a one-column block's.
+:func:`gram_norm` has one path, on which a vector is a one-column block.
 :func:`cross_term_distance` takes a distance without a combined expansion
 and without a kernel value, from the product of a Gram matrix never held
 whole with the coefficients, as the thm1 harness's low-rank route gets it,
@@ -33,7 +32,7 @@ import warnings
 import numpy as np
 
 from .kernels import GramMatrix, KernelSpec, PointSet, _point_set, kernel_matrix
-from .linalg import Frozen, _as_floats, _as_real
+from .linalg import DiagnosticsError, Frozen, _as_floats, _as_real
 
 
 class RepresenterFunction(Frozen):
@@ -82,6 +81,8 @@ def inner_product(f: RepresenterFunction, g: RepresenterFunction) -> float:
 
 def _norm_from_square(sq: float) -> float:
     """sqrt of a squared H-norm, with the clamp and flag of :func:`rkhs_norm`."""
+    if not math.isfinite(sq):
+        raise DiagnosticsError(f"squared norm {sq} is not finite: its terms overflow")
     if sq < -1e-8:
         warnings.warn(
             f"squared norm {sq:.3e} is significantly negative; "
@@ -94,7 +95,8 @@ def _norm_from_square(sq: float) -> float:
 
 def rkhs_norm(f: RepresenterFunction) -> float:
     """||f||_H.  Tiny negative squared norms from rounding are clamped to 0;
-    anything below -1e-8 is flagged as a diagnostic."""
+    anything below -1e-8 is flagged as a diagnostic, and a squared norm that
+    is not finite, whose terms overflow, is a DiagnosticsError."""
     return _norm_from_square(inner_product(f, f))
 
 
@@ -104,17 +106,16 @@ def gram_norm(g: GramMatrix, coeffs: np.ndarray):
 
     ``coeffs`` of shape (n, k) holds k expansions as columns and gives an
     array of their k norms, each clamped and flagged, from one
-    matrix-matrix product with G.  A vector keeps its own form, because
-    routing it through a one-column block changes the last bits of the
-    norm.  Non-finite coefficients and an (n, 0) block are refused before
-    the product.
+    matrix-matrix product with G; a vector is a one-column block and gives
+    its one norm as a float.  Non-finite coefficients and an (n, 0) block
+    are refused before the product.
     """
     coeffs = _as_floats(coeffs, "coeffs", g.n)
-    if coeffs.ndim == 1:
-        return _norm_from_square(float(coeffs @ g.entries @ coeffs))
-    squares = np.sum(coeffs * (g.entries @ coeffs), axis=0)
+    block = coeffs.reshape(g.n, -1)
+    squares = np.sum(block * (g.entries @ block), axis=0)
     # map calls from C, so the warning's stacklevel still names gram_norm's caller.
-    return np.array(list(map(_norm_from_square, squares.tolist())))
+    norms = list(map(_norm_from_square, squares.tolist()))
+    return np.array(norms) if coeffs.ndim == 2 else norms[0]
 
 
 def _same_rows(p: PointSet, q: PointSet) -> bool:

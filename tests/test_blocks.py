@@ -5,9 +5,14 @@ an expansion with an (n, k) coefficient block through ``h_distance`` or
 design with distinct points and on one with repeated points (singular G).
 ``decomposition_residual`` takes blocks only, with t, lam and the shrinkage
 solve given per column, so each of its columns is compared with the explicit
-numpy formula instead.  The single calls, and a one-column
-``decomposition_residual`` block, are pinned with ``==`` to their explicit
-formulas.  A block may carry one shift (one lam, one t) per column; each
+numpy formula instead.  The single ``regularized_solve`` and ``krr_fit``
+calls, and a one-column ``decomposition_residual`` block, are pinned with
+``==`` to their explicit formulas; ``gram_norm`` has one path, so a vector
+through it, and so through ``shrinkage_term`` and ``h_distance``'s Gram
+path, is pinned with ``==`` to its one-column block.  A block's column and
+a one-column block are two matrix products of different widths, which BLAS
+and numpy's sum may add in different orders, so they are compared within
+1e-12.  A block may carry one shift (one lam, one t) per column; each
 column of ``regularized_solve`` and ``krr_fit`` then matches its own scalar
 call, and each column of ``decomposition_residual`` its own one-column
 block.  The thm2 harness fits its label draws as one such block, and its
@@ -155,9 +160,26 @@ class TestVectorsKeepTheirFormula:
         assert np.array_equal(regularized_solve(g, N * LAM, y), q @ ((q.T @ y) / (w + N * LAM)))
 
     def test_gram_norm(self, repeated):
+        # A vector is a one-column block, with its bits, and gives a float.
         _, g = design(repeated)
-        c = block(9)[:, 0]
-        assert gram_norm(g, c) == math.sqrt(max(float(c @ g.entries @ c), 0.0))
+        for c in block(9).T:
+            got = gram_norm(g, c)
+            assert type(got) is float and got == gram_norm(g, c[:, None])[0]
+
+    def test_shrinkage_term(self, repeated):
+        _, g = design(repeated)
+        for s in block(12).T:
+            assert shrinkage_term(g, s, LAM) == shrinkage_term(g, s[:, None], [LAM])[0]
+
+    def test_h_distance_on_the_gram_path(self, repeated):
+        pts, g = design(repeated)
+        c = block(15)
+        ref = RepresenterFunction(KERNEL, pts, c[:, 0])
+        for j in range(1, K):
+            f = RepresenterFunction(KERNEL, pts, c[:, j])
+            col = RepresenterFunction(KERNEL, pts, c[:, j : j + 1])
+            got = h_distance(f, ref, gram_matrix=g)
+            assert type(got) is float and got == h_distance(col, ref, gram_matrix=g)[0]
 
     def test_decomposition_residual(self, repeated):
         _, g = design(repeated)

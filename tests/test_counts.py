@@ -12,12 +12,13 @@ computes from an int or a numpy float what it computes from the equal
 float.  Every numeric array an entry point takes
 (points, labels, coefficients, a right-hand side, Gram entries, a box, an
 array of lam, t or shifts) is read through ``linalg._as_floats``: each
-refuses a bool entry, a non-number entry, nan, inf and an int beyond the
-float range, and where the array must have one row per point, a wrong
-length and an (n, 0) block, and computes from an int list what it computes
-from the equal float array.  Property tests feed arbitrary scalars to every
-reader's entry points, alone and as the entries of arrays; CI reruns this
-file with ``--hypothesis-profile=ci`` for a wider search.
+refuses a bool entry, a non-number entry, nan, inf, an int beyond the
+float range and entries of unequal shapes, and where the array must have
+one row per point, a wrong length and an (n, 0) block, and computes from
+an int list what it computes from the equal float array.  Property tests
+feed arbitrary scalars to every reader's entry points, alone and as the
+entries of arrays; CI reruns this file with ``--hypothesis-profile=ci`` for
+a wider search.
 """
 
 import math
@@ -502,6 +503,16 @@ def test_reads_an_int_list_or_array_as_the_equal_float_array(entry):
     expected = _bits(call(np.array(good, dtype=float)))
     assert _bits(call(good)) == expected
     assert _bits(call(np.array(good))) == expected
+
+
+@pytest.mark.parametrize("entry", ARRAY_VALUES)
+def test_refuses_arrays_of_unequal_shapes_by_name(entry):
+    # numpy's own error, "could not broadcast input array from shape (2,2)
+    # into shape (2,)", named no argument.
+    call, name, _, _ = ARRAY_VALUES[entry]
+    message = f"{name}'s entries do not form a rectangular array"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call([np.zeros((2, 2)), np.zeros((2, 3))])
 
 
 def test_low_rank_solve_refuses_a_nan_rhs():

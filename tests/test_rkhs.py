@@ -9,10 +9,13 @@ import pytest
 import krstab.cli
 import krstab.rkhs
 from krstab.kernels import GramMatrix, KernelSpec, PointSet, eval_kernel, gram
+from krstab.linalg import DiagnosticsError
 from krstab.rkhs import (
     RepresenterFunction,
     combine,
+    cross_term_distance,
     evaluate,
+    gram_norm,
     h_distance,
     inner_product,
     rkhs_norm,
@@ -181,8 +184,11 @@ class TestNormAndDistance:
             return kernel_matrix(*args)
 
         monkeypatch.setattr(krstab.rkhs, "kernel_matrix", counted)
-        assert h_distance(fit, other, gram_matrix=g) == expect > 0.0
+        got = h_distance(fit, other, gram_matrix=g)
         assert (not built) == gram_used
+        # The Gram path takes a vector as a one-column block, whose quadratic
+        # form sums in another order than rkhs_norm's matrix-vector products.
+        assert abs(got - expect) <= (1e-12 * expect if gram_used else 0.0) and expect > 0.0
 
     def test_supplied_gram_matrix_clamps_negative_squares(self):
         pts = PointSet([[0.0], [1.0]])
@@ -191,6 +197,21 @@ class TestNormAndDistance:
         indefinite = GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # d'Gd = -2
         with pytest.warns(RuntimeWarning, match="significantly negative"):
             assert h_distance(f, g, gram_matrix=indefinite) == 0.0
+
+    @pytest.mark.parametrize(
+        "norm",
+        [
+            lambda: cross_term_distance([1e200], [1e200], [1e200], 1.0),  # inf - inf
+            lambda: rkhs_norm(RepresenterFunction(GAUSS, PointSet([[0.0]]), [1e200])),
+            lambda: gram_norm(GramMatrix(np.eye(2)), [[1.0, 1e200], [0.0, 0.0]]),
+        ],
+        ids=["cross_term_distance", "rkhs_norm", "gram_norm"],
+    )
+    def test_a_square_that_overflows_is_a_diagnostic(self, norm):
+        # max(nan, 0.0) is nan, and sqrt(inf) is inf: both passed through.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DiagnosticsError, match=r"^squared norm (nan|inf) is not finite"):
+                norm()
 
     def test_cauchy_schwarz(self):
         rng = np.random.default_rng(28)
@@ -263,7 +284,8 @@ class TestCombine:
         h = RepresenterFunction(GAUSS, pts, [0.25, 1.0, -1.5, 2.0])
         expect = rkhs_norm(combine_oracle(f, h, 1.0, -1.0))
         assert h_distance(f, h) == expect
-        assert h_distance(f, h, gram_matrix=g) == expect
+        # The Gram path's one-column block sums in another order.
+        assert abs(h_distance(f, h, gram_matrix=g) - expect) <= 1e-12 * expect
 
     def test_merges_exact_duplicates(self):
         pts = PointSet([[0.0], [1.0]])
