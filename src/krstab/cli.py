@@ -48,7 +48,7 @@ from .experiments import (
     run_thm1,
     run_thm2,
 )
-from .kernels import KernelSpec, PointSet, gram, sample_kappa
+from .kernels import KernelSpec, PointSet, sample_kappa
 from .linalg import DiagnosticsError, _as_count, _as_real
 from .operators import (
     EvaluationOperator,
@@ -59,7 +59,7 @@ from .operators import (
     operator_norm_bound_p,
     shrinkage_profile,
 )
-from .rkhs import RepresenterFunction
+from .rkhs import RepresenterFunction, evaluate
 from .solver import DataSet, krr_fit, min_norm_interpolant, regularized_risk
 from .stability import (
     Schedule,
@@ -453,18 +453,15 @@ def _residuals_csv(residuals: np.ndarray) -> str:
 
 def _cmd_fit(cfg: dict, args: dict) -> tuple[str, ...]:
     data, lam = DataSet(*args["dataset"]), args["lambda"]
-    g = gram(args["kernel"], data.pts)
-    f = krr_fit(data, lam, args["kernel"], gram_matrix=g)
-    objective = regularized_risk(f, data, lam, gram_matrix=g)
-    fit = {**f.to_json_dict(), "lambda": lam, "objective": objective}
-    return _json_text(fit), _residuals_csv(g.entries @ f.coeffs - data.labels)
+    f = krr_fit(data, lam, args["kernel"])
+    fit = {**f.to_json_dict(), "lambda": lam, "objective": regularized_risk(f, data, lam)}
+    return _json_text(fit), _residuals_csv(evaluate(f, data.pts) - data.labels)
 
 
 def _cmd_interpolate(cfg: dict, args: dict) -> tuple[str, ...]:
     pts, values = args["dataset"]
-    g = gram(args["kernel"], pts)
-    f = min_norm_interpolant(pts, values, args["kernel"], gram_matrix=g)
-    return _json_text(f.to_json_dict()), _residuals_csv(g.entries @ f.coeffs - values)
+    f = min_norm_interpolant(pts, values, args["kernel"])
+    return _json_text(f.to_json_dict()), _residuals_csv(evaluate(f, pts) - values)
 
 
 def _plot_text(report: ExperimentReport) -> str:

@@ -87,11 +87,13 @@ with N = 32 and 64 go dense by the size floor (their rank caps, 8 and 16,
 are below 19 anyway); a high-rank design, such as a gaussian of width 0.5
 on [0, 5]^4, stays dense by the rank cap.  At the shipped schedule
 (lam = 0.5 N^-0.3, trace(G) / (N lam) <= 20) the two routes' distances
-measured at most 9.4e-14 apart relative (every row with N >= 128 of the
-N = 32..2048, 10-trial grid at master seeds 0, 777 and 1000, 1 BLAS
-thread).  ``run_thm2`` and the other
-commands take the dense route only, with no route decision (a thm2 row's
-``route`` is "").
+on one sample measured at most 1.7e-13 apart relative: 1.69e-13, 1.70e-13
+and 7.5e-14 over the rows with N >= 128 of the N = 32..2048, 10-trial grid
+at master seeds 0, 777 and 1000, with the factor stopped at eps N lam (a
+2-vCPU Xeon, OpenBLAS 0.3.31, 1 BLAS thread).  ``tests/test_low_rank.py``
+holds the two routes to rtol 1e-10.  ``run_thm2`` and the other commands
+take the dense route only, with no route decision (a thm2 row's ``route``
+is "").
 
 Rows are reproducible in isolation: the seed of row (grid_index, trial) is
 ``mix64(master_seed, grid_index * 2**32 + trial)``, so enlarging the grid or

@@ -358,8 +358,12 @@ class GramMatrix:
     ``entries[i, j] == entries[j, i]`` holds exactly (upper triangle is
     mirrored), ``max_diag`` is the largest diagonal entry (the scale of the
     PSD tolerance), and ``eigen`` is computed once on first use and reused by
-    every solve.
+    every solve.  ``kernel`` and ``pts`` are the kernel and points that
+    :func:`gram` built it from, or None for a matrix built from raw entries.
     """
+
+    kernel: KernelSpec | None = None
+    pts: PointSet | None = None
 
     def __init__(self, entries):
         m = _as_floats(entries, "Gram matrix entries")
@@ -408,6 +412,28 @@ class GramMatrix:
 
 
 def gram(spec: KernelSpec, pts: PointSet) -> GramMatrix:
-    """Gram matrix of one point set under one kernel."""
+    """Gram matrix of one point set under one kernel, which it records."""
     pts = _point_set(pts)
-    return GramMatrix(kernel_matrix(spec, pts, pts))
+    g = GramMatrix(kernel_matrix(spec, pts, pts))
+    g.kernel, g.pts = spec, pts
+    return g
+
+
+def _same_rows(p: PointSet, q: PointSet) -> bool:
+    """Whether two point sets are one: the same object or byte-equal rows."""
+    return p is q or (
+        p.points.shape == q.points.shape and p.points.tobytes() == q.points.tobytes()
+    )
+
+
+def _check_gram(g: GramMatrix, spec: KernelSpec, pts: PointSet) -> GramMatrix:
+    """``g`` as a caller's ``gram_matrix=`` for ``pts`` under ``spec``: a
+    ValueError naming it if :func:`gram` built it under another kernel or on
+    other points.  A matrix from raw entries records neither and is trusted."""
+    if g.kernel is not None and g.kernel != spec:
+        raise ValueError(
+            f"gram_matrix is of kernel {g.kernel.to_json_dict()}, not {spec.to_json_dict()}"
+        )
+    if g.pts is not None and not _same_rows(g.pts, pts):
+        raise ValueError(f"gram_matrix is of other points than the {len(pts)} given")
+    return g

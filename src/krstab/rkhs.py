@@ -31,7 +31,15 @@ import warnings
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelSpec, PointSet, _point_set, kernel_matrix
+from .kernels import (
+    GramMatrix,
+    KernelSpec,
+    PointSet,
+    _check_gram,
+    _point_set,
+    _same_rows,
+    kernel_matrix,
+)
 from .linalg import DiagnosticsError, Frozen, _as_floats, _as_real
 
 
@@ -118,12 +126,6 @@ def gram_norm(g: GramMatrix, coeffs: np.ndarray):
     return np.array(norms) if coeffs.ndim == 2 else norms[0]
 
 
-def _same_rows(p: PointSet, q: PointSet) -> bool:
-    return p is q or (
-        p.points.shape == q.points.shape and p.points.tobytes() == q.points.tobytes()
-    )
-
-
 def combine(
     f: RepresenterFunction, g: RepresenterFunction, a: float = 1.0, b: float = 1.0
 ) -> RepresenterFunction:
@@ -154,12 +156,16 @@ def h_distance(
 
     When ``gram_matrix`` is supplied and the difference lies on f's point set,
     whose Gram matrix it is (repeated rows or not), the norms are one
-    :func:`gram_norm` call and no kernel matrix is built.  Otherwise the
-    difference takes :func:`rkhs_norm`, which takes a vector only.
+    :func:`gram_norm` call and no kernel matrix is built; a Gram matrix that
+    :func:`~krstab.kernels.gram` built under another kernel or on other
+    points is then a ValueError naming ``gram_matrix``, and one from raw
+    entries of another size is not used.  Otherwise the difference takes
+    :func:`rkhs_norm`, which takes a vector only.
     """
     diff = combine(f, g, 1.0, -1.0)
-    if gram_matrix is not None and diff.anchors is f.anchors and gram_matrix.n == len(f.anchors):
-        return gram_norm(gram_matrix, diff.coeffs)
+    if gram_matrix is not None and diff.anchors is f.anchors:
+        if _check_gram(gram_matrix, f.kernel, f.anchors).n == len(f.anchors):
+            return gram_norm(gram_matrix, diff.coeffs)
     return rkhs_norm(diff)
 
 

@@ -12,14 +12,16 @@ the minimal-norm interpolant, whose coefficients are the pseudoinverse
 solution of G alpha = y.  :func:`krr_fit` and :func:`min_norm_interpolant`
 return the function itself, a :class:`~krstab.rkhs.RepresenterFunction`;
 its risk is :func:`regularized_risk` and its residuals
-``evaluate(f, data.pts) - data.labels``, or G @ f.coeffs - data.labels when
-the caller holds the points' Gram matrix G.  All three functions take G as
-``gram_matrix=``, so that a caller builds it once.  A :class:`DataSet`'s
-labels are a vector or an (n, k) block of k label draws; :func:`krr_fit`
-fits either in one block solve, each column with its own lam if the
-caller gives one per column, as one expansion of the labels' shape.  Labels,
-lam and interpolation values are read by :func:`~krstab.linalg._as_floats`,
-which refuses a bool, a non-number, nan, inf and a wrong shape by name.
+``evaluate(f, data.pts) - data.labels``.  The two solvers take the points'
+Gram matrix G as ``gram_matrix=``, so that a caller who solves several
+times on one point set builds G and its eigendecomposition once; a G that
+:func:`~krstab.kernels.gram` built under another kernel or on other points
+is refused by that name.  A :class:`DataSet`'s labels are a vector or an
+(n, k) block of k label draws; :func:`krr_fit` fits either in one block
+solve, each column with its own lam if the caller gives one per column, as
+one expansion of the labels' shape.  Labels, lam and interpolation values
+are read by :func:`~krstab.linalg._as_floats`, which refuses a bool, a
+non-number, nan, inf and a wrong shape by name.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelSpec, PointSet, _point_set, gram
+from .kernels import GramMatrix, KernelSpec, PointSet, _check_gram, _point_set, gram
 from .linalg import (
     DiagnosticsError,
     Frozen,
@@ -53,27 +55,16 @@ class DataSet(Frozen):
         vars(self).update(pts=pts, labels=y)
 
 
-def regularized_risk(
-    f: RepresenterFunction, data: DataSet, lam: float, gram_matrix: GramMatrix | None = None
-) -> float:
-    """L(f) exactly as displayed in the module docstring, for vectors.
-
-    ``gram_matrix`` may be supplied when f's anchors are the data's points
-    and it is their Gram matrix G: then f(x) = G alpha and ||f||^2 =
-    alpha . G . alpha come from it, in the order of :func:`evaluate` and
-    :func:`inner_product`, and no kernel matrix is built.
-    """
+def regularized_risk(f: RepresenterFunction, data: DataSet, lam: float) -> float:
+    """L(f) exactly as displayed in the module docstring, for vectors: the
+    values of f at the data's points by :func:`evaluate` and ||f||^2 by
+    :func:`inner_product`."""
     if data.labels.ndim != 1 or f.coeffs.ndim != 1:
         shapes = data.labels.shape, f.coeffs.shape
         raise ValueError(f"the risk takes one label vector and coefficient vector, got {shapes}")
     _as_real(lam, "lam")
-    if gram_matrix is not None and f.anchors is data.pts and gram_matrix.n == len(data.pts):
-        vals = gram_matrix.entries @ f.coeffs
-        sq = float(f.coeffs @ gram_matrix.entries @ f.coeffs)
-    else:
-        vals, sq = evaluate(f, data.pts), inner_product(f, f)
-    data_term = float(np.mean((vals - data.labels) ** 2))
-    return data_term + lam * sq
+    data_term = float(np.mean((evaluate(f, data.pts) - data.labels) ** 2))
+    return data_term + lam * inner_product(f, f)
 
 
 def krr_fit(
@@ -92,12 +83,13 @@ def krr_fit(
     coefficients have the labels' shape: the fit of a label vector, or the
     (n, k) block of one fit per column.  ``gram_matrix`` may be supplied when
     the caller already holds the Gram matrix of the points (its cached
-    decomposition is then reused).
+    decomposition is then reused); one that :func:`~krstab.kernels.gram`
+    built under another kernel or on other points is a ValueError naming it.
     """
-    y = data.labels
-    g = gram_matrix if gram_matrix is not None else gram(kernel, data.pts)
+    y, pts = data.labels, data.pts
+    g = gram(kernel, pts) if gram_matrix is None else _check_gram(gram_matrix, kernel, pts)
     alphas = regularized_solve(g, len(y) * _as_floats(lam, "lam"), y)
-    return RepresenterFunction(kernel, data.pts, alphas)
+    return RepresenterFunction(kernel, pts, alphas)
 
 
 def min_norm_interpolant(
@@ -107,8 +99,10 @@ def min_norm_interpolant(
 
     Raises InconsistentSystemError when no kernel expansion over ``pts``
     attains the values (rank-deficient Gram matrix with incompatible data).
+    ``gram_matrix`` is checked as in :func:`krr_fit`.
     """
-    g = gram_matrix if gram_matrix is not None else gram(kernel, pts)
+    pts = _point_set(pts)
+    g = gram(kernel, pts) if gram_matrix is None else _check_gram(gram_matrix, kernel, pts)
     alpha = pinv_solve(g, values)
     return RepresenterFunction(kernel, pts, alpha)
 

@@ -445,10 +445,10 @@ class TestLabelBlock:
             DataSet(pts, np.ones(shape))
 
     def test_block_has_no_risk(self):
-        pts, g = design(False)
+        pts, _ = design(False)
         f = RepresenterFunction(KERNEL, pts, block(26)[:, 0])
         with pytest.raises(ValueError, match="one label vector"):
-            regularized_risk(f, DataSet(pts, block(27)), LAM, gram_matrix=g)
+            regularized_risk(f, DataSet(pts, block(27)), LAM)
 
     def test_krr_fit_takes_no_sequence_of_datasets(self):
         pts, g = design(False)

@@ -987,14 +987,15 @@ def test_sample_config_runs(tmp_path, config):
         assert Path(str(out) + suffix).is_file()
 
 
-@pytest.mark.parametrize("command", ["fit", "interpolate"])
-def test_fit_and_interpolate_build_one_kernel_matrix(tmp_path, kernel_matrix_calls, command):
-    # The fitted values, the residuals and the objective come from the Gram
-    # matrix that the solve factors.
+@pytest.mark.parametrize("command,count", [("fit", 4), ("interpolate", 2)])
+def test_fit_and_interpolate_kernel_matrices(tmp_path, kernel_matrix_calls, command, count):
+    # The solve builds the Gram matrix it factors; the residuals are
+    # evaluate's values, and fit's objective is regularized_risk's evaluate
+    # and inner_product.  Each is one n x n kernel matrix.
     config = ROOT / "docs" / "configs" / f"{command}.json"
     assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 0
     n = len(json.loads(config.read_text(encoding="utf-8"))["dataset"]["points"])
-    assert kernel_matrix_calls == [(n, n)]
+    assert kernel_matrix_calls == [(n, n)] * count
 
 
 def _edited_docs_config(command: str, edits: dict) -> dict:

@@ -1,5 +1,5 @@
-"""thm1's low-rank rows and the docs thm2 run against the extended-precision
-oracle (tests/oracle.py).
+"""thm1's low-rank and dense rows and the docs thm2 run against the
+extended-precision oracle (tests/oracle.py).
 
 thm1's low-rank route stops its factor L once the residual trace is at most
 eps * N lam, and takes a row only if trace(G) / (N lam) <= eps / u, with eps
@@ -52,6 +52,24 @@ arithmetic, is at most the bound on an H-norm whose vector is within
 E_alpha + E_beta + E_noise + n lam E_z of 0.  The oracle's own gap is
 within that bound at long double's u, with the backward error of its
 Cholesky solves, n gamma_3n+1 <= 4 n^2 u (Higham, thm 10.4), for eps2.
+
+thm1's dense rows (``krr_fit`` and ``h_distance`` through the
+eigendecomposition of the row's G) take the same bounds, with eps2 = M^2 u,
+M = N + m for the target's m anchors, and w the double eigenvalues of G:
+
+* the fit alpha is one solve, within e(kappa) ||alpha|| of the oracle's,
+  kappa = cond(G + N lam I);
+* the distance is the H-norm of the expansion [alpha; -c] over the N + m
+  points, which ``h_distance`` combines with the target's coefficients c.
+  Its error from the fit's is ||alpha-hat - alpha||_G <= sqrt(w_1) e(kappa)
+  ||alpha||, and its computed quadratic form on the M x M kernel matrix is
+  within 3 eps2 ||x-hat||^2 of the exact one: gamma_2M |x|.|K|.|x| <=
+  2 M^2 u ||x||^2 with gaussian entries in [0, 1], plus the kernel values'
+  c M u ||x||^2, with c = ``rounding_constant`` < 6 in one dimension.
+
+The rows checked are the docs thm1 design's N = 32 and 64 rows at the
+shipped schedule, dense by the size floor, and rows that the condition limit
+sends dense: lam = 1e-4 at N = 128, where trace(G) / (N lam) = 1e4 > eps / u.
 """
 
 import json
@@ -68,6 +86,7 @@ from krstab.experiments import DataDistribution, NoiseProcess, run_thm1, sample_
 from krstab.kernels import KernelSpec, PointSet, gram, kernel_diag
 from krstab.linalg import _RANK_TOL, low_rank_solve
 from krstab.rkhs import RepresenterFunction, inner_product
+from krstab.solver import krr_fit
 from krstab.stability import Schedule
 
 EPS = exp._ACCURACY
@@ -130,9 +149,10 @@ THM2_CONFIG = Path(__file__).resolve().parents[1] / "docs" / "configs" / "thm2.j
 LONG_DOUBLE_ROUNDOFF = float(np.finfo(np.longdouble).eps) / 2
 
 
-class Thm2Bounds:
-    """The module docstring's thm2 bounds on a design whose G has the double
-    eigenvalues ``w``, for solves of backward error ``eps2`` and unit roundoff ``u``."""
+class DenseBounds:
+    """The module docstring's dense-route bounds on a design whose G has the
+    double eigenvalues ``w``, for solves of backward error ``eps2`` and unit
+    roundoff ``u``."""
 
     def __init__(self, w, eps2, u):
         widen = len(w) ** 2 * UNIT_ROUNDOFF * w[0]
@@ -167,6 +187,45 @@ def _norm(x):
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
 
 
+THM1_CONFIG = THM2_CONFIG.with_name("thm1.json")
+
+
+def check_dense_rows(report, dist, reason):
+    """Checks every row of ``report``, sent dense by ``reason``, against the
+    oracle within the module docstring's dense-route bounds."""
+    target = dist.target
+    for row in report.rows:
+        assert row.route == reason and row.flag == ""
+        n = row.index_var
+        data, _ = sample_dataset(dist, n, row.seed)
+        fit = krr_fit(data, row.lam, target.kernel).coeffs
+        alpha, exact = thm1_row(data, row.lam, target)
+        w = gram(target.kernel, data.pts).eigen.eigenvalues
+        m = n + len(target.anchors)
+        bounds = DenseBounds(w, m**2 * UNIT_ROUNDOFF, UNIT_ROUNDOFF)
+        delta = bounds.solve(n * row.lam) * _norm(alpha)
+        assert _norm(fit - alpha) <= delta, n
+        size = math.hypot(_norm(alpha), _norm(target.coeffs)) + delta
+        gap = abs(row.h_distance - float(exact))
+        assert gap <= bounds.h_norm(float(exact), delta, size), n
+
+
+@needs_long_double
+def test_dense_rows_of_the_docs_design():
+    args = _validate_config("thm1", json.loads(THM1_CONFIG.read_text(encoding="utf-8")))
+    # A row's seed depends on its grid index and trial only, so the first two
+    # grid entries give the docs run's N = 32 and 64 rows.
+    assert args["n_grid"][:2] == [32, 64]
+    args.update(n_grid=args["n_grid"][:2])
+    check_dense_rows(run_thm1(**args), args["dist"], "size floor")
+
+
+@needs_long_double
+def test_dense_rows_beyond_the_condition_limit():
+    # trace(G) / (N lam) = 128 / (128 * 1e-4) = 1e4 > eps / u = 9007.
+    check_dense_rows(run_thm1(CRIT4, Schedule(1e-4, 0.0), [128], 2, 1), CRIT4, "condition limit")
+
+
 @pytest.fixture(scope="module")
 def thm2_docs_run():
     """The docs thm2 run's rows, interpolant and block of fits, as the
@@ -190,7 +249,7 @@ def thm2_docs_run():
     w = gram(target.kernel, pts).eigen.eigenvalues
     # Full rank, from the double eigenvalues: pinv_solve keeps every one, so
     # G^+ = G^-1, and the widened w_n of the docstring's bounds is positive.
-    bounds = Thm2Bounds(w, len(pts) ** 2 * UNIT_ROUNDOFF, UNIT_ROUNDOFF)
+    bounds = DenseBounds(w, len(pts) ** 2 * UNIT_ROUNDOFF, UNIT_ROUNDOFF)
     assert w[-1] > _RANK_TOL * w[0] and bounds.w_n > 0
     g, values, beta = thm2_design(pts, target)
     rows = []
@@ -245,7 +304,7 @@ def _residual_bound(bounds, n_lam, t, noise, alpha, beta, shrink):
 @needs_long_double
 def test_thm2_decomposition_residual(thm2_docs_run):
     w, bounds, (_, beta) = thm2_docs_run["w"], thm2_docs_run["bounds"], thm2_docs_run["beta"]
-    own = Thm2Bounds(w, 4 * len(w) ** 2 * LONG_DOUBLE_ROUNDOFF, LONG_DOUBLE_ROUNDOFF)
+    own = DenseBounds(w, 4 * len(w) ** 2 * LONG_DOUBLE_ROUNDOFF, LONG_DOUBLE_ROUNDOFF)
     for row, fit, b, (alpha, shrink, _, _, gap) in thm2_docs_run["rows"]:
         n_lam, t = len(fit) * row.lam, row.index_var
         assert row.decomp_residual <= _residual_bound(bounds, n_lam, t, b, alpha, beta, shrink)

@@ -157,6 +157,7 @@ class TestNormAndDistance:
             ("same points", True),
             ("anchors differ", False),
             ("duplicate rows", True),
+            ("byte-equal gram points", True),
             ("gram size differs", False),
         ],
     )
@@ -173,8 +174,11 @@ class TestNormAndDistance:
         other = min_norm_interpolant(pts, values, GAUSS, gram_matrix=g)
         if case == "anchors differ":
             other = random_function(rng, d=2)
+        if case == "byte-equal gram points":
+            g = gram(GAUSS, PointSet(rows))
         if case == "gram size differs":
-            g = gram(GAUSS, PointSet(rows[:-1]))
+            # From raw entries, which record no points: the size is its check.
+            g = GramMatrix(gram(GAUSS, PointSet(rows[:-1])).entries)
         expect = h_distance(fit, other)
         built = []
         kernel_matrix = krstab.rkhs.kernel_matrix
@@ -189,6 +193,23 @@ class TestNormAndDistance:
         # The Gram path takes a vector as a one-column block, whose quadratic
         # form sums in another order than rkhs_norm's matrix-vector products.
         assert abs(got - expect) <= (1e-12 * expect if gram_used else 0.0) and expect > 0.0
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            (GAUSS, PointSet([[0.0], [5.0], [9.0]])),
+            (KernelSpec.gaussian(3.0), PointSet([[0.0], [1.0], [2.0]])),
+            (GAUSS, PointSet([[0.0], [1.0]])),
+        ],
+        ids=["other points", "another kernel", "fewer points"],
+    )
+    def test_refuses_a_gram_matrix_of_other_points_or_kernel(self, other):
+        # Used on f's points, it would give another distance without an error.
+        pts = PointSet([[0.0], [1.0], [2.0]])
+        f = RepresenterFunction(GAUSS, pts, [0.8, 0.3, -0.3])
+        fbar = RepresenterFunction(GAUSS, pts, [0.9, 0.3, -0.3])
+        with pytest.raises(ValueError, match="^gram_matrix is of "):
+            h_distance(f, fbar, gram_matrix=gram(*other))
 
     def test_supplied_gram_matrix_clamps_negative_squares(self):
         pts = PointSet([[0.0], [1.0]])

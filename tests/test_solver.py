@@ -5,7 +5,7 @@ interpolant's defining properties."""
 import numpy as np
 import pytest
 
-from krstab.kernels import KernelSpec, PointSet, gram
+from krstab.kernels import GramMatrix, KernelSpec, PointSet, gram
 from krstab.linalg import DiagnosticsError, regularized_solve
 from krstab.operators import EvaluationOperator, ker_p_sample
 from krstab.rkhs import RepresenterFunction, evaluate, h_distance, inner_product, rkhs_norm
@@ -39,20 +39,42 @@ class TestRegularizedRisk:
         with pytest.raises(ValueError):
             regularized_risk(f, data, 0.0)
 
-    def test_gram_matrix_route_has_the_bits_of_evaluate(self, instance_factory):
-        # With the Gram matrix of the fit's own points the values and the
-        # norm come from it, in the order of evaluate and inner_product.
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            spec, pts, g = instance_factory(rng, 1e8)
-            data = DataSet(pts, rng.normal(size=len(pts)))
-            f = krr_fit(data, 0.05, spec, gram_matrix=g)
-            assert regularized_risk(f, data, 0.05, gram_matrix=g) == regularized_risk(f, data, 0.05)
-        # A Gram matrix of other points is not used.
-        other = gram(GAUSS, PointSet([[0.0], [5.0]]))
-        f = RepresenterFunction(GAUSS, PointSet([[0.0], [1.0]]), [1.0, -1.0])
-        data = DataSet(PointSet([[0.0], [1.0]]), [0.5, 0.5])
-        assert regularized_risk(f, data, 0.1, gram_matrix=other) == regularized_risk(f, data, 0.1)
+
+class TestSuppliedGramMatrix:
+    # A Gram matrix from gram() records its kernel and points.  One of other
+    # points or of another kernel would give another fit without an error.
+    PTS = PointSet([[0.0], [1.0], [2.0]])
+    LABELS = [1.0, 0.5, -0.2]
+    SPEC = KernelSpec.gaussian(0.7)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            (SPEC, PointSet([[0.0], [5.0], [9.0]])),
+            (KernelSpec.gaussian(3.0), PTS),
+            (SPEC, PointSet([[0.0], [1.0]])),
+        ],
+        ids=["other points", "another kernel", "fewer points"],
+    )
+    def test_solvers_refuse_it(self, other):
+        g = gram(*other)
+        with pytest.raises(ValueError, match="^gram_matrix is of "):
+            krr_fit(DataSet(self.PTS, self.LABELS), 0.05, self.SPEC, gram_matrix=g)
+        with pytest.raises(ValueError, match="^gram_matrix is of "):
+            min_norm_interpolant(self.PTS, self.LABELS, self.SPEC, gram_matrix=g)
+
+    def test_byte_equal_points_and_raw_entries_are_used(self):
+        # The same rows in another PointSet, or raw points, are the same
+        # points; a matrix from raw entries records none and is trusted.
+        data = DataSet(self.PTS, self.LABELS)
+        fit = krr_fit(data, 0.05, self.SPEC).coeffs.tobytes()
+        interpolant = min_norm_interpolant(self.PTS, self.LABELS, self.SPEC).coeffs.tobytes()
+        own = gram(self.SPEC, self.PTS.points.copy())
+        for g in (own, GramMatrix(own.entries)):
+            assert krr_fit(data, 0.05, self.SPEC, gram_matrix=g).coeffs.tobytes() == fit
+            for pts in (self.PTS, self.PTS.points.tolist()):
+                got = min_norm_interpolant(pts, self.LABELS, self.SPEC, gram_matrix=g)
+                assert got.coeffs.tobytes() == interpolant
 
 
 class TestKrrFit:
