@@ -44,6 +44,7 @@ from .experiments import (
     DataDistribution,
     ExperimentReport,
     NoiseProcess,
+    _increasing,
     estimate_rate,
     run_thm1,
     run_thm2,
@@ -136,10 +137,7 @@ _rows = functools.partial(_array, item=_array)
 
 
 def _grid(value, path: str, item) -> list:
-    grid = _array(value, path, item)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"config key {path}: must be strictly increasing")
-    return grid
+    return _increasing(_array(value, path, item), f"config key {path}:")
 
 
 def _build(path: str, make, *args, **kwargs):

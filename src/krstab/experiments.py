@@ -34,12 +34,15 @@ in the Nystrom literature (Bach, COLT 2013; Rudi, Camoriano and Rosasco,
 NeurIPS 2015), because the fit solves (G + N lam I) alpha = y: E = G - L L^T
 is PSD with ||E|| <= trace(E) <= eps N lam, and the factor's fit differs from
 alpha by (L L^T + N lam I)^-1 E alpha, at most eps relative whatever lam is;
-||f||^2 moves by alpha . E alpha <= eps N lam ||alpha||^2.  The dense route is
-:func:`~krstab.solver.krr_fit` and :func:`~krstab.rkhs.h_distance` through
-the eigendecomposition of G, whose PSD check flags the row (the summary
-lists it under ``flagged_rows``), as does the solve's shift rule (see
+||f||^2 moves by alpha . E alpha <= eps N lam ||alpha||^2.  The dense route
+fits by :func:`~krstab.solver.krr_fit` through the eigendecomposition of G,
+whose PSD check flags the row (the summary lists it under
+``flagged_rows``), as does the solve's shift rule (see
 :func:`~krstab.linalg.regularized_solve`); a G above the size limit
-``kernels.MAX_ENTRIES`` flags it before it is allocated.  One
+``kernels.MAX_ENTRIES`` flags it before it is allocated.  Its distance is
+:func:`~krstab.rkhs.h_distance` to the target, the one quadratic form of
+:func:`~krstab.rkhs.rkhs_norm` on the kernel matrix of the fit's and the
+target's anchors together.  One
 :func:`_route` call per row picks the route.  It tests five limits, each a
 property of the row's input and each a constant of this module, in the
 order below; the first that fails sends the row dense, and its name is the
@@ -386,6 +389,15 @@ def default_c_bound(m_bound: float) -> float:
     return 4.0 * m_bound
 
 
+def _increasing(grid: list, name: str) -> list:
+    """``grid`` itself if each entry is above the one before, else a
+    ValueError naming ``name``: a repeated entry would merge two grid points
+    into one median, and the rate is fitted over increasing indexes."""
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
+    return grid
+
+
 def _sweep(schedule, grid, trials, seed, eta, m_bound, c_bound, kappa, target, b_max, n=None):
     """The rows of a harness run in one list, and the run's echo.
 
@@ -478,7 +490,7 @@ def run_thm2(
     t_grid = [_as_real(t, "t_grid entry") for t in t_grid]
     if not t_grid:
         raise ValueError("t_grid must be nonempty")
-    t_grid = [t if isinstance(t, int) else float(t) for t in t_grid]
+    t_grid = _increasing([t if isinstance(t, int) else float(t) for t in t_grid], "t_grid")
     kernel = f_tilde.kernel
     n = len(pts)
     kappa = sample_kappa(kernel, pts)
@@ -572,7 +584,7 @@ def run_thm1(
     their stability columns on n points and the metadata come from the sweep
     shared with :func:`run_thm2`.
     """
-    n_grid = [_as_count(n, "n_grid entry") for n in n_grid]
+    n_grid = _increasing([_as_count(n, "n_grid entry") for n in n_grid], "n_grid")
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
     kernel = dist.target.kernel

@@ -428,12 +428,15 @@ def _same_rows(p: PointSet, q: PointSet) -> bool:
 
 def _check_gram(g: GramMatrix, spec: KernelSpec, pts: PointSet) -> GramMatrix:
     """``g`` as a caller's ``gram_matrix=`` for ``pts`` under ``spec``: a
-    ValueError naming it if :func:`gram` built it under another kernel or on
-    other points.  A matrix from raw entries records neither and is trusted."""
+    ValueError naming it if it is not len(pts) x len(pts), or if :func:`gram`
+    built it under another kernel or on other points.  A matrix from raw
+    entries records neither kernel nor points, and only its size is checked."""
     if g.kernel is not None and g.kernel != spec:
         raise ValueError(
             f"gram_matrix is of kernel {g.kernel.to_json_dict()}, not {spec.to_json_dict()}"
         )
+    if g.n != len(pts):
+        raise ValueError(f"gram_matrix is of size {g.n}, not of the {len(pts)} points given")
     if g.pts is not None and not _same_rows(g.pts, pts):
         raise ValueError(f"gram_matrix is of other points than the {len(pts)} given")
     return g

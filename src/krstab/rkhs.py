@@ -9,14 +9,16 @@ the implementations here stay in pure vectorized numpy.  Expansions are never
 deduplicated: two expansions over one point set combine by adding
 coefficients, any others by concatenation.  The coefficients are a vector,
 or an (n, k) block of k expansions on one point set, as thm2 holds every
-fit of a run; :func:`h_distance` of a block is its k distances, one Gram
-quadratic form when the caller gives the points' Gram matrix, and
-:func:`inner_product` and :func:`rkhs_norm` take vectors only.
-:func:`gram_norm` has one path, on which a vector is a one-column block.
-:func:`cross_term_distance` takes a distance without a combined expansion
-and without a kernel value, from the product of a Gram matrix never held
-whole with the coefficients, as the thm1 harness's low-rank route gets it,
-and from the other function's values and squared norm.  Coefficients are
+fit of a run.  Every H-norm of an expansion is one quadratic form on its
+coefficients, a vector being a one-column block, and the kernel matrix of
+its anchors: :func:`rkhs_norm` builds that matrix, :func:`gram_norm` takes
+a caller's Gram matrix, and :func:`h_distance` is one of the two on the
+difference that :func:`combine` builds.  :func:`inner_product` takes
+vectors only.  :func:`cross_term_distance` takes a distance without a
+combined expansion and without a kernel value, from the product of a Gram
+matrix never held whole with the coefficients, as the thm1 harness's
+low-rank route gets it, and from the other function's values and squared
+norm.  Coefficients are
 read by :func:`~krstab.linalg._as_floats`, which refuses a bool, a
 non-number, nan, inf and a shape other than a vector or an (n, k >= 1)
 block by name, and so are the arrays :func:`cross_term_distance` takes;
@@ -101,11 +103,24 @@ def _norm_from_square(sq: float) -> float:
     return math.sqrt(max(sq, 0.0))
 
 
-def rkhs_norm(f: RepresenterFunction) -> float:
-    """||f||_H.  Tiny negative squared norms from rounding are clamped to 0;
-    anything below -1e-8 is flagged as a diagnostic, and a squared norm that
-    is not finite, whose terms overflow, is a DiagnosticsError."""
-    return _norm_from_square(inner_product(f, f))
+def _norms(k: np.ndarray, coeffs: np.ndarray):
+    """The norms of the expansions with ``coeffs``, a vector or an (n, k)
+    block C, over anchors whose kernel matrix is ``k``: the squares sum(C *
+    (K @ C), axis=0), one matrix-matrix product, each clamped and flagged
+    as the caller reads the iterator.  map calls from C, so a warning's
+    stacklevel names the caller's own caller."""
+    block = coeffs.reshape(len(k), -1)
+    return map(_norm_from_square, np.sum(block * (k @ block), axis=0).tolist())
+
+
+def rkhs_norm(f: RepresenterFunction):
+    """||f||_H, :func:`gram_norm`'s quadratic form on the kernel matrix of
+    f's anchors: a float for a vector, or the k norms of an (n, k) block.
+    Tiny negative squared norms from rounding are clamped to 0; anything
+    below -1e-8 is flagged as a diagnostic, and a squared norm that is not
+    finite, whose terms overflow, is a DiagnosticsError."""
+    norms = np.fromiter(_norms(kernel_matrix(f.kernel, f.anchors, f.anchors), f.coeffs), float)
+    return norms if f.coeffs.ndim == 2 else float(norms[0])
 
 
 def gram_norm(g: GramMatrix, coeffs: np.ndarray):
@@ -119,11 +134,8 @@ def gram_norm(g: GramMatrix, coeffs: np.ndarray):
     are refused before the product.
     """
     coeffs = _as_floats(coeffs, "coeffs", g.n)
-    block = coeffs.reshape(g.n, -1)
-    squares = np.sum(block * (g.entries @ block), axis=0)
-    # map calls from C, so the warning's stacklevel still names gram_norm's caller.
-    norms = list(map(_norm_from_square, squares.tolist()))
-    return np.array(norms) if coeffs.ndim == 2 else norms[0]
+    norms = np.fromiter(_norms(g.entries, coeffs), float)
+    return norms if coeffs.ndim == 2 else float(norms[0])
 
 
 def combine(
@@ -151,22 +163,22 @@ def combine(
 def h_distance(
     f: RepresenterFunction, g: RepresenterFunction, gram_matrix: GramMatrix | None = None
 ) -> float | np.ndarray:
-    """||f - g||_H via the combined expansion of f - g, built by :func:`combine`:
-    a float for a coefficient vector, or the k distances of an (n, k) block.
+    """||f - g||_H, the norm of the difference d = f - g that :func:`combine`
+    builds: a float for a coefficient vector, or the k distances of an
+    (n, k) block.
 
-    When ``gram_matrix`` is supplied and the difference lies on f's point set,
-    whose Gram matrix it is (repeated rows or not), the norms are one
-    :func:`gram_norm` call and no kernel matrix is built; a Gram matrix that
-    :func:`~krstab.kernels.gram` built under another kernel or on other
-    points is then a ValueError naming ``gram_matrix``, and one from raw
-    entries of another size is not used.  Otherwise the difference takes
-    :func:`rkhs_norm`, which takes a vector only.
+    Without ``gram_matrix`` it is :func:`rkhs_norm` of d; with it,
+    :func:`gram_norm` of d's coefficients on it, so no kernel matrix is
+    built.  It must be the Gram matrix of d's anchors, f's points when f
+    and g share them: one of another size, kernel or points is a ValueError
+    naming ``gram_matrix``.  A gaussian :func:`~krstab.kernels.gram` holds
+    the bits of the kernel matrix that :func:`rkhs_norm` builds, so on it
+    the two give the same bits.
     """
     diff = combine(f, g, 1.0, -1.0)
-    if gram_matrix is not None and diff.anchors is f.anchors:
-        if _check_gram(gram_matrix, f.kernel, f.anchors).n == len(f.anchors):
-            return gram_norm(gram_matrix, diff.coeffs)
-    return rkhs_norm(diff)
+    if gram_matrix is None:
+        return rkhs_norm(diff)
+    return gram_norm(_check_gram(gram_matrix, f.kernel, diff.anchors), diff.coeffs)
 
 
 def cross_term_distance(coeffs, gram_product, g_values, g_sq: float) -> float:

@@ -9,10 +9,12 @@ numpy formula instead.  The single ``regularized_solve`` and ``krr_fit``
 calls, and a one-column ``decomposition_residual`` block, are pinned with
 ``==`` to their explicit formulas; ``gram_norm`` has one path, so a vector
 through it, and so through ``shrinkage_term`` and ``h_distance``'s Gram
-path, is pinned with ``==`` to its one-column block.  A block's column and
-a one-column block are two matrix products of different widths, which BLAS
-and numpy's sum may add in different orders, so they are compared within
-1e-12.  A block may carry one shift (one lam, one t) per column; each
+path, is pinned with ``==`` to its one-column block, and ``rkhs_norm``
+takes the same quadratic form on the kernel matrix it builds, so it is
+pinned with ``==`` to ``gram_norm`` on a gaussian Gram matrix.  A block's
+column and a one-column block are two matrix products of different widths,
+which BLAS and numpy's sum may add in different orders, so they are
+compared within 1e-12.  A block may carry one shift (one lam, one t) per column; each
 column of ``regularized_solve`` and ``krr_fit`` then matches its own scalar
 call, and each column of ``decomposition_residual`` its own one-column
 block.  The thm2 harness fits its label draws as one such block, and its
@@ -131,6 +133,29 @@ class TestBlockMatchesColumns:
         for j in range(K):
             assert abs(got[j] - want[j]) <= 1e-12 * want[j]
 
+    def test_h_distance_sequence_without_a_gram_matrix(self, repeated):
+        # Without the caller's G the block builds the kernel matrix of its
+        # points, whose gaussian bits are G's: the Gram path's bits, and each
+        # column's own distance.
+        pts, g = design(repeated)
+        c = block(16)
+        ref = RepresenterFunction(KERNEL, pts, block(17)[:, 0])
+        got = h_distance(RepresenterFunction(KERNEL, pts, c), ref)
+        assert isinstance(got, np.ndarray) and got.shape == (K,)
+        assert got.tobytes() == h_distance(RepresenterFunction(KERNEL, pts, c), ref, g).tobytes()
+        for j in range(K):
+            want = h_distance(RepresenterFunction(KERNEL, pts, c[:, j]), ref)
+            assert abs(got[j] - want) <= 1e-12 * want
+
+    def test_rkhs_norm(self, repeated):
+        pts, g = design(repeated)
+        c = block(18)
+        got = rkhs_norm(RepresenterFunction(KERNEL, pts, c))
+        assert got.tobytes() == gram_norm(g, c).tobytes()
+        for j in range(K):
+            want = rkhs_norm(RepresenterFunction(KERNEL, pts, c[:, j]))
+            assert abs(got[j] - want) <= 1e-12 * want
+
     def test_combine(self, repeated):
         # A vector joins every column of a block, on the block's own points
         # (added) and on other points (concatenated), in either order: each
@@ -180,6 +205,13 @@ class TestVectorsKeepTheirFormula:
             col = RepresenterFunction(KERNEL, pts, c[:, j : j + 1])
             got = h_distance(f, ref, gram_matrix=g)
             assert type(got) is float and got == h_distance(col, ref, gram_matrix=g)[0]
+
+    def test_rkhs_norm(self, repeated):
+        # The quadratic form of gram_norm, on the points' kernel matrix.
+        pts, g = design(repeated)
+        for c in block(19).T:
+            got = rkhs_norm(RepresenterFunction(KERNEL, pts, c))
+            assert type(got) is float and got == gram_norm(g, c)
 
     def test_decomposition_residual(self, repeated):
         _, g = design(repeated)
@@ -480,20 +512,20 @@ class TestLabelBlock:
 
 class TestHDistanceSequence:
     def test_members_off_the_gram_point_set_take_the_single_path(self):
-        # Off the Gram point set, or without a Gram matrix, the difference
-        # takes rkhs_norm: a vector gets the bits of rkhs_norm on its
-        # combined expansion, and a block is refused by name.
+        # Off the Gram point set the difference lies on more anchors than G
+        # has points, so G is refused by name; without a Gram matrix a
+        # vector's and a block's difference alike take rkhs_norm.
         pts, g = design(False)
         other = PointSet(pts.points + 1.0)
         c = block(15)
         ref = RepresenterFunction(KERNEL, pts, c[:, 0])
-        off = RepresenterFunction(KERNEL, other, c[:, 2])
-        want = rkhs_norm(combine(off, ref, 1.0, -1.0))
-        assert h_distance(off, ref, gram_matrix=g) == want == h_distance(off, ref)
-        for anchors, gm in ((other, g), (pts, None)):
-            f = RepresenterFunction(KERNEL, anchors, c)
-            with pytest.raises(ValueError, match=r"got a block of shape \(\d+, 4\)"):
-                h_distance(f, ref, gram_matrix=gm)
+        for coeffs in (c[:, 2], c):
+            off = RepresenterFunction(KERNEL, other, coeffs)
+            want = rkhs_norm(combine(off, ref, 1.0, -1.0))
+            got = h_distance(off, ref)
+            assert type(got) is type(want) and np.array_equal(got, want)
+            with pytest.raises(ValueError, match="^gram_matrix is of size 30, not of the 60 "):
+                h_distance(off, ref, gram_matrix=g)
 
     def test_rejects_empty_sequence(self):
         # An expansion holds at least one column, as a DataSet holds at
@@ -519,14 +551,12 @@ class TestHDistanceSequence:
     [
         lambda blk, vec: inner_product(blk, vec),
         lambda blk, vec: inner_product(vec, blk),
-        lambda blk, vec: rkhs_norm(blk),
         lambda blk, vec: regularized_risk(blk, DataSet(vec.anchors, block(33)[:, 0]), LAM),
         lambda blk, vec: closeness_certificate(rkhs_norm, rkhs_norm, vec, blk, 1.0),
     ],
     ids=[
         "inner_product-first",
         "inner_product-second",
-        "rkhs_norm",
         "regularized_risk",
         "closeness_certificate",
     ],

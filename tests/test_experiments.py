@@ -482,6 +482,22 @@ class TestRunThm1:
         assert floats.to_csv_text() == ints.to_csv_text()
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [[32, 32, 16], [16, 8], [4, 4], [10, 10.0]],
+    ids=["repeat-down", "down", "repeat", "int-float"],
+)
+def test_harnesses_refuse_a_grid_that_does_not_increase(grid):
+    # A repeated entry would run twice and give one median for two grid
+    # entries; the library refuses it, as the CLI refuses the config key.
+    with pytest.raises(ValueError, match=r"^n_grid must be strictly increasing$"):
+        run_thm1(make_dist(), Schedule(0.5, 0.3), grid, 2, 0)
+    pts = PointSet([[0.0], [1.0]])
+    noise = NoiseProcess(kind="uniform", b_max=0.1)
+    with pytest.raises(ValueError, match=r"^t_grid must be strictly increasing$"):
+        run_thm2(pts, make_target(), noise, Schedule(1.0, 1.0), grid, 2, 0)
+
+
 class TestBounds:
     def test_default_bounds(self):
         f = make_target()

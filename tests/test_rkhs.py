@@ -179,6 +179,12 @@ class TestNormAndDistance:
         if case == "gram size differs":
             # From raw entries, which record no points: the size is its check.
             g = GramMatrix(gram(GAUSS, PointSet(rows[:-1])).entries)
+        if not gram_used:
+            # The difference is on more anchors than G has points, or G is
+            # of another size: either would give another distance.
+            with pytest.raises(ValueError, match="^gram_matrix is of size 1[12], not of the "):
+                h_distance(fit, other, gram_matrix=g)
+            return
         expect = h_distance(fit, other)
         built = []
         kernel_matrix = krstab.rkhs.kernel_matrix
@@ -189,10 +195,10 @@ class TestNormAndDistance:
 
         monkeypatch.setattr(krstab.rkhs, "kernel_matrix", counted)
         got = h_distance(fit, other, gram_matrix=g)
-        assert (not built) == gram_used
-        # The Gram path takes a vector as a one-column block, whose quadratic
-        # form sums in another order than rkhs_norm's matrix-vector products.
-        assert abs(got - expect) <= (1e-12 * expect if gram_used else 0.0) and expect > 0.0
+        assert not built
+        # One quadratic form on one matrix: a gaussian G has the bits of the
+        # kernel matrix that rkhs_norm builds.
+        assert got == expect > 0.0
 
     @pytest.mark.parametrize(
         "other",
@@ -218,6 +224,17 @@ class TestNormAndDistance:
         indefinite = GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # d'Gd = -2
         with pytest.warns(RuntimeWarning, match="significantly negative"):
             assert h_distance(f, g, gram_matrix=indefinite) == 0.0
+
+    def test_a_negative_square_warns_at_the_callers_line(self, monkeypatch):
+        # rkhs_norm and gram_norm share one quadratic form; its warning still
+        # names the line that called the public function.
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        monkeypatch.setattr(krstab.rkhs, "kernel_matrix", lambda *args: indefinite)
+        f = RepresenterFunction(GAUSS, PointSet([[0.0], [1.0]]), [1.0, -1.0])
+        for norm in (lambda: rkhs_norm(f), lambda: gram_norm(GramMatrix(indefinite), f.coeffs)):
+            with pytest.warns(RuntimeWarning, match="significantly negative") as record:
+                assert norm() == 0.0
+            assert [w.filename for w in record] == [__file__]
 
     @pytest.mark.parametrize(
         "norm",
@@ -303,10 +320,14 @@ class TestCombine:
         g = gram(GAUSS, pts)
         f = RepresenterFunction(GAUSS, pts, [1.0, -2.0, 0.5, 3.0])
         h = RepresenterFunction(GAUSS, pts, [0.25, 1.0, -1.5, 2.0])
-        expect = rkhs_norm(combine_oracle(f, h, 1.0, -1.0))
-        assert h_distance(f, h) == expect
-        # The Gram path's one-column block sums in another order.
-        assert abs(h_distance(f, h, gram_matrix=g) - expect) <= 1e-12 * expect
+        # The difference keeps the repeated rows, and both paths take the
+        # one quadratic form on them.
+        expect = gram_norm(g, f.coeffs - h.coeffs)
+        assert h_distance(f, h) == expect == h_distance(f, h, gram_matrix=g)
+        # The merged expansion is the same function, its square summed over
+        # fewer terms.
+        merged = rkhs_norm(combine_oracle(f, h, 1.0, -1.0))
+        assert abs(merged - expect) <= 1e-12 * expect
 
     def test_merges_exact_duplicates(self):
         pts = PointSet([[0.0], [1.0]])

@@ -63,6 +63,21 @@ class TestSuppliedGramMatrix:
         with pytest.raises(ValueError, match="^gram_matrix is of "):
             min_norm_interpolant(self.PTS, self.LABELS, self.SPEC, gram_matrix=g)
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_a_raw_matrix_of_another_size_is_refused_by_name(self, size):
+        # A matrix from raw entries records no points: its size is checked,
+        # by all three functions that take a gram_matrix=.
+        g = GramMatrix(gram(self.SPEC, PointSet(np.arange(size, dtype=float))).entries)
+        f = RepresenterFunction(self.SPEC, self.PTS, [0.8, 0.3, -0.3])
+        calls = [
+            lambda: krr_fit(DataSet(self.PTS, self.LABELS), 0.05, self.SPEC, gram_matrix=g),
+            lambda: min_norm_interpolant(self.PTS, self.LABELS, self.SPEC, gram_matrix=g),
+            lambda: h_distance(f, f, gram_matrix=g),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^gram_matrix is of size {size}, not of the 3 "):
+                call()
+
     def test_byte_equal_points_and_raw_entries_are_used(self):
         # The same rows in another PointSet, or raw points, are the same
         # points; a matrix from raw entries records none and is trusted.
