@@ -226,12 +226,11 @@ class NoiseProcess(FrozenValue):
         if self.b_max == 0.0:
             return np.zeros(n)
         stream = SplitMix64(seed)
-        # Same bits as n scalar draws of lo + (hi - lo) * stream.next_double(),
-        # or of b_max signed by the top bit of stream.next_u64().
         if self.kind == "uniform":
-            lo, hi = -self.b_max, self.b_max
-            return lo + (hi - lo) * stream.doubles(n)
+            return stream.uniform(-self.b_max, self.b_max, n)
         if self.kind == "rademacher":
+            # Same bits as n scalar draws of b_max signed by the top bit of
+            # stream.next_u64().
             return self.b_max * np.where(stream.words(n) >> np.uint64(63), 1.0, -1.0)
         out = np.empty(n)
         for i in range(n):
@@ -272,8 +271,9 @@ class DataDistribution(Frozen):
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def sample_x(self, n: int, stream: SplitMix64) -> PointSet:
-        """n input points, coordinates drawn point-major from the stream.
+    def sample_x(self, n: int, seed: int) -> PointSet:
+        """n input points, uniform on the box, fully determined by seed: the
+        coordinates are drawn point-major by :meth:`SplitMix64.uniform`.
 
         More than ``kernels.MAX_ENTRIES`` coordinates raise a
         :class:`~krstab.linalg.DiagnosticsError` before anything is drawn,
@@ -284,16 +284,16 @@ class DataDistribution(Frozen):
                 f"a sample of {n} points in {self.dim} dimensions needs {8 * n * self.dim} "
                 f"bytes, above the limit of {kernels.MAX_ENTRIES} coordinates"
             )
-        u = stream.doubles(n * self.dim).reshape(n, self.dim)
-        return PointSet(self.lo + u * (self.hi - self.lo))
+        return PointSet(SplitMix64(seed).uniform(self.lo, self.hi, (n, self.dim)))
 
 
 def sample_dataset(dist: DataDistribution, n: int, seed: int) -> tuple[DataSet, np.ndarray]:
     """Draw (x_i, target(x_i) + b_i), and the target's values at the inputs,
     the labels without their noise.  Inputs and noise come from independent
-    substreams of ``seed``, so the draw is reproducible from the seed alone.
-    :meth:`DataDistribution.sample_x` reads ``n`` before anything is drawn."""
-    xs = dist.sample_x(n, SplitMix64(mix64(seed, 0)))
+    seeds, ``mix64(seed, 0)`` and ``mix64(seed, 1)``, so the draw is
+    reproducible from the seed alone.  :meth:`DataDistribution.sample_x`
+    reads ``n`` before anything is drawn."""
+    xs = dist.sample_x(n, mix64(seed, 0))
     b = dist.noise.sample(n, mix64(seed, 1))
     values = evaluate(dist.target, xs)
     return DataSet(pts=xs, labels=values + b), values
@@ -406,7 +406,13 @@ def _sweep(schedule, grid, trials, seed, eta, m_bound, c_bound, kappa, target, b
     grid[i // trials], lam = schedule.value(index), trial i % trials, a seed,
     and beta and p_n on that sample size; the harness fills in the rest.  The
     echo is the report's metadata; rows above the limits are never built.
+    The target must be one function, with a coefficient vector.
     """
+    if target.coeffs.ndim != 1:
+        raise ValueError(
+            f"the target must be one function with a coefficient vector, got coeffs of "
+            f"shape {target.coeffs.shape}"
+        )
     trials, seed = _as_count(trials, "trials"), _as_count(seed, "seed", low=None)
     _as_real(eta, "eta")
     count, limit = trials * len(grid), kernels.MAX_ENTRIES

@@ -95,10 +95,7 @@ def ker_p_sample(
         if row.tobytes() in base_rows:
             raise ValueError("extra points must be disjoint from the operator's points")
     if extra_coeffs is None:
-        stream = SplitMix64(seed)
-        # Same bits as lo + (hi - lo) * stream.next_double() per extra point.
-        lo, hi = -1.0, 1.0
-        c = lo + (hi - lo) * stream.doubles(len(extra_pts))
+        c = SplitMix64(seed).uniform(-1.0, 1.0, len(extra_pts))
     else:
         c = _as_floats(extra_coeffs, "extra_coeffs")
         if c.shape != (len(extra_pts),):

@@ -29,6 +29,8 @@ the scalars of :func:`combine` and ||g||^2 are read by
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -89,16 +91,24 @@ def inner_product(f: RepresenterFunction, g: RepresenterFunction) -> float:
     return float(f.coeffs @ cross @ g.coeffs)
 
 
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
 def _norm_from_square(sq: float) -> float:
-    """sqrt of a squared H-norm, with the clamp and flag of :func:`rkhs_norm`."""
+    """sqrt of a squared H-norm, with the clamp and flag of :func:`rkhs_norm`.
+    The warning names the first frame outside the krstab package, the line
+    that called krstab, whichever of its functions led here."""
     if not math.isfinite(sq):
         raise DiagnosticsError(f"squared norm {sq} is not finite: its terms overflow")
     if sq < -1e-8:
+        frame, level = sys._getframe(1), 2
+        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"squared norm {sq:.3e} is significantly negative; "
             "Gram matrix is numerically indefinite",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
     return math.sqrt(max(sq, 0.0))
 
@@ -106,11 +116,12 @@ def _norm_from_square(sq: float) -> float:
 def _norms(k: np.ndarray, coeffs: np.ndarray):
     """The norms of the expansions with ``coeffs``, a vector or an (n, k)
     block C, over anchors whose kernel matrix is ``k``: the squares sum(C *
-    (K @ C), axis=0), one matrix-matrix product, each clamped and flagged
-    as the caller reads the iterator.  map calls from C, so a warning's
-    stacklevel names the caller's own caller."""
+    (K @ C), axis=0), one matrix-matrix product, each clamped and flagged.
+    A float for a vector, an array of k norms for a block."""
     block = coeffs.reshape(len(k), -1)
-    return map(_norm_from_square, np.sum(block * (k @ block), axis=0).tolist())
+    squares = np.sum(block * (k @ block), axis=0).tolist()
+    norms = np.array([_norm_from_square(sq) for sq in squares])
+    return norms if coeffs.ndim == 2 else float(norms[0])
 
 
 def rkhs_norm(f: RepresenterFunction):
@@ -119,8 +130,7 @@ def rkhs_norm(f: RepresenterFunction):
     Tiny negative squared norms from rounding are clamped to 0; anything
     below -1e-8 is flagged as a diagnostic, and a squared norm that is not
     finite, whose terms overflow, is a DiagnosticsError."""
-    norms = np.fromiter(_norms(kernel_matrix(f.kernel, f.anchors, f.anchors), f.coeffs), float)
-    return norms if f.coeffs.ndim == 2 else float(norms[0])
+    return _norms(kernel_matrix(f.kernel, f.anchors, f.anchors), f.coeffs)
 
 
 def gram_norm(g: GramMatrix, coeffs: np.ndarray):
@@ -133,9 +143,7 @@ def gram_norm(g: GramMatrix, coeffs: np.ndarray):
     its one norm as a float.  Non-finite coefficients and an (n, 0) block
     are refused before the product.
     """
-    coeffs = _as_floats(coeffs, "coeffs", g.n)
-    norms = np.fromiter(_norms(g.entries, coeffs), float)
-    return norms if coeffs.ndim == 2 else float(norms[0])
+    return _norms(g.entries, _as_floats(coeffs, "coeffs", g.n))
 
 
 def combine(

@@ -17,7 +17,9 @@ the masked integer arithmetic does, so a batch is bit-identical to the same
 number of scalar draws.
 
 Doubles take the top 53 bits of an output word, giving the uniform grid
-``k * 2**-53`` on [0, 1).
+``k * 2**-53`` on [0, 1), and :meth:`SplitMix64.uniform` is the one map
+from doubles to an interval or a box: ``lo + (hi - lo) * u``, with the
+bits of that scalar expression on each double u in turn.
 """
 
 from __future__ import annotations
@@ -86,6 +88,17 @@ class SplitMix64:
     def doubles(self, k: int) -> np.ndarray:
         """The next ``k`` values of :meth:`next_double`, as a float array."""
         return (self.words(k) >> np.uint64(11)).astype(float) * 2.0**-53
+
+    def uniform(self, lo, hi, shape) -> np.ndarray:
+        """The next values uniform on [lo, hi), as an array of ``shape``.
+
+        The values have the bits of k scalar draws ``lo + (hi - lo) *
+        next_double()`` in row-major order, k the size of ``shape``, and the
+        stream ends where those k draws would leave it.  ``lo`` and ``hi``
+        broadcast against ``shape`` as a box's bounds do against its points:
+        scalars for an interval, or vectors of d bounds for (n, d) points.
+        """
+        return lo + (hi - lo) * self.doubles(np.prod(shape)).reshape(shape)
 
     def next_double(self) -> float:
         """Uniform on [0, 1) with 53-bit resolution."""

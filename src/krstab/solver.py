@@ -171,10 +171,8 @@ def closeness_certificate(
     probes: list[RepresenterFunction] = [f1, f2, combine(f1, f2, 0.5, 0.5)]
     for base in (f1, f2):
         scale = 0.1 * (1.0 + float(np.max(np.abs(base.coeffs))))
-        lo, hi = -scale, scale
         for _ in range(8):
-            # Same bits as lo + (hi - lo) * stream.next_double() per coefficient.
-            bump = lo + (hi - lo) * stream.doubles(len(base.coeffs))
+            bump = stream.uniform(-scale, scale, len(base.coeffs))
             probes.append(RepresenterFunction(base.kernel, base.anchors, base.coeffs + bump))
     gaps = [
         abs(

@@ -88,7 +88,7 @@ BELOW = object()  # stands for one less than the entry point's smallest count
 # taken, or None for a seed, which may be any integer).
 ENTRY_POINTS = {
     "sample_dataset": (lambda v: sample_dataset(DIST, v, 3), "n", 1),
-    "sample_x": (lambda v: DIST.sample_x(v, SplitMix64(3)), "n", 1),
+    "sample_x": (lambda v: DIST.sample_x(v, 3), "n", 1),
     "NoiseProcess.sample": (lambda v: NoiseProcess("uniform", 0.5).sample(v, 3), "n", 0),
     "trials": (lambda v: run_thm1(DIST, SCHEDULE, [4], trials=v, seed=0), "trials", 1),
     "n_grid": (lambda v: run_thm1(DIST, SCHEDULE, [v], trials=1, seed=0), "n_grid entry", 1),
@@ -101,6 +101,7 @@ ENTRY_POINTS = {
     "noise_operator_bound": (lambda v: noise_operator_bound(v, 2.0, 0.1, 1.0), "n", 1),
     "SplitMix64.seed": (lambda v: SplitMix64(v).words(3), "seed", None),
     "mix64.seed": (lambda v: mix64(v, 5), "seed", None),
+    "sample_x.seed": (lambda v: DIST.sample_x(4, v), "seed", None),
     "run_thm1.seed": (lambda v: run_thm1(DIST, SCHEDULE, [4], trials=2, seed=v), "seed", None),
 }
 

@@ -142,7 +142,7 @@ class TestSampling:
         # inputs come from substream 0 of the seed, noise from substream 1
         dist = make_dist()
         data, values = sample_dataset(dist, 7, seed=42)
-        xs = dist.sample_x(7, SplitMix64(mix64(42, 0)))
+        xs = dist.sample_x(7, mix64(42, 0))
         assert np.array_equal(data.pts.points, xs.points)
         b = dist.noise.sample(7, mix64(42, 1))
         assert np.array_equal(values, evaluate(dist.target, xs))
@@ -159,7 +159,7 @@ class TestSampling:
         stream = SplitMix64(seed)
         u = np.array([[stream.next_double() for _ in range(3)] for _ in range(50)])
         expect = dist.lo + u * (dist.hi - dist.lo)
-        got = dist.sample_x(50, SplitMix64(seed)).points
+        got = dist.sample_x(50, seed).points
         assert got.tobytes() == expect.tobytes()
 
     def test_distribution_validation(self):
@@ -498,6 +498,27 @@ def test_harnesses_refuse_a_grid_that_does_not_increase(grid):
         run_thm2(pts, make_target(), noise, Schedule(1.0, 1.0), grid, 2, 0)
 
 
+BLOCK_TARGET = RepresenterFunction(KERNEL, PointSet([[0.5], [1.5]]), np.ones((2, 3)))
+BLOCK_REFUSAL = r"^the target must be one function .* got coeffs of shape \(2, 3\)$"
+
+
+@pytest.mark.parametrize("m_bound", [None, 1.0])
+def test_thm1_refuses_a_block_target_by_name(m_bound):
+    # The default M bound would take the block's three norms, and the rows
+    # three distances each; the sweep refuses the target before either.
+    dist = DataDistribution([0.0], [2.0], BLOCK_TARGET, NoiseProcess(kind="uniform", b_max=0.1))
+    with pytest.raises(ValueError, match=BLOCK_REFUSAL):
+        run_thm1(dist, Schedule(0.5, 0.3), [8], 2, 0, m_bound=m_bound)
+
+
+@pytest.mark.parametrize("m_bound", [None, 1.0])
+def test_thm2_refuses_a_block_target_by_name(m_bound):
+    pts = PointSet([[0.0], [1.0], [2.0]])
+    noise = NoiseProcess(kind="uniform", b_max=0.1)
+    with pytest.raises(ValueError, match=BLOCK_REFUSAL):
+        run_thm2(pts, BLOCK_TARGET, noise, Schedule(1.0, 1.0), [1, 10], 2, 0, m_bound=m_bound)
+
+
 class TestBounds:
     def test_default_bounds(self):
         f = make_target()
@@ -578,7 +599,9 @@ def test_sweep_returns_one_flat_list():
     # One list of rows, grid point by grid point and then trial by trial, so
     # row i has grid index i // trials and trial i % trials.
     schedule, grid, trials = Schedule(lambda0=0.5, exponent=0.3), [32, 64, 128], 4
-    rows, metadata = experiments._sweep(schedule, grid, trials, 7, 0.1, 1.0, 4.0, 1.0, None, 0.0)
+    rows, metadata = experiments._sweep(
+        schedule, grid, trials, 7, 0.1, 1.0, 4.0, 1.0, make_target(), 0.0
+    )
     assert all(isinstance(row, ReportRow) for row in rows)
     assert [(row.index_var, row.trial) for row in rows] == [
         (index, trial) for index in grid for trial in range(trials)

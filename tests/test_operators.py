@@ -332,6 +332,29 @@ class TestDecomposition:
         assert abs(residual(g, vals, b, t, lam) - manual) < 1e-15
 
 
+# Passes the PSD check (min eigenvalue -1e-10 against a tolerance of 2e-10),
+# yet the difference C = 100 (1, -1) has square -2e-6 on it.
+NEARLY_PSD = GramMatrix(np.array([[1.0, 1.0 + 1e-10], [1.0 + 1e-10, 1.0]]))
+DIFFERENCE = np.array([[100.0], [-100.0]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: shrinkage_term(NEARLY_PSD, DIFFERENCE, [1.0]),
+        # With beta, shrink_solve and noise zero, the residual is alpha's norm.
+        lambda: decomposition_residual(
+            NEARLY_PSD, DIFFERENCE, np.zeros(2), np.zeros((2, 1)), np.zeros((2, 1)), [1.0], [1.0]
+        ),
+    ],
+    ids=["shrinkage_term", "decomposition_residual"],
+)
+def test_a_negative_square_warns_at_the_callers_line(call):
+    with pytest.warns(RuntimeWarning, match="significantly negative") as record:
+        assert call().tolist() == [0.0]
+    assert [w.filename for w in record] == [__file__]
+
+
 class TestEigenConsistency:
     def test_gram_eigenvectors_solve_coefficient_eigenproblem(self):
         # P*P acts on coefficients as G; its eigenpairs are the Gram's

@@ -236,6 +236,20 @@ class TestNormAndDistance:
                 assert norm() == 0.0
             assert [w.filename for w in record] == [__file__]
 
+    @pytest.mark.parametrize("with_gram", [False, True])
+    def test_a_negative_distance_square_warns_at_the_callers_line(self, monkeypatch, with_gram):
+        # h_distance reaches the quadratic form through rkhs_norm or
+        # gram_norm; the warning still names the line that called h_distance.
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        monkeypatch.setattr(krstab.rkhs, "kernel_matrix", lambda *args: indefinite)
+        pts = PointSet([[0.0], [1.0]])
+        f = RepresenterFunction(GAUSS, pts, [1.0, 0.0])
+        g = RepresenterFunction(GAUSS, pts, [0.0, 1.0])
+        gram_matrix = GramMatrix(indefinite) if with_gram else None
+        with pytest.warns(RuntimeWarning, match="significantly negative") as record:
+            assert h_distance(f, g, gram_matrix=gram_matrix) == 0.0
+        assert [w.filename for w in record] == [__file__]
+
     @pytest.mark.parametrize(
         "norm",
         [

@@ -102,15 +102,38 @@ def test_doubles_equal_scalar_draws():
 
 
 def test_scaled_doubles_equal_scalar_uniform():
-    # lo + (hi - lo) * doubles(k) is how the library batches k scalar draws
+    # uniform(lo, hi, k) is how the library batches k scalar draws
     # lo + (hi - lo) * next_double(); it must give their bits and end state.
     for seed in (0, 1, 12345, 2**63, 2**64 - 1):
         for scale in (1.0, 0.1, 0.47, 123.456):
             lo, hi = -scale, scale
             batch, scalar = SplitMix64(seed), SplitMix64(seed)
             expect = np.array([lo + (hi - lo) * scalar.next_double() for _ in range(257)])
-            assert (lo + (hi - lo) * batch.doubles(257)).tobytes() == expect.tobytes()
+            assert batch.uniform(lo, hi, 257).tobytes() == expect.tobytes()
             assert batch.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_uniform_on_a_box_equals_scalar_draws_point_major(seed):
+    # Vector bounds broadcast against an (n, d) shape: row i holds the i-th
+    # point, its d coordinates drawn in turn against bounds lo[j], hi[j].
+    lo, hi = np.array([0.0, -1.0, 2.0]), np.array([2.0, 1.0, 2.5])
+    batch, scalar = SplitMix64(seed), SplitMix64(seed)
+    expect = np.array(
+        [[lo[j] + (hi[j] - lo[j]) * scalar.next_double() for j in range(3)] for _ in range(41)]
+    )
+    got = batch.uniform(lo, hi, (41, 3))
+    assert got.shape == (41, 3)
+    assert got.tobytes() == expect.tobytes()
+    assert batch.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("shape", [0, (0,), (0, 3)])
+def test_uniform_of_no_values_leaves_the_stream(shape):
+    batch, scalar = SplitMix64(5), SplitMix64(5)
+    got = batch.uniform(-1.0, 1.0, shape)
+    assert got.shape == np.empty(shape).shape
+    assert batch.next_u64() == scalar.next_u64()
 
 
 def test_words_reject_negative_count():
